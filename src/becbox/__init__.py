@@ -13,6 +13,8 @@ from .lattice import (
     DirichletSpectrum,
     make_grid,
     make_spectrum,
+    green_apply,
+    harmonic_extension,
     sample_function,
     inner_product,
     stencil_apply,
@@ -41,7 +43,6 @@ from .phi_operator import (
     ShiftedInverse,
     CondensateBasis,
     PhiOperator,
-    green_apply,
     build_condensate_basis,
     build_phi_operator,
     eigendecompose_symmetric,

@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Subcommands: converge, srs, verify, wick, fourier-dump.  Exit codes: 0
-success, 1 check failure, 2 config error, 3 hypothesis violation (e.g. a
-nonzero-mean test function in d <= 2, or a support reaching the smallest box).
+success, 1 check failure (the output JSON says "pass": false), 2 config
+error, 3 hypothesis violation (e.g. a nonzero-mean test function in d <= 2,
+or a support reaching the smallest box), 4 runtime error (an unconverged or
+non-positive Lanczos recursion, or an output that cannot be written).
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ def main(argv: list[str] | None = None) -> int:
             final = report.final_rows()[-1]
             print(f"final rel_err = {final.rel_err:.6e}  "
                   f"strictly_decreasing = {report.strictly_decreasing()}")
-            return 0
+            return 0 if report.strictly_decreasing() else 1
         if args.command == "srs":
             report = experiments.run_srs_sweep(cfg)
             paths = experiments.emit_srs(report, cfg.out, cfg.label)
@@ -83,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(p)
             print(f"final err = {report.rows[-1].err:.6e}  "
                   f"all_decreasing = {report.all_decreasing()}")
-            return 0
+            return 0 if report.all_decreasing() else 1
         if args.command == "verify":
             checks = experiments.run_verify_suite(cfg)
             paths = experiments.emit_checks(checks, cfg, cfg.out, cfg.label)
@@ -118,6 +120,9 @@ def main(argv: list[str] | None = None) -> int:
     except HypothesisError as e:
         print(f"hypothesis violation: {e}", file=sys.stderr)
         return 3
+    except (RuntimeError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

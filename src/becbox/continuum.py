@@ -1,8 +1,11 @@
 """Continuum-side reference values: test functions, Fourier tables, and the
 momentum-space form of the two-point function.
 
-Everything here is independent of the lattice modules so it can serve as an
-oracle for them.  The Fourier convention is unitary,
+The values are computed by quadrature in momentum space or over the support,
+never on the lattice, so they serve as an oracle for the lattice modules; the
+pointwise spectral functions (Bose and its regular part) are shared with the
+operator side, since a second copy of one series would check nothing.  The
+Fourier convention is unitary,
 fhat(p) = (2pi)^(-d/2) * integral f(x) e^(-ip.x) dx, which makes
 <f, F(-Delta) f> = integral F(|p|^2) |fhat|^2 dp without extra factors.
 
@@ -15,9 +18,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Union
 
 import numpy as np
+
+from .harmonics import eval_harmonic
+from .phi_operator import Bose, BoseRegular
 
 __all__ = [
     "HypothesisError",
@@ -178,12 +185,16 @@ def support_bounds(spec: TestFunctionSpec) -> list[tuple[float, float]]:
     return list(zip(los, his))
 
 
-def _axis_quadrature(lo: float, hi: float, quad_points: int):
-    x = np.linspace(lo, hi, quad_points)
-    w = np.full(quad_points, x[1] - x[0])
+def _trapezoid_weights(n: int, step: float) -> np.ndarray:
+    w = np.full(n, step)
     w[0] *= 0.5
     w[-1] *= 0.5
-    return x, w
+    return w
+
+
+def _axis_quadrature(lo: float, hi: float, quad_points: int):
+    x = np.linspace(lo, hi, quad_points)
+    return x, _trapezoid_weights(quad_points, x[1] - x[0])
 
 
 def _support_mesh(spec: TestFunctionSpec, quad_points: int):
@@ -199,12 +210,7 @@ def _support_mesh(spec: TestFunctionSpec, quad_points: int):
 
 def spatial_norm_sq(spec: TestFunctionSpec, quad_points: int = 2048) -> float:
     """integral |f|^2 by trapezoid quadrature over the support."""
-    axes, weights = _support_mesh(spec, quad_points)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    vals = np.abs(evaluate(spec, *mesh)) ** 2
-    for w in reversed(weights):
-        vals = vals @ w if vals.ndim > 1 else np.dot(vals, w)
-    return float(vals)
+    return overlap_integral(spec, partial(evaluate, spec), quad_points).real
 
 
 def overlap_integral(spec: TestFunctionSpec, fn, quad_points: int = 2048) -> complex:
@@ -317,50 +323,10 @@ def _check_compatible(table_f: FourierTable, table_g: FourierTable) -> None:
 
 def _grid_pieces(table: FourierTable):
     p = table.p
+    w = _trapezoid_weights(len(p), table.p_spacing)
     if table.dim == 1:
-        psq = p**2
-        w = np.full(len(p), table.p_spacing)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return psq, w
-    psq = p[:, None] ** 2 + p[None, :] ** 2
-    w1 = np.full(len(p), table.p_spacing)
-    w1[0] *= 0.5
-    w1[-1] *= 0.5
-    return psq, np.outer(w1, w1)
-
-
-def _bose_regular_scalar(t: np.ndarray) -> np.ndarray:
-    """1/(e^t - 1) - 1/t, evaluated stably for t > 0 (limit -1/2 at 0)."""
-    t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    small = t < 0.5
-    ts = t[small]
-    # Bernoulli series; next omitted term is < 1e-16 at t = 0.5
-    out[small] = (
-        -0.5
-        + ts / 12.0
-        - ts**3 / 720.0
-        + ts**5 / 30240.0
-        - ts**7 / 1209600.0
-        + ts**9 / 47900160.0
-        - ts**11 * 5.284190138687493e-10
-        + ts**13 * 1.3382536530684679e-11
-    )
-    tl = t[~small]
-    with np.errstate(over="ignore"):
-        e = np.expm1(tl)
-    out[~small] = np.where(np.isinf(e), 0.0, 1.0 / np.where(np.isinf(e), 1.0, e)) - 1.0 / tl
-    return out
-
-
-def _bose_scalar(t: np.ndarray) -> np.ndarray:
-    """1/(e^t - 1) for t > 0, overflow-safe."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    mod = t < 700.0
-    out[mod] = 1.0 / np.expm1(t[mod])
-    return out
+        return p**2, w
+    return p[:, None] ** 2 + p[None, :] ** 2, np.outer(w, w)
 
 
 def _green_zero_limit(table_f: FourierTable, table_g: FourierTable) -> complex:
@@ -411,7 +377,7 @@ def free_gas_integral(table_f: FourierTable, beta: float, table_g: FourierTable 
     zf = table_f.value_at_zero()
     zg = table_g.value_at_zero()
     zero_value = -np.conj(zf) * zg / 2.0 + _green_zero_limit(table_f, table_g) / beta
-    out = _bilinear_integral(table_f, table_g, lambda q: _bose_scalar(beta * q), zero_value)
+    out = _bilinear_integral(table_f, table_g, Bose(beta).evaluate, zero_value)
     return out.real if table_g is table_f else out
 
 
@@ -421,9 +387,7 @@ def regular_part_integral(table_f: FourierTable, beta: float, table_g: FourierTa
         raise ValueError("beta must be positive")
     table_g = table_f if table_g is None else table_g
     zero_value = -np.conj(table_f.value_at_zero()) * table_g.value_at_zero() / 2.0
-    out = _bilinear_integral(
-        table_f, table_g, lambda q: _bose_regular_scalar(beta * q), zero_value
-    )
+    out = _bilinear_integral(table_f, table_g, BoseRegular(beta).evaluate, zero_value)
     return out.real if table_g is table_f else out
 
 
@@ -462,16 +426,11 @@ class RhsValue:
 def condensate_term(family, f: TestFunctionSpec, g: TestFunctionSpec, beta: float,
                     quad_points: int = 2048) -> complex:
     """beta^-1 sum_k (integral conj(f) phi_k) (integral conj(phi_k) g)."""
-    from . import harmonics
-
     if not beta > 0:
         raise ValueError("beta must be positive")
     total = 0.0 + 0.0j
     for spec in family.specs:
-        if f.dim == 1:
-            fn = lambda x: harmonics.eval_harmonic(spec, x)
-        else:
-            fn = lambda x, y: harmonics.eval_harmonic(spec, (x, y))
+        fn = partial(eval_harmonic, spec)
         a = overlap_integral(f, fn, quad_points)          # integral conj(f) phi
         b = overlap_integral(g, fn, quad_points)          # integral conj(g) phi
         total += a * np.conj(b)

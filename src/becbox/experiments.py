@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -59,12 +60,6 @@ SRS_HEADER = ["L", "N", "h", "err", "decreasing", "wall_time_s"]
 # Error columns at the discretization plateau agree to ~10 digits; the
 # decreasing flag tolerates that much rounding.
 DECREASING_SLACK = 1e-6
-
-
-def _sample_tf(grid: Grid, spec) -> GridField:
-    if grid.dim == 1:
-        return sample_function(grid, lambda x: ct.evaluate(spec, x))
-    return sample_function(grid, lambda x, y: ct.evaluate(spec, x, y))
 
 
 def _check_support_inside(spec, L_min: float, margin: float = 0.0, name: str = "f") -> None:
@@ -121,8 +116,8 @@ def _sweep_rows(cfg: ExperimentConfig, family, f, g, rhs_total: complex, h: floa
         grid = make_grid(cfg.dim, [L] * cfg.dim, h)
         spectrum = make_spectrum(grid, cfg.spectrum_mode)
         op = build_phi_operator(grid, spectrum, family, cfg.sampling_mode, cfg.backend)
-        ff = _sample_tf(grid, f)
-        gg = ff if g is None else _sample_tf(grid, g)
+        ff = sample_function(grid, partial(ct.evaluate, f))
+        gg = ff if g is None else sample_function(grid, partial(ct.evaluate, g))
         tp = two_point_lhs(op, cfg.beta, ff, gg)
         rows.append(ConvergeRow(
             L=float(L), N=grid.total, h=float(h), lhs=tp.direct, rhs=rhs_total,
@@ -239,7 +234,7 @@ def run_srs_sweep(cfg: ExperimentConfig) -> SrsReport:
         grid = make_grid(cfg.dim, [L] * cfg.dim, cfg.h)
         spectrum = make_spectrum(grid, cfg.spectrum_mode)
         op = build_phi_operator(grid, spectrum, family, cfg.sampling_mode, "lanczos")
-        y = shifted_solve(op, _sample_tf(grid, u), 1.0)
+        y = shifted_solve(op, sample_function(grid, partial(ct.evaluate, u)), 1.0)
         vals = y.values[window_mask(grid)]
         err = float(np.sqrt(grid.weight * np.sum(np.abs(vals - ref) ** 2)))
         decreasing = True if prev is None else err <= prev * (1.0 + DECREASING_SLACK)
@@ -287,7 +282,8 @@ def run_verify_suite(cfg: ExperimentConfig) -> list[CheckReport]:
 
     f = ct.parse_test_function(cfg.f if cfg.dim == 1 else "dipole2:cx=0,cy=0,s=1,ax=0.75,ay=0.75")
     _check_support_inside(f, L, name="f")
-    checks.append(split_identity_check(op, cfg.beta, _sample_tf(grid, f)))
+    ff = sample_function(grid, partial(ct.evaluate, f))
+    checks.append(split_identity_check(op, cfg.beta, ff))
 
     if cfg.dim == 1:
         checks.append(boundary_condition_residual(op, 0, levels=3))
@@ -313,7 +309,8 @@ def run_wick_demo(cfg: ExperimentConfig) -> dict:
     centers = [-L / 4 + (i + 1) * (L / 2) / (n + 1) for i in range(n)]
     width = min(0.4, (L / 2) / (n + 1) / 2.2)
     fields = [
-        _sample_tf(grid, ct.Bump(center=(c,), halfwidth=(width,))) for c in centers
+        sample_function(grid, partial(ct.evaluate, ct.Bump(center=(c,), halfwidth=(width,))))
+        for c in centers
     ]
     T = np.empty((n, n), dtype=complex)
     for i in range(n):

@@ -10,11 +10,12 @@ is automatic here.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Union
 
 import numpy as np
 
-from .lattice import Grid, GridField, make_spectrum, sample_function, sine_transform, stencil_apply
+from .lattice import Grid, GridField, harmonic_extension, sample_function, stencil_apply
 
 __all__ = [
     "Constant",
@@ -95,12 +96,11 @@ def spec_dim(spec: HarmonicSpec) -> int | None:
     return 2
 
 
-def eval_harmonic(spec: HarmonicSpec, point):
-    """Evaluate a harmonic function at a point (or broadcastable arrays).
+def eval_harmonic(spec: HarmonicSpec, *coords):
+    """Evaluate a harmonic function at broadcastable coordinates.
 
-    ``point`` is a scalar/array for 1d variants or a pair (x, y) for 2d ones.
+    One coordinate (scalar or array) for 1d variants, two (x, y) for 2d ones.
     """
-    coords = point if isinstance(point, (tuple, list)) else (point,)
     d = spec_dim(spec)
     if d is not None and len(coords) != d:
         raise ValueError(
@@ -134,12 +134,6 @@ def boundary_values_1d(spec: HarmonicSpec, grid: Grid) -> tuple[complex, complex
     )
 
 
-def _sample(spec: HarmonicSpec, grid: Grid) -> GridField:
-    if grid.dim == 1:
-        return sample_function(grid, lambda x: eval_harmonic(spec, x))
-    return sample_function(grid, lambda x, y: eval_harmonic(spec, (x, y)))
-
-
 def harmonicity_residual(spec: HarmonicSpec, grid: Grid) -> float:
     """Max |stencil(sampled phi)| over interior nodes whose neighbors are all interior.
 
@@ -149,7 +143,7 @@ def harmonicity_residual(spec: HarmonicSpec, grid: Grid) -> float:
     d = spec_dim(spec)
     if d is not None and d != grid.dim:
         raise ValueError(f"spec is {d}d but grid is {grid.dim}d")
-    res = stencil_apply(grid, _sample(spec, grid)).reshaped()
+    res = stencil_apply(grid, sample_function(grid, partial(eval_harmonic, spec))).reshaped()
     inner = tuple(slice(1, -1) for _ in range(grid.dim))
     core = res[inner]
     if core.size == 0:
@@ -157,61 +151,33 @@ def harmonicity_residual(spec: HarmonicSpec, grid: Grid) -> float:
     return float(np.abs(core).max())
 
 
-def _boundary_source(spec: HarmonicSpec, grid: Grid) -> np.ndarray:
-    """Stencil source induced by Dirichlet data phi on the boundary lattice points."""
-    src = np.zeros(grid.counts, dtype=complex)
-    h = grid.spacing
-    if grid.dim == 1:
-        lo, hi = boundary_values_1d(spec, grid)
-        src[0] += lo / h**2
-        src[-1] += hi / h**2
-        return src
-    x0, x1 = grid.axis_nodes(0), grid.axis_nodes(1)
-    L0, L1 = grid.lengths
-    src[0, :] += np.asarray(eval_harmonic(spec, (-L0 / 2, x1)), dtype=complex) / h**2
-    src[-1, :] += np.asarray(eval_harmonic(spec, (L0 / 2, x1)), dtype=complex) / h**2
-    src[:, 0] += np.asarray(eval_harmonic(spec, (x0, -L1 / 2)), dtype=complex) / h**2
-    src[:, -1] += np.asarray(eval_harmonic(spec, (x0, L1 / 2)), dtype=complex) / h**2
-    return src
-
-
 def sample_family(family: HarmonicFamily, grid: Grid, mode: str = "sampled") -> list[GridField]:
     """Realize the family on the grid.
 
     mode "sampled": pointwise evaluation at the nodes.  mode
     "discrete-harmonic": solve stencil*v = 0 with boundary data phi on the
-    boundary lattice points (via the sine-transform solve of the
-    boundary-induced source), so v is exactly stencil-harmonic in the interior.
+    boundary lattice points (``harmonic_extension``), so v is exactly
+    stencil-harmonic in the interior.
     """
     if mode not in ("sampled", "discrete-harmonic"):
         raise ValueError(f"mode must be 'sampled' or 'discrete-harmonic', got {mode!r}")
+    realize = sample_function if mode == "sampled" else harmonic_extension
     out = []
-    lam = None
     for spec in family.specs:
         d = spec_dim(spec)
         if d is not None and d != grid.dim:
             raise ValueError(f"spec {spec!r} is {d}d but grid is {grid.dim}d")
-        if mode == "sampled":
-            out.append(_sample(spec, grid))
-            continue
-        if lam is None:
-            lam = make_spectrum(grid, "fd").tensor()
-        src = _boundary_source(spec, grid).ravel()
-        if np.all(src.imag == 0):
-            src = src.real
-        chat = sine_transform(grid, GridField(grid, src), "forward")
-        v = sine_transform(grid, GridField(grid, chat.values / lam), "inverse")
-        out.append(v)
+        out.append(realize(grid, partial(eval_harmonic, spec)))
     return out
 
 
-def condensate_density(family: HarmonicFamily, beta: float, point) -> float:
-    """Condensate density beta^-1 sum_k |phi_k(point)|^2."""
+def condensate_density(family: HarmonicFamily, beta: float, *coords) -> float:
+    """Condensate density beta^-1 sum_k |phi_k(coords)|^2 at one point."""
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
     total = 0.0
     for spec in family.specs:
-        total += float(np.abs(np.asarray(eval_harmonic(spec, point))) ** 2)
+        total += float(np.abs(np.asarray(eval_harmonic(spec, *coords))) ** 2)
     return total / beta
 
 

@@ -23,6 +23,8 @@ __all__ = [
     "DirichletSpectrum",
     "make_grid",
     "make_spectrum",
+    "green_apply",
+    "harmonic_extension",
     "sample_function",
     "inner_product",
     "stencil_apply",
@@ -222,6 +224,40 @@ def make_spectrum(grid: Grid, mode: str = "fd") -> DirichletSpectrum:
             lam = (k * np.pi / L) ** 2
         axis_vals.append(lam)
     return DirichletSpectrum(grid=grid, mode=mode, axis_eigenvalues=tuple(axis_vals))
+
+
+def green_apply(grid: Grid, spectrum: DirichletSpectrum, u: GridField) -> GridField:
+    """Inverse Dirichlet Laplacian: sine transform, divide by the eigenvalues,
+    transform back."""
+    if spectrum.grid != grid:
+        raise ValueError("spectrum belongs to a different grid")
+    chat = sine_transform(grid, u, "forward")
+    return sine_transform(grid, GridField(grid, chat.values / spectrum.tensor()), "inverse")
+
+
+def harmonic_extension(grid: Grid, boundary_fn) -> GridField:
+    """Discrete-harmonic extension of Dirichlet data into the interior.
+
+    ``boundary_fn(*coords)`` gives the data on the boundary lattice points;
+    each face (axis 0 low/high, then axis 1) adds its values over h^2 to the
+    stencil source next to it, corner nodes taking both faces in that order.
+    The stencil solve of that source is exactly stencil-harmonic inside with
+    the given boundary values.
+    """
+    src = np.zeros(grid.counts, dtype=complex)
+    h2 = grid.spacing**2
+    axes = [grid.axis_nodes(i) for i in range(grid.dim)]
+    for ax in range(grid.dim):
+        L = grid.lengths[ax]
+        for end, x in ((0, -L / 2), (-1, L / 2)):
+            face = np.asarray(boundary_fn(*axes[:ax], x, *axes[ax + 1:]), dtype=complex)
+            # a point face (d = 1) divides as a Python complex, part by part;
+            # an array face divides as numpy does, by the reciprocal of h^2
+            src[(slice(None),) * ax + (end,)] += (face.item() if face.ndim == 0 else face) / h2
+    src = src.ravel()
+    if np.all(src.imag == 0):
+        src = src.real
+    return green_apply(grid, make_spectrum(grid, "fd"), GridField(grid, src))
 
 
 def boundary_trace_1d(grid: Grid, u: GridField, side: str) -> tuple[complex, complex]:

@@ -41,7 +41,6 @@ __all__ = [
     "LanczosResult",
     "DENSE_LIMIT",
     "RANK_RTOL",
-    "green_apply",
     "build_condensate_basis",
     "build_phi_operator",
     "eigendecompose_symmetric",
@@ -140,15 +139,6 @@ class ShiftedInverse:
 
 
 # --- assembly -------------------------------------------------------------------
-
-
-def green_apply(grid: Grid, spectrum: DirichletSpectrum, u: GridField) -> GridField:
-    """Inverse Dirichlet Laplacian: sine transform, divide by the eigenvalues,
-    transform back."""
-    if spectrum.grid != grid:
-        raise ValueError("spectrum belongs to a different grid")
-    chat = sine_transform(grid, u, "forward")
-    return sine_transform(grid, GridField(grid, chat.values / spectrum.tensor()), "inverse")
 
 
 @dataclass
@@ -429,7 +419,8 @@ def quadratic_form(op: PhiOperator, F, f: GridField, g: GridField | None = None)
     """<f, F(-Delta_Phi) g> in the weighted inner product.
 
     Dense backends sum over eigenpairs; the Lanczos backend recovers bilinear
-    forms from quadratic ones by polarization.  Conjugate symmetry
+    forms from quadratic ones by polarization, and raise RuntimeError rather
+    than return an unconverged value.  Conjugate symmetry
     result(f, g) = conj(result(g, f)) holds by construction.
     """
     if f.grid != op.grid or (g is not None and g.grid != op.grid):
@@ -439,14 +430,20 @@ def quadratic_form(op: PhiOperator, F, f: GridField, g: GridField | None = None)
         fhat = op._hat(f)
         ghat = fhat if same else op._hat(g)
         return _dense_bilinear(op, F, fhat, ghat)
+
+    def lanczos(field: GridField) -> float:
+        res = lanczos_quadratic_form(op, F, field)
+        if not res.converged:
+            raise RuntimeError(f"Lanczos did not converge in {res.steps} steps")
+        return res.value
+
     if same:
-        return complex(lanczos_quadratic_form(op, F, f).value)
-    w = op.grid.weight
+        return complex(lanczos(f))
 
     def q(values: np.ndarray) -> float:
         if not np.any(values):
             return 0.0
-        return lanczos_quadratic_form(op, F, GridField(op.grid, values)).value
+        return lanczos(GridField(op.grid, values))
 
     fv, gv = f.values, g.values
     if np.iscomplexobj(fv) or np.iscomplexobj(gv):

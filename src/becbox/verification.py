@@ -21,6 +21,8 @@ from .lattice import (
     Grid,
     GridField,
     boundary_trace_1d,
+    green_apply,
+    harmonic_extension,
     inner_product,
     make_grid,
     make_spectrum,
@@ -32,7 +34,6 @@ from .phi_operator import (
     apply_forward,
     apply_inverse,
     build_phi_operator,
-    green_apply,
     two_point_lhs,
 )
 
@@ -302,18 +303,6 @@ def _gradient_sum(values: np.ndarray, h: float, t_left: complex, t_right: comple
     return float(np.sum(np.abs(diffs) ** 2) / h)
 
 
-def _harmonic_extension_1d(grid: Grid, t_left: complex, t_right: complex) -> GridField:
-    src = np.zeros(grid.counts[0], dtype=complex)
-    h = grid.spacing
-    src[0] = t_left / h**2
-    src[-1] = t_right / h**2
-    if np.all(src.imag == 0):
-        src = src.real
-    lam = make_spectrum(grid, "fd").tensor()
-    chat = sine_transform(grid, GridField(grid, src), "forward")
-    return sine_transform(grid, GridField(grid, chat.values / lam), "inverse")
-
-
 def _seeded_source(grid: Grid, seed: int) -> GridField:
     """A fixed random trigonometric profile, resolvable at every refinement.
 
@@ -344,7 +333,7 @@ def _qform_residual_once(op: PhiOperator, seed: int) -> float:
     h = grid.spacing
     energy_f = _gradient_sum(f.values, h, tl, tr)
     if op.basis.rank:
-        psi = _harmonic_extension_1d(grid, tl, tr)
+        psi = harmonic_extension(grid, lambda x: tl if x < 0 else tr)
         energy_psi = _gradient_sum(psi.values, h, tl, tr)
         coords = op.basis.basis_hat.conj().T @ sine_transform(grid, psi, "forward").values
         r_term = float((coords.conj() @ (op.basis.r_matrix @ coords)).real)

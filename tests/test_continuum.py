@@ -104,8 +104,8 @@ class TestMomentumIntegrals:
         # largest term of the identity (for x >> 1 the two sides agree through
         # the cancellation of 1/x, so that is the meaningful scale)
         x = np.logspace(-6, np.log10(650.0), 400)
-        lhs = ct._bose_scalar(x)
-        rhs = ct._bose_regular_scalar(x) + 1.0 / x
+        lhs = bb.Bose(1.0).evaluate(x)
+        rhs = bb.BoseRegular(1.0).evaluate(x) + 1.0 / x
         scale = np.maximum(lhs, 1.0 / x)
         assert np.max(np.abs(lhs - rhs) / scale) <= 1e-13
         # and genuinely relative for moderate arguments
@@ -113,7 +113,7 @@ class TestMomentumIntegrals:
         assert np.max(np.abs(lhs[mod] - rhs[mod]) / lhs[mod]) <= 1e-13
 
     def test_bose_regular_limit_at_zero(self):
-        val = ct._bose_regular_scalar(np.array([1e-8]))[0]
+        val = bb.BoseRegular(1.0).evaluate(np.array([1e-8]))[0]
         assert abs(val + 0.5) <= 1e-6
 
 

@@ -240,6 +240,46 @@ class TestCli:
         monkeypatch.setattr(ex, "run_verify_suite", fake_suite)
         assert cli.main(["verify", "--out", str(tmp_path)]) == 1
 
+    def test_converge_not_decreasing_exit_1(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(MINI_CONVERGE)
+        monkeypatch.setattr(ex.ConvergenceReport, "strictly_decreasing", lambda self: False)
+        assert cli.main(["converge", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert json.loads((tmp_path / "run.json").read_text())["pass"] is False
+
+    def test_srs_not_decreasing_exit_1(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("kind = srs\nL_start = 8\nL_steps = 2\nh = 0.25\n")
+        monkeypatch.setattr(ex.SrsReport, "all_decreasing", lambda self: False)
+        assert cli.main(["srs", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert json.loads((tmp_path / "run_srs.json").read_text())["pass"] is False
+
+    def test_unconverged_lanczos_exit_4(self, tmp_path, monkeypatch, capsys):
+        from becbox import phi_operator as po
+
+        def unconverged(op, F, f, steps=200, tolerance=1e-10):
+            return po.LanczosResult(value=1.0, steps=steps, converged=False)
+
+        monkeypatch.setattr(po, "lanczos_quadratic_form", unconverged)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(MINI_CONVERGE)
+        rc = cli.main(["converge", "--config", str(cfg), "--out", str(tmp_path),
+                       "--backend", "lanczos"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "converge" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_unwritable_output_exit_4(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text("kind = fourier\nf = dipole:c=0,s=1,a=0.75\n"
+                       "cutoff = 10\np_spacing = 0.1\nquad_points = 512\n")
+        rc = cli.main(["fourier-dump", "--config", str(cfg), "--out", str(blocker / "sub")])
+        assert rc == 4
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_converge_cli_end_to_end(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(MINI_CONVERGE)

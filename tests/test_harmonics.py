@@ -11,25 +11,25 @@ class TestEval:
 
     def test_hpoly2_degree2(self):
         spec = bb.HarmonicPoly2D(degree=2, part="re")
-        assert bb.eval_harmonic(spec, (1.0, 2.0)) == pytest.approx(-3.0)
+        assert bb.eval_harmonic(spec, 1.0, 2.0) == pytest.approx(-3.0)
 
     def test_expcos_origin(self):
-        assert bb.eval_harmonic(bb.ExpCos2D(k=1.0), (0.0, 0.0)) == pytest.approx(1.0)
+        assert bb.eval_harmonic(bb.ExpCos2D(k=1.0), 0.0, 0.0) == pytest.approx(1.0)
 
     def test_constant_any_dim(self):
-        assert bb.eval_harmonic(bb.Constant(2 + 1j), (0.3,)) == 2 + 1j
-        assert complex(bb.eval_harmonic(bb.Constant(2 + 1j), (0.3, 0.4))) == 2 + 1j
+        assert bb.eval_harmonic(bb.Constant(2 + 1j), 0.3) == 2 + 1j
+        assert complex(bb.eval_harmonic(bb.Constant(2 + 1j), 0.3, 0.4)) == 2 + 1j
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="coordinate"):
-            bb.eval_harmonic(bb.Affine1D(0, 1), (1.0, 2.0))
+            bb.eval_harmonic(bb.Affine1D(0, 1), 1.0, 2.0)
         with pytest.raises(ValueError, match="coordinate"):
             bb.eval_harmonic(bb.ExpCos2D(1.0), 1.0)
 
     def test_centered_poly(self):
         spec = bb.HarmonicPoly2D(degree=1, part="im", center=1 + 1j, coefficient=2.0)
         # 2 * Im((x + iy) - (1 + i)) at (1, 3) -> 2 * 2 = 4
-        assert bb.eval_harmonic(spec, (1.0, 3.0)) == pytest.approx(4.0)
+        assert bb.eval_harmonic(spec, 1.0, 3.0) == pytest.approx(4.0)
 
 
 class TestHarmonicityResidual:
@@ -47,7 +47,7 @@ class TestHarmonicityResidual:
         for h in (0.25, 0.125):
             g = bb.make_grid(2, [4, 4], h)
             res = bb.stencil_apply(
-                g, bb.sample_function(g, lambda x, y: bb.eval_harmonic(spec, (x, y)))
+                g, bb.sample_function(g, lambda x, y: bb.eval_harmonic(spec, x, y))
             ).reshaped()
             core = np.abs(res[1:-1, 1:-1])
             assert np.allclose(core, 4 * h * h, rtol=1e-9)
@@ -99,7 +99,7 @@ class TestSampleFamily:
 class TestCondensateDensity:
     def test_constant(self):
         fam = bb.HarmonicFamily((bb.Constant(1.0),))
-        assert bb.condensate_density(fam, 2.0, (0.7,)) == pytest.approx(0.5)
+        assert bb.condensate_density(fam, 2.0, 0.7) == pytest.approx(0.5)
 
     def test_affine(self):
         fam = bb.HarmonicFamily((bb.Affine1D(0.0, 1.0),))
@@ -111,7 +111,7 @@ class TestCondensateDensity:
             bb.HarmonicPoly2D(degree=1, part="im"),
         ))
         x, y = 0.6, -1.3
-        assert bb.condensate_density(fam, 1.0, (x, y)) == pytest.approx(x * x + y * y)
+        assert bb.condensate_density(fam, 1.0, x, y) == pytest.approx(x * x + y * y)
 
     def test_beta_must_be_positive(self):
         with pytest.raises(ValueError, match="beta"):

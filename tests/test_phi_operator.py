@@ -29,6 +29,26 @@ class TestSpectralFunctions:
         assert abs(f.evaluate(np.array([1e-8]))[0] + 0.5) <= 1e-6
         assert abs(f.evaluate(np.array([900.0]))[0]) <= 1.2e-3
 
+    def test_bose_series_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        t = np.geomspace(1e-8, 700.0, 2001)[:-1]
+        bose = bb.Bose(1.0).evaluate(t)
+        regular = bb.BoseRegular(1.0).evaluate(t)
+        err_bose = err_regular = 0.0
+        with mpmath.workdps(50):
+            for ti, b, r in zip(t, bose, regular):
+                x = mpmath.mpf(float(ti))
+                exact = 1 / mpmath.expm1(x)
+                err_bose = max(err_bose, float(abs((b - exact) / exact)))
+                exact_regular = exact - 1 / x
+                err_regular = max(err_regular, float(abs((r - exact_regular) / exact_regular)))
+            # past the overflow cut at 700 the value is below 1e-304 in absolute terms
+            tail = np.array([700.0, 700.5, 745.0, 800.0, 2048.0, 1e6])
+            for ti, b in zip(tail, bb.Bose(1.0).evaluate(tail)):
+                assert abs(b - 1 / mpmath.expm1(mpmath.mpf(float(ti)))) <= 1e-300
+        assert err_bose <= 2e-15
+        assert err_regular <= 2e-15
+
     def test_shifted_inverse_requires_negative(self):
         with pytest.raises(ValueError, match="negative"):
             bb.ShiftedInverse(0.5)
@@ -388,6 +408,20 @@ class TestLanczos:
         assert res.steps == 1
         oracle = bb.quadratic_form(op, bb.SimpleResolvent(), mode)
         assert res.value == pytest.approx(oracle.real, rel=1e-12)
+
+    def test_unconverged_value_raises(self, grid_1d, monkeypatch):
+        sp = bb.make_spectrum(grid_1d, "fd")
+        op = bb.build_phi_operator(grid_1d, sp, bb.HarmonicFamily(()), backend="lanczos")
+
+        def unconverged(op, F, f, steps=200, tolerance=1e-10):
+            return po.LanczosResult(value=1.0, steps=steps, converged=False)
+
+        monkeypatch.setattr(po, "lanczos_quadratic_form", unconverged)
+        f, g = random_field(grid_1d, 24), random_field(grid_1d, 25)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            bb.quadratic_form(op, bb.SimpleResolvent(), f)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            bb.quadratic_form(op, bb.SimpleResolvent(), f, g)
 
     def test_zero_steps_invalid(self, grid_1d):
         sp = bb.make_spectrum(grid_1d, "fd")
