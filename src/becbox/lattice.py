@@ -239,22 +239,18 @@ def harmonic_extension(grid: Grid, boundary_fn) -> GridField:
     """Discrete-harmonic extension of Dirichlet data into the interior.
 
     ``boundary_fn(*coords)`` gives the data on the boundary lattice points;
-    each face (axis 0 low/high, then axis 1) adds its values over h^2 to the
-    stencil source next to it, corner nodes taking both faces in that order.
-    The stencil solve of that source is exactly stencil-harmonic inside with
-    the given boundary values.
+    each face (axis 0 low/high, then axis 1) adds its values to the nodes next
+    to it, corner nodes taking both faces in that order, and the sum over h^2
+    is the stencil source.  Its stencil solve is exactly stencil-harmonic
+    inside with the given boundary values.
     """
     src = np.zeros(grid.counts, dtype=complex)
-    h2 = grid.spacing**2
     axes = [grid.axis_nodes(i) for i in range(grid.dim)]
     for ax in range(grid.dim):
         L = grid.lengths[ax]
         for end, x in ((0, -L / 2), (-1, L / 2)):
-            face = np.asarray(boundary_fn(*axes[:ax], x, *axes[ax + 1:]), dtype=complex)
-            # a point face (d = 1) divides as a Python complex, part by part;
-            # an array face divides as numpy does, by the reciprocal of h^2
-            src[(slice(None),) * ax + (end,)] += (face.item() if face.ndim == 0 else face) / h2
-    src = src.ravel()
+            src[(slice(None),) * ax + (end,)] += boundary_fn(*axes[:ax], x, *axes[ax + 1:])
+    src = src.ravel() / grid.spacing**2
     if np.all(src.imag == 0):
         src = src.real
     return green_apply(grid, make_spectrum(grid, "fd"), GridField(grid, src))

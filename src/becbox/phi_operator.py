@@ -8,9 +8,11 @@ Green operator plus a rank-K update by the sampled harmonic columns,
 which in the orthonormal sine basis is diagonal(1/lambda) plus a rank-K
 congruence of the transformed columns.  The dense backend eigendecomposes that
 matrix (operator eigenvalues are reported as 1/mu); the Lanczos backend only
-ever applies it.  All inner products, normalizations and orthogonalizations
-use the h^d-weighted inner product, which in sine coefficients is the plain
-dot product.
+ever applies it.  Either way a readout is one quadrature rule per start vector
+(the eigenpairs, or a Lanczos Gauss rule), and every spectral function of the
+readout is read off that rule.  All inner products, normalizations and
+orthogonalizations use the h^d-weighted inner product, which in sine
+coefficients is the plain dot product.
 """
 
 from __future__ import annotations
@@ -180,7 +182,7 @@ def build_condensate_basis(grid: Grid, columns: list[GridField]) -> CondensateBa
             columns=[], col_hat=empty, gram=np.zeros((0, 0)), rank=0,
             weights=np.zeros((0, 0)), basis_hat=empty, r_matrix=np.zeros((0, 0)),
         )
-    col_hat = np.column_stack([sine_transform(grid, c, "forward").values for c in columns])
+    col_hat = np.stack([sine_transform(grid, c, "forward").values for c in columns], axis=1)
     gram = np.empty((K, K), dtype=complex)
     for i in range(K):
         for j in range(K):
@@ -345,11 +347,17 @@ def shifted_solve(op: PhiOperator, f: GridField, shift: float = 1.0) -> GridFiel
 # --- quadratic forms -------------------------------------------------------------
 
 
+def _gauss_sum(Fs, nodes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i conj(a_i) F(nodes_i) b_i for every F in Fs: a quadrature rule read off."""
+    a = np.conj(a)
+    return np.array([np.sum(a * F.evaluate(nodes) * b) for F in Fs])
+
+
 @dataclass(frozen=True)
 class LanczosResult:
-    """Outcome of a Lanczos quadratic-form evaluation."""
+    """Outcome of a Lanczos quadrature: ``value`` holds one form per function."""
 
-    value: float
+    value: np.ndarray
     steps: int
     converged: bool
     breakdown: bool = False
@@ -357,19 +365,21 @@ class LanczosResult:
 
 def lanczos_quadratic_form(
     op: PhiOperator,
-    F,
+    Fs,
     f: GridField,
     steps: int = 200,
     tolerance: float = 1e-10,
 ) -> LanczosResult:
-    """<f, F(-Delta_Phi) f> by Lanczos on the inverse, started from f.
+    """<f, F(-Delta_Phi) f> for every F in the tuple Fs by one Lanczos
+    recursion on the inverse, started from f.
 
     Runs the weighted-inner-product Lanczos recursion on A^-1 with full
-    (double Gram-Schmidt) reorthogonalization; the quadratic form of
-    g(mu) = F(1/mu) is read off the tridiagonal eigendecomposition.
-    Convergence is declared when two successive step counts agree to
-    ``tolerance`` relative; a near-zero new Lanczos vector (breakdown: f lay
-    in an invariant subspace) returns the exact current value with a flag.
+    (double Gram-Schmidt) reorthogonalization.  Its Gauss rule, the Ritz
+    values theta with weights ||f||^2 S[0, i]^2 from the tridiagonal
+    eigenvectors, gives the form of each g(mu) = F(1/mu).  Convergence is
+    declared when two successive step counts agree to ``tolerance`` relative
+    for every F; a near-zero new Lanczos vector (breakdown: f lay in an
+    invariant subspace) returns the exact current values with a flag.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -377,8 +387,9 @@ def lanczos_quadratic_form(
     nrm = np.linalg.norm(v)
     if nrm == 0:
         raise ValueError("starting field must be nonzero")
-    q = v / nrm
-    Q = [q]
+    # a complex family makes the Krylov vectors complex even from a real f
+    Q = np.empty((steps, v.size), dtype=np.result_type(v, op.basis.col_hat))
+    Q[0] = v / nrm
     alphas: list[float] = []
     betas: list[float] = []
     value = None
@@ -389,69 +400,68 @@ def lanczos_quadratic_form(
         alpha = float(np.vdot(Q[j], w).real)
         alphas.append(alpha)
         w = w - alpha * Q[j]
-        Qm = np.column_stack(Q)
-        w = w - Qm @ (Qm.conj().T @ w)
-        w = w - Qm @ (Qm.conj().T @ w)
+        Qj = Q[: j + 1]
+        w = w - (Qj @ w.conj()).conj() @ Qj
+        w = w - (Qj @ w.conj()).conj() @ Qj
         theta, S = scipy.linalg.eigh_tridiagonal(np.array(alphas), np.array(betas))
         if theta.min() <= 0:
             raise RuntimeError("Ritz values left the positive axis; the inverse is not PD")
-        new_value = float(nrm**2 * np.sum(F.evaluate(1.0 / theta) * np.abs(S[0, :]) ** 2))
-        if value is not None and abs(new_value - value) <= tolerance * max(abs(new_value), 1e-300):
+        new_value = _gauss_sum(Fs, 1.0 / theta, nrm * S[0], nrm * S[0])
+        if value is not None and np.all(
+            np.abs(new_value - value) <= tolerance * np.maximum(np.abs(new_value), 1e-300)
+        ):
             return LanczosResult(value=new_value, steps=j + 1, converged=True)
         value = new_value
         beta = float(np.linalg.norm(w))
         scale = max(map(abs, alphas)) + (max(betas) if betas else 0.0)
         if beta <= 1e-13 * max(scale, 1e-300):
             return LanczosResult(value=new_value, steps=j + 1, converged=True, breakdown=True)
-        betas.append(beta)
-        Q.append(w / beta)
+        if j + 1 < steps:
+            betas.append(beta)
+            Q[j + 1] = w / beta
     return LanczosResult(value=value, steps=steps, converged=False)
 
 
-def _dense_bilinear(op: PhiOperator, F, fhat: np.ndarray, ghat: np.ndarray) -> complex:
-    a = op.vecs.conj().T @ fhat
-    b = op.vecs.conj().T @ ghat
-    vals = F.evaluate(1.0 / op.mu)
-    return complex(np.sum(np.conj(a) * vals * b))
+def _bilinear_forms(op: PhiOperator, Fs, f: GridField, g: GridField | None):
+    """``quadratic_form`` for every F in Fs, with the sine coefficients of f and g."""
+    if f.grid != op.grid or (g is not None and g.grid != op.grid):
+        raise ValueError("fields live on a different grid")
+    same = g is None or g is f or np.array_equal(f.values, g.values)
+    fhat = op._hat(f)
+    ghat = fhat if same else op._hat(g)
+    if op.backend == "dense":
+        a = op.vecs.conj().T @ fhat
+        b = a if same else op.vecs.conj().T @ ghat
+        return _gauss_sum(Fs, 1.0 / op.mu, a, b), fhat, ghat
+    fv = f.values
+    if same:
+        terms = [(1.0, fv)]
+    elif np.result_type(fv, g.values, op.basis.col_hat).kind == "c":  # complex pair or operator
+        terms = [((-1j) ** k / 4.0, fv + (1j**k) * g.values) for k in range(4)]
+    else:
+        terms = [(0.25, fv + g.values), (-0.25, fv - g.values)]
+    values = np.zeros(len(Fs), dtype=complex)
+    for c, start in terms:
+        if not np.any(start):
+            continue
+        res = lanczos_quadratic_form(op, Fs, GridField(op.grid, start))
+        if not res.converged:
+            raise RuntimeError(f"Lanczos did not converge in {res.steps} steps")
+        values += c * res.value
+    return values, fhat, ghat
 
 
 def quadratic_form(op: PhiOperator, F, f: GridField, g: GridField | None = None) -> complex:
     """<f, F(-Delta_Phi) g> in the weighted inner product.
 
-    Dense backends sum over eigenpairs; the Lanczos backend recovers bilinear
-    forms from quadratic ones by polarization, and raise RuntimeError rather
-    than return an unconverged value.  Conjugate symmetry
-    result(f, g) = conj(result(g, f)) holds by construction.
+    Every function of one readout comes from one quadrature rule per start
+    vector: on dense backends the eigenpairs with the projections of f and
+    g; on the Lanczos backend the Gauss rule of one recursion per term of the
+    polarization of the bilinear form into quadratic ones, raising
+    RuntimeError rather than returning an unconverged value.  Conjugate
+    symmetry result(f, g) = conj(result(g, f)) holds by construction.
     """
-    if f.grid != op.grid or (g is not None and g.grid != op.grid):
-        raise ValueError("fields live on a different grid")
-    same = g is None or g is f or np.array_equal(f.values, g.values)
-    if op.backend == "dense":
-        fhat = op._hat(f)
-        ghat = fhat if same else op._hat(g)
-        return _dense_bilinear(op, F, fhat, ghat)
-
-    def lanczos(field: GridField) -> float:
-        res = lanczos_quadratic_form(op, F, field)
-        if not res.converged:
-            raise RuntimeError(f"Lanczos did not converge in {res.steps} steps")
-        return res.value
-
-    if same:
-        return complex(lanczos(f))
-
-    def q(values: np.ndarray) -> float:
-        if not np.any(values):
-            return 0.0
-        return lanczos(GridField(op.grid, values))
-
-    fv, gv = f.values, g.values
-    if np.iscomplexobj(fv) or np.iscomplexobj(gv):
-        total = 0.0 + 0.0j
-        for k in range(4):
-            total += (-1j) ** k * q(fv + (1j**k) * gv)
-        return complex(total / 4.0)
-    return complex((q(fv + gv) - q(fv - gv)) / 4.0)
+    return complex(_bilinear_forms(op, (F,), f, g)[0][0])
 
 
 @dataclass(frozen=True)
@@ -479,25 +489,14 @@ class TwoPointLhs:
 
 
 def two_point_lhs(op: PhiOperator, beta: float, f: GridField, g: GridField | None = None) -> TwoPointLhs:
-    """<f | (e^(-beta Delta_Phi) - 1)^-1 g> on the grid, with its term split."""
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    if f.grid != op.grid or (g is not None and g.grid != op.grid):
-        raise ValueError("fields live on a different grid")
-    same = g is None or g is f or np.array_equal(f.values, g.values)
-    fhat = op._hat(f)
-    ghat = fhat if same else op._hat(g)
+    """<f | (e^(-beta Delta_Phi) - 1)^-1 g> on the grid, with its term split.
+
+    ``direct`` and ``regular_term`` come from the same quadrature rule, so
+    their difference is the rule's own beta^-1 <f, A^-1 g>.
+    """
+    (direct, regular), fhat, ghat = _bilinear_forms(op, (Bose(beta), BoseRegular(beta)), f, g)
     green = complex(np.vdot(fhat, ghat / op.lam)) / beta
-    C = op.basis.col_hat
-    if C.shape[1]:
-        cond = complex(np.vdot(C.conj().T @ fhat, C.conj().T @ ghat)) / beta
-    else:
-        cond = 0.0 + 0.0j
-    if op.backend == "dense":
-        direct = _dense_bilinear(op, Bose(beta), fhat, ghat)
-        regular = _dense_bilinear(op, BoseRegular(beta), fhat, ghat)
-    else:
-        direct = quadratic_form(op, Bose(beta), f, g)
-        regular = quadratic_form(op, BoseRegular(beta), f, g)
-    return TwoPointLhs(direct=direct, regular_term=regular, green_term=green,
-                       condensate_term=cond)
+    C = op.basis.col_hat  # an empty family gives an empty pairing, 0
+    cond = complex(np.vdot(C.conj().T @ fhat, C.conj().T @ ghat)) / beta
+    return TwoPointLhs(direct=complex(direct), regular_term=complex(regular),
+                       green_term=green, condensate_term=cond)

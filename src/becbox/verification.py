@@ -65,9 +65,8 @@ class CheckReport:
 
     @property
     def passed(self) -> bool:
-        if self.inconclusive:
-            return True
-        return all(
+        """False when the check could not decide: undecided is not a pass."""
+        return not self.inconclusive and all(
             self.residuals[k] <= self.tolerances[k] for k in self.tolerances
         )
 

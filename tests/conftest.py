@@ -4,6 +4,15 @@ import pytest
 import becbox as bb
 from becbox import continuum as ct
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # reproducible examples and no timing limit: the suite runs on busy hosts
+    settings.register_profile("becbox", deadline=None, derandomize=True, database=None)
+    settings.load_profile("becbox")
+
 
 @pytest.fixture(scope="session")
 def grid_1d_small():

@@ -6,6 +6,7 @@ import pytest
 
 import becbox.cli as cli
 from becbox import experiments as ex
+from becbox import verification as vf
 from becbox.config import ConfigError, ExperimentConfig, parse_config_text
 from becbox.continuum import HypothesisError
 
@@ -239,6 +240,15 @@ class TestCli:
 
         monkeypatch.setattr(ex, "run_verify_suite", fake_suite)
         assert cli.main(["verify", "--out", str(tmp_path)]) == 1
+
+    def test_inconclusive_check_exit_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(vf, "bc_r_matrix", lambda op: None)
+        assert cli.main(["verify", "--out", str(tmp_path)]) == 1
+        assert "[INCONCLUSIVE] boundary_condition" in capsys.readouterr().out
+        doc = json.loads((tmp_path / "run_checks.json").read_text())
+        (bc,) = [c for c in doc["checks"] if c["name"] == "boundary_condition"]
+        assert bc["context"]["inconclusive"] is True and bc["pass"] is False
+        assert doc["pass"] is False
 
     def test_converge_not_decreasing_exit_1(self, tmp_path, monkeypatch):
         cfg = tmp_path / "c.cfg"

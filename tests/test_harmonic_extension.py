@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 import becbox as bb  # noqa: E402
 from conftest import random_field  # noqa: E402
 
-SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=150)
 
 SPACINGS = st.sampled_from([0.1, 0.125, 0.2, 0.25, 1 / 3, 0.5, 0.75])
 COMPLEX = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))

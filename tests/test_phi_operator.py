@@ -403,11 +403,34 @@ class TestLanczos:
         op = bb.build_phi_operator(grid_1d, sp, bb.HarmonicFamily(()), backend="dense")
         L = 4.0
         mode = bb.sample_function(grid_1d, lambda x: np.sin(np.pi * (x + 2) / L))
-        res = bb.lanczos_quadratic_form(op, bb.SimpleResolvent(), mode)
+        res = bb.lanczos_quadratic_form(op, (bb.SimpleResolvent(),), mode)
         assert res.breakdown and res.converged
         assert res.steps == 1
         oracle = bb.quadratic_form(op, bb.SimpleResolvent(), mode)
-        assert res.value == pytest.approx(oracle.real, rel=1e-12)
+        assert res.value[0] == pytest.approx(oracle.real, rel=1e-12)
+
+    @pytest.mark.parametrize("pair, family, calls", [
+        ("same", "affine:a=0,b=1", 1),
+        ("real", "affine:a=0,b=1", 2),
+        ("complex", "affine:a=0,b=1", 4),
+        # a complex operator needs all four polarization terms for a real pair
+        ("real", "affine:a=1j,b=1", 4),
+    ])
+    def test_one_recursion_per_polarization_term(self, grid_1d, monkeypatch, pair, family, calls):
+        sp = bb.make_spectrum(grid_1d, "fd")
+        op = bb.build_phi_operator(grid_1d, sp, bb.parse_family(family), backend="lanczos")
+        recursion = po.lanczos_quadratic_form
+        starts = []
+
+        def counted(op, Fs, f, **kwargs):
+            starts.append(f)
+            return recursion(op, Fs, f, **kwargs)
+
+        monkeypatch.setattr(po, "lanczos_quadratic_form", counted)
+        f = random_field(grid_1d, 26, complex_values=pair == "complex")
+        g = f if pair == "same" else random_field(grid_1d, 27, complex_values=pair == "complex")
+        bb.two_point_lhs(op, 1.0, f, g)
+        assert len(starts) == calls
 
     def test_unconverged_value_raises(self, grid_1d, monkeypatch):
         sp = bb.make_spectrum(grid_1d, "fd")
@@ -427,11 +450,12 @@ class TestLanczos:
         sp = bb.make_spectrum(grid_1d, "fd")
         op = bb.build_phi_operator(grid_1d, sp, bb.HarmonicFamily(()), backend="lanczos")
         with pytest.raises(ValueError, match="steps"):
-            bb.lanczos_quadratic_form(op, bb.SimpleResolvent(), random_field(grid_1d, 23), steps=0)
+            bb.lanczos_quadratic_form(op, (bb.SimpleResolvent(),), random_field(grid_1d, 23),
+                                      steps=0)
 
     def test_zero_start_invalid(self, grid_1d):
         sp = bb.make_spectrum(grid_1d, "fd")
         op = bb.build_phi_operator(grid_1d, sp, bb.HarmonicFamily(()), backend="lanczos")
         with pytest.raises(ValueError, match="nonzero"):
-            bb.lanczos_quadratic_form(op, bb.SimpleResolvent(),
+            bb.lanczos_quadratic_form(op, (bb.SimpleResolvent(),),
                                       bb.GridField(grid_1d, np.zeros(grid_1d.total)))
