@@ -7,13 +7,22 @@ silently fall back to defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "parse_config_text"]
 
 
+MAX_BOXES = 64  # longest box schedule; each box is one operator build
+
+
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
 
 
 def _bool(text: str) -> bool:
@@ -64,17 +73,19 @@ class ExperimentConfig:
     label: str = "run"
 
     def lengths(self) -> list[float]:
-        if self.L_list.strip():
-            try:
+        try:
+            if self.L_list.strip():
                 Ls = [float(t) for t in self.L_list.split(",") if t.strip()]
-            except ValueError as e:
-                raise ConfigError(f"bad L_list: {e}") from None
-        else:
-            Ls = [self.L_start * self.L_factor**i for i in range(self.L_steps)]
-        if len(Ls) < 1:
-            raise ConfigError("empty L schedule")
-        if any(b <= a for a, b in zip(Ls, Ls[1:])):
-            raise ConfigError(f"L schedule must be strictly increasing, got {Ls}")
+            else:
+                steps = min(self.L_steps, MAX_BOXES + 1)
+                Ls = [self.L_start * self.L_factor**i for i in range(steps)]
+        except (ValueError, OverflowError) as e:
+            raise ConfigError(f"bad L schedule: {e}") from None
+        _require(1 <= len(Ls) <= MAX_BOXES, f"the L schedule needs 1 to {MAX_BOXES} boxes")
+        _require(all(math.isfinite(L) and L > 0 for L in Ls),
+                 f"L schedule entries must be finite and positive, got {Ls}")
+        _require(all(b > a for a, b in zip(Ls, Ls[1:])),
+                 f"L schedule must be strictly increasing, got {Ls}")
         return Ls
 
     def krein_shifts(self) -> list[float]:
@@ -82,31 +93,44 @@ class ExperimentConfig:
             zs = [float(t) for t in self.krein_z.split(",") if t.strip()]
         except ValueError as e:
             raise ConfigError(f"bad krein_z: {e}") from None
-        if any(z >= 0 for z in zs):
-            raise ConfigError("krein_z entries must be negative")
+        _require(all(math.isfinite(z) and z < 0 for z in zs),
+                 "krein_z entries must be finite and negative")
         return zs
 
     def validate(self) -> None:
+        """Reject unknown choices and numeric values that are not finite or in range."""
         if self.kind not in ("converge", "srs", "verify", "wick", "fourier"):
             raise ConfigError(f"unknown kind {self.kind!r}")
         if self.dim not in (1, 2):
             raise ConfigError(f"dim must be 1 or 2, got {self.dim}")
-        if not self.beta > 0:
-            raise ConfigError(f"beta must be positive, got {self.beta}")
         if self.backend not in ("auto", "dense", "lanczos"):
             raise ConfigError(f"unknown backend {self.backend!r}")
         if self.spectrum_mode not in ("fd", "spectral"):
             raise ConfigError(f"unknown spectrum_mode {self.spectrum_mode!r}")
         if self.sampling_mode not in ("sampled", "discrete-harmonic"):
             raise ConfigError(f"unknown sampling_mode {self.sampling_mode!r}")
-        if not self.h > 0:
-            raise ConfigError("h must be positive")
-        hs = [self.h] + ([self.h_richardson] if self.h_richardson else [])
-        for h in hs:
-            for L in self.lengths():
+        for key in ("beta", "h", "cutoff", "p_spacing"):
+            value = getattr(self, key)
+            _require(math.isfinite(value) and value > 0,
+                     f"{key} must be finite and positive, got {value}")
+        _require(self.h_richardson == 0 or 0 < self.h_richardson < self.h,
+                 f"h_richardson must be 0 (off) or finer than h, got {self.h_richardson}")
+        Ls = self.lengths()
+        for h in [self.h] + ([self.h_richardson] if self.h_richardson else []):
+            for L in Ls:
                 ratio = L / h
-                if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-                    raise ConfigError(f"h = {h} does not divide L = {L}")
+                _require(math.isfinite(ratio)
+                         and abs(ratio - round(ratio)) <= 1e-9 * max(1.0, ratio),
+                         f"h = {h} does not divide L = {L}")
+                _require(round(ratio) >= 2, f"h = {h} leaves no interior node in L = {L}")
+        # the Green limit at p = 0 reads two momentum shells on each side
+        _require(2 <= self.cutoff / self.p_spacing < math.inf,
+                 "cutoff / p_spacing must be finite and >= 2")
+        _require(math.isfinite(self.window_margin) and self.window_margin >= 0,
+                 f"window_margin must be finite and >= 0, got {self.window_margin}")
+        for key, low in (("quad_points", 8), ("n_random", 1), ("wick_n", 1), ("seed", 0)):
+            _require(getattr(self, key) >= low, f"{key} must be >= {low}, got {getattr(self, key)}")
+        _require(self.wick_n <= 12, "wick_n must be <= 12, the limit of the Ryser permanent")
         self.krein_shifts()
 
     def to_dict(self) -> dict:

@@ -23,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .harmonics import eval_harmonic
+from .harmonics import _format_number, _parse_number, eval_harmonic
 from .phi_operator import Bose, BoseRegular
 
 __all__ = [
@@ -197,33 +197,31 @@ def _axis_quadrature(lo: float, hi: float, quad_points: int):
     return x, _trapezoid_weights(quad_points, x[1] - x[0])
 
 
-def _support_mesh(spec: TestFunctionSpec, quad_points: int):
-    """Tensor trapezoid rule over the support bounding box."""
-    axes = []
-    weights = []
-    for lo, hi in support_bounds(spec):
-        x, w = _axis_quadrature(lo, hi, quad_points)
-        axes.append(x)
-        weights.append(w)
-    return axes, weights
-
-
 def spatial_norm_sq(spec: TestFunctionSpec, quad_points: int = 2048) -> float:
     """integral |f|^2 by trapezoid quadrature over the support."""
-    return overlap_integral(spec, partial(evaluate, spec), quad_points).real
+    return overlap_integral(spec, (partial(evaluate, spec),), quad_points)[0].real
 
 
-def overlap_integral(spec: TestFunctionSpec, fn, quad_points: int = 2048) -> complex:
-    """integral conj(f(x)) * fn(x) dx over the support of f.
+def overlap_integral(spec: TestFunctionSpec, fns, quad_points: int = 2048) -> list[complex]:
+    """integral conj(f(x)) * fn(x) dx over the support of f, for each fn in ``fns``.
 
-    ``fn`` takes the per-axis mesh arrays and must broadcast.
+    f is evaluated once on the open tensor trapezoid mesh over its support
+    bounding box; each ``fn`` takes the per-axis mesh arrays and must broadcast.
     """
-    axes, weights = _support_mesh(spec, quad_points)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    vals = np.conj(evaluate(spec, *mesh)) * np.asarray(fn(*mesh))
-    for w in reversed(weights):
-        vals = vals @ w if vals.ndim > 1 else np.dot(vals, w)
-    return complex(vals)
+    if not fns:
+        return []
+    axes, weights = zip(*(_axis_quadrature(lo, hi, quad_points)
+                          for lo, hi in support_bounds(spec)))
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+    conj_f = np.conj(evaluate(spec, *mesh))
+    out = []
+    for fn in fns:
+        # not `*`, which may swap the factors into a temporary: complex products round by order
+        vals = np.multiply(conj_f, fn(*mesh))
+        for w in reversed(weights):
+            vals = vals @ w if vals.ndim > 1 else np.dot(vals, w)
+        out.append(complex(vals))
+    return out
 
 
 # --- Fourier tables ----------------------------------------------------------
@@ -315,9 +313,7 @@ def fourier_oracle(
 
 
 def _check_compatible(table_f: FourierTable, table_g: FourierTable) -> None:
-    if table_f.dim != table_g.dim or len(table_f.p) != len(table_g.p):
-        raise ValueError("tables live on different momentum grids")
-    if not np.array_equal(table_f.p, table_g.p):
+    if table_f.dim != table_g.dim or not np.array_equal(table_f.p, table_g.p):
         raise ValueError("tables live on different momentum grids")
 
 
@@ -330,7 +326,18 @@ def _grid_pieces(table: FourierTable):
 
 
 def _green_zero_limit(table_f: FourierTable, table_g: FourierTable) -> complex:
-    """Limit of conj(fhat) ghat / |p|^2 at p = 0 by symmetric parabolic fit."""
+    """Limit of conj(fhat) ghat / |p|^2 at p = 0 by symmetric parabolic fit.
+
+    The limit is finite only when fhat(0) = ghat(0) = 0; every integral with
+    1/|p|^2 at the origin takes its p = 0 cell from here, so this is the one
+    zero-mean guard.
+    """
+    for name, t in (("f", table_f), ("g", table_g)):
+        if not t.is_zero_mean():
+            raise HypothesisError(
+                f"{name}hat(0) = {t.value_at_zero():.3e} is not zero; the 1/|p|^2 "
+                f"integrals need zero mean in d <= 2"
+            )
     z = np.conj(table_f.values) * table_g.values
     m = table_f.zero_index
     dp2 = table_f.p_spacing**2
@@ -354,14 +361,10 @@ def _green_zero_limit(table_f: FourierTable, table_g: FourierTable) -> complex:
 def _bilinear_integral(table_f, table_g, kernel, zero_value):
     _check_compatible(table_f, table_g)
     psq, w = _grid_pieces(table_f)
-    z = np.conj(table_f.values) * table_g.values
-    integrand = np.zeros_like(z)
-    m = table_f.zero_index
-    zero_idx = (m,) * table_f.dim
-    mask = np.ones(z.shape, dtype=bool)
-    mask[zero_idx] = False
-    integrand[mask] = z[mask] * kernel(psq[mask])
-    integrand[zero_idx] = zero_value
+    # the kernel may be singular at p = 0; that cell is overwritten by its limit
+    with np.errstate(divide="ignore", invalid="ignore"):
+        integrand = np.conj(table_f.values) * table_g.values * kernel(psq)
+    integrand[(table_f.zero_index,) * table_f.dim] = zero_value
     return complex(np.sum(integrand * w))
 
 
@@ -369,7 +372,8 @@ def free_gas_integral(table_f: FourierTable, beta: float, table_g: FourierTable 
     """integral conj(fhat) ghat / (e^(beta |p|^2) - 1) dp.
 
     The p = 0 cell uses the analytic limit (regular part plus Green limit over
-    beta), which requires fhat(0) = ghat(0) = 0 in d <= 2.
+    beta), which requires fhat(0) = ghat(0) = 0 in d <= 2 (HypothesisError
+    otherwise).
     """
     if not beta > 0:
         raise ValueError("beta must be positive")
@@ -394,13 +398,6 @@ def regular_part_integral(table_f: FourierTable, beta: float, table_g: FourierTa
 def green_integral(table_f: FourierTable, table_g: FourierTable | None = None):
     """integral conj(fhat) ghat / |p|^2 dp, requiring zero mean in d <= 2."""
     table_g = table_f if table_g is None else table_g
-    if table_f.dim <= 2:
-        for name, t in (("f", table_f), ("g", table_g)):
-            if not t.is_zero_mean():
-                raise HypothesisError(
-                    f"{name}hat(0) = {t.value_at_zero():.3e} is not zero; the Green "
-                    f"integral needs zero mean in d <= 2"
-                )
     zero_value = _green_zero_limit(table_f, table_g)
     out = _bilinear_integral(table_f, table_g, lambda q: 1.0 / q, zero_value)
     return out.real if table_g is table_f else out
@@ -428,12 +425,12 @@ def condensate_term(family, f: TestFunctionSpec, g: TestFunctionSpec, beta: floa
     """beta^-1 sum_k (integral conj(f) phi_k) (integral conj(phi_k) g)."""
     if not beta > 0:
         raise ValueError("beta must be positive")
+    fns = [partial(eval_harmonic, spec) for spec in family.specs]
+    a = overlap_integral(f, fns, quad_points)                      # integral conj(f) phi_k
+    b = a if g is f else overlap_integral(g, fns, quad_points)     # integral conj(g) phi_k
     total = 0.0 + 0.0j
-    for spec in family.specs:
-        fn = partial(eval_harmonic, spec)
-        a = overlap_integral(f, fn, quad_points)          # integral conj(f) phi
-        b = overlap_integral(g, fn, quad_points)          # integral conj(g) phi
-        total += a * np.conj(b)
+    for a_k, b_k in zip(a, b):
+        total += a_k * np.conj(b_k)
     return complex(total) / beta
 
 
@@ -447,13 +444,9 @@ def two_point_rhs(
     quad_points: int = 2048,
 ) -> RhsValue:
     """Momentum-space two-point value plus condensate overlaps."""
-    table_g = table_f if table_g is None else table_g
-    if table_f.dim <= 2 and not (table_f.is_zero_mean() and table_g.is_zero_mean()):
-        raise HypothesisError("fhat(0) = ghat(0) = 0 is required in d <= 2")
-    same = table_g is table_f
-    free = free_gas_integral(table_f, beta, None if same else table_g)
-    reg = regular_part_integral(table_f, beta, None if same else table_g)
-    grn = green_integral(table_f, None if same else table_g)
+    free = free_gas_integral(table_f, beta, table_g)
+    reg = regular_part_integral(table_f, beta, table_g)
+    grn = green_integral(table_f, table_g)
     cond = condensate_term(family, f, g, beta, quad_points)
     return RhsValue(free_gas=complex(free), condensate=cond,
                     regular=complex(reg), green=complex(grn))
@@ -466,7 +459,8 @@ def resolvent_reference(u: TestFunctionSpec, points, table: FourierTable | None 
     """(1 - Delta)^-1 u on R^d at the given points.
 
     d=1 convolves with the kernel e^(-|x-y|)/2 by Gauss-Legendre panels split
-    at the kink; d=2 synthesizes from a Fourier table of u.
+    at the kink; d=2 synthesizes from a Fourier table of u, with one phase
+    matrix per axis over the distinct coordinates of the points.
     """
     if u.dim == 1:
         pts = np.atleast_1d(np.asarray(points, dtype=float))
@@ -495,11 +489,9 @@ def resolvent_reference(u: TestFunctionSpec, points, table: FourierTable | None 
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     psq, w = _grid_pieces(table)
     kern = table.values * w / (1.0 + psq)
-    out = np.empty(len(pts), dtype=complex)
-    for i, (x1, x2) in enumerate(pts):
-        phase = np.exp(1j * table.p * x1)[:, None] * np.exp(1j * table.p * x2)[None, :]
-        out[i] = np.sum(kern * phase)
-    return out / (2.0 * np.pi)
+    (x1, i1), (x2, i2) = (np.unique(c, return_inverse=True) for c in pts.T)
+    e1, e2 = (np.exp(1j * np.outer(x, table.p)) for x in (x1, x2))
+    return (e1 @ kern @ e2.T)[i1, i2] / (2.0 * np.pi)
 
 
 # --- Wick rule ----------------------------------------------------------------
@@ -567,34 +559,27 @@ def parse_test_function(text: str) -> TestFunctionSpec:
                 raise ValueError(f"bad parameter {item!r} in {text!r}")
             params[key.strip()] = val.strip()
 
-    def fnum(key, default=None):
+    def fnum(key):
         if key not in params:
-            if default is None:
-                raise ValueError(f"{tag!r} needs parameter {key!r}")
-            return default
+            raise ValueError(f"{tag!r} needs parameter {key!r}")
         return float(params.pop(key))
 
-    def cnum(key, default):
-        if key not in params:
-            return default
-        v = complex(params.pop(key))
-        return v.real if v.imag == 0 else v
-
+    amp = _parse_number(params.pop("amp", "1.0"))
     if tag == "bump":
-        spec = Bump(center=(fnum("c"),), halfwidth=(fnum("a"),), amplitude=cnum("amp", 1.0))
+        spec = Bump(center=(fnum("c"),), halfwidth=(fnum("a"),), amplitude=amp)
     elif tag == "dipole":
         spec = Dipole(center=(fnum("c"),), offset=fnum("s"), halfwidth=(fnum("a"),),
-                      amplitude=cnum("amp", 1.0))
+                      amplitude=amp)
     elif tag == "bump2":
         spec = Bump(center=(fnum("cx"), fnum("cy")), halfwidth=(fnum("ax"), fnum("ay")),
-                    amplitude=cnum("amp", 1.0))
+                    amplitude=amp)
     elif tag == "dipole2":
         axis = params.pop("axis", "x")
         if axis not in ("x", "y"):
             raise ValueError(f"dipole2 axis must be x or y, got {axis!r}")
         spec = Dipole(center=(fnum("cx"), fnum("cy")), offset=fnum("s"),
                       halfwidth=(fnum("ax"), fnum("ay")), axis=0 if axis == "x" else 1,
-                      amplitude=cnum("amp", 1.0))
+                      amplitude=amp)
     else:
         raise ValueError(f"unknown test function tag {tag!r}")
     if params:
@@ -602,22 +587,17 @@ def parse_test_function(text: str) -> TestFunctionSpec:
     return spec
 
 
-def _amp_text(a) -> str:
-    z = complex(a)
-    return repr(z.real) if z.imag == 0 else repr(z).strip("()")
-
-
 def format_test_function(spec: TestFunctionSpec) -> str:
+    if not isinstance(spec, (Bump, Dipole)):
+        raise ValueError("combinations have no text form")
+    amp = _format_number(spec.amplitude)
     if isinstance(spec, Bump):
         if spec.dim == 1:
-            return f"bump:c={spec.center[0]!r},a={spec.halfwidth[0]!r},amp={_amp_text(spec.amplitude)}"
+            return f"bump:c={spec.center[0]!r},a={spec.halfwidth[0]!r},amp={amp}"
         return (f"bump2:cx={spec.center[0]!r},cy={spec.center[1]!r},"
-                f"ax={spec.halfwidth[0]!r},ay={spec.halfwidth[1]!r},amp={_amp_text(spec.amplitude)}")
-    if isinstance(spec, Dipole):
-        if spec.dim == 1:
-            return (f"dipole:c={spec.center[0]!r},s={spec.offset!r},"
-                    f"a={spec.halfwidth[0]!r},amp={_amp_text(spec.amplitude)}")
-        return (f"dipole2:cx={spec.center[0]!r},cy={spec.center[1]!r},s={spec.offset!r},"
-                f"ax={spec.halfwidth[0]!r},ay={spec.halfwidth[1]!r},"
-                f"axis={'x' if spec.axis == 0 else 'y'},amp={_amp_text(spec.amplitude)}")
-    raise ValueError("combinations have no text form")
+                f"ax={spec.halfwidth[0]!r},ay={spec.halfwidth[1]!r},amp={amp}")
+    if spec.dim == 1:
+        return f"dipole:c={spec.center[0]!r},s={spec.offset!r},a={spec.halfwidth[0]!r},amp={amp}"
+    return (f"dipole2:cx={spec.center[0]!r},cy={spec.center[1]!r},s={spec.offset!r},"
+            f"ax={spec.halfwidth[0]!r},ay={spec.halfwidth[1]!r},"
+            f"axis={'x' if spec.axis == 0 else 'y'},amp={amp}")

@@ -99,6 +99,15 @@ class TestMomentumIntegrals:
         with pytest.raises(ct.HypothesisError, match="zero mean"):
             ct.green_integral(tab)
 
+    @pytest.mark.parametrize("p_spacing", [0.05, 0.025])
+    def test_free_gas_rejects_nonzero_mean(self, p_spacing):
+        # conj(fhat) fhat / (e^(beta p^2) - 1) is not integrable at p = 0 when
+        # fhat(0) != 0; a finite value would only grow like 1/dp
+        bump = ct.Bump(center=(0.0,), halfwidth=(1.0,))
+        tab = ct.fourier_oracle(bump, cutoff=20.0, p_spacing=p_spacing, quad_points=1024)
+        with pytest.raises(ct.HypothesisError, match="zero mean"):
+            ct.free_gas_integral(tab, 1.0)
+
     def test_pointwise_bose_identity(self):
         # 1/(e^x - 1) = F(x) + 1/x on every evaluated x > 0, relative to the
         # largest term of the identity (for x >> 1 the two sides agree through

@@ -196,9 +196,8 @@ class TestWickDemo:
         assert payload["n"] == 3
 
     def test_n_limit(self):
-        cfg = parse_config_text("kind = wick\nwick_n = 13\nL_start = 4\nh = 0.0625\n")
         with pytest.raises(ConfigError, match="wick_n"):
-            ex.run_wick_demo(cfg)
+            parse_config_text("kind = wick\nwick_n = 13\nL_start = 4\nh = 0.0625\n")
 
 
 class TestVerifySuite:
@@ -224,6 +223,39 @@ class TestCli:
         bad = tmp_path / "bad.cfg"
         bad.write_text("mystery = 3\n")
         assert cli.main(["converge", "--config", str(bad)]) == 2
+
+    # one out-of-range value per numeric key, with the words the error names;
+    # each must be a config error (exit 2, one line on stderr) before any work
+    OUT_OF_RANGE = [
+        ("converge", "dim", "3", "dim"),
+        ("converge", "beta", "nan", "beta"),
+        ("converge", "L_start", "-8", "L schedule"),
+        ("converge", "L_factor", "inf", "L schedule"),
+        ("converge", "L_steps", "0", "L schedule"),
+        ("converge", "L_steps", "100000000", "L schedule"),
+        ("converge", "L_list", "8,inf", "L schedule"),
+        ("converge", "h", "1e-320", "h = 1e-320"),
+        ("converge", "h_richardson", "0.125", "h_richardson"),
+        ("converge", "cutoff", "-1", "cutoff"),
+        ("converge", "p_spacing", "100", "p_spacing"),
+        ("converge", "quad_points", "1", "quad_points"),
+        ("srs", "window_margin", "-50", "window_margin"),
+        ("verify", "krein_z", "-1,nan", "krein_z"),
+        ("verify", "n_random", "0", "n_random"),
+        ("verify", "seed", "-1", "seed"),
+        ("wick", "wick_n", "0", "wick_n"),
+    ]
+
+    @pytest.mark.parametrize("command,key,value,named", OUT_OF_RANGE)
+    def test_out_of_range_value_exit_2(self, tmp_path, capsys, command, key, value, named):
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+        assert named in err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_hypothesis_violation_exit_3(self, tmp_path):
         cfg = tmp_path / "h.cfg"
