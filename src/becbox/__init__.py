@@ -28,9 +28,7 @@ from .harmonics import (
     ExpCos2D,
     HarmonicFamily,
     eval_harmonic,
-    harmonicity_residual,
     sample_family,
-    condensate_density,
     parse_harmonic,
     format_harmonic,
     parse_family,
@@ -56,7 +54,6 @@ from .phi_operator import (
 from .continuum import (
     Bump,
     Dipole,
-    Combination,
     FourierTable,
     HypothesisError,
     fourier_oracle,
@@ -66,7 +63,6 @@ from .continuum import (
     condensate_term,
     two_point_rhs,
     resolvent_reference,
-    wick_npoint,
     permanent_ryser,
     permanent_enumerate,
     parse_test_function,

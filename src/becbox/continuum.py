@@ -30,13 +30,11 @@ __all__ = [
     "HypothesisError",
     "Bump",
     "Dipole",
-    "Combination",
     "TestFunctionSpec",
     "FourierTable",
     "RhsValue",
     "evaluate",
     "support_bounds",
-    "spatial_norm_sq",
     "fourier_oracle",
     "free_gas_integral",
     "regular_part_integral",
@@ -47,7 +45,6 @@ __all__ = [
     "resolvent_reference",
     "permanent_ryser",
     "permanent_enumerate",
-    "wick_npoint",
     "parse_test_function",
     "format_test_function",
 ]
@@ -116,25 +113,7 @@ class Dipole:
         return len(self.center)
 
 
-@dataclass(frozen=True)
-class Combination:
-    """Finite linear combination of bumps/dipoles of a common dimension."""
-
-    terms: tuple[tuple[complex, Union[Bump, Dipole]], ...]
-
-    def __post_init__(self):
-        if not self.terms:
-            raise ValueError("combination needs at least one term")
-        dims = {spec.dim for _, spec in self.terms}
-        if len(dims) != 1:
-            raise ValueError("combination mixes dimensions")
-
-    @property
-    def dim(self) -> int:
-        return self.terms[0][1].dim
-
-
-TestFunctionSpec = Union[Bump, Dipole, Combination]
+TestFunctionSpec = Union[Bump, Dipole]
 
 
 def _tensor_terms(spec: TestFunctionSpec):
@@ -151,12 +130,6 @@ def _tensor_terms(spec: TestFunctionSpec):
             (amp, tuple(zip(minus, spec.halfwidth))),
             (-amp, tuple(zip(plus, spec.halfwidth))),
         ]
-    if isinstance(spec, Combination):
-        out = []
-        for coeff, sub in spec.terms:
-            for c, factors in _tensor_terms(sub):
-                out.append((complex(coeff) * c, factors))
-        return out
     raise TypeError(f"unknown test function {spec!r}")
 
 
@@ -195,11 +168,6 @@ def _trapezoid_weights(n: int, step: float) -> np.ndarray:
 def _axis_quadrature(lo: float, hi: float, quad_points: int):
     x = np.linspace(lo, hi, quad_points)
     return x, _trapezoid_weights(quad_points, x[1] - x[0])
-
-
-def spatial_norm_sq(spec: TestFunctionSpec, quad_points: int = 2048) -> float:
-    """integral |f|^2 by trapezoid quadrature over the support."""
-    return overlap_integral(spec, (partial(evaluate, spec),), quad_points)[0].real
 
 
 def overlap_integral(spec: TestFunctionSpec, fns, quad_points: int = 2048) -> list[complex]:
@@ -338,22 +306,20 @@ def _green_zero_limit(table_f: FourierTable, table_g: FourierTable) -> complex:
                 f"{name}hat(0) = {t.value_at_zero():.3e} is not zero; the 1/|p|^2 "
                 f"integrals need zero mean in d <= 2"
             )
-    z = np.conj(table_f.values) * table_g.values
+    # conj(fhat) ghat on shells 1 and 2 next to p = 0: the +-1, +-2 cells on each axis
     m = table_f.zero_index
+    shells = [m + 1, m + 2, m - 1, m - 2]
+    cells = (shells,) if table_f.dim == 1 else (shells + [m] * 4, [m] * 4 + shells)
+    z = np.conj(table_f.values[cells]) * table_g.values[cells]
     dp2 = table_f.p_spacing**2
     if table_f.dim == 1:
-        g1 = 0.5 * (z[m + 1] + z[m - 1]) / dp2
-        g2 = 0.5 * (z[m + 2] + z[m - 2]) / (4.0 * dp2)
+        g1 = 0.5 * (z[0] + z[2]) / dp2
+        g2 = 0.5 * (z[1] + z[3]) / (4.0 * dp2)
         return complex((4.0 * g1 - g2) / 3.0)
     limits = []
-    for sel1, sel2 in (
-        ((m + 1, m), (m + 2, m)),
-        ((m - 1, m), (m - 2, m)),
-        ((m, m + 1), (m, m + 2)),
-        ((m, m - 1), (m, m - 2)),
-    ):
-        g1 = z[sel1] / dp2
-        g2 = z[sel2] / (4.0 * dp2)
+    for k in range(0, 8, 2):
+        g1 = z[k] / dp2
+        g2 = z[k + 1] / (4.0 * dp2)
         limits.append((4.0 * g1 - g2) / 3.0)
     return complex(np.mean(limits))
 
@@ -534,11 +500,6 @@ def permanent_enumerate(T: np.ndarray) -> complex:
     return complex(total)
 
 
-def wick_npoint(T: np.ndarray) -> complex:
-    """n-point function of a quasi-free state: the permanent of the two-point matrix."""
-    return permanent_ryser(T)
-
-
 # --- text syntax ---------------------------------------------------------------
 #
 # 1d: bump:c=0,a=1,amp=1 and dipole:c=0,s=1,a=0.75,amp=1
@@ -588,8 +549,6 @@ def parse_test_function(text: str) -> TestFunctionSpec:
 
 
 def format_test_function(spec: TestFunctionSpec) -> str:
-    if not isinstance(spec, (Bump, Dipole)):
-        raise ValueError("combinations have no text form")
     amp = _format_number(spec.amplitude)
     if isinstance(spec, Bump):
         if spec.dim == 1:

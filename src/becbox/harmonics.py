@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .lattice import Grid, GridField, harmonic_extension, sample_function, stencil_apply
+from .lattice import Grid, GridField, harmonic_extension, sample_function
 
 __all__ = [
     "Constant",
@@ -25,9 +25,7 @@ __all__ = [
     "HarmonicSpec",
     "HarmonicFamily",
     "eval_harmonic",
-    "harmonicity_residual",
     "sample_family",
-    "condensate_density",
     "parse_harmonic",
     "format_harmonic",
     "parse_family",
@@ -134,23 +132,6 @@ def boundary_values_1d(spec: HarmonicSpec, grid: Grid) -> tuple[complex, complex
     )
 
 
-def harmonicity_residual(spec: HarmonicSpec, grid: Grid) -> float:
-    """Max |stencil(sampled phi)| over interior nodes whose neighbors are all interior.
-
-    Zero exactly for affine functions and 2d polynomial parts of degree <= 3;
-    O(h^2) otherwise.
-    """
-    d = spec_dim(spec)
-    if d is not None and d != grid.dim:
-        raise ValueError(f"spec is {d}d but grid is {grid.dim}d")
-    res = stencil_apply(grid, sample_function(grid, partial(eval_harmonic, spec))).reshaped()
-    inner = tuple(slice(1, -1) for _ in range(grid.dim))
-    core = res[inner]
-    if core.size == 0:
-        return 0.0
-    return float(np.abs(core).max())
-
-
 def sample_family(family: HarmonicFamily, grid: Grid, mode: str = "sampled") -> list[GridField]:
     """Realize the family on the grid.
 
@@ -169,16 +150,6 @@ def sample_family(family: HarmonicFamily, grid: Grid, mode: str = "sampled") -> 
             raise ValueError(f"spec {spec!r} is {d}d but grid is {grid.dim}d")
         out.append(realize(grid, partial(eval_harmonic, spec)))
     return out
-
-
-def condensate_density(family: HarmonicFamily, beta: float, *coords) -> float:
-    """Condensate density beta^-1 sum_k |phi_k(coords)|^2 at one point."""
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    total = 0.0
-    for spec in family.specs:
-        total += float(np.abs(np.asarray(eval_harmonic(spec, *coords))) ** 2)
-    return total / beta
 
 
 # --- text syntax -------------------------------------------------------------

@@ -145,7 +145,8 @@ class ShiftedInverse:
 
 @dataclass
 class CondensateBasis:
-    """Sampled harmonic columns with an orthonormal basis of their span.
+    """Sampled harmonic columns (``col_hat``, their sine coefficients) with an
+    orthonormal basis of their span.
 
     ``weights`` maps columns to the orthonormal basis (basis = columns @
     weights in the weighted inner product); ``r_matrix`` represents the
@@ -154,9 +155,7 @@ class CondensateBasis:
     RANK_RTOL, never rejected.
     """
 
-    columns: list[GridField]
     col_hat: np.ndarray
-    gram: np.ndarray
     rank: int
     weights: np.ndarray
     basis_hat: np.ndarray
@@ -164,13 +163,7 @@ class CondensateBasis:
 
     @property
     def deflated(self) -> bool:
-        return self.rank < len(self.columns)
-
-    def orthonormal_fields(self, grid: Grid) -> list[GridField]:
-        return [
-            sine_transform(grid, GridField(grid, np.ascontiguousarray(self.basis_hat[:, i])), "inverse")
-            for i in range(self.rank)
-        ]
+        return self.rank < self.col_hat.shape[1]
 
 
 def build_condensate_basis(grid: Grid, columns: list[GridField]) -> CondensateBasis:
@@ -179,8 +172,8 @@ def build_condensate_basis(grid: Grid, columns: list[GridField]) -> CondensateBa
     if K == 0:
         empty = np.zeros((N, 0))
         return CondensateBasis(
-            columns=[], col_hat=empty, gram=np.zeros((0, 0)), rank=0,
-            weights=np.zeros((0, 0)), basis_hat=empty, r_matrix=np.zeros((0, 0)),
+            col_hat=empty, rank=0, weights=np.zeros((0, 0)), basis_hat=empty,
+            r_matrix=np.zeros((0, 0)),
         )
     col_hat = np.stack([sine_transform(grid, c, "forward").values for c in columns], axis=1)
     gram = np.empty((K, K), dtype=complex)
@@ -200,8 +193,8 @@ def build_condensate_basis(grid: Grid, columns: list[GridField]) -> CondensateBa
     basis_hat = col_hat @ weights
     r_matrix = np.diag(1.0 / g[keep])
     return CondensateBasis(
-        columns=list(columns), col_hat=col_hat, gram=gram, rank=rank,
-        weights=weights, basis_hat=basis_hat, r_matrix=r_matrix,
+        col_hat=col_hat, rank=rank, weights=weights, basis_hat=basis_hat,
+        r_matrix=r_matrix,
     )
 
 

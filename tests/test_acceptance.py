@@ -126,7 +126,7 @@ def test_criterion_03_domain_decomposition():
         rng = np.random.default_rng(N * 10 + K)
         for _ in range(20):
             w = bb.GridField(op.grid, rng.standard_normal(op.grid.total))
-            rep = vf.domain_decomposition_check(op, w)
+            rep = vf.domain_decomposition_check(op, [w])
             assert rep.passed, (N, K, rep.residuals)
             worst = max(worst, max(rep.residuals.values()))
     elapsed = time.perf_counter() - t0

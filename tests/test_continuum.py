@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -30,11 +32,6 @@ class TestTestFunctions:
         val = ct.evaluate(b, np.array([0.5]), np.array([-0.5]))
         assert val[0] == pytest.approx(2.0 * np.exp(-1.0) ** 2)
 
-    def test_combination(self, dipole):
-        c = ct.Combination(((2.0, dipole), (-1.0, dipole)))
-        x = np.linspace(-1.5, 1.5, 7)
-        np.testing.assert_allclose(ct.evaluate(c, x), ct.evaluate(dipole, x), atol=1e-16)
-
 
 class TestFourierOracle:
     def test_dipole_zero_mean_exact(self, dipole_table):
@@ -47,7 +44,7 @@ class TestFourierOracle:
         np.testing.assert_allclose(tab.values, tab.values[::-1], atol=1e-16)
 
     def test_parseval(self, dipole, dipole_table):
-        spatial = ct.spatial_norm_sq(dipole, 4096)
+        spatial = ct.overlap_integral(dipole, (partial(ct.evaluate, dipole),), 4096)[0].real
         assert spatial == pytest.approx(INT_F_SQ, rel=1e-10)
         assert dipole_table.parseval_sum() == pytest.approx(spatial, rel=1e-6)
 
@@ -218,11 +215,11 @@ class TestResolventReference:
 
 class TestWick:
     def test_n1(self):
-        assert ct.wick_npoint(np.array([[3.25]])) == pytest.approx(3.25)
+        assert ct.permanent_ryser(np.array([[3.25]])) == pytest.approx(3.25)
 
     def test_n2_closed_form(self):
         T = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert ct.wick_npoint(T) == pytest.approx(1 * 4 + 2 * 3)
+        assert ct.permanent_ryser(T) == pytest.approx(1 * 4 + 2 * 3)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_ryser_vs_enumeration(self, n):
@@ -234,7 +231,7 @@ class TestWick:
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
-            ct.wick_npoint(np.ones((2, 3)))
+            ct.permanent_ryser(np.ones((2, 3)))
 
     def test_size_limits(self):
         with pytest.raises(ValueError, match="n <= 12"):

@@ -257,6 +257,28 @@ class TestCli:
         assert named in err
         assert list(tmp_path.iterdir()) == [cfg]
 
+    # a spec string that does not parse or does not fit dim is a config error
+    # of the command that reads it, reported before any work
+    BAD_SPECS = [
+        ("wick", "dim = 2\nfamily = hpoly2:n=1,part=re\n", "wick"),
+        ("converge", "family = hpoly2:n=1,part=re\n", "family"),
+        ("verify", "dim = 2\nfamily = affine:a=0,b=1\nL_list = 8\nh = 0.25\n", "family"),
+        ("converge", "f = bogus:c=0\n", "bogus"),
+        ("converge", "family = affine:a=zz\n", "zz"),
+        ("fourier-dump", "dim = 2\n", "f does not match"),
+    ]
+
+    @pytest.mark.parametrize("command,text,named", BAD_SPECS)
+    def test_bad_spec_exit_2(self, tmp_path, capsys, command, text, named):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(text)
+        rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+        assert named in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_hypothesis_violation_exit_3(self, tmp_path):
         cfg = tmp_path / "h.cfg"
         cfg.write_text("kind = converge\nf = bump:c=0,a=0.75\n"

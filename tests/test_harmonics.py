@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -32,14 +34,21 @@ class TestEval:
         assert bb.eval_harmonic(spec, 1.0, 3.0) == pytest.approx(4.0)
 
 
+def harmonicity_residual(spec, grid):
+    """Max |stencil(sampled phi)| over interior nodes whose neighbors are all interior."""
+    res = bb.stencil_apply(grid, bb.sample_function(grid, partial(bb.eval_harmonic, spec)))
+    core = res.reshaped()[(slice(1, -1),) * grid.dim]
+    return float(np.abs(core).max()) if core.size else 0.0
+
+
 class TestHarmonicityResidual:
     def test_affine_exact(self, grid_1d):
-        assert bb.harmonicity_residual(bb.Affine1D(1.0, 2.0), grid_1d) == 0.0
+        assert harmonicity_residual(bb.Affine1D(1.0, 2.0), grid_1d) == 0.0
 
     @pytest.mark.parametrize("degree", [1, 2, 3])
     def test_low_degree_exact(self, grid_2d, degree):
         spec = bb.HarmonicPoly2D(degree=degree, part="re")
-        assert bb.harmonicity_residual(spec, grid_2d) <= 1e-12
+        assert harmonicity_residual(spec, grid_2d) <= 1e-12
 
     def test_degree4_is_4h2_everywhere(self):
         # the x- and y-fourth-difference corrections contribute 2h^2 each
@@ -51,13 +60,13 @@ class TestHarmonicityResidual:
             ).reshaped()
             core = np.abs(res[1:-1, 1:-1])
             assert np.allclose(core, 4 * h * h, rtol=1e-9)
-            assert bb.harmonicity_residual(spec, g) == pytest.approx(4 * h * h, rel=1e-9)
+            assert harmonicity_residual(spec, g) == pytest.approx(4 * h * h, rel=1e-9)
 
     def test_expcos_second_order(self):
         spec = bb.ExpCos2D(k=1.0)
         res = []
         for h in (1 / 16, 1 / 32, 1 / 64):
-            res.append(bb.harmonicity_residual(spec, bb.make_grid(2, [4, 4], h)))
+            res.append(harmonicity_residual(spec, bb.make_grid(2, [4, 4], h)))
         ratios = [res[i] / res[i + 1] for i in range(2)]
         assert all(3.5 <= r <= 4.5 for r in ratios)
 
@@ -94,28 +103,6 @@ class TestSampleFamily:
     def test_bad_mode(self, grid_1d):
         with pytest.raises(ValueError, match="mode"):
             bb.sample_family(bb.HarmonicFamily(()), grid_1d, "nearest")
-
-
-class TestCondensateDensity:
-    def test_constant(self):
-        fam = bb.HarmonicFamily((bb.Constant(1.0),))
-        assert bb.condensate_density(fam, 2.0, 0.7) == pytest.approx(0.5)
-
-    def test_affine(self):
-        fam = bb.HarmonicFamily((bb.Affine1D(0.0, 1.0),))
-        assert bb.condensate_density(fam, 1.0, 3.0) == pytest.approx(9.0)
-
-    def test_modulus_identity(self):
-        fam = bb.HarmonicFamily((
-            bb.HarmonicPoly2D(degree=1, part="re"),
-            bb.HarmonicPoly2D(degree=1, part="im"),
-        ))
-        x, y = 0.6, -1.3
-        assert bb.condensate_density(fam, 1.0, x, y) == pytest.approx(x * x + y * y)
-
-    def test_beta_must_be_positive(self):
-        with pytest.raises(ValueError, match="beta"):
-            bb.condensate_density(bb.HarmonicFamily(()), 0.0, 1.0)
 
 
 class TestTextSyntax:

@@ -2,7 +2,9 @@
 
 The references below are the straightforward forms of each integral: a dense
 coordinate mesh and one pair of overlap evaluations per harmonic function, a
-masked copy of the momentum table, and one full table sum per resolvent point.
+masked copy of the momentum table, the Green limit at p = 0 read off the
+product table conj(fhat) ghat formed in full, and one full table sum per
+resolvent point.
 The library evaluates each input once and reads every integral off it; where
 the arithmetic is the same the results must be bit-identical, and where the
 summation order changed (the resolvent synthesis) they must agree to roundoff.
@@ -55,10 +57,31 @@ def ref_bilinear(table_f, table_g, kernel, zero_value):
     return complex(np.sum(integrand * w))
 
 
+def ref_green_zero_limit(table_f, table_g):
+    z = np.conj(table_f.values) * table_g.values
+    m = table_f.zero_index
+    dp2 = table_f.p_spacing**2
+    if table_f.dim == 1:
+        g1 = 0.5 * (z[m + 1] + z[m - 1]) / dp2
+        g2 = 0.5 * (z[m + 2] + z[m - 2]) / (4.0 * dp2)
+        return complex((4.0 * g1 - g2) / 3.0)
+    limits = []
+    for sel1, sel2 in (
+        ((m + 1, m), (m + 2, m)),
+        ((m - 1, m), (m - 2, m)),
+        ((m, m + 1), (m, m + 2)),
+        ((m, m - 1), (m, m - 2)),
+    ):
+        g1 = z[sel1] / dp2
+        g2 = z[sel2] / (4.0 * dp2)
+        limits.append((4.0 * g1 - g2) / 3.0)
+    return complex(np.mean(limits))
+
+
 def ref_momentum_integrals(table_f, table_g, beta):
     """(free gas, regular part, Green) by the masked reference."""
     zf, zg = table_f.value_at_zero(), table_g.value_at_zero()
-    green0 = ct._green_zero_limit(table_f, table_g)
+    green0 = ref_green_zero_limit(table_f, table_g)
     return (
         ref_bilinear(table_f, table_g, bb.Bose(beta).evaluate,
                      -np.conj(zf) * zg / 2.0 + green0 / beta),
@@ -146,6 +169,13 @@ def test_momentum_integrals_equal_reference(tables, beta):
     if table_g is table_f:
         ref = tuple(r.real for r in ref)
     assert got == ref
+
+
+@settings(max_examples=40)
+@given(tables=table_pairs(zero_mean=True))
+def test_green_zero_limit_equals_full_table_reference(tables):
+    table_f, table_g = tables
+    assert ct._green_zero_limit(table_f, table_g) == ref_green_zero_limit(table_f, table_g)
 
 
 @settings(max_examples=20)

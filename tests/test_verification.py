@@ -74,24 +74,33 @@ class TestKrein:
 class TestDomainDecomposition:
     def test_empty_family_psi_zero(self, grid_1d):
         op = make_op(grid_1d, "")
-        rep = vf.domain_decomposition_check(op, random_field(grid_1d, 30))
+        rep = vf.domain_decomposition_check(op, [random_field(grid_1d, 30)])
         assert rep.residuals["off_span"] == 0.0
         assert rep.passed
 
     def test_random_w_exact_algebra(self, grid_1d):
         op = make_op(grid_1d, "affine:a=0,b=1")
         for seed in range(5):
-            rep = vf.domain_decomposition_check(op, random_field(grid_1d, 100 + seed))
+            rep = vf.domain_decomposition_check(op, [random_field(grid_1d, 100 + seed)])
             assert rep.residuals["off_span"] <= 1e-10
             assert rep.residuals["r_psi_vs_pw"] <= 1e-10
+
+    def test_reports_worst_field(self, grid_1d):
+        op = make_op(grid_1d, "affine:a=0,b=1;const:c=1")
+        ws = [random_field(grid_1d, 200 + seed) for seed in range(3)]
+        single = [vf.domain_decomposition_check(op, [w]).residuals for w in ws]
+        rep = vf.domain_decomposition_check(op, ws)
+        for key in ("off_span", "r_psi_vs_pw"):
+            assert rep.residuals[key] == max(r[key] for r in single)
+        assert rep.context["n_fields"] == 3
 
     def test_w_orthogonal_to_span(self, grid_1d):
         op = make_op(grid_1d, "affine:a=0,b=1")
         w = random_field(grid_1d, 31)
-        col = op.basis.columns[0]
+        col = bb.sample_family(op.family, grid_1d)[0]
         coeff = bb.inner_product(col, w) / bb.inner_product(col, col)
         w_perp = bb.GridField(grid_1d, w.values - coeff * col.values)
-        rep = vf.domain_decomposition_check(op, w_perp)
+        rep = vf.domain_decomposition_check(op, [w_perp])
         assert rep.residuals["r_psi_vs_pw"] <= 1e-10
         assert rep.passed
 
