@@ -10,7 +10,9 @@ non-positive Lanczos recursion, or an output that cannot be written).
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
+from contextlib import contextmanager
 
 from .config import ConfigError, ExperimentConfig, parse_config
 from .continuum import HypothesisError
@@ -26,6 +28,9 @@ def _common(parser: argparse.ArgumentParser) -> None:
                         help="Dirichlet spectrum mode (overrides config)")
     parser.add_argument("--seed", type=int, help="seed for randomized checks")
     parser.add_argument("--label", help="output file basename (overrides config)")
+    parser.add_argument("--log-level", choices=["DEBUG", "INFO", "WARNING", "ERROR"],
+                        default="WARNING",
+                        help="log messages of this level and above go to stderr")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,8 +69,30 @@ def _load_config(args: argparse.Namespace, kind: str) -> ExperimentConfig:
     return cfg
 
 
+@contextmanager
+def _log_to_stderr(level: str):
+    """Send becbox's log records at ``level`` and above to standard error for
+    the duration of one command, then restore the logger."""
+    logger = logging.getLogger("becbox")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    saved = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(level)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(saved)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    with _log_to_stderr(args.log_level):
+        return _run(args)
+
+
+def _run(args: argparse.Namespace) -> int:
     kind = {"fourier-dump": "fourier"}.get(args.command, args.command)
     try:
         cfg = _load_config(args, kind)

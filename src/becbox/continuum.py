@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Union
 
 import numpy as np
@@ -224,9 +224,13 @@ class FourierTable:
         """delta_p-weighted sum of |fhat|^2 (should match integral |f|^2)."""
         return float(self.p_spacing**self.dim * np.sum(np.abs(self.values) ** 2))
 
+    @cached_property
+    def _peak(self) -> float:
+        """max |fhat| over the table, computed once per table."""
+        return float(np.abs(self.values).max())
+
     def is_zero_mean(self) -> bool:
-        top = float(np.abs(self.values).max())
-        return abs(self.value_at_zero()) <= ZERO_MEAN_RTOL * max(top, 1e-300)
+        return abs(self.value_at_zero()) <= ZERO_MEAN_RTOL * max(self._peak, 1e-300)
 
 
 def _axis_transform_centered(a: float, p: np.ndarray, quad_points: int) -> np.ndarray:

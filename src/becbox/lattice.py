@@ -204,11 +204,6 @@ class DirichletSpectrum:
             lam = lam[:, None] + a[None, :]
         return lam.ravel()
 
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """All eigenvalues sorted ascending."""
-        return np.sort(self.tensor())
-
 
 def make_spectrum(grid: Grid, mode: str = "fd") -> DirichletSpectrum:
     if mode not in ("fd", "spectral"):

@@ -7,12 +7,14 @@ Green operator plus a rank-K update by the sampled harmonic columns,
 
 which in the orthonormal sine basis is diagonal(1/lambda) plus a rank-K
 congruence of the transformed columns.  The dense backend eigendecomposes that
-matrix (operator eigenvalues are reported as 1/mu); the Lanczos backend only
-ever applies it.  Either way a readout is one quadrature rule per start vector
-(the eigenpairs, or a Lanczos Gauss rule), and every spectral function of the
-readout is read off that rule.  All inner products, normalizations and
-orthogonalizations use the h^d-weighted inner product, which in sine
-coefficients is the plain dot product.
+matrix without assembling it: exact deflation leaves every mode the update
+does not reach as an eigenpair of its own, and only the blocks the columns
+couple go to a dense eigensolver (operator eigenvalues are reported as 1/mu);
+the Lanczos backend only ever applies it.  Either way a readout is one
+quadrature rule per start vector (the eigenpairs, or a Lanczos Gauss rule),
+and every spectral function of the readout is read off that rule.  All inner
+products, normalizations and orthogonalizations use the h^d-weighted inner
+product, which in sine coefficients is the plain dot product.
 """
 
 from __future__ import annotations
@@ -198,13 +200,35 @@ def build_condensate_basis(grid: Grid, columns: list[GridField]) -> CondensateBa
     )
 
 
+@dataclass(frozen=True)
+class _Eigenbasis:
+    """Eigenvectors of diag(d) + C C^H in factored form, never as an N x N array.
+
+    Coefficients are first put in descending-d order (``perm``), then each
+    cluster of equal d is rotated so that at most K of its rows of C survive
+    (``rotations``: per cluster size, the stacked positions and unitaries Q).
+    A ``passive`` position then has no C part and is an eigenvector as it
+    stands; the other positions fall into ``blocks`` (positions, eigenvectors)
+    that no column couples to each other.  ``order`` sorts the eigenvalues of
+    [passive, block 1, block 2, ...] ascending.
+    """
+
+    perm: np.ndarray
+    rotations: tuple
+    passive: np.ndarray
+    blocks: tuple
+    order: np.ndarray
+    dtype: np.dtype
+
+
 @dataclass
 class PhiOperator:
     """Discrete modified Laplacian held through its inverse.
 
     ``lam`` is the tensor Dirichlet spectrum in coefficient layout; the dense
-    backend also stores the eigenpairs (mu ascending, columns of ``vecs``) of
-    the inverse in the sine basis, so operator eigenvalues are 1/mu.
+    backend also holds the eigenvalues ``mu`` (ascending) of the inverse in the
+    sine basis, so operator eigenvalues are 1/mu, and its eigenvectors in
+    factored form, read through ``project`` and ``unproject``.
     """
 
     grid: Grid
@@ -214,8 +238,8 @@ class PhiOperator:
     backend: str
     basis: CondensateBasis
     lam: np.ndarray
-    mu: np.ndarray | None = None
-    vecs: np.ndarray | None = None
+    mu: np.ndarray | None
+    eigenbasis: _Eigenbasis | None
 
     @property
     def operator_eigenvalues(self) -> np.ndarray:
@@ -223,6 +247,39 @@ class PhiOperator:
         if self.mu is None:
             raise ValueError("operator eigenvalues need the dense backend")
         return np.sort(1.0 / self.mu)
+
+    def _eigen(self) -> _Eigenbasis:
+        if self.eigenbasis is None:
+            raise ValueError("eigenvectors need the dense backend")
+        return self.eigenbasis
+
+    def project(self, chat: np.ndarray) -> np.ndarray:
+        """V^H chat: sine coefficients (along axis 0) to eigenvector
+        coefficients aligned with mu."""
+        e = self._eigen()
+        y = chat[e.perm].astype(np.result_type(chat, e.dtype))
+        for rows, Q in e.rotations:
+            y[rows] = np.einsum("cij,ci...->cj...", Q.conj(), y[rows])
+        parts = [y[e.passive]] + [W.conj().T @ y[rows] for rows, W in e.blocks]
+        return np.concatenate(parts)[e.order]
+
+    def unproject(self, a: np.ndarray) -> np.ndarray:
+        """V a: eigenvector coefficients aligned with mu (along axis 0) to sine
+        coefficients."""
+        e = self._eigen()
+        raw = np.empty(a.shape, dtype=np.result_type(a, e.dtype))
+        raw[e.order] = a
+        y = np.empty_like(raw)
+        y[e.passive] = raw[: len(e.passive)]
+        start = len(e.passive)
+        for rows, W in e.blocks:
+            y[rows] = W @ raw[start : start + len(rows)]
+            start += len(rows)
+        for rows, Q in e.rotations:
+            y[rows] = np.einsum("cij,cj...->ci...", Q, y[rows])
+        chat = np.empty_like(y)
+        chat[e.perm] = y
+        return chat
 
     def _hat(self, f: GridField) -> np.ndarray:
         if f.grid != self.grid:
@@ -259,6 +316,74 @@ def eigendecompose_symmetric(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return w, V
 
 
+def _deflated_eigh(d: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, _Eigenbasis]:
+    """Eigenpairs of diag(d) + C C^H by exact deflation and per-block eigh.
+
+    The deflation of the rank-one modification method (Golub 1973; Bunch,
+    Nielsen & Sorensen 1978), with no secular equation.  An entry of C with
+    |C_ik| ||C||_2 <= eps max(max d, ||C||_2^2) is dropped, a perturbation no
+    larger than a dense eigensolver's backward error.  Rotating the rows of C
+    in a cluster of equal d onto their left singular vectors keeps diag(d) as
+    it is and leaves at most rank-many of them.  Rows left without a C part
+    are eigenpairs (d_i, e_i); the rest split into blocks of rows that share a
+    column, each given to the dense eigensolver.  A block's eigenvalues are
+    then the Rayleigh quotients of its eigenvectors, sum_j d_j |w_j|^2 +
+    |C^H w|^2: sums of positive terms, accurate relative to each eigenvalue,
+    where the solver's own are accurate only to eps max mu.
+    """
+    N, K = C.shape
+    # descending d grades each block downward, the order in which the dense
+    # solver's reduction (from the top-left) loses the least accuracy
+    perm = np.argsort(-d, kind="stable")
+    ds = d[perm]
+    Cs = C[perm]
+    norm = float(np.linalg.norm(Cs, 2)) if K else 0.0
+    if norm > 0:
+        tol = np.finfo(float).eps * max(float(ds[0]), norm**2) / norm
+        Cs[np.abs(Cs) <= tol] = 0
+    active = np.flatnonzero(np.any(Cs != 0, axis=1))
+    cluster = np.cumsum(np.r_[0, ds[1:] != ds[:-1]])[active]
+    size = np.bincount(cluster)[cluster]  # active rows in each active row's cluster
+    rotations = []
+    for s in np.unique(size[size > 1]):
+        rows = active[size == s].reshape(-1, s)  # a cluster's active rows are contiguous
+        U, sigma, Vh = np.linalg.svd(Cs[rows])
+        r = min(s, K)  # U^H C = diag(sigma) Vh on the first r rows, zero below
+        Cs[rows] = 0
+        Cs[rows[:, :r]] = sigma[..., None] * Vh[:, :r]
+        rotations.append((rows, U))
+    if rotations:
+        Cs[np.abs(Cs) <= tol] = 0
+        active = np.flatnonzero(np.any(Cs != 0, axis=1))
+    passive = np.setdiff1d(np.arange(N), active)
+    # columns sharing an active row belong to one block
+    nonzero = Cs[active] != 0
+    label = np.arange(K)
+    for pattern in np.unique(nonzero, axis=0):
+        joined = np.isin(label, label[pattern])
+        label[joined] = label[joined].min()
+    row_label = label[np.argmax(nonzero, axis=1)] if K else active
+    blocks = []
+    mu = [ds[passive]]
+    for group in np.unique(row_label):
+        rows = active[row_label == group]
+        Cb = Cs[rows]
+        update = Cb @ Cb.conj().T
+        if np.iscomplexobj(update) and np.all(update.imag == 0):
+            update = update.real
+        w, W = eigendecompose_symmetric(np.diag(ds[rows]) + update)
+        w = ds[rows] @ np.abs(W) ** 2 + np.sum(np.abs(Cb.conj().T @ W) ** 2, axis=0)
+        blocks.append((rows, W))
+        mu.append(w)
+    logger.debug("dense build: N = %d, %d passive rows, coupled blocks of sizes %s",
+                 N, len(passive), [len(rows) for rows, _ in blocks])
+    mu = np.concatenate(mu)
+    order = np.argsort(mu, kind="stable")
+    dtype = np.result_type(float, *(Q for _, Q in rotations), *(W for _, W in blocks))
+    return mu[order], _Eigenbasis(perm=perm, rotations=tuple(rotations), passive=passive,
+                                  blocks=tuple(blocks), order=order, dtype=dtype)
+
+
 def build_phi_operator(
     grid: Grid,
     spectrum: DirichletSpectrum,
@@ -284,20 +409,13 @@ def build_phi_operator(
             len(columns), basis.rank, RANK_RTOL,
         )
     lam = spectrum.tensor()
-    op = PhiOperator(
-        grid=grid, spectrum=spectrum, family=family, mode=mode, backend=backend,
-        basis=basis, lam=lam,
-    )
+    mu = eigenbasis = None
     if backend == "dense":
-        M = np.diag(1.0 / lam)
-        C = basis.col_hat
-        if C.shape[1]:
-            update = C @ C.conj().T
-            if np.iscomplexobj(update) and np.all(update.imag == 0):
-                update = update.real
-            M = M + update
-        op.mu, op.vecs = eigendecompose_symmetric(M)
-    return op
+        mu, eigenbasis = _deflated_eigh(1.0 / lam, basis.col_hat)
+    return PhiOperator(
+        grid=grid, spectrum=spectrum, family=family, mode=mode, backend=backend,
+        basis=basis, lam=lam, mu=mu, eigenbasis=eigenbasis,
+    )
 
 
 def apply_inverse(op: PhiOperator, f: GridField) -> GridField:
@@ -423,8 +541,8 @@ def _bilinear_forms(op: PhiOperator, Fs, f: GridField, g: GridField | None):
     fhat = op._hat(f)
     ghat = fhat if same else op._hat(g)
     if op.backend == "dense":
-        a = op.vecs.conj().T @ fhat
-        b = a if same else op.vecs.conj().T @ ghat
+        a = op.project(fhat)
+        b = a if same else op.project(ghat)
         return _gauss_sum(Fs, 1.0 / op.mu, a, b), fhat, ghat
     fv = f.values
     if same:

@@ -10,7 +10,6 @@ asymptotically and are checked by mesh-refinement ratios.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,12 +75,9 @@ class CheckReport:
             "context": dict(self.context, inconclusive=self.inconclusive),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def _require_dense(op: PhiOperator, what: str) -> None:
-    if op.mu is None or op.vecs is None:
+    if op.mu is None or op.eigenbasis is None:
         raise ValueError(f"{what} needs the dense backend")
 
 
@@ -113,7 +109,7 @@ def krein_identity_residual(
     den = 0.0
     for _ in range(n_fields):
         x = rng.standard_normal(op.grid.total)
-        lhs = op.vecs @ (lhs_factor * (op.vecs.conj().T @ x))
+        lhs = op.unproject(lhs_factor * op.project(x))
         rhs = dirichlet * x
         if op.basis.rank:
             rhs = rhs + S * (B @ np.linalg.solve(Kz, B.conj().T @ (S * x)))
@@ -226,12 +222,18 @@ def bc_r_matrix(op: PhiOperator):
     return r
 
 
-def _eigvec_field(op: PhiOperator, which: int) -> GridField:
-    """Eigenvector of the modified Laplacian with the ``which``-th smallest
-    eigenvalue, as a unit-weighted-norm node field."""
+def _eigvec_hat(op: PhiOperator, which: int) -> np.ndarray:
+    """Sine coefficients of the eigenvector of the modified Laplacian with the
+    ``which``-th smallest eigenvalue (mu ascending: the ``which``-th largest mu)."""
     _require_dense(op, "eigenvector extraction")
-    col = op.vecs[:, op.grid.total - 1 - which]
-    return sine_transform(op.grid, GridField(op.grid, np.ascontiguousarray(col)), "inverse")
+    unit = np.zeros(op.grid.total)
+    unit[op.grid.total - 1 - which] = 1.0
+    return op.unproject(unit)
+
+
+def _eigvec_field(op: PhiOperator, which: int) -> GridField:
+    """The same eigenvector as a unit-weighted-norm node field."""
+    return sine_transform(op.grid, GridField(op.grid, _eigvec_hat(op, which)), "inverse")
 
 
 def _bc_residual_once(op: PhiOperator, which: int, r):
@@ -408,8 +410,7 @@ def dirichlet_reduction_check(grid: Grid, spectrum_mode: str = "fd") -> CheckRep
     spectrum = make_spectrum(grid, spectrum_mode)
     op = build_phi_operator(grid, spectrum, HarmonicFamily(()), backend="dense")
     lam = op.lam
-    nu = 1.0 / op.mu[::-1]  # ascending operator eigenvalues, eigenvector-aligned
-    vecs = op.vecs[:, ::-1]
+    nu = 1.0 / op.mu[::-1]  # ascending operator eigenvalues
     dev_vals = float(np.max(np.abs(np.sort(nu) - np.sort(lam))))
     # analytic sampled sine modes, one per axis
     axis_modes = []
@@ -421,14 +422,14 @@ def dirichlet_reduction_check(grid: Grid, spectrum_mode: str = "fd") -> CheckRep
         axis_modes.append(np.sqrt(2.0 / L) * np.sin(np.outer(j, k) * np.pi / (n + 1)))
     dev_vecs = 0.0
     for m in range(grid.total):
-        col = vecs[:, m]
+        col = _eigvec_hat(op, m)
         j = int(np.argmax(np.abs(col)))
         if grid.dim == 1:
             expected = axis_modes[0][:, j]
         else:
             j1, j2 = np.unravel_index(j, grid.counts)
             expected = np.outer(axis_modes[0][:, j1], axis_modes[1][:, j2]).ravel()
-        node = sine_transform(grid, GridField(grid, np.ascontiguousarray(col)), "inverse").values
+        node = sine_transform(grid, GridField(grid, col), "inverse").values
         sgn = 1.0 if np.dot(expected, node.real) >= 0 else -1.0
         dev_vecs = max(dev_vecs, float(np.max(np.abs(sgn * node - expected))))
         dev_vals = max(dev_vals, float(abs(nu[m] - lam[j])))

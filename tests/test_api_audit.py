@@ -2,6 +2,8 @@
 
 A name in a module's ``__all__`` is reached when another function or module
 of ``src/becbox`` refers to it; the re-exports in ``__init__`` do not count.
+A public method or property of a class in ``__all__``, named ``Class.name``,
+is reached when code outside its own body reads an attribute of that name.
 A name that nothing reaches must be listed, with its reason, in the
 ``## Library API`` table of README.md, and that table lists nothing else.
 The sources are read with ``ast``; nothing is imported.
@@ -47,18 +49,44 @@ def _referenced(node):
             yield n.attr
 
 
+def _is_method(node) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+
+
 def exported() -> dict:
-    """__all__ name -> its module."""
-    return {name: mod for mod, tree in _modules().items() for name in _exported(tree)}
+    """__all__ name, and Class.name for each public method or property of a
+    class in __all__ -> its module."""
+    out = {}
+    for mod, tree in _modules().items():
+        names = _exported(tree)
+        out.update((name, mod) for name in names)
+        out.update((f"{node.name}.{item.name}", mod)
+                   for node in tree.body if isinstance(node, ast.ClassDef) and node.name in names
+                   for item in node.body if _is_method(item) and not item.name.startswith("_"))
+    return out
+
+
+def _uses():
+    """(module, names defined where the reference sits, referenced name); a
+    method's own body also defines its Class.name."""
+    for mod, tree in _modules().items():
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                parts = [node]
+            else:
+                parts = node.body + node.decorator_list + node.bases
+            for part in parts:
+                owners = _defines(node)
+                if part is not node and _is_method(part):
+                    owners = owners | {f"{node.name}.{part.name}"}
+                for name in _referenced(part):
+                    yield mod, owners, name
 
 
 def unreached() -> set:
-    uses = [(mod, _defines(node), name)
-            for mod, tree in _modules().items()
-            for node in tree.body
-            for name in _referenced(node)]
+    uses = list(_uses())
     return {name for name, mod in exported().items()
-            if not any(used == name and (m != mod or name not in owners)
+            if not any(used == name.rsplit(".", 1)[-1] and (m != mod or name not in owners)
                        for m, owners, used in uses)}
 
 
@@ -67,7 +95,7 @@ def listed() -> dict:
     text = README.read_text(encoding="utf-8")
     assert "\n## Library API\n" in text, "README.md has no '## Library API' section"
     section = text.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
-    rows = (re.match(r"\|\s*`(\w+)`\s*\|\s*(.*?)\s*\|\s*$", line) for line in section.splitlines())
+    rows = (re.match(r"\|\s*`([\w.]+)`\s*\|\s*(.*?)\s*\|\s*$", line) for line in section.splitlines())
     return {m.group(1): m.group(2) for m in rows if m}
 
 

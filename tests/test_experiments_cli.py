@@ -219,6 +219,16 @@ class TestCli:
         doc = json.loads((tmp_path / "run_checks.json").read_text())
         assert doc["pass"] is True
 
+    def test_log_level_info_shows_rank_deflation(self, tmp_path, capsys):
+        cfg = tmp_path / "deficient.cfg"
+        cfg.write_text("family = affine:a=0,b=1;affine:a=0,b=2\n")
+        args = ["verify", "--config", str(cfg), "--out", str(tmp_path)]
+        cli.main(args)
+        assert capsys.readouterr().err == ""
+        cli.main(args + ["--log-level", "INFO"])
+        err = capsys.readouterr().err
+        assert "INFO becbox.phi_operator: family of 2 columns deflated to numerical rank 1" in err
+
     def test_config_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("mystery = 3\n")

@@ -196,7 +196,8 @@ class TestBuildOperator:
         op = bb.build_phi_operator(grid_1d, sp, fam, backend="dense")
         assert np.all(op.mu > 0)
         # orthonormal in the weighted inner product (plain dot in coefficients)
-        gram = op.vecs.conj().T @ op.vecs
+        V = op.unproject(np.eye(grid_1d.total))
+        gram = V.conj().T @ V
         assert np.abs(gram - np.eye(grid_1d.total)).max() <= 1e-10
         # the inverse dominates the Green operator, eigenvalue by eigenvalue
         assert np.all(np.sort(op.mu)[::-1] >= np.sort(1.0 / op.lam)[::-1] * (1 - 1e-12))
@@ -334,7 +335,7 @@ class TestShiftedSolve:
         woodbury = bb.shifted_solve(op, u, 1.0)
         # dense spectral oracle
         chat = bb.sine_transform(grid_1d, u, "forward").values
-        coeff = op.vecs @ ((op.mu / (1.0 + op.mu)) * (op.vecs.conj().T @ chat))
+        coeff = op.unproject((op.mu / (1.0 + op.mu)) * op.project(chat))
         oracle = bb.sine_transform(grid_1d, bb.GridField(grid_1d, coeff), "inverse")
         assert np.abs(woodbury.values - oracle.values).max() <= 1e-11 * np.abs(oracle.values).max()
 
