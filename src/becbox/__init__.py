@@ -10,9 +10,8 @@ continuum oracles.
 from .lattice import (
     Grid,
     GridField,
-    DirichletSpectrum,
     make_grid,
-    make_spectrum,
+    dirichlet_eigenvalues,
     green_apply,
     harmonic_extension,
     sample_function,

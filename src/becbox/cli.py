@@ -24,8 +24,6 @@ def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="DIR", help="output directory (overrides config)")
     parser.add_argument("--backend", choices=["auto", "dense", "lanczos"],
                         help="operator backend (overrides config)")
-    parser.add_argument("--mode", choices=["fd", "spectral"],
-                        help="Dirichlet spectrum mode (overrides config)")
     parser.add_argument("--seed", type=int, help="seed for randomized checks")
     parser.add_argument("--label", help="output file basename (overrides config)")
     parser.add_argument("--log-level", choices=["DEBUG", "INFO", "WARNING", "ERROR"],
@@ -59,8 +57,6 @@ def _load_config(args: argparse.Namespace, kind: str) -> ExperimentConfig:
         cfg.out = args.out
     if args.backend:
         cfg.backend = args.backend
-    if args.mode:
-        cfg.spectrum_mode = args.mode
     if args.seed is not None:
         cfg.seed = args.seed
     if args.label:

@@ -57,7 +57,6 @@ class ExperimentConfig:
     h: float = 0.0625
     h_richardson: float = 0.0               # second (finer) spacing; 0 disables
     backend: str = "auto"                   # auto | dense | lanczos
-    spectrum_mode: str = "fd"               # fd | spectral
     sampling_mode: str = "sampled"          # sampled | discrete-harmonic
     cutoff: float = 80.0                    # momentum cutoff of the Fourier oracle
     p_spacing: float = 0.02                 # momentum grid spacing
@@ -93,6 +92,7 @@ class ExperimentConfig:
             zs = [float(t) for t in self.krein_z.split(",") if t.strip()]
         except ValueError as e:
             raise ConfigError(f"bad krein_z: {e}") from None
+        _require(len(zs) >= 1, "krein_z needs at least one shift")
         _require(all(math.isfinite(z) and z < 0 for z in zs),
                  "krein_z entries must be finite and negative")
         return zs
@@ -105,8 +105,6 @@ class ExperimentConfig:
             raise ConfigError(f"dim must be 1 or 2, got {self.dim}")
         if self.backend not in ("auto", "dense", "lanczos"):
             raise ConfigError(f"unknown backend {self.backend!r}")
-        if self.spectrum_mode not in ("fd", "spectral"):
-            raise ConfigError(f"unknown spectrum_mode {self.spectrum_mode!r}")
         if self.sampling_mode not in ("sampled", "discrete-harmonic"):
             raise ConfigError(f"unknown sampling_mode {self.sampling_mode!r}")
         for key in ("beta", "h", "cutoff", "p_spacing"):

@@ -20,7 +20,7 @@ from . import continuum as ct
 from . import reports
 from .config import ConfigError, ExperimentConfig
 from .harmonics import parse_family, spec_dim
-from .lattice import Grid, GridField, make_grid, make_spectrum, sample_function
+from .lattice import Grid, GridField, make_grid, sample_function
 from .phi_operator import build_phi_operator, shifted_solve, two_point_lhs
 from .verification import (
     CheckReport,
@@ -128,8 +128,7 @@ def _sweep_rows(cfg: ExperimentConfig, family, f, g, rhs_total: complex, h: floa
     for L in cfg.lengths():
         t0 = time.perf_counter()
         grid = make_grid(cfg.dim, [L] * cfg.dim, h)
-        spectrum = make_spectrum(grid, cfg.spectrum_mode)
-        op = build_phi_operator(grid, spectrum, family, cfg.sampling_mode, cfg.backend)
+        op = build_phi_operator(grid, family, cfg.sampling_mode, cfg.backend)
         ff = sample_function(grid, partial(ct.evaluate, f))
         gg = ff if g is None else sample_function(grid, partial(ct.evaluate, g))
         tp = two_point_lhs(op, cfg.beta, ff, gg)
@@ -238,8 +237,7 @@ def run_srs_sweep(cfg: ExperimentConfig) -> SrsReport:
     for L in Ls:
         t0 = time.perf_counter()
         grid = make_grid(cfg.dim, [L] * cfg.dim, cfg.h)
-        spectrum = make_spectrum(grid, cfg.spectrum_mode)
-        op = build_phi_operator(grid, spectrum, family, cfg.sampling_mode, "lanczos")
+        op = build_phi_operator(grid, family, cfg.sampling_mode, "lanczos")
         y = shifted_solve(op, sample_function(grid, partial(ct.evaluate, u)), 1.0)
         vals = y.values[window_mask(grid)]
         err = float(np.sqrt(grid.weight * np.sum(np.abs(vals - ref) ** 2)))
@@ -258,9 +256,11 @@ def run_verify_suite(cfg: ExperimentConfig) -> list[CheckReport]:
     f = _parsed(cfg, "f") if cfg.dim == 1 else ct.parse_test_function(
         "dipole2:cx=0,cy=0,s=1,ax=0.75,ay=0.75")
     L = cfg.lengths()[0]
+    # the d = 1 boundary traces read the three nodes nearest each end
+    if cfg.dim == 1 and round(L / cfg.h) < 4:
+        raise ConfigError(f"verify in d = 1 needs L/h >= 4, got L = {L}, h = {cfg.h}")
     grid = make_grid(cfg.dim, [L] * cfg.dim, cfg.h)
-    spectrum = make_spectrum(grid, cfg.spectrum_mode)
-    op = build_phi_operator(grid, spectrum, family, cfg.sampling_mode, "dense")
+    op = build_phi_operator(grid, family, cfg.sampling_mode, "dense")
 
     # reduction check on the canonical unit-spacing grid, where the operator
     # eigenvalues are O(1) and the 1e-13 absolute tolerance is meaningful
@@ -268,7 +268,7 @@ def run_verify_suite(cfg: ExperimentConfig) -> list[CheckReport]:
         canonical = make_grid(1, [256.0], 1.0)
     else:
         canonical = make_grid(2, [32.0, 32.0], 1.0)
-    checks: list[CheckReport] = [dirichlet_reduction_check(canonical, cfg.spectrum_mode)]
+    checks: list[CheckReport] = [dirichlet_reduction_check(canonical)]
     for z in cfg.krein_shifts():
         checks.append(krein_identity_residual(op, z, cfg.n_random, cfg.seed))
 
@@ -283,7 +283,7 @@ def run_verify_suite(cfg: ExperimentConfig) -> list[CheckReport]:
 
     if cfg.dim == 1:
         checks.append(boundary_condition_residual(op, 0, levels=3))
-        op_dh = build_phi_operator(grid, spectrum, family, "discrete-harmonic", "dense")
+        op_dh = build_phi_operator(grid, family, "discrete-harmonic", "dense")
         checks.append(quadratic_form_identity(op_dh, seed=cfg.seed, levels=2))
 
     checks.append(wick_cross_check(4, cfg.seed))
@@ -300,8 +300,7 @@ def run_wick_demo(cfg: ExperimentConfig) -> dict:
     family = _parsed(cfg, "family")
     L = cfg.lengths()[0]
     grid = make_grid(1, [L], cfg.h)
-    spectrum = make_spectrum(grid, cfg.spectrum_mode)
-    op = build_phi_operator(grid, spectrum, family, cfg.sampling_mode, "dense")
+    op = build_phi_operator(grid, family, cfg.sampling_mode, "dense")
     centers = [-L / 4 + (i + 1) * (L / 2) / (n + 1) for i in range(n)]
     width = min(0.4, (L / 2) / (n + 1) / 2.2)
     fields = [

@@ -20,9 +20,8 @@ import scipy.fft
 __all__ = [
     "Grid",
     "GridField",
-    "DirichletSpectrum",
     "make_grid",
-    "make_spectrum",
+    "dirichlet_eigenvalues",
     "green_apply",
     "harmonic_extension",
     "sample_function",
@@ -183,51 +182,27 @@ def sine_transform(grid: Grid, u: GridField, direction: str = "forward") -> Grid
     return GridField(grid, np.ascontiguousarray(out.ravel()))
 
 
-@dataclass(frozen=True)
-class DirichletSpectrum:
-    """Eigenvalues of the Dirichlet Laplacian on a grid.
+def dirichlet_eigenvalues(grid: Grid) -> np.ndarray:
+    """Eigenvalues of the stencil Dirichlet Laplacian in coefficient layout.
 
-    mode "fd" stores the stencil eigenvalues (4/h^2) sin^2(k pi h / (2 L)),
-    which make transform-based identities exact; mode "spectral" stores the
-    continuum values (k pi / L)^2, which removes the O(h^2) eigenvalue bias
-    in limit studies.
+    Per axis (4/h^2) sin^2(k pi h / (2 L)) for k = 1..n; the flattened tensor
+    sum over axes is what the sine transform diagonalizes exactly.
     """
-
-    grid: Grid
-    mode: str
-    axis_eigenvalues: tuple[np.ndarray, ...]
-
-    def tensor(self) -> np.ndarray:
-        """Flattened tensor-sum eigenvalues in coefficient layout."""
-        lam = self.axis_eigenvalues[0]
-        for a in self.axis_eigenvalues[1:]:
-            lam = lam[:, None] + a[None, :]
-        return lam.ravel()
-
-
-def make_spectrum(grid: Grid, mode: str = "fd") -> DirichletSpectrum:
-    if mode not in ("fd", "spectral"):
-        raise ValueError(f"mode must be 'fd' or 'spectral', got {mode!r}")
     h = grid.spacing
-    axis_vals = []
+    lam = None
     for axis in range(grid.dim):
-        L = grid.lengths[axis]
         k = np.arange(1, grid.counts[axis] + 1)
-        if mode == "fd":
-            lam = (4.0 / h**2) * np.sin(k * np.pi * h / (2.0 * L)) ** 2
-        else:
-            lam = (k * np.pi / L) ** 2
-        axis_vals.append(lam)
-    return DirichletSpectrum(grid=grid, mode=mode, axis_eigenvalues=tuple(axis_vals))
+        a = (4.0 / h**2) * np.sin(k * np.pi * h / (2.0 * grid.lengths[axis])) ** 2
+        lam = a if lam is None else lam[:, None] + a[None, :]
+    return lam.ravel()
 
 
-def green_apply(grid: Grid, spectrum: DirichletSpectrum, u: GridField) -> GridField:
+def green_apply(grid: Grid, u: GridField) -> GridField:
     """Inverse Dirichlet Laplacian: sine transform, divide by the eigenvalues,
     transform back."""
-    if spectrum.grid != grid:
-        raise ValueError("spectrum belongs to a different grid")
     chat = sine_transform(grid, u, "forward")
-    return sine_transform(grid, GridField(grid, chat.values / spectrum.tensor()), "inverse")
+    return sine_transform(grid, GridField(grid, chat.values / dirichlet_eigenvalues(grid)),
+                          "inverse")
 
 
 def harmonic_extension(grid: Grid, boundary_fn) -> GridField:
@@ -248,7 +223,7 @@ def harmonic_extension(grid: Grid, boundary_fn) -> GridField:
     src = src.ravel() / grid.spacing**2
     if np.all(src.imag == 0):
         src = src.real
-    return green_apply(grid, make_spectrum(grid, "fd"), GridField(grid, src))
+    return green_apply(grid, GridField(grid, src))
 
 
 def boundary_trace_1d(grid: Grid, u: GridField, side: str) -> tuple[complex, complex]:

@@ -27,9 +27,9 @@ import scipy.linalg
 
 from .harmonics import HarmonicFamily, sample_family
 from .lattice import (
-    DirichletSpectrum,
     Grid,
     GridField,
+    dirichlet_eigenvalues,
     inner_product,
     sine_transform,
 )
@@ -225,14 +225,13 @@ class _Eigenbasis:
 class PhiOperator:
     """Discrete modified Laplacian held through its inverse.
 
-    ``lam`` is the tensor Dirichlet spectrum in coefficient layout; the dense
+    ``lam`` is the stencil Dirichlet spectrum in coefficient layout; the dense
     backend also holds the eigenvalues ``mu`` (ascending) of the inverse in the
     sine basis, so operator eigenvalues are 1/mu, and its eigenvectors in
     factored form, read through ``project`` and ``unproject``.
     """
 
     grid: Grid
-    spectrum: DirichletSpectrum
     family: HarmonicFamily
     mode: str
     backend: str
@@ -386,7 +385,6 @@ def _deflated_eigh(d: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, _Eigenbasi
 
 def build_phi_operator(
     grid: Grid,
-    spectrum: DirichletSpectrum,
     family: HarmonicFamily,
     mode: str = "sampled",
     backend: str = "auto",
@@ -395,8 +393,6 @@ def build_phi_operator(
 
     backend "auto" picks dense for N <= DENSE_LIMIT and Lanczos above.
     """
-    if spectrum.grid != grid:
-        raise ValueError("spectrum belongs to a different grid")
     if backend not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown backend {backend!r}")
     if backend == "auto":
@@ -408,13 +404,13 @@ def build_phi_operator(
             "family of %d columns deflated to numerical rank %d (threshold %g)",
             len(columns), basis.rank, RANK_RTOL,
         )
-    lam = spectrum.tensor()
+    lam = dirichlet_eigenvalues(grid)
     mu = eigenbasis = None
     if backend == "dense":
         mu, eigenbasis = _deflated_eigh(1.0 / lam, basis.col_hat)
     return PhiOperator(
-        grid=grid, spectrum=spectrum, family=family, mode=mode, backend=backend,
-        basis=basis, lam=lam, mu=mu, eigenbasis=eigenbasis,
+        grid=grid, family=family, mode=mode, backend=backend, basis=basis,
+        lam=lam, mu=mu, eigenbasis=eigenbasis,
     )
 
 

@@ -24,7 +24,6 @@ from .lattice import (
     harmonic_extension,
     inner_product,
     make_grid,
-    make_spectrum,
     sine_transform,
 )
 from .phi_operator import (
@@ -139,7 +138,7 @@ def domain_decomposition_check(op: PhiOperator, ws: list[GridField]) -> CheckRep
     worst_a = worst_b = 0.0
     for w in ws:
         u = apply_inverse(op, w)
-        gw = green_apply(op.grid, op.spectrum, w)
+        gw = green_apply(op.grid, w)
         psi = GridField(op.grid, u.values - gw.values)
         psi_hat = sine_transform(op.grid, psi, "forward").values
         w_hat = sine_transform(op.grid, w, "forward").values
@@ -267,8 +266,7 @@ def boundary_condition_residual(
     for level in range(levels):
         h = op.grid.spacing / 2**level
         grid = make_grid(1, [L], h)
-        spec = make_spectrum(grid, op.spectrum.mode)
-        fine = build_phi_operator(grid, spec, op.family, op.mode, "dense")
+        fine = build_phi_operator(grid, op.family, op.mode, "dense")
         r = bc_r_matrix(fine) if fine.basis.rank else None
         if fine.basis.rank and r is None:
             degenerate = True
@@ -374,8 +372,7 @@ def quadratic_form_identity(op: PhiOperator, seed: int = 0, levels: int = 2) -> 
     for level in range(levels):
         h = op.grid.spacing / 2**level
         grid = make_grid(1, [L], h)
-        spec = make_spectrum(grid, op.spectrum.mode)
-        fine = build_phi_operator(grid, spec, op.family, "discrete-harmonic", op.backend)
+        fine = build_phi_operator(grid, op.family, "discrete-harmonic", op.backend)
         residuals.append(float(_qform_residual_once(fine, seed)))
     orders = [float(np.log2(residuals[i] / residuals[i + 1])) for i in range(len(residuals) - 1)]
     shortfall = max(0.0, 1.0 - min(orders)) if orders else 0.0
@@ -403,12 +400,11 @@ def ordering_check(op: PhiOperator) -> CheckReport:
     )
 
 
-def dirichlet_reduction_check(grid: Grid, spectrum_mode: str = "fd") -> CheckReport:
+def dirichlet_reduction_check(grid: Grid) -> CheckReport:
     """With an empty family the operator must reproduce the sine-mode
     Dirichlet data: eigenvalues equal the stencil eigenvalues and eigenvectors
     equal the sampled normalized sine modes (up to sign)."""
-    spectrum = make_spectrum(grid, spectrum_mode)
-    op = build_phi_operator(grid, spectrum, HarmonicFamily(()), backend="dense")
+    op = build_phi_operator(grid, HarmonicFamily(()), backend="dense")
     lam = op.lam
     nu = 1.0 / op.mu[::-1]  # ascending operator eigenvalues
     dev_vals = float(np.max(np.abs(np.sort(nu) - np.sort(lam))))
@@ -437,7 +433,7 @@ def dirichlet_reduction_check(grid: Grid, spectrum_mode: str = "fd") -> CheckRep
         name="dirichlet_reduction",
         residuals={"eigenvalue_dev": dev_vals, "eigenvector_dev": dev_vecs},
         tolerances={"eigenvalue_dev": 1e-13, "eigenvector_dev": 1e-13},
-        context={"N": grid.total, "dim": grid.dim, "mode": spectrum_mode},
+        context={"N": grid.total, "dim": grid.dim},
     )
 
 

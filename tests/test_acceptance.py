@@ -89,10 +89,8 @@ GRIDS_1D = {63: (4.0, 1 / 16), 255: (4.0, 1 / 64)}
 def _ops_1d():
     for N, (L, h) in GRIDS_1D.items():
         grid = bb.make_grid(1, [L], h)
-        spectrum = bb.make_spectrum(grid, "fd")
         for K, family in K_FAMILIES.items():
-            op = bb.build_phi_operator(grid, spectrum, bb.parse_family(family),
-                                       backend="dense")
+            op = bb.build_phi_operator(grid, bb.parse_family(family), backend="dense")
             yield N, K, op
 
 
@@ -106,8 +104,7 @@ def test_criterion_02_krein_identity():
             worst = max(worst, rep.residuals["relative"])
     # exact scalar equality on the 1x1 closed-form case: both sides are 3/5
     g1 = bb.make_grid(1, [2], 1.0)
-    op1 = bb.build_phi_operator(g1, bb.make_spectrum(g1, "fd"),
-                                bb.parse_family("const:c=1"), backend="dense")
+    op1 = bb.build_phi_operator(g1, bb.parse_family("const:c=1"), backend="dense")
     lam = op1.lam[0]
     s = lam / (lam + 1.0)
     lhs = 1.0 / (op1.operator_eigenvalues[0] + 1.0)
@@ -155,8 +152,7 @@ def test_criterion_05_eigenvalue_ordering():
         tested.append((1, N, K))
     g2 = bb.make_grid(2, [4, 4], 1 / 8)  # N = 961, the d=2 sweep family
     op2 = bb.build_phi_operator(
-        g2, bb.make_spectrum(g2, "fd"),
-        bb.parse_family("hpoly2:n=1,part=re;hpoly2:n=2,part=re"), backend="dense")
+        g2, bb.parse_family("hpoly2:n=1,part=re;hpoly2:n=2,part=re"), backend="dense")
     worst = max(worst, float(np.max(op2.operator_eigenvalues / np.sort(op2.lam) - 1.0)))
     tested.append((2, 961, 2))
     ok = worst <= 1e-12
@@ -166,17 +162,16 @@ def test_criterion_05_eigenvalue_ordering():
 
 def test_criterion_06_example_formula():
     g = bb.make_grid(1, [4], 1 / 16)
-    spectrum = bb.make_spectrum(g, "fd")
     worst = 0.0
     for a, b in ((0.0, 1.0), (2.0, 0.5), (1.0, -1.0)):
         fam = bb.HarmonicFamily((bb.Affine1D(a, b),))
-        op = bb.build_phi_operator(g, spectrum, fam, backend="dense")
+        op = bb.build_phi_operator(g, fam, backend="dense")
         r = vf.bc_r_matrix(op)
         t = np.array([a - 2.0 * b, a + 2.0 * b], dtype=complex)
         scalar = ((t.conj() @ r @ t) / (t.conj() @ t)).real
         expected = 1.0 / (abs(t[0]) ** 2 + abs(t[1]) ** 2)
         worst = max(worst, abs(scalar - expected) / expected)
-    op_x = bb.build_phi_operator(g, spectrum, bb.parse_family("affine:a=0,b=1"),
+    op_x = bb.build_phi_operator(g, bb.parse_family("affine:a=0,b=1"),
                                  backend="dense")
     bc = vf.boundary_condition_residual(op_x, 0, levels=3)
     ratios = bc.context["ratios"]
@@ -214,15 +209,13 @@ def test_criterion_08_theorem1_d2(converge_d2):
     assert all(r.N <= po.DENSE_LIMIT for r in report.rows)
     # dense is mandatory at or below the limit, Lanczos above
     grid = bb.make_grid(2, [8, 8], cfg.h)
-    spectrum = bb.make_spectrum(grid, cfg.spectrum_mode)
     family = bb.parse_family(cfg.family)
-    dense_op = bb.build_phi_operator(grid, spectrum, family, backend="auto")
+    dense_op = bb.build_phi_operator(grid, family, backend="auto")
     assert dense_op.backend == "dense" and grid.total == 3969
     big = bb.make_grid(1, [4226], 1.0)
-    assert bb.build_phi_operator(big, bb.make_spectrum(big, "fd"),
-                                 bb.HarmonicFamily(()), backend="auto").backend == "lanczos"
+    assert bb.build_phi_operator(big, bb.HarmonicFamily(()), backend="auto").backend == "lanczos"
     # cross-validation where both run
-    lanczos_op = bb.build_phi_operator(grid, spectrum, family, backend="lanczos")
+    lanczos_op = bb.build_phi_operator(grid, family, backend="lanczos")
     f = ct.parse_test_function(cfg.f)
     ff = bb.sample_function(grid, lambda x, y: ct.evaluate(f, x, y))
     qd = bb.quadratic_form(dense_op, bb.Bose(cfg.beta), ff)

@@ -210,6 +210,18 @@ class TestVerifySuite:
                 assert max(c.residuals.values()) <= 1e-13
 
 
+    def test_d2_hpoly_family_all_pass(self):
+        # the d = 2 verify configuration the benchmark runs
+        cfg = parse_config_text(
+            "kind = verify\ndim = 2\nfamily = hpoly2:n=1,part=re;hpoly2:n=2,part=re\n"
+            "L_list = 8\nh = 0.25\n")
+        checks = ex.run_verify_suite(cfg)
+        assert [c.name for c in checks] == [
+            "dirichlet_reduction", "krein_identity", "krein_identity", "domain_decomposition",
+            "eigenvalue_ordering", "split_identity", "wick_permanent"]
+        assert all(c.passed for c in checks), [c.to_dict() for c in checks if not c.passed]
+
+
 class TestCli:
     def test_verify_default_passes(self, tmp_path, capsys):
         rc = cli.main(["verify", "--out", str(tmp_path)])
@@ -234,6 +246,18 @@ class TestCli:
         bad.write_text("mystery = 3\n")
         assert cli.main(["converge", "--config", str(bad)]) == 2
 
+    def test_spectrum_mode_key_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("spectrum_mode = fd\n")
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "unknown key 'spectrum_mode'" in capsys.readouterr().err
+
+    def test_mode_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--mode", "fd"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mode fd" in capsys.readouterr().err
+
     # one out-of-range value per numeric key, with the words the error names;
     # each must be a config error (exit 2, one line on stderr) before any work
     OUT_OF_RANGE = [
@@ -251,6 +275,7 @@ class TestCli:
         ("converge", "quad_points", "1", "quad_points"),
         ("srs", "window_margin", "-50", "window_margin"),
         ("verify", "krein_z", "-1,nan", "krein_z"),
+        ("verify", "krein_z", "", "krein_z"),
         ("verify", "n_random", "0", "n_random"),
         ("verify", "seed", "-1", "seed"),
         ("wick", "wick_n", "0", "wick_n"),
@@ -267,8 +292,9 @@ class TestCli:
         assert named in err
         assert list(tmp_path.iterdir()) == [cfg]
 
-    # a spec string that does not parse or does not fit dim is a config error
-    # of the command that reads it, reported before any work
+    # a spec string that does not parse or does not fit dim, or a grid too
+    # coarse for the command, is a config error of the command that reads it,
+    # reported before any work
     BAD_SPECS = [
         ("wick", "dim = 2\nfamily = hpoly2:n=1,part=re\n", "wick"),
         ("converge", "family = hpoly2:n=1,part=re\n", "family"),
@@ -276,6 +302,7 @@ class TestCli:
         ("converge", "f = bogus:c=0\n", "bogus"),
         ("converge", "family = affine:a=zz\n", "zz"),
         ("fourier-dump", "dim = 2\n", "f does not match"),
+        ("verify", "L_list = 4\nh = 2\n", "L/h >= 4"),
     ]
 
     @pytest.mark.parametrize("command,text,named", BAD_SPECS)
@@ -374,9 +401,8 @@ class TestCli:
         doc = json.loads((tmp_path / "run_fourier.json").read_text())
         assert abs(doc["value_at_zero_re"]) <= 1e-14
 
-    def test_seed_and_mode_overrides(self, tmp_path):
-        rc = cli.main(["verify", "--out", str(tmp_path), "--seed", "99",
-                       "--mode", "fd", "--label", "v2"])
+    def test_seed_override(self, tmp_path):
+        rc = cli.main(["verify", "--out", str(tmp_path), "--seed", "99", "--label", "v2"])
         assert rc == 0
         doc = json.loads((tmp_path / "v2_checks.json").read_text())
         assert doc["config"]["seed"] == 99

@@ -54,7 +54,7 @@ def stencil_harmonic(draw):
 @given(grids(), st.integers(0, 2**32 - 1), st.booleans())
 def test_green_apply_inverts_stencil(grid, seed, complex_values):
     u = random_field(grid, seed, complex_values)
-    back = bb.green_apply(grid, bb.make_spectrum(grid, "fd"), bb.stencil_apply(grid, u))
+    back = bb.green_apply(grid, bb.stencil_apply(grid, u))
     assert np.abs(back.values - u.values).max() <= 1e-11 * np.abs(u.values).max()
 
 

@@ -139,7 +139,7 @@ class TestSineTransform:
 
     def test_stencil_via_transform(self, grid_2d):
         u = random_field(grid_2d, 7)
-        lam = bb.make_spectrum(grid_2d, "fd").tensor()
+        lam = bb.dirichlet_eigenvalues(grid_2d)
         c = bb.sine_transform(grid_2d, u, "forward")
         via = bb.sine_transform(grid_2d, bb.GridField(grid_2d, lam * c.values), "inverse")
         direct = bb.stencil_apply(grid_2d, u)
@@ -159,26 +159,21 @@ class TestDirichletSpectrum:
         assert g.total <= 64
         A = dense_stencil_matrix(g)
         brute = np.sort(np.linalg.eigvalsh(A))
-        lam = np.sort(bb.make_spectrum(g, "fd").tensor())
+        lam = np.sort(bb.dirichlet_eigenvalues(g))
         np.testing.assert_allclose(lam, brute, rtol=1e-10)
 
     def test_fd_mode_identity(self):
         g = bb.make_grid(1, [4], 0.125)
         L = 4.0
-        lam = bb.make_spectrum(g, "fd").axis_eigenvalues[0]
+        lam = bb.dirichlet_eigenvalues(g)
         for k in (1, 5, 17):
             u = bb.sample_function(g, lambda x: np.sin(k * np.pi * (x + L / 2) / L))
             out = bb.stencil_apply(g, u)
             np.testing.assert_allclose(out.values, lam[k - 1] * u.values, rtol=1e-12)
 
-    def test_spectral_mode(self):
-        g = bb.make_grid(1, [4], 0.5)
-        lam = bb.make_spectrum(g, "spectral").axis_eigenvalues[0]
-        np.testing.assert_allclose(lam, (np.arange(1, 8) * np.pi / 4) ** 2, rtol=1e-15)
-
     def test_sorted_and_positive(self):
         g = bb.make_grid(2, [4, 6], 0.5)
-        lam = np.sort(bb.make_spectrum(g, "fd").tensor())
+        lam = np.sort(bb.dirichlet_eigenvalues(g))
         assert lam[0] > 0
         assert np.all(np.diff(lam) >= 0)
 

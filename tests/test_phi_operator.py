@@ -13,9 +13,8 @@ BOSE_N1 = 1.055148339809722  # 1/(e^(2/3) - 1), scalar oracle for the N=1 box
 
 def n1_operator():
     g = bb.make_grid(1, [2], 1.0)
-    sp = bb.make_spectrum(g, "fd")
     fam = bb.HarmonicFamily((bb.Constant(1.0),))
-    return g, bb.build_phi_operator(g, sp, fam, backend="dense")
+    return g, bb.build_phi_operator(g, fam, backend="dense")
 
 
 class TestSpectralFunctions:
@@ -63,32 +62,29 @@ class TestSpectralFunctions:
 class TestGreenApply:
     def test_ones_gives_quadratic(self):
         g = bb.make_grid(1, [4], 0.25)
-        sp = bb.make_spectrum(g, "fd")
         ones = bb.GridField(g, np.ones(g.total))
-        out = bb.green_apply(g, sp, ones)
+        out = bb.green_apply(g, ones)
         L = 4.0
         expected = (L / 2 - g.axis_nodes(0)) * (L / 2 + g.axis_nodes(0)) / 2
         np.testing.assert_allclose(out.values, expected, atol=1e-13)
 
     def test_inverse_pair(self, grid_2d):
-        sp = bb.make_spectrum(grid_2d, "fd")
         u = random_field(grid_2d, 11)
-        back = bb.green_apply(grid_2d, sp, bb.stencil_apply(grid_2d, u))
+        back = bb.green_apply(grid_2d, bb.stencil_apply(grid_2d, u))
         assert np.abs(back.values - u.values).max() <= 1e-11 * np.abs(u.values).max()
 
     def test_single_mode_vs_dense_solve(self):
         g = bb.make_grid(1, [4], 0.25)
-        sp = bb.make_spectrum(g, "fd")
         L = 4.0
         u = bb.sample_function(g, lambda x: np.sin(3 * np.pi * (x + L / 2) / L))
-        out = bb.green_apply(g, sp, u)
+        out = bb.green_apply(g, u)
         # dense solve oracle
         from test_lattice import dense_stencil_matrix
 
         A = dense_stencil_matrix(g)
         oracle = np.linalg.solve(A, u.values)
         np.testing.assert_allclose(out.values, oracle, rtol=1e-11)
-        np.testing.assert_allclose(out.values, u.values / sp.axis_eigenvalues[0][2], rtol=1e-12)
+        np.testing.assert_allclose(out.values, u.values / bb.dirichlet_eigenvalues(g)[2], rtol=1e-12)
 
 
 class TestCondensateBasis:
@@ -131,9 +127,8 @@ class TestCondensateBasis:
         assert not basis.deflated
 
     def test_zero_columns_deflate_to_dirichlet(self, grid_1d):
-        sp = bb.make_spectrum(grid_1d, "fd")
         fam = bb.HarmonicFamily((bb.Constant(0.0),))
-        op = bb.build_phi_operator(grid_1d, sp, fam, backend="dense")
+        op = bb.build_phi_operator(grid_1d, fam, backend="dense")
         assert op.basis.rank == 0
         np.testing.assert_array_equal(np.sort(op.mu), np.sort(1.0 / op.lam))
 
@@ -154,16 +149,14 @@ class TestBuildOperator:
         np.testing.assert_allclose(op.operator_eigenvalues, [2 / 3])
 
     def test_empty_family_recovers_dirichlet(self, grid_1d):
-        sp = bb.make_spectrum(grid_1d, "fd")
-        op = bb.build_phi_operator(grid_1d, sp, bb.HarmonicFamily(()), backend="dense")
+        op = bb.build_phi_operator(grid_1d, bb.HarmonicFamily(()), backend="dense")
         np.testing.assert_array_equal(np.sort(op.mu), np.sort(1.0 / op.lam))
 
     def test_duplicate_column_doubles_rank_one_term(self, grid_1d):
-        sp = bb.make_spectrum(grid_1d, "fd")
         fam2 = bb.HarmonicFamily((bb.Affine1D(0.0, 1.0), bb.Affine1D(0.0, 1.0)))
         fam_scaled = bb.HarmonicFamily((bb.Affine1D(0.0, math.sqrt(2.0)),))
-        op2 = bb.build_phi_operator(grid_1d, sp, fam2, backend="dense")
-        op1 = bb.build_phi_operator(grid_1d, sp, fam_scaled, backend="dense")
+        op2 = bb.build_phi_operator(grid_1d, fam2, backend="dense")
+        op1 = bb.build_phi_operator(grid_1d, fam_scaled, backend="dense")
         u = random_field(grid_1d, 12)
         a = bb.apply_inverse(op2, u)
         b = bb.apply_inverse(op1, u)
@@ -173,27 +166,23 @@ class TestBuildOperator:
 
     def test_backend_auto_threshold(self):
         g_small = bb.make_grid(1, [128], 1.0)
-        sp = bb.make_spectrum(g_small, "fd")
-        op = bb.build_phi_operator(g_small, sp, bb.HarmonicFamily(()), backend="auto")
+        op = bb.build_phi_operator(g_small, bb.HarmonicFamily(()), backend="auto")
         assert op.backend == "dense"
         g_big = bb.make_grid(1, [4226], 1.0)
         assert g_big.total > po.DENSE_LIMIT
-        op = bb.build_phi_operator(g_big, bb.make_spectrum(g_big, "fd"),
-                                   bb.HarmonicFamily(()), backend="auto")
+        op = bb.build_phi_operator(g_big, bb.HarmonicFamily(()), backend="auto")
         assert op.backend == "lanczos" and op.mu is None
 
     def test_forward_inverse_pair(self, grid_1d):
-        sp = bb.make_spectrum(grid_1d, "fd")
         fam = bb.parse_family("affine:a=0,b=1;const:c=1")
-        op = bb.build_phi_operator(grid_1d, sp, fam, backend="dense")
+        op = bb.build_phi_operator(grid_1d, fam, backend="dense")
         u = random_field(grid_1d, 13)
         round1 = bb.apply_forward(op, bb.apply_inverse(op, u))
         assert np.abs(round1.values - u.values).max() <= 1e-10 * np.abs(u.values).max()
 
     def test_eigenpair_invariants(self, grid_1d):
-        sp = bb.make_spectrum(grid_1d, "fd")
         fam = bb.parse_family("affine:a=0,b=1;affine:a=1,b=0")
-        op = bb.build_phi_operator(grid_1d, sp, fam, backend="dense")
+        op = bb.build_phi_operator(grid_1d, fam, backend="dense")
         assert np.all(op.mu > 0)
         # orthonormal in the weighted inner product (plain dot in coefficients)
         V = op.unproject(np.eye(grid_1d.total))
@@ -239,8 +228,7 @@ class TestQuadraticForm:
         assert val.real == pytest.approx(1.0 * BOSE_N1, rel=1e-14)
 
     def test_shifted_inverse_vs_direct_solve(self, grid_1d):
-        sp = bb.make_spectrum(grid_1d, "fd")
-        op = bb.build_phi_operator(grid_1d, sp, bb.HarmonicFamily(()), backend="dense")
+        op = bb.build_phi_operator(grid_1d, bb.HarmonicFamily(()), backend="dense")
         f = random_field(grid_1d, 14)
         g = random_field(grid_1d, 15)
         val = bb.quadratic_form(op, bb.ShiftedInverse(-1.0), f, g)
@@ -253,17 +241,15 @@ class TestQuadraticForm:
         assert val == pytest.approx(oracle, rel=1e-10)
 
     def test_orthogonal_sine_modes(self, grid_1d):
-        sp = bb.make_spectrum(grid_1d, "fd")
-        op = bb.build_phi_operator(grid_1d, sp, bb.HarmonicFamily(()), backend="dense")
+        op = bb.build_phi_operator(grid_1d, bb.HarmonicFamily(()), backend="dense")
         L = 4.0
         f = bb.sample_function(grid_1d, lambda x: np.sin(np.pi * (x + 2) / L))
         g = bb.sample_function(grid_1d, lambda x: np.sin(2 * np.pi * (x + 2) / L))
         assert abs(bb.quadratic_form(op, bb.SimpleResolvent(), f, g)) <= 1e-12
 
     def test_conjugate_symmetry_complex(self, grid_1d):
-        sp = bb.make_spectrum(grid_1d, "fd")
         fam = bb.parse_family("affine:a=0,b=1")
-        op = bb.build_phi_operator(grid_1d, sp, fam, backend="dense")
+        op = bb.build_phi_operator(grid_1d, fam, backend="dense")
         f = random_field(grid_1d, 16, complex_values=True)
         g = random_field(grid_1d, 17, complex_values=True)
         ab = bb.quadratic_form(op, bb.Bose(1.0), f, g)
@@ -271,16 +257,14 @@ class TestQuadraticForm:
         assert ab == pytest.approx(np.conj(ba), rel=1e-12)
 
     def test_grid_mismatch(self, grid_1d, grid_1d_small):
-        sp = bb.make_spectrum(grid_1d, "fd")
-        op = bb.build_phi_operator(grid_1d, sp, bb.HarmonicFamily(()), backend="dense")
+        op = bb.build_phi_operator(grid_1d, bb.HarmonicFamily(()), backend="dense")
         with pytest.raises(ValueError, match="grid"):
             bb.quadratic_form(op, bb.SimpleResolvent(), random_field(grid_1d_small, 1))
 
 
 class TestTwoPointLhs:
     def test_split_identity_empty_family(self, grid_1d, dipole):
-        sp = bb.make_spectrum(grid_1d, "fd")
-        op = bb.build_phi_operator(grid_1d, sp, bb.HarmonicFamily(()), backend="dense")
+        op = bb.build_phi_operator(grid_1d, bb.HarmonicFamily(()), backend="dense")
         f = bb.sample_function(grid_1d, lambda x: ct.evaluate(dipole, x))
         tp = bb.two_point_lhs(op, 1.0, f)
         assert tp.split_agreement <= 1e-12
@@ -296,17 +280,15 @@ class TestTwoPointLhs:
         assert tp.split_agreement <= 1e-14
 
     def test_diagonal_real_nonnegative(self, grid_1d):
-        sp = bb.make_spectrum(grid_1d, "fd")
         fam = bb.parse_family("affine:a=0,b=1")
-        op = bb.build_phi_operator(grid_1d, sp, fam, backend="dense")
+        op = bb.build_phi_operator(grid_1d, fam, backend="dense")
         f = random_field(grid_1d, 18)
         tp = bb.two_point_lhs(op, 0.7, f)
         assert abs(tp.direct.imag) <= 1e-12 * abs(tp.direct)
         assert tp.direct.real >= 0
 
     def test_beta_validation(self, grid_1d):
-        sp = bb.make_spectrum(grid_1d, "fd")
-        op = bb.build_phi_operator(grid_1d, sp, bb.HarmonicFamily(()), backend="dense")
+        op = bb.build_phi_operator(grid_1d, bb.HarmonicFamily(()), backend="dense")
         with pytest.raises(ValueError, match="beta"):
             bb.two_point_lhs(op, 0.0, random_field(grid_1d, 19))
 
@@ -317,8 +299,7 @@ class TestOrderingInvariant:
         "affine:a=0,b=1;affine:a=1,b=0",
     ])
     def test_modified_below_dirichlet(self, grid_1d, family):
-        sp = bb.make_spectrum(grid_1d, "fd")
-        op = bb.build_phi_operator(grid_1d, sp, bb.parse_family(family), backend="dense")
+        op = bb.build_phi_operator(grid_1d, bb.parse_family(family), backend="dense")
         nu = op.operator_eigenvalues
         nu0 = np.sort(op.lam)
         assert np.all(nu <= nu0 * (1 + 1e-12))
@@ -328,9 +309,8 @@ class TestOrderingInvariant:
 
 class TestShiftedSolve:
     def test_matches_dense_spectral_apply(self, grid_1d):
-        sp = bb.make_spectrum(grid_1d, "fd")
         fam = bb.parse_family("affine:a=0,b=1;const:c=1")
-        op = bb.build_phi_operator(grid_1d, sp, fam, backend="dense")
+        op = bb.build_phi_operator(grid_1d, fam, backend="dense")
         u = random_field(grid_1d, 20)
         woodbury = bb.shifted_solve(op, u, 1.0)
         # dense spectral oracle
@@ -359,9 +339,8 @@ class TestLocality:
 
     def test_discrete_harmonic_exact(self):
         g = bb.make_grid(2, [4, 4], 0.125)
-        sp = bb.make_spectrum(g, "fd")
         fam = bb.HarmonicFamily((bb.ExpCos2D(k=1.0),))
-        op = bb.build_phi_operator(g, sp, fam, "discrete-harmonic", "dense")
+        op = bb.build_phi_operator(g, fam, "discrete-harmonic", "dense")
         assert self._forward_residual(op, self._bump_field(g)) <= 1e-10
 
     def test_sampled_second_order(self):
@@ -369,27 +348,24 @@ class TestLocality:
         res = []
         for h in (0.125, 0.0625, 0.03125):
             g = bb.make_grid(2, [4, 4], h)
-            sp = bb.make_spectrum(g, "fd")
-            op = bb.build_phi_operator(g, sp, fam, "sampled", "lanczos")
+            op = bb.build_phi_operator(g, fam, "sampled", "lanczos")
             res.append(self._inverse_residual(op, self._bump_field(g)))
         ratios = [res[i] / res[i + 1] for i in range(2)]
         assert all(3.5 <= r <= 4.5 for r in ratios)
 
     def test_inverse_residual_exact_in_discrete_harmonic_mode(self):
         g = bb.make_grid(2, [4, 4], 0.125)
-        sp = bb.make_spectrum(g, "fd")
         fam = bb.HarmonicFamily((bb.ExpCos2D(k=1.0),))
-        op = bb.build_phi_operator(g, sp, fam, "discrete-harmonic", "lanczos")
+        op = bb.build_phi_operator(g, fam, "discrete-harmonic", "lanczos")
         assert self._inverse_residual(op, self._bump_field(g)) <= 1e-11
 
 
 class TestLanczos:
     def test_agrees_with_dense(self):
         g = bb.make_grid(1, [8], 1 / 32)  # N = 255
-        sp = bb.make_spectrum(g, "fd")
         fam = bb.parse_family("affine:a=0,b=1")
-        dense = bb.build_phi_operator(g, sp, fam, backend="dense")
-        lanc = bb.build_phi_operator(g, sp, fam, backend="lanczos")
+        dense = bb.build_phi_operator(g, fam, backend="dense")
+        lanc = bb.build_phi_operator(g, fam, backend="lanczos")
         f = bb.sample_function(g, lambda x: ct.evaluate(
             ct.Dipole(center=(0.0,), offset=1.0, halfwidth=(0.75,)), x))
         for F in (bb.Bose(1.0), bb.BoseRegular(1.0), bb.SimpleResolvent()):
@@ -399,10 +375,9 @@ class TestLanczos:
 
     def test_bilinear_polarization_agrees_with_dense(self):
         g = bb.make_grid(1, [8], 1 / 16)
-        sp = bb.make_spectrum(g, "fd")
         fam = bb.parse_family("affine:a=0,b=1")
-        dense = bb.build_phi_operator(g, sp, fam, backend="dense")
-        lanc = bb.build_phi_operator(g, sp, fam, backend="lanczos")
+        dense = bb.build_phi_operator(g, fam, backend="dense")
+        lanc = bb.build_phi_operator(g, fam, backend="lanczos")
         f = random_field(g, 21)
         gg = random_field(g, 22)
         qd = bb.quadratic_form(dense, bb.SimpleResolvent(), f, gg)
@@ -410,8 +385,7 @@ class TestLanczos:
         assert abs(ql - qd) <= 1e-8 * max(abs(qd), 1e-30)
 
     def test_eigenvector_start_converges_in_one_step(self, grid_1d):
-        sp = bb.make_spectrum(grid_1d, "fd")
-        op = bb.build_phi_operator(grid_1d, sp, bb.HarmonicFamily(()), backend="dense")
+        op = bb.build_phi_operator(grid_1d, bb.HarmonicFamily(()), backend="dense")
         L = 4.0
         mode = bb.sample_function(grid_1d, lambda x: np.sin(np.pi * (x + 2) / L))
         res = bb.lanczos_quadratic_form(op, (bb.SimpleResolvent(),), mode)
@@ -428,8 +402,7 @@ class TestLanczos:
         ("real", "affine:a=1j,b=1", 4),
     ])
     def test_one_recursion_per_polarization_term(self, grid_1d, monkeypatch, pair, family, calls):
-        sp = bb.make_spectrum(grid_1d, "fd")
-        op = bb.build_phi_operator(grid_1d, sp, bb.parse_family(family), backend="lanczos")
+        op = bb.build_phi_operator(grid_1d, bb.parse_family(family), backend="lanczos")
         recursion = po.lanczos_quadratic_form
         starts = []
 
@@ -444,8 +417,7 @@ class TestLanczos:
         assert len(starts) == calls
 
     def test_unconverged_value_raises(self, grid_1d, monkeypatch):
-        sp = bb.make_spectrum(grid_1d, "fd")
-        op = bb.build_phi_operator(grid_1d, sp, bb.HarmonicFamily(()), backend="lanczos")
+        op = bb.build_phi_operator(grid_1d, bb.HarmonicFamily(()), backend="lanczos")
 
         def unconverged(op, F, f, steps=200, tolerance=1e-10):
             return po.LanczosResult(value=1.0, steps=steps, converged=False)
@@ -458,15 +430,13 @@ class TestLanczos:
             bb.quadratic_form(op, bb.SimpleResolvent(), f, g)
 
     def test_zero_steps_invalid(self, grid_1d):
-        sp = bb.make_spectrum(grid_1d, "fd")
-        op = bb.build_phi_operator(grid_1d, sp, bb.HarmonicFamily(()), backend="lanczos")
+        op = bb.build_phi_operator(grid_1d, bb.HarmonicFamily(()), backend="lanczos")
         with pytest.raises(ValueError, match="steps"):
             bb.lanczos_quadratic_form(op, (bb.SimpleResolvent(),), random_field(grid_1d, 23),
                                       steps=0)
 
     def test_zero_start_invalid(self, grid_1d):
-        sp = bb.make_spectrum(grid_1d, "fd")
-        op = bb.build_phi_operator(grid_1d, sp, bb.HarmonicFamily(()), backend="lanczos")
+        op = bb.build_phi_operator(grid_1d, bb.HarmonicFamily(()), backend="lanczos")
         with pytest.raises(ValueError, match="nonzero"):
             bb.lanczos_quadratic_form(op, (bb.SimpleResolvent(),),
                                       bb.GridField(grid_1d, np.zeros(grid_1d.total)))
