@@ -21,11 +21,8 @@ from . import experiments
 
 def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="experiment config file")
-    parser.add_argument("--out", metavar="DIR", help="output directory (overrides config)")
-    parser.add_argument("--backend", choices=["auto", "dense", "lanczos"],
-                        help="operator backend (overrides config)")
-    parser.add_argument("--seed", type=int, help="seed for randomized checks")
-    parser.add_argument("--label", help="output file basename (overrides config)")
+    parser.add_argument("--out", metavar="DIR", default="out", help="output directory")
+    parser.add_argument("--label", default="run", help="output file basename")
     parser.add_argument("--log-level", choices=["DEBUG", "INFO", "WARNING", "ERROR"],
                         default="WARNING",
                         help="log messages of this level and above go to stderr")
@@ -50,18 +47,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args: argparse.Namespace, kind: str) -> ExperimentConfig:
+def _load_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The experiment of ``--config`` (or the default one), for this command."""
+    kind = {"fourier-dump": "fourier"}.get(args.command, args.command)
     cfg = parse_config(args.config) if args.config else ExperimentConfig()
+    if cfg.kind not in ("", kind):
+        raise ConfigError(f"kind = {cfg.kind!r} does not match the command {args.command!r}")
     cfg.kind = kind
-    if args.out:
-        cfg.out = args.out
-    if args.backend:
-        cfg.backend = args.backend
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.label:
-        cfg.label = args.label
-    cfg.validate()
     return cfg
 
 
@@ -89,12 +81,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
-    kind = {"fourier-dump": "fourier"}.get(args.command, args.command)
     try:
-        cfg = _load_config(args, kind)
+        cfg = _load_config(args)
         if args.command == "converge":
             report = experiments.run_converge_sweep(cfg)
-            paths = experiments.emit_converge(report, cfg.out, cfg.label)
+            paths = experiments.emit_converge(report, args.out, args.label)
             for p in paths:
                 print(p)
             final = report.final_rows()[-1]
@@ -103,7 +94,7 @@ def _run(args: argparse.Namespace) -> int:
             return 0 if report.strictly_decreasing() else 1
         if args.command == "srs":
             report = experiments.run_srs_sweep(cfg)
-            paths = experiments.emit_srs(report, cfg.out, cfg.label)
+            paths = experiments.emit_srs(report, args.out, args.label)
             for p in paths:
                 print(p)
             print(f"final err = {report.rows[-1].err:.6e}  "
@@ -111,7 +102,7 @@ def _run(args: argparse.Namespace) -> int:
             return 0 if report.all_decreasing() else 1
         if args.command == "verify":
             checks = experiments.run_verify_suite(cfg)
-            paths = experiments.emit_checks(checks, cfg, cfg.out, cfg.label)
+            paths = experiments.emit_checks(checks, cfg, args.out, args.label)
             ok = True
             for c in checks:
                 status = "PASS" if c.passed else "FAIL"
@@ -125,14 +116,14 @@ def _run(args: argparse.Namespace) -> int:
             return 0 if ok else 1
         if args.command == "wick":
             payload = experiments.run_wick_demo(cfg)
-            paths = experiments.emit_wick(payload, cfg, cfg.out, cfg.label)
+            paths = experiments.emit_wick(payload, cfg, args.out, args.label)
             for p in paths:
                 print(p)
             print(f"n = {payload['n']}  permanent = "
                   f"{payload['npoint_value_re']:.12e} + {payload['npoint_value_im']:.3e}j")
             return 0
         if args.command == "fourier-dump":
-            paths = experiments.emit_fourier(cfg, cfg.out, cfg.label)
+            paths = experiments.emit_fourier(cfg, args.out, args.label)
             for p in paths:
                 print(p)
             return 0

@@ -43,7 +43,7 @@ class ExperimentConfig:
     h = 1/16.
     """
 
-    kind: str = "converge"                  # converge | srs | verify | wick | fourier
+    kind: str = ""                          # '' or the command's: converge | srs | verify | wick | fourier
     dim: int = 1
     beta: float = 1.0
     family: str = "affine:a=0,b=1"          # ';'-separated harmonic specs ('' = empty)
@@ -57,19 +57,13 @@ class ExperimentConfig:
     h: float = 0.0625
     h_richardson: float = 0.0               # second (finer) spacing; 0 disables
     backend: str = "auto"                   # auto | dense | lanczos
-    sampling_mode: str = "sampled"          # sampled | discrete-harmonic
     cutoff: float = 80.0                    # momentum cutoff of the Fourier oracle
     p_spacing: float = 0.02                 # momentum grid spacing
     quad_points: int = 2048                 # spatial quadrature points per axis
     window_margin: float = 2.0              # srs comparison window beyond supp u
-    krein_z: str = "-1,-2.5"                # spectral parameters for the verify suite
-    n_random: int = 20                      # random fields per randomized check
     wick_n: int = 3                         # matrix size for the wick demo
     seed: int = 1234
     zero_wall_time: bool = False            # zero the wall_time_s column (golden runs)
-    svg: bool = True
-    out: str = "out"
-    label: str = "run"
 
     def lengths(self) -> list[float]:
         try:
@@ -87,26 +81,14 @@ class ExperimentConfig:
                  f"L schedule must be strictly increasing, got {Ls}")
         return Ls
 
-    def krein_shifts(self) -> list[float]:
-        try:
-            zs = [float(t) for t in self.krein_z.split(",") if t.strip()]
-        except ValueError as e:
-            raise ConfigError(f"bad krein_z: {e}") from None
-        _require(len(zs) >= 1, "krein_z needs at least one shift")
-        _require(all(math.isfinite(z) and z < 0 for z in zs),
-                 "krein_z entries must be finite and negative")
-        return zs
-
     def validate(self) -> None:
         """Reject unknown choices and numeric values that are not finite or in range."""
-        if self.kind not in ("converge", "srs", "verify", "wick", "fourier"):
+        if self.kind not in ("", "converge", "srs", "verify", "wick", "fourier"):
             raise ConfigError(f"unknown kind {self.kind!r}")
         if self.dim not in (1, 2):
             raise ConfigError(f"dim must be 1 or 2, got {self.dim}")
         if self.backend not in ("auto", "dense", "lanczos"):
             raise ConfigError(f"unknown backend {self.backend!r}")
-        if self.sampling_mode not in ("sampled", "discrete-harmonic"):
-            raise ConfigError(f"unknown sampling_mode {self.sampling_mode!r}")
         for key in ("beta", "h", "cutoff", "p_spacing"):
             value = getattr(self, key)
             _require(math.isfinite(value) and value > 0,
@@ -126,10 +108,9 @@ class ExperimentConfig:
                  "cutoff / p_spacing must be finite and >= 2")
         _require(math.isfinite(self.window_margin) and self.window_margin >= 0,
                  f"window_margin must be finite and >= 0, got {self.window_margin}")
-        for key, low in (("quad_points", 8), ("n_random", 1), ("wick_n", 1), ("seed", 0)):
+        for key, low in (("quad_points", 8), ("wick_n", 1), ("seed", 0)):
             _require(getattr(self, key) >= low, f"{key} must be >= {low}, got {getattr(self, key)}")
         _require(self.wick_n <= 12, "wick_n must be <= 12, the limit of the Ryser permanent")
-        self.krein_shifts()
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

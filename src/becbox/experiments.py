@@ -61,6 +61,9 @@ SRS_HEADER = ["L", "N", "h", "err", "decreasing", "wall_time_s"]
 # decreasing flag tolerates that much rounding.
 DECREASING_SLACK = 1e-6
 
+VERIFY_SHIFTS = (-1.0, -2.5)  # spectral parameters of the verify suite's Krein checks
+VERIFY_FIELDS = 20            # random fields per randomized verify check
+
 
 def _parsed(cfg: ExperimentConfig, key: str):
     """The family or test function config key ``key`` names; a string that
@@ -128,7 +131,7 @@ def _sweep_rows(cfg: ExperimentConfig, family, f, g, rhs_total: complex, h: floa
     for L in cfg.lengths():
         t0 = time.perf_counter()
         grid = make_grid(cfg.dim, [L] * cfg.dim, h)
-        op = build_phi_operator(grid, family, cfg.sampling_mode, cfg.backend)
+        op = build_phi_operator(grid, family, backend=cfg.backend)
         ff = sample_function(grid, partial(ct.evaluate, f))
         gg = ff if g is None else sample_function(grid, partial(ct.evaluate, g))
         tp = two_point_lhs(op, cfg.beta, ff, gg)
@@ -237,7 +240,7 @@ def run_srs_sweep(cfg: ExperimentConfig) -> SrsReport:
     for L in Ls:
         t0 = time.perf_counter()
         grid = make_grid(cfg.dim, [L] * cfg.dim, cfg.h)
-        op = build_phi_operator(grid, family, cfg.sampling_mode, "lanczos")
+        op = build_phi_operator(grid, family, backend="lanczos")
         y = shifted_solve(op, sample_function(grid, partial(ct.evaluate, u)), 1.0)
         vals = y.values[window_mask(grid)]
         err = float(np.sqrt(grid.weight * np.sum(np.abs(vals - ref) ** 2)))
@@ -260,7 +263,7 @@ def run_verify_suite(cfg: ExperimentConfig) -> list[CheckReport]:
     if cfg.dim == 1 and round(L / cfg.h) < 4:
         raise ConfigError(f"verify in d = 1 needs L/h >= 4, got L = {L}, h = {cfg.h}")
     grid = make_grid(cfg.dim, [L] * cfg.dim, cfg.h)
-    op = build_phi_operator(grid, family, cfg.sampling_mode, "dense")
+    op = build_phi_operator(grid, family, backend="dense")
 
     # reduction check on the canonical unit-spacing grid, where the operator
     # eigenvalues are O(1) and the 1e-13 absolute tolerance is meaningful
@@ -269,10 +272,10 @@ def run_verify_suite(cfg: ExperimentConfig) -> list[CheckReport]:
     else:
         canonical = make_grid(2, [32.0, 32.0], 1.0)
     checks: list[CheckReport] = [dirichlet_reduction_check(canonical)]
-    for z in cfg.krein_shifts():
-        checks.append(krein_identity_residual(op, z, cfg.n_random, cfg.seed))
+    for z in VERIFY_SHIFTS:
+        checks.append(krein_identity_residual(op, z, VERIFY_FIELDS, cfg.seed))
 
-    ws = np.random.default_rng(cfg.seed).standard_normal((cfg.n_random, grid.total))
+    ws = np.random.default_rng(cfg.seed).standard_normal((VERIFY_FIELDS, grid.total))
     checks.append(domain_decomposition_check(op, [GridField(grid, w) for w in ws]))
 
     checks.append(ordering_check(op))
@@ -300,7 +303,7 @@ def run_wick_demo(cfg: ExperimentConfig) -> dict:
     family = _parsed(cfg, "family")
     L = cfg.lengths()[0]
     grid = make_grid(1, [L], cfg.h)
-    op = build_phi_operator(grid, family, cfg.sampling_mode, "dense")
+    op = build_phi_operator(grid, family, backend="dense")
     centers = [-L / 4 + (i + 1) * (L / 2) / (n + 1) for i in range(n)]
     width = min(0.4, (L / 2) / (n + 1) / 2.2)
     fields = [
@@ -390,16 +393,12 @@ def emit_converge(report: ConvergenceReport, out_dir: str, label: str) -> list[s
     }
     reports.write_json(f"{base}.json", summary)
     paths.append(f"{base}.json")
-    if cfg.get("svg"):
-        series = {"rel_err": [(r.L, r.rel_err) for r in report.rows]}
-        if report.rows_richardson is not None:
-            series["rel_err (richardson)"] = [
-                (r.L, r.rel_err) for r in report.rows_richardson
-            ]
-        svg = reports.svg_loglog(series, "L", "relative error",
-                                 "two-point convergence")
-        reports.atomic_write(f"{base}.svg", svg)
-        paths.append(f"{base}.svg")
+    series = {"rel_err": [(r.L, r.rel_err) for r in report.rows]}
+    if report.rows_richardson is not None:
+        series["rel_err (richardson)"] = [(r.L, r.rel_err) for r in report.rows_richardson]
+    svg = reports.svg_loglog(series, "L", "relative error", "two-point convergence")
+    reports.atomic_write(f"{base}.svg", svg)
+    paths.append(f"{base}.svg")
     return paths
 
 
@@ -421,13 +420,10 @@ def emit_srs(report: SrsReport, out_dir: str, label: str) -> list[str]:
         "pass": report.all_decreasing(),
     }
     reports.write_json(f"{base}_srs.json", summary)
-    paths = [f"{base}_srs.csv", f"{base}_srs.json"]
-    if cfg.get("svg"):
-        svg = reports.svg_loglog({"err": [(r.L, r.err) for r in report.rows]},
-                                 "L", "window error", "strong resolvent convergence")
-        reports.atomic_write(f"{base}_srs.svg", svg)
-        paths.append(f"{base}_srs.svg")
-    return paths
+    svg = reports.svg_loglog({"err": [(r.L, r.err) for r in report.rows]},
+                             "L", "window error", "strong resolvent convergence")
+    reports.atomic_write(f"{base}_srs.svg", svg)
+    return [f"{base}_srs.csv", f"{base}_srs.json", f"{base}_srs.svg"]
 
 
 def emit_checks(checks: list[CheckReport], cfg: ExperimentConfig,

@@ -88,10 +88,6 @@ class GridField:
     def reshaped(self) -> np.ndarray:
         return self.values.reshape(self.grid.counts)
 
-    def norm(self) -> float:
-        """Weighted L2 norm sqrt(h^d * sum |u|^2)."""
-        return float(np.sqrt(self.grid.weight) * np.linalg.norm(self.values))
-
 
 def make_grid(dim: int, lengths, spacing: float) -> Grid:
     """Build a grid, rejecting box sides that are not integer multiples of h.

@@ -3,7 +3,9 @@
 A name in a module's ``__all__`` is reached when another function or module
 of ``src/becbox`` refers to it; the re-exports in ``__init__`` do not count.
 A public method or property of a class in ``__all__``, named ``Class.name``,
-is reached when code outside its own body reads an attribute of that name.
+is reached when code outside its own body reads an attribute of that name
+from anything but an imported module: ``np.linalg.norm`` or a local variable
+``norm`` does not reach ``GridField.norm``.
 A name that nothing reaches must be listed, with its reason, in the
 ``## Library API`` table of README.md, and that table lists nothing else.
 The sources are read with ``ast``; nothing is imported.
@@ -41,12 +43,30 @@ def _defines(node) -> set:
     return set()
 
 
-def _referenced(node):
+def _imported_modules(tree) -> set:
+    """Names a module binds to modules: ``import x [as y]`` and ``from . import x``."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            out.update(a.asname or a.name.split(".")[0] for a in n.names)
+        elif isinstance(n, ast.ImportFrom) and n.module is None:
+            out.update(a.asname or a.name for a in n.names)
+    return out
+
+
+def _root(node):
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _referenced(node, modules: set):
+    """(name, whether it is an attribute read from something other than a module)."""
     for n in ast.walk(node):
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-            yield n.id
+            yield n.id, False
         elif isinstance(n, ast.Attribute):
-            yield n.attr
+            yield n.attr, _root(n.value) not in modules
 
 
 def _is_method(node) -> bool:
@@ -67,9 +87,11 @@ def exported() -> dict:
 
 
 def _uses():
-    """(module, names defined where the reference sits, referenced name); a
-    method's own body also defines its Class.name."""
+    """(module, names defined where the reference sits, referenced name,
+    whether it can reach a method); a method's own body also defines its
+    Class.name."""
     for mod, tree in _modules().items():
+        modules = _imported_modules(tree)
         for node in tree.body:
             if not isinstance(node, ast.ClassDef):
                 parts = [node]
@@ -79,15 +101,16 @@ def _uses():
                 owners = _defines(node)
                 if part is not node and _is_method(part):
                     owners = owners | {f"{node.name}.{part.name}"}
-                for name in _referenced(part):
-                    yield mod, owners, name
+                for name, reaches_method in _referenced(part, modules):
+                    yield mod, owners, name, reaches_method
 
 
 def unreached() -> set:
     uses = list(_uses())
     return {name for name, mod in exported().items()
             if not any(used == name.rsplit(".", 1)[-1] and (m != mod or name not in owners)
-                       for m, owners, used in uses)}
+                       and (reaches_method or "." not in name)
+                       for m, owners, used, reaches_method in uses)}
 
 
 def listed() -> dict:

@@ -53,13 +53,9 @@ class TestConfig:
         assert cfg.lengths() == [4.0, 6.0, 8.0]
 
     def test_bool_and_comments(self):
-        cfg = parse_config_text("# comment\nzero_wall_time = yes\nsvg = off\n")
+        cfg = parse_config_text("# comment\nzero_wall_time = yes\n")
         assert cfg.zero_wall_time is True
-        assert cfg.svg is False
-
-    def test_krein_z_negative(self):
-        with pytest.raises(ConfigError, match="negative"):
-            parse_config_text("krein_z = -1,0.5")
+        assert parse_config_text("zero_wall_time = off\n").zero_wall_time is False
 
     def test_beta_positive(self):
         with pytest.raises(ConfigError, match="beta"):
@@ -274,9 +270,6 @@ class TestCli:
         ("converge", "p_spacing", "100", "p_spacing"),
         ("converge", "quad_points", "1", "quad_points"),
         ("srs", "window_margin", "-50", "window_margin"),
-        ("verify", "krein_z", "-1,nan", "krein_z"),
-        ("verify", "krein_z", "", "krein_z"),
-        ("verify", "n_random", "0", "n_random"),
         ("verify", "seed", "-1", "seed"),
         ("wick", "wick_n", "0", "wick_n"),
     ]
@@ -363,9 +356,8 @@ class TestCli:
 
         monkeypatch.setattr(po, "lanczos_quadratic_form", unconverged)
         cfg = tmp_path / "c.cfg"
-        cfg.write_text(MINI_CONVERGE)
-        rc = cli.main(["converge", "--config", str(cfg), "--out", str(tmp_path),
-                       "--backend", "lanczos"])
+        cfg.write_text(MINI_CONVERGE + "backend = lanczos\n")
+        rc = cli.main(["converge", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "converge" in err
@@ -401,8 +393,41 @@ class TestCli:
         doc = json.loads((tmp_path / "run_fourier.json").read_text())
         assert abs(doc["value_at_zero_re"]) <= 1e-14
 
-    def test_seed_override(self, tmp_path):
-        rc = cli.main(["verify", "--out", str(tmp_path), "--seed", "99", "--label", "v2"])
-        assert rc == 0
-        doc = json.loads((tmp_path / "v2_checks.json").read_text())
-        assert doc["config"]["seed"] == 99
+    def test_kind_of_another_command_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("kind = srs\n")
+        rc = cli.main(["wick", "--config", str(cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+        assert "kind" in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("key,value", [
+        ("sampling_mode", "sampled"), ("krein_z", "-1,-2.5"), ("n_random", "20"),
+        ("svg", "true"), ("out", "out"), ("label", "run"),
+    ])
+    def test_deleted_key_is_unknown(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--backend", "dense"), ("--seed", "99")])
+    def test_deleted_flag_is_a_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    def test_input_hash_ignores_out_and_label(self, tmp_path):
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text("kind = wick\nwick_n = 3\nL_start = 4\nh = 0.0625\n")
+        docs = []
+        for out, label in (("a", "run"), ("b", "other")):
+            rc = cli.main(["wick", "--config", str(cfg), "--out", str(tmp_path / out),
+                           "--label", label])
+            assert rc == 0
+            docs.append(json.loads((tmp_path / out / f"{label}_wick.json").read_text()))
+        assert docs[0]["input_hash"] == docs[1]["input_hash"]
+        assert docs[0] == docs[1]

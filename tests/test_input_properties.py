@@ -35,7 +35,7 @@ numbers = st.one_of(
 def value_text(key):
     if key == "L_steps":
         return st.one_of(st.integers(-5, 2000).map(str), st.sampled_from(NUMBER_WORDS))
-    if key in ("L_list", "krein_z"):
+    if key == "L_list":
         return st.lists(numbers, min_size=0, max_size=6).map(",".join)
     if FIELD_TYPES[key] in ("int", "float"):
         return numbers
@@ -62,9 +62,8 @@ def _assert_in_range(cfg: ExperimentConfig) -> None:
     assert min(cfg.beta, cfg.h, cfg.cutoff, cfg.p_spacing) > 0
     assert 0 <= cfg.h_richardson < cfg.h
     assert cfg.cutoff / cfg.p_spacing >= 2 and cfg.quad_points >= 8
-    assert cfg.window_margin >= 0 and cfg.n_random >= 1 and cfg.seed >= 0
+    assert cfg.window_margin >= 0 and cfg.seed >= 0
     assert 1 <= cfg.wick_n <= 12
-    assert all(math.isfinite(z) and z < 0 for z in cfg.krein_shifts())
 
 
 @settings(max_examples=300)

@@ -114,7 +114,8 @@ class TestStencil:
         lv = bb.stencil_apply(grid_2d, v)
         lhs = bb.inner_product(lu, v)
         rhs = bb.inner_product(u, lv)
-        assert abs(lhs - rhs) <= 1e-12 * u.norm() * v.norm()
+        norm_u, norm_v = (np.sqrt(grid_2d.weight) * np.linalg.norm(w.values) for w in (u, v))
+        assert abs(lhs - rhs) <= 1e-12 * norm_u * norm_v
 
 
 class TestSineTransform:
@@ -135,7 +136,8 @@ class TestSineTransform:
     def test_parseval(self, grid_2d):
         u = random_field(grid_2d, 6, complex_values=True)
         c = bb.sine_transform(grid_2d, u, "forward")
-        assert np.linalg.norm(c.values) == pytest.approx(u.norm(), rel=1e-13)
+        norm_u = np.sqrt(grid_2d.weight) * np.linalg.norm(u.values)  # sqrt(h^d sum |u|^2)
+        assert np.linalg.norm(c.values) == pytest.approx(norm_u, rel=1e-13)
 
     def test_stencil_via_transform(self, grid_2d):
         u = random_field(grid_2d, 7)
