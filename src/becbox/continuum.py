@@ -17,13 +17,14 @@ quadrature over the support converges faster than any power of the step.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Union
 
 import numpy as np
 
-from .harmonics import _format_number, _parse_number, eval_harmonic
+from .harmonics import _format_number, _parse_number, harmonic_factors
 from .phi_operator import Bose, BoseRegular
 
 __all__ = [
@@ -50,6 +51,9 @@ __all__ = [
 ]
 
 ZERO_MEAN_RTOL = 1e-8
+
+# rows of a d=2 momentum table read at a time: no temporary is table-sized
+ROW_BLOCK = 32
 
 
 class HypothesisError(ValueError):
@@ -170,25 +174,37 @@ def _axis_quadrature(lo: float, hi: float, quad_points: int):
     return x, _trapezoid_weights(quad_points, x[1] - x[0])
 
 
+def _axis_factors(spec, axes):
+    """(coefficient, real 1d factors on ``axes``) per tensor term of a test
+    function or harmonic spec."""
+    if not isinstance(spec, (Bump, Dipole)):
+        return harmonic_factors(spec, *axes)
+    if spec.dim != len(axes):
+        raise ValueError(f"expected {spec.dim} axes, got {len(axes)}")
+    return [(coeff, tuple(bump_profile((x - c) / a) for x, (c, a) in zip(axes, factors)))
+            for coeff, factors in _tensor_terms(spec)]
+
+
 def overlap_integral(spec: TestFunctionSpec, fns, quad_points: int = 2048) -> list[complex]:
     """integral conj(f(x)) * fn(x) dx over the support of f, for each fn in ``fns``.
 
-    f is evaluated once on the open tensor trapezoid mesh over its support
-    bounding box; each ``fn`` takes the per-axis mesh arrays and must broadcast.
+    Each ``fn`` is a harmonic spec, or a test function (for integral conj(f) g).
+    Both f and fn are short sums of products of 1d factors, so the tensor
+    trapezoid sum over the support bounding box of f is a sum of products of
+    1d trapezoid sums on its per-axis nodes; f's factors are evaluated once.
     """
-    if not fns:
-        return []
     axes, weights = zip(*(_axis_quadrature(lo, hi, quad_points)
                           for lo, hi in support_bounds(spec)))
-    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-    conj_f = np.conj(evaluate(spec, *mesh))
+    f_terms = [(np.conj(coeff), [w * u for w, u in zip(weights, factors)])
+               for coeff, factors in _axis_factors(spec, axes)]
     out = []
     for fn in fns:
-        # not `*`, which may swap the factors into a temporary: complex products round by order
-        vals = np.multiply(conj_f, fn(*mesh))
-        for w in reversed(weights):
-            vals = vals @ w if vals.ndim > 1 else np.dot(vals, w)
-        out.append(complex(vals))
+        total = 0.0 + 0.0j
+        for coeff, factors in _axis_factors(fn, axes):
+            for conj_coeff, weighted in f_terms:
+                sums = [np.dot(wu, u) for wu, u in zip(weighted, factors)]
+                total += conj_coeff * coeff * math.prod(sums)
+        out.append(complex(total))
     return out
 
 
@@ -226,23 +242,28 @@ class FourierTable:
 
     @cached_property
     def _peak(self) -> float:
-        """max |fhat| over the table, computed once per table."""
-        return float(np.abs(self.values).max())
+        """max |fhat| over the table, computed once per table, ROW_BLOCK rows at a time."""
+        flat = self.values.reshape(-1)
+        step = ROW_BLOCK * len(self.p)
+        return float(max(np.abs(flat[i : i + step]).max() for i in range(0, flat.size, step)))
 
     def is_zero_mean(self) -> bool:
         return abs(self.value_at_zero()) <= ZERO_MEAN_RTOL * max(self._peak, 1e-300)
 
 
 def _axis_transform_centered(a: float, p: np.ndarray, quad_points: int) -> np.ndarray:
-    """(2pi)^(-1/2) integral psi(x/a) e^(-ipx) dx on the given p grid (real, even)."""
+    """(2pi)^(-1/2) integral psi(x/a) e^(-ipx) dx (real, even) on a p grid
+    symmetric about its middle entry, p = 0."""
     x, w = _axis_quadrature(-a, a, quad_points)
     fw = w * bump_profile(x / a)
-    out = np.empty(len(p))
+    # the grid is symmetric about 0 and the transform even: compute p >= 0, mirror
+    half = p[len(p) // 2:]
+    out = np.empty(len(half))
     chunk = 512
-    for i in range(0, len(p), chunk):
-        pi = p[i : i + chunk]
-        out[i : i + chunk] = np.cos(np.outer(pi, x)) @ fw
-    return out / np.sqrt(2.0 * np.pi)
+    for i in range(0, len(half), chunk):
+        out[i : i + chunk] = np.cos(np.outer(half[i : i + chunk], x)) @ fw
+    out /= np.sqrt(2.0 * np.pi)
+    return np.concatenate([out[:0:-1], out])
 
 
 def fourier_oracle(
@@ -272,14 +293,17 @@ def fourier_oracle(
             return base
         return np.exp(-1j * p * c) * base
 
-    shape = (len(p),) * spec.dim
-    values = np.zeros(shape, dtype=complex)
-    for coeff, factors in _tensor_terms(spec):
-        hats = [axis_hat(c, a) for c, a in factors]
-        if spec.dim == 1:
-            values += coeff * hats[0]
-        else:
-            values += coeff * np.outer(hats[0], hats[1])
+    # the tensor terms differ along one axis only (a dipole's): sum their
+    # factors there, then form the one outer product in place
+    terms = _tensor_terms(spec)
+    axis = getattr(spec, "axis", 0)
+    lead = sum(coeff * axis_hat(*factors[axis]) for coeff, factors in terms)
+    if spec.dim == 1:
+        values = lead
+    else:
+        other = axis_hat(*terms[0][1][1 - axis])
+        values = np.empty((len(p), len(p)), dtype=complex)
+        np.outer(*((lead, other) if axis == 0 else (other, lead)), out=values)
     prov = {"cutoff": float(cutoff), "p_spacing": float(p_spacing), "quad_points": int(quad_points)}
     return FourierTable(dim=spec.dim, p=p, values=values, provenance=prov)
 
@@ -330,12 +354,26 @@ def _green_zero_limit(table_f: FourierTable, table_g: FourierTable) -> complex:
 
 def _bilinear_integral(table_f, table_g, kernel, zero_value):
     _check_compatible(table_f, table_g)
-    psq, w = _grid_pieces(table_f)
-    # the kernel may be singular at p = 0; that cell is overwritten by its limit
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = np.conj(table_f.values) * table_g.values * kernel(psq)
-    integrand[(table_f.zero_index,) * table_f.dim] = zero_value
-    return complex(np.sum(integrand * w))
+    m = table_f.zero_index
+    if table_f.dim == 1:
+        psq, w = _grid_pieces(table_f)
+        # the kernel may be singular at p = 0; that cell is overwritten by its limit
+        with np.errstate(divide="ignore", invalid="ignore"):
+            integrand = np.conj(table_f.values) * table_g.values * kernel(psq)
+        integrand[m] = zero_value
+        return complex(np.sum(integrand * w))
+    p = table_f.p
+    w = _trapezoid_weights(len(p), table_f.p_spacing)
+    total = 0.0 + 0.0j
+    for r in range(0, len(p), ROW_BLOCK):
+        rows = slice(r, r + ROW_BLOCK)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            block = (np.conj(table_f.values[rows]) * table_g.values[rows]
+                     * kernel(p[rows, None] ** 2 + p[None, :] ** 2))
+        if r <= m < r + ROW_BLOCK:
+            block[m - r, m] = zero_value
+        total += w[rows] @ (block @ w)
+    return complex(total)
 
 
 def free_gas_integral(table_f: FourierTable, beta: float, table_g: FourierTable | None = None):
@@ -395,9 +433,8 @@ def condensate_term(family, f: TestFunctionSpec, g: TestFunctionSpec, beta: floa
     """beta^-1 sum_k (integral conj(f) phi_k) (integral conj(phi_k) g)."""
     if not beta > 0:
         raise ValueError("beta must be positive")
-    fns = [partial(eval_harmonic, spec) for spec in family.specs]
-    a = overlap_integral(f, fns, quad_points)                      # integral conj(f) phi_k
-    b = a if g is f else overlap_integral(g, fns, quad_points)     # integral conj(g) phi_k
+    a = overlap_integral(f, family.specs, quad_points)                   # integral conj(f) phi_k
+    b = a if g is f else overlap_integral(g, family.specs, quad_points)  # integral conj(g) phi_k
     total = 0.0 + 0.0j
     for a_k, b_k in zip(a, b):
         total += a_k * np.conj(b_k)

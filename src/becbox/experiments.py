@@ -158,6 +158,7 @@ def run_converge_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
     table_g = None if g is None else ct.fourier_oracle(g, cfg.cutoff, cfg.p_spacing, cfg.quad_points)
     rhs = ct.two_point_rhs(family, f, g if g is not None else f, cfg.beta,
                            table_f, table_g, cfg.quad_points)
+    del table_f, table_g  # 41 MB per table at the golden d=2 size; no row reads them
     rows = _sweep_rows(cfg, family, f, g, rhs.total, cfg.h)
     rows_fine = rows_rich = None
     if cfg.h_richardson:

@@ -9,6 +9,7 @@ is automatic here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import partial
 from typing import Union
@@ -25,6 +26,7 @@ __all__ = [
     "HarmonicSpec",
     "HarmonicFamily",
     "eval_harmonic",
+    "harmonic_factors",
     "sample_family",
     "parse_harmonic",
     "format_harmonic",
@@ -94,16 +96,20 @@ def spec_dim(spec: HarmonicSpec) -> int | None:
     return 2
 
 
-def eval_harmonic(spec: HarmonicSpec, *coords):
-    """Evaluate a harmonic function at broadcastable coordinates.
-
-    One coordinate (scalar or array) for 1d variants, two (x, y) for 2d ones.
-    """
+def _check_coords(spec: HarmonicSpec, coords) -> None:
     d = spec_dim(spec)
     if d is not None and len(coords) != d:
         raise ValueError(
             f"{type(spec).__name__} expects {d} coordinate(s), got {len(coords)}"
         )
+
+
+def eval_harmonic(spec: HarmonicSpec, *coords):
+    """Evaluate a harmonic function at broadcastable coordinates.
+
+    One coordinate (scalar or array) for 1d variants, two (x, y) for 2d ones.
+    """
+    _check_coords(spec, coords)
     if isinstance(spec, Constant):
         shape = np.broadcast(*[np.asarray(c) for c in coords]).shape
         return np.broadcast_to(np.asarray(spec.c), shape).copy() if shape else spec.c
@@ -118,6 +124,39 @@ def eval_harmonic(spec: HarmonicSpec, *coords):
     if isinstance(spec, ExpCos2D):
         x, y = (np.asarray(c) for c in coords)
         return np.exp(spec.k * x) * np.cos(spec.k * y + spec.phase)
+    raise TypeError(f"unknown harmonic spec {spec!r}")
+
+
+def harmonic_factors(spec: HarmonicSpec, *axes) -> list[tuple[complex, tuple]]:
+    """The spec as a short sum of products of real 1d factors, one per axis.
+
+    Returns [(c_j, (u_j0, u_j1, ...))] with u_ji evaluated on ``axes[i]``, so
+    that eval_harmonic(spec, *mesh) = sum_j c_j prod_i u_ji on the tensor mesh
+    of the axes, up to roundoff.
+    """
+    _check_coords(spec, axes)
+    axes = [np.asarray(x, dtype=float) for x in axes]
+    if isinstance(spec, Constant):
+        return [(complex(spec.c), tuple(np.ones_like(x) for x in axes))]
+    if isinstance(spec, Affine1D):
+        x, = axes
+        return [(complex(spec.a), (np.ones_like(x),)), (complex(spec.b), (x,))]
+    if isinstance(spec, HarmonicPoly2D):
+        # (X + iY)^n = sum_j C(n, j) i^j X^(n-j) Y^j; the real part keeps even
+        # j, the imaginary part odd j, each with sign (-1)^(j // 2).  The
+        # coefficient multiplies last, as in eval_harmonic.
+        n, z0 = spec.degree, complex(spec.center)
+        X, Y = axes[0] - z0.real, axes[1] - z0.imag
+        first = 0 if spec.part == "re" else 1
+        return [(complex(spec.coefficient), (math.comb(n, j) * (-1) ** (j // 2) * X ** (n - j),
+                                             Y ** j))
+                for j in range(first, n + 1, 2)]
+    if isinstance(spec, ExpCos2D):
+        # cos(ky + phase) = cos(ky) cos(phase) - sin(ky) sin(phase)
+        x, y = axes
+        ex = np.exp(spec.k * x)
+        return [(complex(math.cos(spec.phase)), (ex, np.cos(spec.k * y))),
+                (complex(-math.sin(spec.phase)), (ex, np.sin(spec.k * y)))]
     raise TypeError(f"unknown harmonic spec {spec!r}")
 
 

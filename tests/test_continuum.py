@@ -1,10 +1,13 @@
-from functools import partial
+import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import becbox as bb
 from becbox import continuum as ct
+from becbox.config import parse_config_text
 
 # Frozen oracle values, computed once with adaptive quadrature (scipy.integrate
 # .quad at epsabs 1e-15) for the standard dipole: center 0, offset 1,
@@ -44,7 +47,7 @@ class TestFourierOracle:
         np.testing.assert_allclose(tab.values, tab.values[::-1], atol=1e-16)
 
     def test_parseval(self, dipole, dipole_table):
-        spatial = ct.overlap_integral(dipole, (partial(ct.evaluate, dipole),), 4096)[0].real
+        spatial = ct.overlap_integral(dipole, (dipole,), 4096)[0].real
         assert spatial == pytest.approx(INT_F_SQ, rel=1e-10)
         assert dipole_table.parseval_sum() == pytest.approx(spatial, rel=1e-6)
 
@@ -266,3 +269,38 @@ class TestTextSyntax:
     def test_unknown_parameter(self):
         with pytest.raises(ValueError, match="unknown parameters"):
             ct.parse_test_function("bump:c=0,a=1,width=2")
+
+
+@pytest.fixture(scope="module")
+def golden_d2_oracle():
+    """Config, family, f and Fourier table of the golden d=2 converge run."""
+    golden = json.loads((Path(__file__).parent / "golden" / "converge_d2.json").read_text())
+    cfg = parse_config_text(golden["config"])
+    f = ct.parse_test_function(cfg.f)
+    table = ct.fourier_oracle(f, cfg.cutoff, cfg.p_spacing, cfg.quad_points)
+    return cfg, bb.parse_family(cfg.family), f, table
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that tracemalloc (which sees numpy's buffers) records during fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOracleMemory:
+    """The oracle's right-hand side makes no mesh- or table-sized temporary."""
+
+    def test_condensate_term_makes_no_mesh(self, golden_d2_oracle):
+        cfg, family, f, _ = golden_d2_oracle
+        assert cfg.quad_points == 2048     # one complex 2048^2 mesh is 67 MB
+        assert traced_peak(ct.condensate_term, family, f, f, cfg.beta, cfg.quad_points) <= 2e6
+
+    def test_two_point_rhs_makes_no_table_sized_temporary(self, golden_d2_oracle):
+        cfg, family, f, table = golden_d2_oracle
+        assert table.values.nbytes > 40e6  # 1601^2 complex cells
+        peak = traced_peak(ct.two_point_rhs, family, f, f, cfg.beta, table, None, cfg.quad_points)
+        assert peak <= 32e6
