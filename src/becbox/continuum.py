@@ -3,8 +3,8 @@ momentum-space form of the two-point function.
 
 The values are computed by quadrature in momentum space or over the support,
 never on the lattice, so they serve as an oracle for the lattice modules; the
-pointwise spectral functions (Bose and its regular part) are shared with the
-operator side, since a second copy of one series would check nothing.  The
+pointwise regular part of the Bose function is shared with the operator
+side, since a second copy of one series would check nothing.  The
 Fourier convention is unitary,
 fhat(p) = (2pi)^(-d/2) * integral f(x) e^(-ip.x) dx, which makes
 <f, F(-Delta) f> = integral F(|p|^2) |fhat|^2 dp without extra factors.
@@ -19,13 +19,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import reduce
 from typing import Union
 
 import numpy as np
 
 from .harmonics import _format_number, _parse_number, harmonic_factors
-from .phi_operator import Bose, BoseRegular
+from .phi_operator import BoseRegular
 
 __all__ = [
     "HypothesisError",
@@ -52,7 +52,7 @@ __all__ = [
 
 ZERO_MEAN_RTOL = 1e-8
 
-# rows of a d=2 momentum table read at a time: no temporary is table-sized
+# rows of the momentum grid formed at a time: no temporary is table-sized
 ROW_BLOCK = 32
 
 
@@ -215,14 +215,24 @@ def overlap_integral(spec: TestFunctionSpec, fns, quad_points: int = 2048) -> li
 class FourierTable:
     """Tabulated unitary Fourier transform on a symmetric uniform p-grid.
 
-    ``p`` is the common per-axis momentum grid (0 sits at index len(p)//2);
-    values has shape (len(p),) in 1d and (len(p), len(p)) in 2d.
+    ``p`` is the common per-axis momentum grid (0 sits at index len(p)//2).
+    The transform of a tensor test function is a product of per-axis
+    transforms, so the table holds one complex ``factors`` array over ``p``
+    per axis: fhat(p_1, ..., p_d) = prod_i factors[i][p_i].
     """
 
-    dim: int
     p: np.ndarray
-    values: np.ndarray
+    factors: tuple[np.ndarray, ...]
     provenance: dict
+
+    @property
+    def dim(self) -> int:
+        return len(self.factors)
+
+    @property
+    def values(self) -> np.ndarray:
+        """fhat on the full grid, shape (len(p),) * dim, formed on each read."""
+        return reduce(np.multiply.outer, self.factors)
 
     @property
     def p_spacing(self) -> float:
@@ -232,23 +242,21 @@ class FourierTable:
     def zero_index(self) -> int:
         return len(self.p) // 2
 
+    def _cells(self, index):
+        """fhat at the cells with per-axis indices ``index``."""
+        return reduce(np.multiply, (f[i] for f, i in zip(self.factors, index)))
+
     def value_at_zero(self) -> complex:
-        idx = (self.zero_index,) * self.dim
-        return complex(self.values[idx])
+        return complex(self._cells((self.zero_index,) * self.dim))
 
     def parseval_sum(self) -> float:
         """delta_p-weighted sum of |fhat|^2 (should match integral |f|^2)."""
-        return float(self.p_spacing**self.dim * np.sum(np.abs(self.values) ** 2))
-
-    @cached_property
-    def _peak(self) -> float:
-        """max |fhat| over the table, computed once per table, ROW_BLOCK rows at a time."""
-        flat = self.values.reshape(-1)
-        step = ROW_BLOCK * len(self.p)
-        return float(max(np.abs(flat[i : i + step]).max() for i in range(0, flat.size, step)))
+        return float(self.p_spacing**self.dim
+                     * math.prod(np.sum(np.abs(f) ** 2) for f in self.factors))
 
     def is_zero_mean(self) -> bool:
-        return abs(self.value_at_zero()) <= ZERO_MEAN_RTOL * max(self._peak, 1e-300)
+        peak = math.prod(np.abs(f).max() for f in self.factors)  # max |fhat|
+        return abs(self.value_at_zero()) <= ZERO_MEAN_RTOL * max(peak, 1e-300)
 
 
 def _axis_transform_centered(a: float, p: np.ndarray, quad_points: int) -> np.ndarray:
@@ -294,18 +302,13 @@ def fourier_oracle(
         return np.exp(-1j * p * c) * base
 
     # the tensor terms differ along one axis only (a dipole's): sum their
-    # factors there, then form the one outer product in place
+    # factors there
     terms = _tensor_terms(spec)
     axis = getattr(spec, "axis", 0)
-    lead = sum(coeff * axis_hat(*factors[axis]) for coeff, factors in terms)
-    if spec.dim == 1:
-        values = lead
-    else:
-        other = axis_hat(*terms[0][1][1 - axis])
-        values = np.empty((len(p), len(p)), dtype=complex)
-        np.outer(*((lead, other) if axis == 0 else (other, lead)), out=values)
+    factors = tuple(sum(coeff * axis_hat(*fs[i]) for coeff, fs in terms) if i == axis
+                    else axis_hat(*terms[0][1][i]) for i in range(spec.dim))
     prov = {"cutoff": float(cutoff), "p_spacing": float(p_spacing), "quad_points": int(quad_points)}
-    return FourierTable(dim=spec.dim, p=p, values=values, provenance=prov)
+    return FourierTable(p=p, factors=factors, provenance=prov)
 
 
 def _check_compatible(table_f: FourierTable, table_g: FourierTable) -> None:
@@ -313,12 +316,21 @@ def _check_compatible(table_f: FourierTable, table_g: FourierTable) -> None:
         raise ValueError("tables live on different momentum grids")
 
 
-def _grid_pieces(table: FourierTable):
-    p = table.p
-    w = _trapezoid_weights(len(p), table.p_spacing)
-    if table.dim == 1:
-        return p**2, w
-    return p[:, None] ** 2 + p[None, :] ** 2, np.outer(w, w)
+def _row_blocks(p, factors):
+    """The momentum grid of a table with per-axis ``factors`` (d <= 2), walked
+    ROW_BLOCK rows of p_1 at a time; a d=1 table is the single row p_1 = 0,
+    with unit weight and factor there.  Yields per block its row slice and,
+    on the block, |p|^2, the trapezoid weights and the outer product of the
+    factors: no temporary is table-sized."""
+    w = _trapezoid_weights(len(p), p[1] - p[0])
+    m = len(p) // 2
+    one = np.ones(len(p))
+    u, w_rows, first, last = ((factors[0], w, 0, len(p)) if len(factors) == 2
+                              else (one, one, m, m + 1))
+    for r in range(first, last, ROW_BLOCK):
+        rows = slice(r, min(r + ROW_BLOCK, last))
+        yield (rows, p[rows, None] ** 2 + p**2, np.multiply.outer(w_rows[rows], w),
+               np.multiply.outer(u[rows], factors[-1]))
 
 
 def _green_zero_limit(table_f: FourierTable, table_g: FourierTable) -> complex:
@@ -338,7 +350,7 @@ def _green_zero_limit(table_f: FourierTable, table_g: FourierTable) -> complex:
     m = table_f.zero_index
     shells = [m + 1, m + 2, m - 1, m - 2]
     cells = (shells,) if table_f.dim == 1 else (shells + [m] * 4, [m] * 4 + shells)
-    z = np.conj(table_f.values[cells]) * table_g.values[cells]
+    z = np.conj(table_f._cells(cells)) * table_g._cells(cells)
     dp2 = table_f.p_spacing**2
     if table_f.dim == 1:
         g1 = 0.5 * (z[0] + z[2]) / dp2
@@ -353,44 +365,27 @@ def _green_zero_limit(table_f: FourierTable, table_g: FourierTable) -> complex:
 
 
 def _bilinear_integral(table_f, table_g, kernel, zero_value):
+    """Trapezoid sum of conj(fhat) ghat kernel(|p|^2) with ``zero_value`` in
+    the p = 0 cell, one block of rows at a time."""
     _check_compatible(table_f, table_g)
     m = table_f.zero_index
-    if table_f.dim == 1:
-        psq, w = _grid_pieces(table_f)
+    factors = [np.conj(a) * b for a, b in zip(table_f.factors, table_g.factors)]
+    total = 0.0 + 0.0j
+    for rows, psq, weights, z in _row_blocks(table_f.p, factors):
         # the kernel may be singular at p = 0; that cell is overwritten by its limit
         with np.errstate(divide="ignore", invalid="ignore"):
-            integrand = np.conj(table_f.values) * table_g.values * kernel(psq)
-        integrand[m] = zero_value
-        return complex(np.sum(integrand * w))
-    p = table_f.p
-    w = _trapezoid_weights(len(p), table_f.p_spacing)
-    total = 0.0 + 0.0j
-    for r in range(0, len(p), ROW_BLOCK):
-        rows = slice(r, r + ROW_BLOCK)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            block = (np.conj(table_f.values[rows]) * table_g.values[rows]
-                     * kernel(p[rows, None] ** 2 + p[None, :] ** 2))
-        if r <= m < r + ROW_BLOCK:
-            block[m - r, m] = zero_value
-        total += w[rows] @ (block @ w)
+            block = z * kernel(psq)
+        if rows.start <= m < rows.stop:
+            block[m - rows.start, m] = zero_value
+        total += np.sum(block * weights)
     return complex(total)
 
 
 def free_gas_integral(table_f: FourierTable, beta: float, table_g: FourierTable | None = None):
-    """integral conj(fhat) ghat / (e^(beta |p|^2) - 1) dp.
-
-    The p = 0 cell uses the analytic limit (regular part plus Green limit over
-    beta), which requires fhat(0) = ghat(0) = 0 in d <= 2 (HypothesisError
-    otherwise).
-    """
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    table_g = table_f if table_g is None else table_g
-    zf = table_f.value_at_zero()
-    zg = table_g.value_at_zero()
-    zero_value = -np.conj(zf) * zg / 2.0 + _green_zero_limit(table_f, table_g) / beta
-    out = _bilinear_integral(table_f, table_g, Bose(beta).evaluate, zero_value)
-    return out.real if table_g is table_f else out
+    """integral conj(fhat) ghat / (e^(beta |p|^2) - 1) dp, as the regular part
+    plus the Green integral over beta (1/(e^x - 1) = F(x) + 1/x); requires
+    fhat(0) = ghat(0) = 0 in d <= 2 (HypothesisError otherwise)."""
+    return regular_part_integral(table_f, beta, table_g) + green_integral(table_f, table_g) / beta
 
 
 def regular_part_integral(table_f: FourierTable, beta: float, table_g: FourierTable | None = None):
@@ -450,12 +445,12 @@ def two_point_rhs(
     table_g: FourierTable | None = None,
     quad_points: int = 2048,
 ) -> RhsValue:
-    """Momentum-space two-point value plus condensate overlaps."""
-    free = free_gas_integral(table_f, beta, table_g)
+    """Momentum-space two-point value plus condensate overlaps; the free gas
+    is the regular part plus the Green integral over beta."""
     reg = regular_part_integral(table_f, beta, table_g)
     grn = green_integral(table_f, table_g)
     cond = condensate_term(family, f, g, beta, quad_points)
-    return RhsValue(free_gas=complex(free), condensate=cond,
+    return RhsValue(free_gas=complex(reg + grn / beta), condensate=cond,
                     regular=complex(reg), green=complex(grn))
 
 
@@ -494,11 +489,12 @@ def resolvent_reference(u: TestFunctionSpec, points, table: FourierTable | None 
     if table is None:
         raise ValueError("d=2 synthesis needs a Fourier table of u")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    psq, w = _grid_pieces(table)
-    kern = table.values * w / (1.0 + psq)
     (x1, i1), (x2, i2) = (np.unique(c, return_inverse=True) for c in pts.T)
     e1, e2 = (np.exp(1j * np.outer(x, table.p)) for x in (x1, x2))
-    return (e1 @ kern @ e2.T)[i1, i2] / (2.0 * np.pi)
+    left = np.zeros((len(x1), len(table.p)), dtype=complex)
+    for rows, psq, weights, uv in _row_blocks(table.p, table.factors):
+        left += e1[:, rows] @ (uv * weights / (1.0 + psq))
+    return (left @ e2.T)[i1, i2] / (2.0 * np.pi)
 
 
 # --- Wick rule ----------------------------------------------------------------

@@ -158,7 +158,6 @@ def run_converge_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
     table_g = None if g is None else ct.fourier_oracle(g, cfg.cutoff, cfg.p_spacing, cfg.quad_points)
     rhs = ct.two_point_rhs(family, f, g if g is not None else f, cfg.beta,
                            table_f, table_g, cfg.quad_points)
-    del table_f, table_g  # 41 MB per table at the golden d=2 size; no row reads them
     rows = _sweep_rows(cfg, family, f, g, rhs.total, cfg.h)
     rows_fine = rows_rich = None
     if cfg.h_richardson:
@@ -454,17 +453,11 @@ def emit_fourier(cfg: ExperimentConfig, out_dir: str, label: str) -> list[str]:
     f = _parsed(cfg, "f")
     table = ct.fourier_oracle(f, cfg.cutoff, cfg.p_spacing, cfg.quad_points)
     base = f"{out_dir}/{label}"
-    if table.dim == 1:
-        rows = [[float(p), v.real, v.imag] for p, v in zip(table.p, table.values)]
-        header = ["p", "re", "im"]
-    else:
-        rows = []
-        for i, p1 in enumerate(table.p):
-            for j, p2 in enumerate(table.p):
-                rows.append([float(p1), float(p2),
-                             table.values[i, j].real, table.values[i, j].imag])
-        header = ["p1", "p2", "re", "im"]
-    reports.write_csv(f"{base}_fourier.csv", header, rows)
+    values = table.values.ravel()
+    columns = [p.ravel() for p in np.meshgrid(*(table.p,) * table.dim, indexing="ij")]
+    columns += [values.real, values.imag]
+    header = ["p", "re", "im"] if table.dim == 1 else ["p1", "p2", "re", "im"]
+    reports.write_csv(f"{base}_fourier.csv", header, list(zip(*(c.tolist() for c in columns))))
     reports.write_json(f"{base}_fourier.json", {
         "config": cfg.to_dict(),
         "input_hash": _config_hash(cfg.to_dict()),

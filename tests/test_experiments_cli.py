@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import becbox.cli as cli
+from becbox import continuum as ct
 from becbox import experiments as ex
 from becbox import verification as vf
 from becbox.config import ConfigError, ExperimentConfig, parse_config_text
@@ -392,6 +393,24 @@ class TestCli:
         assert lines[0] == "p,re,im"
         doc = json.loads((tmp_path / "run_fourier.json").read_text())
         assert abs(doc["value_at_zero_re"]) <= 1e-14
+
+    def test_fourier_dump_d2(self, tmp_path):
+        spec = "dipole2:cx=0.25,cy=0,s=0.5,ax=0.5,ay=0.75,axis=y,amp=1-0.5j"
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text(f"kind = fourier\ndim = 2\nf = {spec}\n"
+                       "cutoff = 2\np_spacing = 0.5\nquad_points = 64\n")
+        assert cli.main(["fourier-dump", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        table = ct.fourier_oracle(ct.parse_test_function(spec), 2.0, 0.5, 64)
+        lines = (tmp_path / "run_fourier.csv").read_text().splitlines()
+        assert lines[0] == "p1,p2,re,im"
+        assert len(lines) - 1 == len(table.p) ** 2
+        index = {p: i for i, p in enumerate(table.p)}
+        for line in lines[1:]:
+            p1, p2, re, im = map(float, line.split(","))
+            assert complex(re, im) == table.values[index[p1], index[p2]]
+        doc = json.loads((tmp_path / "run_fourier.json").read_text())
+        assert doc["parseval_sum"] == table.parseval_sum()
+        assert complex(doc["value_at_zero_re"], doc["value_at_zero_im"]) == table.value_at_zero()
 
     def test_kind_of_another_command_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "k.cfg"

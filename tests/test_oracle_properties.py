@@ -2,13 +2,15 @@
 
 The references below are the straightforward forms of each integral: a dense
 coordinate mesh and one pair of overlap evaluations per harmonic function, a
-masked copy of the momentum table, the Green limit at p = 0 read off the
-product table conj(fhat) ghat formed in full, and one full table sum per
-resolvent point.
+masked copy of the full momentum table on a full |p|^2 grid, the Green limit
+at p = 0 read off the product table conj(fhat) ghat formed in full, and one
+full table sum per resolvent point.
 The library evaluates each input once and reads every integral off it; where
 the arithmetic is the same the results must be bit-identical, and where the
 summation order changed (the resolvent synthesis, the separable overlaps, the
-row blocks of a d=2 momentum table) they must agree to roundoff.
+row blocks and per-axis products of a d=2 momentum table, the free gas as
+the regular part plus the Green integral over beta) they must agree to
+roundoff.
 """
 
 import dataclasses
@@ -48,8 +50,17 @@ def ref_condensate_term(family, f, g, beta, quad_points):
     return complex(total) / beta
 
 
+def grid_pieces(table):
+    """|p|^2 and the trapezoid weights on the full momentum grid."""
+    p = table.p
+    w = ct._trapezoid_weights(len(p), table.p_spacing)
+    if table.dim == 1:
+        return p**2, w
+    return p[:, None] ** 2 + p[None, :] ** 2, np.outer(w, w)
+
+
 def ref_bilinear(table_f, table_g, kernel, zero_value):
-    psq, w = ct._grid_pieces(table_f)
+    psq, w = grid_pieces(table_f)
     z = np.conj(table_f.values) * table_g.values
     integrand = np.zeros_like(z)
     zero_idx = (table_f.zero_index,) * table_f.dim
@@ -81,20 +92,24 @@ def ref_green_zero_limit(table_f, table_g):
     return complex(np.mean(limits))
 
 
-def ref_momentum_integrals(table_f, table_g, beta):
-    """(free gas, regular part, Green) by the masked reference."""
+def momentum_kernels(table_f, table_g, beta):
+    """(kernel, p = 0 value) of the free gas (the Bose kernel itself), the
+    regular part and the Green integral."""
     zf, zg = table_f.value_at_zero(), table_g.value_at_zero()
     green0 = ref_green_zero_limit(table_f, table_g)
-    return (
-        ref_bilinear(table_f, table_g, bb.Bose(beta).evaluate,
-                     -np.conj(zf) * zg / 2.0 + green0 / beta),
-        ref_bilinear(table_f, table_g, bb.BoseRegular(beta).evaluate, -np.conj(zf) * zg / 2.0),
-        ref_bilinear(table_f, table_g, lambda q: 1.0 / q, green0),
-    )
+    return ((bb.Bose(beta).evaluate, -np.conj(zf) * zg / 2.0 + green0 / beta),
+            (bb.BoseRegular(beta).evaluate, -np.conj(zf) * zg / 2.0),
+            (lambda q: 1.0 / q, green0))
+
+
+def ref_momentum_integrals(table_f, table_g, beta):
+    """(free gas, regular part, Green) by the masked reference."""
+    return tuple(ref_bilinear(table_f, table_g, kernel, zero_value)
+                 for kernel, zero_value in momentum_kernels(table_f, table_g, beta))
 
 
 def ref_resolvent_2d(table, pts):
-    psq, w = ct._grid_pieces(table)
+    psq, w = grid_pieces(table)
     kern = table.values * w / (1.0 + psq)
     out = np.empty(len(pts), dtype=complex)
     for i, (x1, x2) in enumerate(pts):
@@ -116,44 +131,44 @@ def abs_overlap(spec, fn, quad_points):
 
 def abs_bilinear(table_f, table_g, kernel, zero_value):
     """sum |integrand * w| of ``ref_bilinear``: the scale of its summation roundoff."""
-    abs_f, abs_g = (dataclasses.replace(t, values=np.abs(t.values)) for t in (table_f, table_g))
+    abs_f, abs_g = (dataclasses.replace(t, factors=tuple(np.abs(f) for f in t.factors))
+                    for t in (table_f, table_g))
     return ref_bilinear(abs_f, abs_g, lambda q: np.abs(kernel(q)), abs(zero_value)).real
 
 
-def momentum_kernels(table_f, table_g, beta):
-    """(kernel, p = 0 value) of the free gas, regular part and Green integrals,
-    as ``ref_momentum_integrals`` forms them."""
-    zf, zg = table_f.value_at_zero(), table_g.value_at_zero()
-    green0 = ref_green_zero_limit(table_f, table_g)
-    return ((bb.Bose(beta).evaluate, -np.conj(zf) * zg / 2.0 + green0 / beta),
-            (bb.BoseRegular(beta).evaluate, -np.conj(zf) * zg / 2.0),
-            (lambda q: 1.0 / q, green0))
+def subnormal_allowance(table):
+    """One subnormal unit per cell, where tiny amplitudes make roundoff absolute."""
+    return len(table.p) ** table.dim * np.finfo(float).smallest_subnormal
 
 
 def assert_table_sum(got, ref, scale, table):
-    """d=1 sums the whole table as the reference does, bit for bit; d=2 sums it
-    in blocks of rows, which agrees to roundoff of the absolute sum (plus the
-    subnormal unit per cell, where tiny amplitudes make roundoff absolute)."""
+    """d=1 sums the whole table as the reference does, bit for bit; d=2 sums
+    products of per-axis factors in blocks of rows, which agrees to roundoff
+    of the absolute sum."""
     if table.dim == 1:
         assert got == ref
     else:
-        tiny = np.finfo(float).smallest_subnormal
-        assert abs(got - ref) <= 1e-13 * scale + table.values.size * tiny
+        assert abs(got - ref) <= 1e-13 * scale + subnormal_allowance(table)
 
 
 def assert_momentum_integrals(table_f, table_g, beta):
     """Free gas, regular part and Green integral against ``ref_momentum_integrals``."""
     other = None if table_g is table_f else table_g
-    got = (ct.free_gas_integral(table_f, beta, other),
-           ct.regular_part_integral(table_f, beta, other),
-           ct.green_integral(table_f, other))
+    free, reg, green = (ct.free_gas_integral(table_f, beta, other),
+                        ct.regular_part_integral(table_f, beta, other),
+                        ct.green_integral(table_f, other))
     ref = ref_momentum_integrals(table_f, table_g, beta)
     if table_g is table_f:
         ref = tuple(r.real for r in ref)
-    for value, expected, (kernel, zero_value) in zip(got, ref,
-                                                     momentum_kernels(table_f, table_g, beta)):
-        assert_table_sum(value, expected, abs_bilinear(table_f, table_g, kernel, zero_value),
-                         table_f)
+    _, reg_kernel, green_kernel = momentum_kernels(table_f, table_g, beta)
+    reg_scale = abs_bilinear(table_f, table_g, *reg_kernel)
+    green_scale = abs_bilinear(table_f, table_g, *green_kernel)
+    assert_table_sum(reg, ref[1], reg_scale, table_f)
+    assert_table_sum(green, ref[2], green_scale, table_f)
+    # regular + green / beta against the Bose kernel summed directly: the
+    # roundoff of both sums, in either dimension
+    bound = 1e-13 * (reg_scale + green_scale / beta) + subnormal_allowance(table_f)
+    assert abs(free - ref[0]) <= bound
 
 
 # --- strategies -----------------------------------------------------------------
@@ -305,17 +320,25 @@ def test_momentum_integrals_sum_every_row_block():
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_table_peak_reads_every_row_block(dim):
-    """The zero-mean guard's max |fhat|, taken ROW_BLOCK rows at a time,
-    finds the peak in the first, a middle and the partial last block."""
+@pytest.mark.parametrize("ratio", [0.99, 1.01])
+def test_is_zero_mean_equals_full_table_criterion(dim, ratio):
+    """The zero-mean guard reads fhat(0) and max |fhat| off the per-axis
+    factors; it agrees with |fhat(0)| <= ZERO_MEAN_RTOL max |fhat| on the full
+    table just below and just above that threshold."""
     n = 3 * ct.ROW_BLOCK + 5
+    m = n // 2
     rng = np.random.default_rng(3)
-    for row in (0, ct.ROW_BLOCK + 1, n - 1):
-        values = rng.uniform(-1, 1, (n,) * dim) + 1j * rng.uniform(-1, 1, (n,) * dim)
-        values[(row,) * dim] = 2.0 - 1.5j
-        table = ct.FourierTable(dim=dim, p=np.arange(n) - n // 2.0, values=values,
-                                provenance={})
-        assert table._peak == 2.5
+    factors = [rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n) for _ in range(dim)]
+    factors[0][m] = 0.0
+    peak = np.abs(reduce(np.multiply.outer, factors)).max()
+    # put |fhat(0)| at ratio times the threshold; its row stays far below the peak
+    rest = abs(np.prod([f[m] for f in factors[1:]]))
+    factors[0][m] = (0.6 - 0.8j) * ratio * ct.ZERO_MEAN_RTOL * peak / rest
+    table = ct.FourierTable(p=np.arange(n) - n // 2.0, factors=tuple(factors), provenance={})
+    values = table.values
+    full = abs(values[(m,) * dim]) <= ct.ZERO_MEAN_RTOL * np.abs(values).max()
+    assert full == (ratio < 1)
+    assert table.is_zero_mean() == full
 
 
 @settings(max_examples=40)
