@@ -36,7 +36,6 @@ from .harmonics import (
 from .phi_operator import (
     Bose,
     BoseRegular,
-    SimpleResolvent,
     ShiftedInverse,
     CondensateBasis,
     PhiOperator,

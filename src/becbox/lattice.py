@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 __all__ = [
     "Grid",
@@ -167,7 +166,7 @@ def sine_transform(grid: Grid, u: GridField, direction: str = "forward") -> Grid
         raise ValueError("field does not live on this grid")
     a = u.reshaped()
     for ax in range(grid.dim):
-        a = scipy.fft.dst(a, type=1, norm="ortho", axis=ax)
+        a = _dst1(a, ax)
     scale = grid.spacing ** (grid.dim / 2)
     if direction == "forward":
         out = a * scale
@@ -176,6 +175,18 @@ def sine_transform(grid: Grid, u: GridField, direction: str = "forward") -> Grid
     else:
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     return GridField(grid, np.ascontiguousarray(out.ravel()))
+
+
+def _dst1(a: np.ndarray, axis: int) -> np.ndarray:
+    """Orthonormal DST-I along ``axis``: the real FFT of the odd extension [0, a, 0,
+    -a reversed], complex input part by part so a zero imaginary part stays zero."""
+    if np.iscomplexobj(a):
+        return _dst1(a.real, axis) + 1j * _dst1(a.imag, axis)
+    n = a.shape[axis]
+    a = np.moveaxis(a, axis, -1)
+    zero = np.zeros(a.shape[:-1] + (1,))
+    spec = np.fft.rfft(np.concatenate([zero, a, zero, -a[..., ::-1]], axis=-1)).imag
+    return np.moveaxis(-0.5 * np.sqrt(2.0 / (n + 1)) * spec[..., 1:n + 1], -1, axis)
 
 
 def dirichlet_eigenvalues(grid: Grid) -> np.ndarray:

@@ -23,7 +23,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .harmonics import HarmonicFamily, sample_family
 from .lattice import (
@@ -37,7 +36,6 @@ from .lattice import (
 __all__ = [
     "Bose",
     "BoseRegular",
-    "SimpleResolvent",
     "ShiftedInverse",
     "CondensateBasis",
     "PhiOperator",
@@ -118,14 +116,6 @@ class BoseRegular:
         inv = np.where(np.isinf(e), 0.0, 1.0 / np.where(np.isinf(e), 1.0, e))
         out[~small] = inv - 1.0 / tl
         return out
-
-
-@dataclass(frozen=True)
-class SimpleResolvent:
-    """x -> 1/(1 + x)."""
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -510,7 +500,7 @@ def lanczos_quadratic_form(
         Qj = Q[: j + 1]
         w = w - (Qj @ w.conj()).conj() @ Qj
         w = w - (Qj @ w.conj()).conj() @ Qj
-        theta, S = scipy.linalg.eigh_tridiagonal(np.array(alphas), np.array(betas))
+        theta, S = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
         if theta.min() <= 0:
             raise RuntimeError("Ritz values left the positive axis; the inverse is not PD")
         new_value = _gauss_sum(Fs, 1.0 / theta, nrm * S[0], nrm * S[0])

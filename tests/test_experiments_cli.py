@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -383,34 +387,33 @@ class TestCli:
         assert (tmp_path / "cc.csv").exists()
         assert (tmp_path / "cc.json").exists()
 
-    def test_fourier_dump(self, tmp_path):
+    @pytest.mark.parametrize("dim,spec,cutoff,dp,quad_points", [
+        (1, "dipole:c=0,s=1,a=0.75", 10.0, 0.1, 512),
+        (2, "dipole2:cx=0.25,cy=0,s=0.5,ax=0.5,ay=0.75,axis=y,amp=1-0.5j", 2.0, 0.5, 64),
+    ], ids=["d1", "d2"])
+    def test_fourier_dump(self, tmp_path, dim, spec, cutoff, dp, quad_points):
         cfg = tmp_path / "f.cfg"
-        cfg.write_text("kind = fourier\nf = dipole:c=0,s=1,a=0.75\n"
-                       "cutoff = 10\np_spacing = 0.1\nquad_points = 512\n")
-        rc = cli.main(["fourier-dump", "--config", str(cfg), "--out", str(tmp_path)])
-        assert rc == 0
-        lines = (tmp_path / "run_fourier.csv").read_text().splitlines()
-        assert lines[0] == "p,re,im"
-        doc = json.loads((tmp_path / "run_fourier.json").read_text())
-        assert abs(doc["value_at_zero_re"]) <= 1e-14
-
-    def test_fourier_dump_d2(self, tmp_path):
-        spec = "dipole2:cx=0.25,cy=0,s=0.5,ax=0.5,ay=0.75,axis=y,amp=1-0.5j"
-        cfg = tmp_path / "f.cfg"
-        cfg.write_text(f"kind = fourier\ndim = 2\nf = {spec}\n"
-                       "cutoff = 2\np_spacing = 0.5\nquad_points = 64\n")
+        cfg.write_text(f"kind = fourier\ndim = {dim}\nf = {spec}\ncutoff = {cutoff}\n"
+                       f"p_spacing = {dp}\nquad_points = {quad_points}\n")
         assert cli.main(["fourier-dump", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-        table = ct.fourier_oracle(ct.parse_test_function(spec), 2.0, 0.5, 64)
+        table = ct.fourier_oracle(ct.parse_test_function(spec), cutoff, dp, quad_points)
         lines = (tmp_path / "run_fourier.csv").read_text().splitlines()
-        assert lines[0] == "p1,p2,re,im"
-        assert len(lines) - 1 == len(table.p) ** 2
+        assert lines[0] == ("p,re,im" if dim == 1 else "p1,p2,re,im")
+        assert len(lines) - 1 == len(table.p) ** dim
         index = {p: i for i, p in enumerate(table.p)}
         for line in lines[1:]:
-            p1, p2, re, im = map(float, line.split(","))
-            assert complex(re, im) == table.values[index[p1], index[p2]]
+            *ps, re, im = map(float, line.split(","))
+            assert complex(re, im) == table.values[tuple(index[p] for p in ps)]
         doc = json.loads((tmp_path / "run_fourier.json").read_text())
         assert doc["parseval_sum"] == table.parseval_sum()
         assert complex(doc["value_at_zero_re"], doc["value_at_zero_im"]) == table.value_at_zero()
+        assert abs(table.value_at_zero()) <= 1e-14  # a dipole has zero mean
+
+    def test_import_loads_no_scipy(self):
+        """numpy is the only runtime dependency: the CLI module loads no scipy."""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        code = "import sys, becbox.cli; sys.exit('scipy' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_kind_of_another_command_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "k.cfg"

@@ -116,7 +116,41 @@ class TestStencil:
         assert abs(lhs - rhs) <= 1e-12 * norm_u * norm_v
 
 
+def sine_matrix(n):
+    """Orthonormal DST-I matrix sqrt(2/(n+1)) sin(pi j k/(n+1)), j, k = 1..n."""
+    j = np.arange(1, n + 1)
+    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(j, j) / (n + 1))
+
+
 class TestSineTransform:
+    @pytest.mark.parametrize("dim,lengths,h", [
+        (1, [2], 1.0), (1, [3], 1.0), (1, [1], 0.25),
+        (2, [2, 3], 1.0), (2, [1, 0.75], 0.25), (2, [2, 4], 0.5),
+    ], ids=["n1", "n2", "n3", "1x2", "3x2", "3x7"])
+    def test_matches_explicit_sine_matrices(self, dim, lengths, h):
+        g = bb.make_grid(dim, lengths, h)
+        S = [sine_matrix(n) for n in g.counts]
+
+        def explicit(vals):
+            a = S[0] @ vals.reshape(g.counts)
+            if dim == 2:
+                a = a @ S[1].T
+            return a.ravel() * h ** (dim / 2)
+
+        re, im = random_field(g, 9).values, random_field(g, 10).values
+        real = bb.sine_transform(g, bb.GridField(g, re)).values
+        assert real.dtype == np.float64
+        assert np.abs(real - explicit(re)).max() <= 1e-13
+        inverse = bb.sine_transform(g, bb.GridField(g, re), "inverse").values
+        assert np.abs(inverse - explicit(re) / h**dim).max() <= 1e-13 * h**-dim
+        zero_im = bb.sine_transform(g, bb.GridField(g, re + 0j)).values
+        assert zero_im.dtype == np.complex128
+        assert np.all(zero_im.imag == 0) and np.array_equal(zero_im.real, real)
+        full = bb.sine_transform(g, bb.GridField(g, re + 1j * im)).values
+        imag = bb.sine_transform(g, bb.GridField(g, im)).values
+        assert np.array_equal(full, real + 1j * imag)
+        assert np.abs(full - explicit(re + 1j * im)).max() <= 1e-13
+
     def test_round_trip(self, grid_2d):
         u = random_field(grid_2d, 5)
         c = bb.sine_transform(grid_2d, u, "forward")

@@ -245,7 +245,7 @@ class TestQuadraticForm:
         L = 4.0
         f = bb.sample_function(grid_1d, lambda x: np.sin(np.pi * (x + 2) / L))
         g = bb.sample_function(grid_1d, lambda x: np.sin(2 * np.pi * (x + 2) / L))
-        assert abs(bb.quadratic_form(op, bb.SimpleResolvent(), f, g)) <= 1e-12
+        assert abs(bb.quadratic_form(op, bb.ShiftedInverse(-1.0), f, g)) <= 1e-12
 
     def test_conjugate_symmetry_complex(self, grid_1d):
         fam = bb.parse_family("affine:a=0,b=1")
@@ -259,7 +259,7 @@ class TestQuadraticForm:
     def test_grid_mismatch(self, grid_1d, grid_1d_small):
         op = bb.build_phi_operator(grid_1d, bb.HarmonicFamily(()), backend="dense")
         with pytest.raises(ValueError, match="grid"):
-            bb.quadratic_form(op, bb.SimpleResolvent(), random_field(grid_1d_small, 1))
+            bb.quadratic_form(op, bb.ShiftedInverse(-1.0), random_field(grid_1d_small, 1))
 
 
 class TestTwoPointLhs:
@@ -368,7 +368,7 @@ class TestLanczos:
         lanc = bb.build_phi_operator(g, fam, backend="lanczos")
         f = bb.sample_function(g, lambda x: ct.evaluate(
             ct.Dipole(center=(0.0,), offset=1.0, halfwidth=(0.75,)), x))
-        for F in (bb.Bose(1.0), bb.BoseRegular(1.0), bb.SimpleResolvent()):
+        for F in (bb.Bose(1.0), bb.BoseRegular(1.0), bb.ShiftedInverse(-1.0)):
             qd = bb.quadratic_form(dense, F, f)
             ql = bb.quadratic_form(lanc, F, f)
             assert abs(ql - qd) <= 1e-8 * max(abs(qd), 1e-30)
@@ -380,18 +380,18 @@ class TestLanczos:
         lanc = bb.build_phi_operator(g, fam, backend="lanczos")
         f = random_field(g, 21)
         gg = random_field(g, 22)
-        qd = bb.quadratic_form(dense, bb.SimpleResolvent(), f, gg)
-        ql = bb.quadratic_form(lanc, bb.SimpleResolvent(), f, gg)
+        qd = bb.quadratic_form(dense, bb.ShiftedInverse(-1.0), f, gg)
+        ql = bb.quadratic_form(lanc, bb.ShiftedInverse(-1.0), f, gg)
         assert abs(ql - qd) <= 1e-8 * max(abs(qd), 1e-30)
 
     def test_eigenvector_start_converges_in_one_step(self, grid_1d):
         op = bb.build_phi_operator(grid_1d, bb.HarmonicFamily(()), backend="dense")
         L = 4.0
         mode = bb.sample_function(grid_1d, lambda x: np.sin(np.pi * (x + 2) / L))
-        res = bb.lanczos_quadratic_form(op, (bb.SimpleResolvent(),), mode)
+        res = bb.lanczos_quadratic_form(op, (bb.ShiftedInverse(-1.0),), mode)
         assert res.breakdown and res.converged
         assert res.steps == 1
-        oracle = bb.quadratic_form(op, bb.SimpleResolvent(), mode)
+        oracle = bb.quadratic_form(op, bb.ShiftedInverse(-1.0), mode)
         assert res.value[0] == pytest.approx(oracle.real, rel=1e-12)
 
     @pytest.mark.parametrize("pair, family, calls", [
@@ -425,18 +425,18 @@ class TestLanczos:
         monkeypatch.setattr(po, "lanczos_quadratic_form", unconverged)
         f, g = random_field(grid_1d, 24), random_field(grid_1d, 25)
         with pytest.raises(RuntimeError, match="did not converge"):
-            bb.quadratic_form(op, bb.SimpleResolvent(), f)
+            bb.quadratic_form(op, bb.ShiftedInverse(-1.0), f)
         with pytest.raises(RuntimeError, match="did not converge"):
-            bb.quadratic_form(op, bb.SimpleResolvent(), f, g)
+            bb.quadratic_form(op, bb.ShiftedInverse(-1.0), f, g)
 
     def test_zero_steps_invalid(self, grid_1d):
         op = bb.build_phi_operator(grid_1d, bb.HarmonicFamily(()), backend="lanczos")
         with pytest.raises(ValueError, match="steps"):
-            bb.lanczos_quadratic_form(op, (bb.SimpleResolvent(),), random_field(grid_1d, 23),
+            bb.lanczos_quadratic_form(op, (bb.ShiftedInverse(-1.0),), random_field(grid_1d, 23),
                                       steps=0)
 
     def test_zero_start_invalid(self, grid_1d):
         op = bb.build_phi_operator(grid_1d, bb.HarmonicFamily(()), backend="lanczos")
         with pytest.raises(ValueError, match="nonzero"):
-            bb.lanczos_quadratic_form(op, (bb.SimpleResolvent(),),
+            bb.lanczos_quadratic_form(op, (bb.ShiftedInverse(-1.0),),
                                       bb.GridField(grid_1d, np.zeros(grid_1d.total)))
