@@ -121,18 +121,17 @@ TestFunctionSpec = Union[Bump, Dipole]
 
 
 def _tensor_terms(spec: TestFunctionSpec):
-    """Decompose into (coefficient, per-axis (center, halfwidth) factors)."""
+    """Decompose into (amplitude as given, per-axis (center, halfwidth) factors)."""
     if isinstance(spec, Bump):
-        return [(complex(spec.amplitude), tuple(zip(spec.center, spec.halfwidth)))]
+        return [(spec.amplitude, tuple(zip(spec.center, spec.halfwidth)))]
     if isinstance(spec, Dipole):
         minus = list(spec.center)
         plus = list(spec.center)
         minus[spec.axis] -= spec.offset
         plus[spec.axis] += spec.offset
-        amp = complex(spec.amplitude)
         return [
-            (amp, tuple(zip(minus, spec.halfwidth))),
-            (-amp, tuple(zip(plus, spec.halfwidth))),
+            (spec.amplitude, tuple(zip(minus, spec.halfwidth))),
+            (-spec.amplitude, tuple(zip(plus, spec.halfwidth))),
         ]
     raise TypeError(f"unknown test function {spec!r}")
 
@@ -302,13 +301,13 @@ def fourier_oracle(
         return np.exp(-1j * p * c) * base
 
     # the tensor terms differ along one axis only (a dipole's): sum their
-    # factors there
+    # factors there; a centred real bump's factors are real, the table complex
     terms = _tensor_terms(spec)
     axis = getattr(spec, "axis", 0)
     factors = tuple(sum(coeff * axis_hat(*fs[i]) for coeff, fs in terms) if i == axis
                     else axis_hat(*terms[0][1][i]) for i in range(spec.dim))
     prov = {"cutoff": float(cutoff), "p_spacing": float(p_spacing), "quad_points": int(quad_points)}
-    return FourierTable(p=p, factors=factors, provenance=prov)
+    return FourierTable(p=p, factors=tuple(f.astype(complex) for f in factors), provenance=prov)
 
 
 def _check_compatible(table_f: FourierTable, table_g: FourierTable) -> None:
@@ -364,21 +363,31 @@ def _green_zero_limit(table_f: FourierTable, table_g: FourierTable) -> complex:
     return complex(np.mean(limits))
 
 
-def _bilinear_integral(table_f, table_g, kernel, zero_value):
-    """Trapezoid sum of conj(fhat) ghat kernel(|p|^2) with ``zero_value`` in
-    the p = 0 cell, one block of rows at a time."""
+def _bilinear_integrals(table_f, table_g, kernels):
+    """Trapezoid sums of conj(fhat) ghat kernel(|p|^2), one per (kernel,
+    p = 0 cell value) in ``kernels``, by one walk over blocks of rows; real
+    when g is f."""
     _check_compatible(table_f, table_g)
     m = table_f.zero_index
     factors = [np.conj(a) * b for a, b in zip(table_f.factors, table_g.factors)]
-    total = 0.0 + 0.0j
+    totals = [0.0 + 0.0j] * len(kernels)
     for rows, psq, weights, z in _row_blocks(table_f.p, factors):
-        # the kernel may be singular at p = 0; that cell is overwritten by its limit
-        with np.errstate(divide="ignore", invalid="ignore"):
-            block = z * kernel(psq)
-        if rows.start <= m < rows.stop:
-            block[m - rows.start, m] = zero_value
-        total += np.sum(block * weights)
-    return complex(total)
+        for i, (kernel, zero_value) in enumerate(kernels):
+            # the kernel may be singular at p = 0; that cell is overwritten by its limit
+            with np.errstate(divide="ignore", invalid="ignore"):
+                block = z * kernel(psq)
+            if rows.start <= m < rows.stop:
+                block[m - rows.start, m] = zero_value
+            totals[i] += np.sum(block * weights)
+    return [complex(t).real if table_g is table_f else complex(t) for t in totals]
+
+
+def _regular_kernel(table_f, table_g, beta):
+    """F(beta |p|^2) with F(x) = 1/(e^x-1) - 1/x, and its p = 0 cell."""
+    if not beta > 0:
+        raise ValueError("beta must be positive")
+    zero_value = -np.conj(table_f.value_at_zero()) * table_g.value_at_zero() / 2.0
+    return BoseRegular(beta).evaluate, zero_value
 
 
 def free_gas_integral(table_f: FourierTable, beta: float, table_g: FourierTable | None = None):
@@ -390,20 +399,15 @@ def free_gas_integral(table_f: FourierTable, beta: float, table_g: FourierTable 
 
 def regular_part_integral(table_f: FourierTable, beta: float, table_g: FourierTable | None = None):
     """integral conj(fhat) ghat F(beta |p|^2) dp with F(x) = 1/(e^x-1) - 1/x."""
-    if not beta > 0:
-        raise ValueError("beta must be positive")
     table_g = table_f if table_g is None else table_g
-    zero_value = -np.conj(table_f.value_at_zero()) * table_g.value_at_zero() / 2.0
-    out = _bilinear_integral(table_f, table_g, BoseRegular(beta).evaluate, zero_value)
-    return out.real if table_g is table_f else out
+    return _bilinear_integrals(table_f, table_g, [_regular_kernel(table_f, table_g, beta)])[0]
 
 
 def green_integral(table_f: FourierTable, table_g: FourierTable | None = None):
     """integral conj(fhat) ghat / |p|^2 dp, requiring zero mean in d <= 2."""
     table_g = table_f if table_g is None else table_g
-    zero_value = _green_zero_limit(table_f, table_g)
-    out = _bilinear_integral(table_f, table_g, lambda q: 1.0 / q, zero_value)
-    return out.real if table_g is table_f else out
+    green = (np.reciprocal, _green_zero_limit(table_f, table_g))
+    return _bilinear_integrals(table_f, table_g, [green])[0]
 
 
 # --- right-hand side of the two-point formula --------------------------------
@@ -445,10 +449,13 @@ def two_point_rhs(
     table_g: FourierTable | None = None,
     quad_points: int = 2048,
 ) -> RhsValue:
-    """Momentum-space two-point value plus condensate overlaps; the free gas
-    is the regular part plus the Green integral over beta."""
-    reg = regular_part_integral(table_f, beta, table_g)
-    grn = green_integral(table_f, table_g)
+    """Momentum-space two-point value plus condensate overlaps; the regular
+    part and the Green integral share one walk over the momentum grid, and
+    the free gas is the regular part plus the Green integral over beta."""
+    table_g = table_f if table_g is None else table_g
+    kernels = [_regular_kernel(table_f, table_g, beta),
+               (np.reciprocal, _green_zero_limit(table_f, table_g))]
+    reg, grn = _bilinear_integrals(table_f, table_g, kernels)
     cond = condensate_term(family, f, g, beta, quad_points)
     return RhsValue(free_gas=complex(reg + grn / beta), condensate=cond,
                     regular=complex(reg), green=complex(grn))
@@ -477,15 +484,8 @@ def resolvent_reference(u: TestFunctionSpec, points, table: FourierTable | None 
             vals = evaluate(u, y) * np.exp(-np.abs(x - y)) / 2.0
             return np.dot(w, vals)
 
-        out = np.empty(len(pts), dtype=complex)
-        for i, x in enumerate(pts):
-            if lo < x < hi:
-                out[i] = panel(lo, x, x) + panel(x, hi, x)
-            else:
-                out[i] = panel(lo, hi, x)
-        if np.all(out.imag == 0):
-            out = out.real
-        return out
+        return np.array([panel(lo, x, x) + panel(x, hi, x) if lo < x < hi else panel(lo, hi, x)
+                         for x in pts])
     if table is None:
         raise ValueError("d=2 synthesis needs a Fourier table of u")
     pts = np.atleast_2d(np.asarray(points, dtype=float))

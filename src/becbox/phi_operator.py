@@ -111,10 +111,8 @@ class BoseRegular:
             + ts**13 * 1.3382536530684679e-11
         )
         tl = t[~small]
-        with np.errstate(over="ignore"):
-            e = np.expm1(tl)
-        inv = np.where(np.isinf(e), 0.0, 1.0 / np.where(np.isinf(e), 1.0, e))
-        out[~small] = inv - 1.0 / tl
+        with np.errstate(over="ignore"):  # expm1 overflows to inf, and 1/inf is 0
+            out[~small] = 1.0 / np.expm1(tl) - 1.0 / tl
         return out
 
 
@@ -446,7 +444,7 @@ def shifted_solve(op: PhiOperator, f: GridField, shift: float = 1.0) -> GridFiel
 
 def _gauss_sum(Fs, nodes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_i conj(a_i) F(nodes_i) b_i for every F in Fs: a quadrature rule read off."""
-    a = np.conj(a)
+    a = a.conj()  # no copy of a real a
     return np.array([np.sum(a * F.evaluate(nodes) * b) for F in Fs])
 
 

@@ -40,7 +40,47 @@ class TestTestFunctions:
         assert val[0] == pytest.approx(2.0 * np.exp(-1.0) ** 2)
 
 
+    @pytest.mark.parametrize("text", [
+        "bump:c=0.25,a=0.75,amp=1.0",
+        "dipole:c=0.0,s=1.0,a=0.75,amp=1.0",
+        "bump2:cx=0.0,cy=0.5,ax=1.0,ay=0.75,amp=1.0",
+        "dipole2:cx=0.0,cy=0.0,s=1.0,ax=0.75,ay=0.75,axis=y,amp=-2.0",
+    ])
+    def test_real_amplitude_samples_real(self, text):
+        spec = ct.parse_test_function(text)
+        grid = bb.make_grid(spec.dim, [4.0] * spec.dim, 0.25)
+        assert bb.sample_function(grid, lambda *x: ct.evaluate(spec, *x)).values.dtype == np.float64
+
+    @pytest.mark.parametrize("text", ["bump:c=0.25,a=0.75,amp=1+2j",
+                                      "dipole2:cx=0.0,cy=0.0,s=1.0,ax=0.75,ay=0.5,axis=x,amp=1+2j"])
+    def test_complex_amplitude_samples_as_before(self, text):
+        # the sampled values of a complex amplitude are bit for bit the
+        # complex(amplitude) products they have always been
+        spec = ct.parse_test_function(text)
+        grid = bb.make_grid(spec.dim, [4.0] * spec.dim, 0.25)
+        got = bb.sample_function(grid, lambda *x: ct.evaluate(spec, *x)).values
+        amp, coords = complex(spec.amplitude), [m.ravel() for m in grid.meshes()]
+        if isinstance(spec, ct.Bump):
+            centers = [(amp, spec.center)]
+        else:
+            shift = np.eye(spec.dim)[spec.axis] * spec.offset
+            centers = [(amp, spec.center - shift), (-amp, spec.center + shift)]
+        old = 0
+        for coeff, c in centers:
+            term = coeff
+            for x, ci, a in zip(coords, c, spec.halfwidth):
+                term = term * ct.bump_profile((x - ci) / a)
+            old = old + term
+        assert got.dtype == np.complex128 and np.array_equal(got, old)
+
+
 class TestFourierOracle:
+    @pytest.mark.parametrize("spec", [ct.Bump(center=(0.0,), halfwidth=(1.0,)),
+                                      ct.Bump(center=(0.0, 0.0), halfwidth=(1.0, 0.5))])
+    def test_centred_real_bump_factors_are_complex(self, spec):
+        tab = ct.fourier_oracle(spec, cutoff=20.0, p_spacing=0.05, quad_points=1024)
+        assert all(f.dtype == np.complex128 for f in tab.factors)
+
     def test_dipole_zero_mean_exact(self, dipole_table):
         assert abs(dipole_table.value_at_zero()) <= 1e-14
 
@@ -177,6 +217,28 @@ class TestTwoPointRhs:
         tab = ct.fourier_oracle(bump, cutoff=20.0, p_spacing=0.05, quad_points=1024)
         with pytest.raises(ct.HypothesisError):
             ct.two_point_rhs(bb.HarmonicFamily(()), bump, bump, 1.0, tab)
+
+    @pytest.mark.parametrize("f, g", [
+        ("dipole:c=0.0,s=1.0,a=0.75,amp=1.0", None),
+        ("dipole:c=0.0,s=1.0,a=0.75,amp=1.0", "dipole:c=0.25,s=0.8,a=0.6,amp=1+0.5j"),
+        ("dipole2:cx=0.0,cy=0.0,s=1.0,ax=0.75,ay=0.75,axis=x,amp=1.0", None),
+        ("dipole2:cx=0.0,cy=0.0,s=1.0,ax=0.75,ay=0.75,axis=x,amp=1.0",
+         "dipole2:cx=0.5,cy=0.0,s=0.5,ax=0.5,ay=0.75,axis=y,amp=1.0"),
+    ])
+    def test_one_momentum_walk_gives_the_separate_integrals(self, monkeypatch, f, g):
+        # the regular part and the Green integral share one walk over the
+        # momentum grid, and each keeps the bits of its own integral
+        f = ct.parse_test_function(f)
+        g = f if g is None else ct.parse_test_function(g)
+        table_f = ct.fourier_oracle(f, cutoff=20.0, p_spacing=0.1, quad_points=512)
+        table_g = None if g is f else ct.fourier_oracle(g, cutoff=20.0, p_spacing=0.1,
+                                                        quad_points=512)
+        walk, walks = ct._row_blocks, []
+        monkeypatch.setattr(ct, "_row_blocks", lambda *a: walks.append(a) or walk(*a))
+        rhs = ct.two_point_rhs(bb.HarmonicFamily(()), f, g, 0.7, table_f, table_g)
+        assert len(walks) == 1
+        assert rhs.regular == ct.regular_part_integral(table_f, 0.7, table_g)
+        assert rhs.green == ct.green_integral(table_f, table_g)
 
 
 class TestResolventReference:

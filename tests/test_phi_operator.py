@@ -48,6 +48,33 @@ class TestSpectralFunctions:
         assert err_bose <= 2e-15
         assert err_regular <= 2e-15
 
+    @pytest.mark.parametrize("beta", [0.1, 1.0, 5.0])
+    def test_bose_regular_equals_guarded_form(self, beta):
+        # 1/expm1 is 0.0 once expm1 overflows to inf, so the explicit guard
+        # that used to map inf to 0 changes no bit, signed zeros included
+        def guarded(x):
+            t = beta * np.asarray(x, dtype=float)
+            out = np.empty_like(t)
+            small = t < 0.5
+            out[small] = po.BoseRegular(beta).evaluate(x)[small]
+            tl = t[~small]
+            with np.errstate(over="ignore"):
+                e = np.expm1(tl)
+            inv = np.where(np.isinf(e), 0.0, 1.0 / np.where(np.isinf(e), 1.0, e))
+            out[~small] = inv - 1.0 / tl
+            return out
+
+        rng = np.random.default_rng(13)
+        edges = np.array([0.0, 1e-300, 0.49, 0.5, 0.51, 700.0, 709.0, 710.0, 800.0,
+                          1e308, np.inf])
+        points = np.concatenate([10.0 ** rng.uniform(-300, 308, 500_000),
+                                 rng.uniform(0.0, 1000.0, 500_000)])
+        p = 0.05 * np.arange(-800, 801)
+        block = p[:32, None] ** 2 + p**2  # a 32 x 1601 row block of |p|^2
+        with np.errstate(over="ignore"):  # beta * 1e308 is inf for beta > 1
+            for x in (edges, edges / beta, points, block):
+                assert po.BoseRegular(beta).evaluate(x).tobytes() == guarded(x).tobytes()
+
     def test_shifted_inverse_requires_negative(self):
         with pytest.raises(ValueError, match="negative"):
             bb.ShiftedInverse(0.5)
@@ -291,6 +318,27 @@ class TestTwoPointLhs:
         op = bb.build_phi_operator(grid_1d, bb.HarmonicFamily(()), backend="dense")
         with pytest.raises(ValueError, match="beta"):
             bb.two_point_lhs(op, 0.0, random_field(grid_1d, 19))
+
+
+class TestRealArithmetic:
+    """Real fields run every readout in real arithmetic; the same fields cast
+    to complex run it in complex arithmetic and must give the same values."""
+
+    DIPOLES = ("dipole:c=0.0,s=1.0,a=0.75,amp=1.0", "dipole:c=0.25,s=0.5,a=0.5,amp=1.0")
+
+    @pytest.mark.parametrize("backend, rtol", [("dense", 1e-12), ("lanczos", 1e-9)])
+    @pytest.mark.parametrize("pair", ["same", "distinct"])
+    def test_two_point_lhs_matches_complex_cast(self, grid_1d, backend, rtol, pair):
+        op = bb.build_phi_operator(grid_1d, bb.parse_family("affine:a=0,b=1"), backend=backend)
+        f, g = (bb.sample_function(grid_1d, lambda x, s=s: ct.evaluate(ct.parse_test_function(s), x))
+                for s in self.DIPOLES)
+        g = f if pair == "same" else g
+        assert f.values.dtype == g.values.dtype == np.float64
+        cast = [bb.GridField(grid_1d, u.values.astype(complex)) for u in (f, g)]
+        real, ref = bb.two_point_lhs(op, 0.7, f, g), bb.two_point_lhs(op, 0.7, *cast)
+        for name in ("direct", "regular_term", "green_term", "condensate_term"):
+            got, want = getattr(real, name), getattr(ref, name)
+            assert abs(got - want) <= rtol * abs(want), name
 
 
 class TestOrderingInvariant:
