@@ -510,12 +510,10 @@ def permanent_ryser(T: np.ndarray) -> complex:
         return 1.0 + 0.0j
     if n > 12:
         raise ValueError("Ryser path is limited to n <= 12")
-    total = 0.0 + 0.0j
-    for S in range(1, 1 << n):
-        cols = [j for j in range(n) if (S >> j) & 1]
-        rows = T[:, cols].sum(axis=1)
-        total += (-1) ** len(cols) * np.prod(rows)
-    return complex((-1) ** n * total)
+    # one row per nonempty column subset S: (-1)^|S| prod_i sum_(j in S) T_ij
+    S = (np.arange(1, 1 << n)[:, None] >> np.arange(n)) & 1
+    sign = 1 - 2 * (S.sum(axis=1) % 2)
+    return complex((-1) ** n * (sign @ np.prod(S @ T.T, axis=1)))
 
 
 def permanent_enumerate(T: np.ndarray) -> complex:

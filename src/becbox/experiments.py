@@ -20,8 +20,8 @@ from . import continuum as ct
 from . import reports
 from .config import ConfigError, ExperimentConfig
 from .harmonics import parse_family, spec_dim
-from .lattice import Grid, GridField, make_grid, sample_function
-from .phi_operator import build_phi_operator, shifted_solve, two_point_lhs
+from .lattice import Grid, GridField, make_grid, sample_function, sine_transform
+from .phi_operator import Bose, build_phi_operator, shifted_solve, two_point_lhs
 from .verification import (
     CheckReport,
     boundary_condition_residual,
@@ -310,10 +310,9 @@ def run_wick_demo(cfg: ExperimentConfig) -> dict:
         sample_function(grid, partial(ct.evaluate, ct.Bump(center=(c,), halfwidth=(width,))))
         for c in centers
     ]
-    T = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            T[i, j] = two_point_lhs(op, cfg.beta, fields[i], fields[j]).direct
+    # every pair from one projection: T = A^H diag(Bose(1/mu)) A, A the fields' eigencoefficients
+    A = op.project(np.stack([sine_transform(grid, f, "forward").values for f in fields], axis=1))
+    T = A.conj().T @ (Bose(cfg.beta).evaluate(1.0 / op.mu)[:, None] * A)
     value = ct.permanent_ryser(T)
     payload = {
         "n": n,

@@ -8,13 +8,14 @@ Green operator plus a rank-K update by the sampled harmonic columns,
 which in the orthonormal sine basis is diagonal(1/lambda) plus a rank-K
 congruence of the transformed columns.  The dense backend eigendecomposes that
 matrix without assembling it: exact deflation leaves every mode the update
-does not reach as an eigenpair of its own, and only the blocks the columns
-couple go to a dense eigensolver (operator eigenvalues are reported as 1/mu);
-the Lanczos backend only ever applies it.  Either way a readout is one
-quadrature rule per start vector (the eigenpairs, or a Lanczos Gauss rule),
-and every spectral function of the readout is read off that rule.  All inner
-products, normalizations and orthogonalizations use the h^d-weighted inner
-product, which in sine coefficients is the plain dot product.
+does not reach as an eigenpair of its own, a block that one column couples is
+solved through its secular equation, and only blocks of higher rank go to a
+dense eigensolver (operator eigenvalues are reported as 1/mu); the Lanczos
+backend only ever applies it.  Either way a readout is one quadrature rule per
+start vector (the eigenpairs, or a Lanczos Gauss rule), and every spectral
+function of the readout is read off that rule.  All inner products,
+normalizations and orthogonalizations use the h^d-weighted inner product,
+which in sine coefficients is the plain dot product.
 """
 
 from __future__ import annotations
@@ -303,20 +304,132 @@ def eigendecompose_symmetric(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return w, V
 
 
-def _deflated_eigh(d: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, _Eigenbasis]:
-    """Eigenpairs of diag(d) + C C^H by exact deflation and per-block eigh.
+_CHUNK = 64  # rows per pass of the secular solver: n x 64 temporaries stay in cache
+_SECULAR_STEPS = 100  # per chunk of roots; the middle way takes about 4, bisection about 60
 
-    The deflation of the rank-one modification method (Golub 1973; Bunch,
-    Nielsen & Sorensen 1978), with no secular equation.  An entry of C with
-    |C_ik| ||C||_2 <= eps max(max d, ||C||_2^2) is dropped, a perturbation no
+
+def _secular_terms(d, z2, origin, tau, roots):
+    """psi, phi and their derivatives at mu = origin + tau for the given
+    (ascending, within one chunk) roots: the sums of z2_i / (d_i - mu) over the
+    poles d_i at or below each root's interval and over those above, with d_i
+    - mu formed as (d_i - origin) - tau.  Only the chunk's own columns differ
+    from row to row in which sum they join."""
+    r = np.add.outer(-origin, d)
+    r -= tau[:, None]
+    np.reciprocal(r, out=r)
+    s, e = roots[0], roots[-1] + 1
+    lower = np.arange(s, e) <= roots[:, None]
+    sums = []
+    for x in (r, r * r):
+        window = x[:, s:e] * z2[s:e]
+        sums += [x[:, :s] @ z2[:s] + np.sum(window, axis=1, where=lower),
+                 x[:, e:] @ z2[e:] + np.sum(window, axis=1, where=~lower)]
+    return sums
+
+
+def _secular_eigh(d: np.ndarray, c: np.ndarray) -> np.ndarray | None:
+    """Orthonormal eigenvectors of diag(d) + c c^H for ascending, distinct d and
+    a column c without zeros, by the secular equation; None if a root does not
+    converge.
+
+    With z = |c|, root j of 1 + sum_i z_i^2 / (d_i - mu) lies in (d_j,
+    d_{j+1}), the last one in (d_n, d_n + |z|^2).  Each is held as the nearer
+    pole plus an offset tau, so that every d_i - mu is formed without
+    cancellation, and found by Li's middle-way rational iteration (psi and phi,
+    the sums over the poles below and above the interval, each fitted by one
+    pole), safeguarded by bisection of a bracket, until |f| <= eps (1 + |psi| +
+    |phi|) or a step is below 4 ulp.  The eigenvectors are zhat_i phase(c_i) /
+    (d_i - mu_j), normalized, where zhat is the column whose roots are exactly
+    the computed ones (Gu & Eisenstat 1994), which keeps them orthogonal
+    however close the roots are.
+    """
+    n = len(d)
+    z2 = np.abs(c) ** 2
+    phase = c / np.sqrt(z2)
+    if not np.any(np.imag(phase)):
+        phase = phase.real
+    if n == 1:
+        return phase[:, None]
+    upper = np.r_[d[1:], d[-1] + z2.sum()]
+    last = np.arange(n) == n - 1
+    eps = np.finfo(float).eps
+    origin = d.copy()
+    # brackets for tau; the last one's width |z|^2 may be below the ulp of d_n
+    lo, hi = np.zeros(n), np.r_[np.diff(d), z2.sum()]
+    tau = hi / 2
+    for start in range(0, n, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, n))
+        for step in range(_SECULAR_STEPS):
+            psi, phi, dpsi, dphi = _secular_terms(d, z2, origin[idx], tau[idx], idx)
+            w = 1.0 + psi + phi
+            lo[idx[w < 0]] = tau[idx[w < 0]]
+            hi[idx[w > 0]] = tau[idx[w > 0]]
+            if step == 0:  # from the midpoint, move the origin to the pole on the root's side
+                flip = idx[(w < 0) & ~last[idx]]
+                gap = upper[flip] - d[flip]
+                origin[flip] = upper[flip]
+                for x in (tau, lo, hi):
+                    x[flip] -= gap
+            keep = ~(np.abs(w) <= eps * (1.0 + np.abs(psi) + np.abs(phi)))
+            idx, w, psi, phi, dpsi, dphi = (x[keep] for x in (idx, w, psi, phi, dpsi, dphi))
+            if not len(idx):
+                break
+            dlo = (d[idx] - origin[idx]) - tau[idx]
+            dhi = (upper[idx] - origin[idx]) - tau[idx]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                a = (dlo + dhi) * w - dlo * dhi * (dpsi + dphi)
+                b = dlo * dhi * w
+                cc = w - dlo * dpsi - dhi * dphi
+                disc = np.sqrt(np.abs(a * a - 4.0 * b * cc))
+                eta = np.where(a > 0, 2.0 * b / (a + disc), (a - disc) / (2.0 * cc))
+                # the last interval has no pole above it: psi alone, fitted by one pole
+                eta = np.where(last[idx], dlo + dlo**2 * dpsi / cc, eta)
+            new = tau[idx] + eta
+            wild = ~(new > lo[idx]) | ~(new < hi[idx])
+            new[wild] = (lo[idx[wild]] + hi[idx[wild]]) / 2
+            small = np.abs(new - tau[idx]) <= 4 * eps * np.abs(new)
+            tau[idx] = new
+            idx = idx[~small]
+            if not len(idx):
+                break
+        else:
+            return None
+    # W_ik = zhat_i / (d_i - mu_k), with Gu and Eisenstat's zhat_i^2 = prod_k (d_i - mu_k) /
+    # prod_(k != i) (d_i - d_k) taken as a product of ratios in (0, 1): d_i - mu_k is
+    # paired with d_i - d_k below i, with d_i - d_(k+1) from i on, and the last with -1
+    W = np.empty((n, n))
+    norm2 = np.zeros(n)
+    for start in range(0, n, _CHUNK):
+        i = np.arange(start, min(start + _CHUNK, n))
+        block = W[start : start + _CHUNK]
+        np.subtract.outer(d[i], origin, out=block)
+        block -= tau
+        den = np.subtract.outer(d[i], np.r_[d[:start], d[start + 1 :], np.nan])
+        np.subtract(d[i, None], d[i], out=den[:, start : i[-1] + 1], where=i < i[:, None])
+        den[:, -1] = -1.0
+        zhat = np.sqrt(np.prod(block / den, axis=1))
+        np.divide(zhat[:, None], block, out=block)
+        norm2 += np.einsum("ij,ij->j", block, block)
+    W /= np.sqrt(norm2)
+    return phase[:, None] * W
+
+
+def _deflated_eigh(d: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, _Eigenbasis]:
+    """Eigenpairs of diag(d) + C C^H by exact deflation and per-block solves.
+
+    The rank-one modification method (Golub 1973; Bunch, Nielsen & Sorensen
+    1978).  An entry of C with |C_ik| ||C||_2 <= eps max(max d, ||C||_2^2) is
+    dropped, and d values that far apart count as equal: perturbations no
     larger than a dense eigensolver's backward error.  Rotating the rows of C
-    in a cluster of equal d onto their left singular vectors keeps diag(d) as
-    it is and leaves at most rank-many of them.  Rows left without a C part
-    are eigenpairs (d_i, e_i); the rest split into blocks of rows that share a
-    column, each given to the dense eigensolver.  A block's eigenvalues are
-    then the Rayleigh quotients of its eigenvectors, sum_j d_j |w_j|^2 +
-    |C^H w|^2: sums of positive terms, accurate relative to each eigenvalue,
-    where the solver's own are accurate only to eps max mu.
+    in a cluster of equal d onto their left singular vectors keeps diag(d) and
+    leaves at most rank-many of them.  Rows left without a C part are
+    eigenpairs (d_i, e_i); the rest split into blocks of rows that share a
+    column.  A block coupled by one column is solved through its secular
+    equation (``_secular_eigh``), in O(n^2); a block of higher rank goes to the
+    dense eigensolver.  A block's eigenvalues are then the Rayleigh quotients
+    of its eigenvectors, sum_j d_j |w_j|^2 + |C^H w|^2: sums of positive
+    terms, accurate relative to each eigenvalue, where a solver's own are
+    accurate only to eps max mu.
     """
     N, K = C.shape
     # descending d grades each block downward, the order in which the dense
@@ -325,11 +438,12 @@ def _deflated_eigh(d: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, _Eigenbasi
     ds = d[perm]
     Cs = C[perm]
     norm = float(np.linalg.norm(Cs, 2)) if K else 0.0
+    scale = np.finfo(float).eps * max(float(ds[0]), norm**2)
     if norm > 0:
-        tol = np.finfo(float).eps * max(float(ds[0]), norm**2) / norm
+        tol = scale / norm
         Cs[np.abs(Cs) <= tol] = 0
     active = np.flatnonzero(np.any(Cs != 0, axis=1))
-    cluster = np.cumsum(np.r_[0, ds[1:] != ds[:-1]])[active]
+    cluster = np.cumsum(np.r_[0, ds[:-1] - ds[1:] > scale])[active]
     size = np.bincount(cluster)[cluster]  # active rows in each active row's cluster
     rotations = []
     for s in np.unique(size[size > 1]):
@@ -355,10 +469,17 @@ def _deflated_eigh(d: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, _Eigenbasi
     for group in np.unique(row_label):
         rows = active[row_label == group]
         Cb = Cs[rows]
-        update = Cb @ Cb.conj().T
-        if np.iscomplexobj(update) and np.all(update.imag == 0):
-            update = update.real
-        w, W = eigendecompose_symmetric(np.diag(ds[rows]) + update)
+        column = np.flatnonzero(np.any(Cb != 0, axis=0))
+        W = None
+        if len(column) == 1 and np.all(ds[rows[:-1]] > ds[rows[1:]]):
+            W = _secular_eigh(ds[rows[::-1]], Cb[::-1, column[0]])
+            if W is not None:  # its rows are in ascending-d order
+                rows, Cb = rows[::-1], Cb[::-1]
+        if W is None:
+            update = Cb @ Cb.conj().T
+            if np.iscomplexobj(update) and np.all(update.imag == 0):
+                update = update.real
+            W = eigendecompose_symmetric(np.diag(ds[rows]) + update)[1]
         w = ds[rows] @ np.abs(W) ** 2 + np.sum(np.abs(Cb.conj().T @ W) ** 2, axis=0)
         blocks.append((rows, W))
         mu.append(w)

@@ -19,6 +19,7 @@ from .harmonics import HarmonicFamily, boundary_values_1d, format_family
 from .lattice import (
     Grid,
     GridField,
+    _dst1,
     boundary_trace_1d,
     green_apply,
     harmonic_extension,
@@ -103,18 +104,16 @@ def krein_identity_residual(
     S = lam / (lam + s)
     if op.basis.rank:
         Kz = R + s * (B.conj().T @ (S[:, None] * B))
-    rng = np.random.default_rng(seed)
-    num = 0.0
-    den = 0.0
-    for _ in range(n_fields):
-        x = rng.standard_normal(op.grid.total)
-        lhs = op.unproject(lhs_factor * op.project(x))
-        rhs = dirichlet * x
-        if op.basis.rank:
-            rhs = rhs + S * (B @ np.linalg.solve(Kz, B.conj().T @ (S * x)))
-        nx = np.linalg.norm(x)
-        num = max(num, np.linalg.norm(lhs - rhs) / nx)
-        den = max(den, np.linalg.norm(lhs) / nx)
+    # one draw of every field (column-wise), the same stream as one draw per field
+    x = np.random.default_rng(seed).standard_normal((n_fields, op.grid.total)).T
+    lhs = op.unproject(lhs_factor[:, None] * op.project(x))
+    rhs = dirichlet[:, None] * x
+    if op.basis.rank:
+        Sx = S[:, None] * x
+        rhs = rhs + S[:, None] * (B @ np.linalg.solve(Kz, B.conj().T @ Sx))
+    nx = np.linalg.norm(x, axis=0)
+    num = float(np.max(np.linalg.norm(lhs - rhs, axis=0) / nx))
+    den = float(np.max(np.linalg.norm(lhs, axis=0) / nx))
     rel = num / den if den > 0 else 0.0
     return CheckReport(
         name="krein_identity",
@@ -416,19 +415,23 @@ def dirichlet_reduction_check(grid: Grid) -> CheckReport:
         j = np.arange(1, n + 1)
         k = np.arange(1, n + 1)
         axis_modes.append(np.sqrt(2.0 / L) * np.sin(np.outer(j, k) * np.pi / (n + 1)))
-    dev_vecs = 0.0
-    for m in range(grid.total):
-        col = _eigvec_hat(op, m)
-        j = int(np.argmax(np.abs(col)))
-        if grid.dim == 1:
-            expected = axis_modes[0][:, j]
-        else:
-            j1, j2 = np.unravel_index(j, grid.counts)
-            expected = np.outer(axis_modes[0][:, j1], axis_modes[1][:, j2]).ravel()
-        node = sine_transform(grid, GridField(grid, col), "inverse").values
-        sgn = 1.0 if np.dot(expected, node.real) >= 0 else -1.0
-        dev_vecs = max(dev_vecs, float(np.max(np.abs(sgn * node - expected))))
-        dev_vals = max(dev_vals, float(abs(nu[m] - lam[j])))
+    # row m: the eigenvector with the m-th smallest eigenvalue, then at the nodes
+    N = grid.total
+    modes = op.unproject(np.eye(N)[::-1]).T
+    j = np.argmax(np.abs(modes), axis=1)
+    nodes = modes.reshape(N, *grid.counts)
+    for ax in range(grid.dim):
+        nodes = _dst1(nodes, ax + 1)
+    nodes = nodes.reshape(N, N) / grid.spacing ** (grid.dim / 2)
+    expected = np.ones((N,) + (1,) * grid.dim)
+    for ax, k in enumerate(np.unravel_index(j, grid.counts)):
+        shape = [N] + [1] * grid.dim
+        shape[ax + 1] = -1
+        expected = expected * axis_modes[ax][:, k].T.reshape(shape)
+    expected = expected.reshape(N, N)
+    sgn = np.where(np.sum(expected * nodes.real, axis=1) >= 0, 1.0, -1.0)
+    dev_vecs = float(np.max(np.abs(sgn[:, None] * nodes - expected)))
+    dev_vals = max(dev_vals, float(np.max(np.abs(nu - lam[j]))))
     return CheckReport(
         name="dirichlet_reduction",
         residuals={"eigenvalue_dev": dev_vals, "eigenvector_dev": dev_vecs},

@@ -290,13 +290,29 @@ class TestWick:
         T = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert ct.permanent_ryser(T) == pytest.approx(1 * 4 + 2 * 3)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_ryser_vs_enumeration(self, n):
         rng = np.random.default_rng(n)
         T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         r = ct.permanent_ryser(T)
         e = ct.permanent_enumerate(T)
         assert abs(r - e) <= 1e-13 * max(1.0, abs(e))
+
+    @pytest.mark.parametrize("n", [1, 4, 6])
+    def test_ryser_vs_enumeration_real(self, n):
+        T = np.random.default_rng(n).standard_normal((n, n))
+        e = ct.permanent_enumerate(T)
+        assert abs(ct.permanent_ryser(T) - e) <= 1e-13 * max(1.0, abs(e))
+
+    def test_ryser_vs_the_subset_loop(self):
+        n = 9
+        rng = np.random.default_rng(9)
+        T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        total = 0.0
+        for S in range(1, 1 << n):
+            cols = [j for j in range(n) if (S >> j) & 1]
+            total += (-1) ** len(cols) * np.prod(T[:, cols].sum(axis=1))
+        assert abs(ct.permanent_ryser(T) - (-1) ** n * total) <= 1e-13 * abs(total)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):

@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import becbox as bb
 import becbox.cli as cli
 from becbox import continuum as ct
 from becbox import experiments as ex
@@ -195,6 +197,19 @@ class TestWickDemo:
         payload = ex.run_wick_demo(cfg)
         assert payload["cross_check_rel"] <= 1e-13
         assert payload["n"] == 3
+
+    def test_matrix_equals_the_pairwise_two_point_values(self):
+        cfg = parse_config_text("kind = wick\nwick_n = 5\nL_start = 4\nh = 0.0625\n")
+        payload = ex.run_wick_demo(cfg)
+        T = np.array(payload["two_point_matrix_re"]) + 1j * np.array(payload["two_point_matrix_im"])
+        grid = bb.make_grid(1, [4], 0.0625)
+        op = bb.build_phi_operator(grid, bb.parse_family(cfg.family), backend="dense")
+        fields = [bb.sample_function(grid, partial(ct.evaluate, ct.Bump(center=(c,),
+                                                   halfwidth=(payload["halfwidth"],))))
+                  for c in payload["centers"]]
+        pairwise = np.array([[bb.two_point_lhs(op, cfg.beta, f, g).direct for g in fields]
+                             for f in fields])
+        assert np.abs(T - pairwise).max() <= 1e-13 * np.abs(pairwise).max()
 
     def test_n_limit(self):
         with pytest.raises(ConfigError, match="wick_n"):

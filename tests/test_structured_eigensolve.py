@@ -9,6 +9,9 @@ coefficients; both sampling modes are drawn.  Readout residuals are scaled as
 in ``tests/test_two_point_properties.py``.
 """
 
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import becbox as bb  # noqa: E402
+from becbox import phi_operator as po  # noqa: E402
 from conftest import random_field  # noqa: E402
 
 COEFFICIENT = st.one_of(st.floats(-2, 2), st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)))
@@ -75,3 +79,99 @@ def test_structured_eigensolve_matches_dense_eigh(case):
     s = size(tp)
     for F, value in ((bb.Bose(beta), tp.direct), (bb.BoseRegular(beta), tp.regular_term)):
         assert abs(value - np.sum(fa.conj() * F.evaluate(1.0 / w) * ga)) <= 1e-12 * s
+
+
+EPS = np.finfo(float).eps
+# a dense operator with no grid: only mu and the eigenbasis are read
+DENSE_SHELL = po.PhiOperator(grid=None, family=None, mode="sampled", backend="dense",
+                             basis=None, lam=None, mu=None, eigenbasis=None)
+
+
+@st.composite
+def rank_one_blocks(draw):
+    """diag(d) + c c^H with one column c: real or complex, n from 1, d drawn in
+    clusters whose members lie one ulp apart, and entries of c set at and
+    near the deflation's drop tolerance."""
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = rng.uniform(0.01, 1.0, n)
+    for i in draw(st.lists(st.integers(1, n - 1), max_size=4)) if n > 1 else []:
+        d[i] = np.nextafter(d[i - 1], 2.0)  # may chain into a cluster of several
+    c = rng.standard_normal(n)
+    if draw(st.booleans()):
+        c = c + 1j * rng.standard_normal(n)
+    c *= draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    norm = np.linalg.norm(c)
+    tol = EPS * max(d.max(), norm**2) / norm
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        c[i] = draw(st.sampled_from([0.5, 1.0, 2.0, 8.0])) * tol
+    return d, c
+
+
+@settings(max_examples=200)
+@given(rank_one_blocks())
+def test_rank_one_blocks_match_dense_eigh(case):
+    d, c = case
+    with mock.patch.object(po, "eigendecompose_symmetric", side_effect=AssertionError):
+        mu, eigenbasis = po._deflated_eigh(d, c[:, None].copy())
+    A = np.diag(d) + np.outer(c, c.conj())
+    w = np.linalg.eigh(A)[0]
+    scale = max(w[-1], 1e-300)
+    assert np.abs(mu - w).max() <= 1e-13 * scale
+    V = dataclasses.replace(DENSE_SHELL, mu=mu, eigenbasis=eigenbasis).unproject(np.eye(len(d)))
+    assert np.abs(V.conj().T @ V - np.eye(len(d))).max() <= 1e-13
+    assert np.abs(A @ V - V * mu).max() <= 1e-13 * scale
+
+
+def _count_dense_solves(monkeypatch):
+    calls = []
+    solve = po.eigendecompose_symmetric
+    monkeypatch.setattr(po, "eigendecompose_symmetric", lambda A: calls.append(len(A)) or solve(A))
+    return calls
+
+
+def test_golden_builds_need_no_dense_eigensolve(monkeypatch):
+    calls = _count_dense_solves(monkeypatch)
+    family1 = bb.parse_family("affine:a=0,b=1")
+    family2 = bb.parse_family("hpoly2:n=1,part=re;hpoly2:n=2,part=re")
+    for L in (8, 16, 32, 64):
+        for h in (1 / 16, 1 / 32):
+            bb.build_phi_operator(bb.make_grid(1, [L], h), family1, backend="dense")
+    for L in (4, 6, 8):
+        bb.build_phi_operator(bb.make_grid(2, [L, L], 1 / 8), family2, backend="dense")
+    assert calls == []
+
+
+def test_rank_two_block_goes_to_the_dense_eigensolver(monkeypatch):
+    calls = _count_dense_solves(monkeypatch)
+    grid = bb.make_grid(1, [4], 1 / 16)  # N = 63
+    # 1 couples the even modes, 1 + x all of them: one block of rank 2
+    op = bb.build_phi_operator(grid, bb.parse_family("const:c=1;affine:a=1,b=1"), backend="dense")
+    assert calls == [63]
+    C = op.basis.col_hat
+    w = np.linalg.eigvalsh(np.diag(1.0 / op.lam) + C @ C.conj().T)
+    assert np.abs(op.mu - w).max() <= 1e-13 * w[-1]
+
+
+def test_unconverged_secular_roots_fall_back_to_the_dense_eigensolver(monkeypatch):
+    calls = _count_dense_solves(monkeypatch)
+    monkeypatch.setattr(po, "_SECULAR_STEPS", 1)
+    grid = bb.make_grid(1, [4], 1 / 16)
+    op = bb.build_phi_operator(grid, bb.parse_family("affine:a=0,b=1"), backend="dense")
+    assert calls == [31]
+    C = op.basis.col_hat
+    w = np.linalg.eigvalsh(np.diag(1.0 / op.lam) + C @ C.conj().T)
+    assert np.abs(op.mu - w).max() <= 1e-13 * w[-1]
+
+
+def test_rank_one_block_below_the_resolution_of_d():
+    # the second column survives the drop (its entries exceed eps ||C||_2), but
+    # its block's |c|^2 = 2e-30 is far below the ulp of d = 1
+    d = np.array([0.5, 0.9, 1.0])
+    C = np.array([[1.0, 0.0], [0.0, 1e-15], [0.0, 1e-15]])
+    mu, eigenbasis = po._deflated_eigh(d, C.copy())
+    A = np.diag(d) + C @ C.T
+    assert np.abs(mu - np.linalg.eigvalsh(A)).max() <= 1e-15
+    V = dataclasses.replace(DENSE_SHELL, mu=mu, eigenbasis=eigenbasis).unproject(np.eye(3))
+    assert np.abs(V.T @ V - np.eye(3)).max() <= 1e-15
+    assert np.abs(A @ V - V * mu).max() <= 1e-15

@@ -57,6 +57,15 @@ class TestKrein:
         rep = vf.krein_identity_residual(op, z)
         assert rep.residuals["relative"] <= 1e-10
 
+    def test_fields_are_one_draw_per_field_of_the_seeded_stream(self, grid_1d, monkeypatch):
+        drawn = []
+        project = bb.PhiOperator.project
+        monkeypatch.setattr(bb.PhiOperator, "project", lambda self, x: drawn.append(x) or project(self, x))
+        vf.krein_identity_residual(make_op(grid_1d, "affine:a=0,b=1"), -1.0, n_fields=5, seed=3)
+        rng = np.random.default_rng(3)
+        one_by_one = np.stack([rng.standard_normal(grid_1d.total) for _ in range(5)], axis=1)
+        np.testing.assert_array_equal(drawn[0], one_by_one)
+
     def test_rejects_nonnegative_z(self, grid_1d):
         op = make_op(grid_1d, "affine:a=0,b=1")
         with pytest.raises(ValueError, match="negative"):
