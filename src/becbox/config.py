@@ -63,7 +63,7 @@ class ExperimentConfig:
     window_margin: float = 2.0              # srs comparison window beyond supp u
     wick_n: int = 3                         # matrix size for the wick demo
     seed: int = 1234
-    zero_wall_time: bool = False            # zero the wall_time_s column (golden runs)
+    zero_wall_time: bool = False            # zero every wall time emitted (golden runs)
 
     def lengths(self) -> list[float]:
         try:

@@ -12,6 +12,8 @@ fhat(p) = (2pi)^(-d/2) * integral f(x) e^(-ip.x) dx, which makes
 Test functions are built from the smooth compactly supported bump
 psi(t) = exp(-1/(1-t^2)) on |t| < 1, tensorized per axis, so trapezoidal
 quadrature over the support converges faster than any power of the step.
+Every momentum kernel here is even in each p_i, so a d=2 momentum sum folds
+each per-axis vector onto p_i >= 0 and walks only the (M+1)^2 quadrant.
 """
 
 from __future__ import annotations
@@ -235,7 +237,9 @@ class FourierTable:
 
     @property
     def p_spacing(self) -> float:
-        return float(self.p[1] - self.p[0])
+        # the step at the origin is exact; p[1] - p[0] rounds at |p| = cutoff
+        m = self.zero_index
+        return float(self.p[m + 1] - self.p[m])
 
     @property
     def zero_index(self) -> int:
@@ -258,18 +262,21 @@ class FourierTable:
         return abs(self.value_at_zero()) <= ZERO_MEAN_RTOL * max(peak, 1e-300)
 
 
-def _axis_transform_centered(a: float, p: np.ndarray, quad_points: int) -> np.ndarray:
-    """(2pi)^(-1/2) integral psi(x/a) e^(-ipx) dx (real, even) on a p grid
-    symmetric about its middle entry, p = 0."""
+def _axis_transform_centered(a: float, p_spacing: float, M: int, quad_points: int) -> np.ndarray:
+    """(2pi)^(-1/2) integral psi(x/a) e^(-ipx) dx (real, even) on the grid
+    p = k dp, |k| <= M, from the trapezoid sum of cos(k dp x) over the support
+    for k >= 0, mirrored.
+
+    With k = b q + r and b = isqrt(M) + 1, cos(k dp x) is the real part of
+    e^(i b q dp x) e^(i r dp x): the (M+1) x quad_points cosine table is one
+    real product of two phase tables of about sqrt(M) rows each."""
     x, w = _axis_quadrature(-a, a, quad_points)
     fw = w * bump_profile(x / a)
-    # the grid is symmetric about 0 and the transform even: compute p >= 0, mirror
-    half = p[len(p) // 2:]
-    out = np.empty(len(half))
-    chunk = 512
-    for i in range(0, len(half), chunk):
-        out[i : i + chunk] = np.cos(np.outer(half[i : i + chunk], x)) @ fw
-    out /= np.sqrt(2.0 * np.pi)
+    b = math.isqrt(M) + 1
+    coarse = np.outer(p_spacing * (b * np.arange(M // b + 1)), x)
+    fine = np.outer(p_spacing * np.arange(b), x)
+    out = (np.cos(coarse) * fw) @ np.cos(fine).T - (np.sin(coarse) * fw) @ np.sin(fine).T
+    out = out.ravel()[: M + 1] / np.sqrt(2.0 * np.pi)
     return np.concatenate([out[:0:-1], out])
 
 
@@ -294,7 +301,7 @@ def fourier_oracle(
         # shift theorem: the centered transform is real and even, and a
         # common center cancels exactly in antisymmetric combinations
         if a not in cache:
-            cache[a] = _axis_transform_centered(a, p, quad_points)
+            cache[a] = _axis_transform_centered(a, p_spacing, M, quad_points)
         base = cache[a]
         if c == 0.0:
             return base
@@ -315,21 +322,27 @@ def _check_compatible(table_f: FourierTable, table_g: FourierTable) -> None:
         raise ValueError("tables live on different momentum grids")
 
 
-def _row_blocks(p, factors):
-    """The momentum grid of a table with per-axis ``factors`` (d <= 2), walked
-    ROW_BLOCK rows of p_1 at a time; a d=1 table is the single row p_1 = 0,
-    with unit weight and factor there.  Yields per block its row slice and,
-    on the block, |p|^2, the trapezoid weights and the outer product of the
-    factors: no temporary is table-sized."""
-    w = _trapezoid_weights(len(p), p[1] - p[0])
-    m = len(p) // 2
-    one = np.ones(len(p))
-    u, w_rows, first, last = ((factors[0], w, 0, len(p)) if len(factors) == 2
-                              else (one, one, m, m + 1))
-    for r in range(first, last, ROW_BLOCK):
-        rows = slice(r, min(r + ROW_BLOCK, last))
-        yield (rows, p[rows, None] ** 2 + p**2, np.multiply.outer(w_rows[rows], w),
-               np.multiply.outer(u[rows], factors[-1]))
+def _fold(a):
+    """``a`` over the symmetric p-grid folded onto p >= 0 along its last axis,
+    a(0) then a(p) + a(-p): its sum against a kernel even in p is unchanged."""
+    m = a.shape[-1] // 2
+    out = a[..., m:].copy()
+    out[..., 1:] += a[..., :m][..., ::-1]
+    return out
+
+
+def _quadrant_blocks(p, dim):
+    """|p|^2 on the momentum grid, ROW_BLOCK rows at a time, with each block's
+    row slice.  A d=2 sum whose kernel is even in each p_i folds onto the
+    (M+1)^2 quadrant p >= 0, walked here; d=1 is one unfolded row over the
+    whole axis.  No temporary is table-sized."""
+    if dim == 1:
+        yield slice(0, 1), p**2
+        return
+    q = p[len(p) // 2:]
+    for r in range(0, len(q), ROW_BLOCK):
+        rows = slice(r, min(r + ROW_BLOCK, len(q)))
+        yield rows, q[rows, None] ** 2 + q**2
 
 
 def _green_zero_limit(table_f: FourierTable, table_g: FourierTable) -> complex:
@@ -365,20 +378,33 @@ def _green_zero_limit(table_f: FourierTable, table_g: FourierTable) -> complex:
 
 def _bilinear_integrals(table_f, table_g, kernels):
     """Trapezoid sums of conj(fhat) ghat kernel(|p|^2), one per (kernel,
-    p = 0 cell value) in ``kernels``, by one walk over blocks of rows; real
-    when g is f."""
+    p = 0 cell value) in ``kernels``, by one walk over the momentum grid; real
+    when g is f.  d=1 sums the row's cells as the full table does; d=2 sums
+    u_1[rows] @ kernel @ u_2 on the quadrant, u_i the weighted factors of
+    conj(fhat) ghat folded onto p_i >= 0."""
     _check_compatible(table_f, table_g)
-    m = table_f.zero_index
-    factors = [np.conj(a) * b for a, b in zip(table_f.factors, table_g.factors)]
+    dim, m = table_f.dim, table_f.zero_index
+    w = _trapezoid_weights(len(table_f.p), table_f.p_spacing)
+    z = [np.conj(a) * b for a, b in zip(table_f.factors, table_g.factors)]
+    if dim == 2:
+        u1, u2 = (_fold(w * zi) for zi in z)
+        u2 = u2.view(float).reshape(-1, 2)  # (re, im) columns: a real product per block
     totals = [0.0 + 0.0j] * len(kernels)
-    for rows, psq, weights, z in _row_blocks(table_f.p, factors):
+    for rows, psq in _quadrant_blocks(table_f.p, dim):
         for i, (kernel, zero_value) in enumerate(kernels):
-            # the kernel may be singular at p = 0; that cell is overwritten by its limit
+            # the kernel may be singular at p = 0: that cell is overwritten by
+            # its limit, in d=2 by 0 with the limit added once after the walk
             with np.errstate(divide="ignore", invalid="ignore"):
-                block = z * kernel(psq)
-            if rows.start <= m < rows.stop:
-                block[m - rows.start, m] = zero_value
-            totals[i] += np.sum(block * weights)
+                block = kernel(psq) if dim == 2 else z[0] * kernel(psq)
+            if dim == 1:
+                block[m] = zero_value
+                totals[i] += np.sum(block * w)
+            else:
+                if rows.start == 0:
+                    block[0, 0] = 0.0
+                totals[i] += u1[rows] @ (block @ u2).view(complex)[:, 0]
+    if dim == 2:
+        totals = [t + w[m] ** 2 * zero_value for t, (_, zero_value) in zip(totals, kernels)]
     return [complex(t).real if table_g is table_f else complex(t) for t in totals]
 
 
@@ -490,11 +516,17 @@ def resolvent_reference(u: TestFunctionSpec, points, table: FourierTable | None 
         raise ValueError("d=2 synthesis needs a Fourier table of u")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     (x1, i1), (x2, i2) = (np.unique(c, return_inverse=True) for c in pts.T)
-    e1, e2 = (np.exp(1j * np.outer(x, table.p)) for x in (x1, x2))
-    left = np.zeros((len(x1), len(table.p)), dtype=complex)
-    for rows, psq, weights, uv in _row_blocks(table.p, table.factors):
-        left += e1[:, rows] @ (uv * weights / (1.0 + psq))
-    return (left @ e2.T)[i1, i2] / (2.0 * np.pi)
+    # phase times weighted factor per axis, folded onto p >= 0; the first as
+    # real rows (re, then im) so each block is one real product
+    w = _trapezoid_weights(len(table.p), table.p_spacing)
+    a1, a2 = (_fold(np.exp(1j * np.outer(x, table.p)) * (w * f))
+              for x, f in zip((x1, x2), table.factors))
+    a1 = np.concatenate([a1.real, a1.imag])
+    left = np.zeros(a1.shape)
+    for rows, psq in _quadrant_blocks(table.p, 2):
+        left += a1[:, rows] @ (1.0 / (1.0 + psq))
+    left = left[: len(x1)] + 1j * left[len(x1):]
+    return (left @ a2.T)[i1, i2] / (2.0 * np.pi)
 
 
 # --- Wick rule ----------------------------------------------------------------

@@ -115,6 +115,7 @@ class ConvergenceReport:
     config: dict
     rhs: ct.RhsValue
     rows: list[ConvergeRow]
+    oracle_wall_time_s: float  # Fourier tables and right-hand side
     rows_fine: list[ConvergeRow] | None = None
     rows_richardson: list[ConvergeRow] | None = None
 
@@ -154,10 +155,12 @@ def run_converge_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
     _check_support_inside(f, L_min, name="f")
     if g is not None:
         _check_support_inside(g, L_min, name="g")
+    t0 = time.perf_counter()
     table_f = ct.fourier_oracle(f, cfg.cutoff, cfg.p_spacing, cfg.quad_points)
     table_g = None if g is None else ct.fourier_oracle(g, cfg.cutoff, cfg.p_spacing, cfg.quad_points)
     rhs = ct.two_point_rhs(family, f, g if g is not None else f, cfg.beta,
                            table_f, table_g, cfg.quad_points)
+    oracle_wall_time_s = time.perf_counter() - t0
     rows = _sweep_rows(cfg, family, f, g, rhs.total, cfg.h)
     rows_fine = rows_rich = None
     if cfg.h_richardson:
@@ -175,6 +178,7 @@ def run_converge_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
                 wall_time_s=a.wall_time_s + b.wall_time_s,
             ))
     return ConvergenceReport(config=cfg.to_dict(), rhs=rhs, rows=rows,
+                             oracle_wall_time_s=oracle_wall_time_s,
                              rows_fine=rows_fine, rows_richardson=rows_rich)
 
 
@@ -192,6 +196,7 @@ class SrsRow:
 class SrsReport:
     config: dict
     rows: list[SrsRow]
+    oracle_wall_time_s: float  # Fourier table and resolvent reference
 
     def all_decreasing(self) -> bool:
         return all(r.decreasing for r in self.rows)
@@ -227,6 +232,7 @@ def run_srs_sweep(cfg: ExperimentConfig) -> SrsReport:
     # shared across the schedule because h divides every L/2 offset)
     grid0 = make_grid(cfg.dim, [Ls[0]] * cfg.dim, cfg.h)
     mask0 = window_mask(grid0)
+    t0 = time.perf_counter()
     if cfg.dim == 1:
         pts = grid0.axis_nodes(0)[mask0]
         ref = ct.resolvent_reference(u, pts)
@@ -234,6 +240,7 @@ def run_srs_sweep(cfg: ExperimentConfig) -> SrsReport:
         pts = grid0.nodes()[mask0]
         table_u = ct.fourier_oracle(u, cfg.cutoff, cfg.p_spacing, cfg.quad_points)
         ref = ct.resolvent_reference(u, pts, table=table_u)
+    oracle_wall_time_s = time.perf_counter() - t0
 
     rows: list[SrsRow] = []
     prev = None
@@ -249,7 +256,7 @@ def run_srs_sweep(cfg: ExperimentConfig) -> SrsReport:
                            decreasing=decreasing,
                            wall_time_s=time.perf_counter() - t0))
         prev = err
-    return SrsReport(config=cfg.to_dict(), rows=rows)
+    return SrsReport(config=cfg.to_dict(), rows=rows, oracle_wall_time_s=oracle_wall_time_s)
 
 
 def run_verify_suite(cfg: ExperimentConfig) -> list[CheckReport]:
@@ -381,6 +388,7 @@ def emit_converge(report: ConvergenceReport, out_dir: str, label: str) -> list[s
             "condensate_re": report.rhs.condensate.real,
             "regular_re": report.rhs.regular.real,
             "green_re": report.rhs.green.real,
+            "oracle_wall_time_s": 0.0 if zero_wall else report.oracle_wall_time_s,
         },
         "rows": len(report.rows),
         "rel_err": rel_errs,
@@ -415,6 +423,7 @@ def emit_srs(report: SrsReport, out_dir: str, label: str) -> list[str]:
         "input_hash": _config_hash(cfg),
         "rows": len(report.rows),
         "final_err": report.rows[-1].err,
+        "oracle_wall_time_s": 0.0 if zero_wall else report.oracle_wall_time_s,
         "all_decreasing": report.all_decreasing(),
         "pass": report.all_decreasing(),
     }

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -140,6 +141,22 @@ class TestEmission:
         assert len(doc["input_hash"]) == 40
         assert doc["config"]["family"] == "affine:a=0,b=1"
 
+    def test_oracle_wall_time_is_zeroed_like_the_csv_column(self, tmp_path, mini_report):
+        """The JSON's rhs block carries the oracle's wall time; zero_wall_time
+        zeroes it, so a fresh run of the same config emits the same bytes."""
+        assert mini_report.oracle_wall_time_s > 0
+        ex.emit_converge(mini_report, str(tmp_path), "a")
+        ex.emit_converge(ex.run_converge_sweep(parse_config_text(MINI_CONVERGE)),
+                         str(tmp_path), "b")
+        first = (tmp_path / "a.json").read_bytes()
+        assert json.loads(first)["rhs"]["oracle_wall_time_s"] == 0.0
+        assert (tmp_path / "b.json").read_bytes() == first
+        timed = dataclasses.replace(mini_report,
+                                    config=dict(mini_report.config, zero_wall_time=False))
+        ex.emit_converge(timed, str(tmp_path), "t")
+        doc = json.loads((tmp_path / "t.json").read_text())
+        assert doc["rhs"]["oracle_wall_time_s"] == mini_report.oracle_wall_time_s
+
     def test_svg_well_formed(self, tmp_path, mini_report):
         ex.emit_converge(mini_report, str(tmp_path), "p")
         tree = ET.parse(tmp_path / "p.svg")
@@ -189,6 +206,25 @@ class TestSrsSweep:
         lines = (tmp_path / "s_srs.csv").read_text().splitlines()
         assert lines[0] == "L,N,h,err,decreasing,wall_time_s"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_oracle_wall_time_is_zeroed_like_the_csv_column(self, tmp_path, dim):
+        """The JSON carries the reference's wall time; zero_wall_time zeroes
+        it, so a fresh run of the same config emits the same bytes."""
+        text = ("kind = srs\nL_start = 8\nL_steps = 2\nh = 0.25\nzero_wall_time = true\n"
+                + ("" if dim == 1 else "dim = 2\nu = bump2:cx=1,cy=0,ax=1,ay=1\nfamily =\n"
+                                       "cutoff = 10\np_spacing = 0.1\nquad_points = 256\n"))
+        report = ex.run_srs_sweep(parse_config_text(text))
+        assert report.oracle_wall_time_s > 0
+        ex.emit_srs(report, str(tmp_path), "a")
+        ex.emit_srs(ex.run_srs_sweep(parse_config_text(text)), str(tmp_path), "b")
+        first = (tmp_path / "a_srs.json").read_bytes()
+        assert json.loads(first)["oracle_wall_time_s"] == 0.0
+        assert (tmp_path / "b_srs.json").read_bytes() == first
+        timed = dataclasses.replace(report, config=dict(report.config, zero_wall_time=False))
+        ex.emit_srs(timed, str(tmp_path), "t")
+        doc = json.loads((tmp_path / "t_srs.json").read_text())
+        assert doc["oracle_wall_time_s"] == report.oracle_wall_time_s
 
 
 class TestWickDemo:

@@ -2,29 +2,33 @@
 
 The references below are the straightforward forms of each integral: a dense
 coordinate mesh and one pair of overlap evaluations per harmonic function, a
-masked copy of the full momentum table on a full |p|^2 grid, the Green limit
-at p = 0 read off the product table conj(fhat) ghat formed in full, and one
-full table sum per resolvent point.
+full cosine table per axis transform, a masked copy of the full momentum
+table on a full |p|^2 grid, the Green limit at p = 0 read off the product
+table conj(fhat) ghat formed in full, and one full table sum per resolvent
+point.
 The library evaluates each input once and reads every integral off it; where
 the arithmetic is the same the results must be bit-identical, and where the
 summation order changed (the resolvent synthesis, the separable overlaps, the
-row blocks and per-axis products of a d=2 momentum table, the free gas as
-the regular part plus the Green integral over beta) they must agree to
-roundoff.
+row blocks and per-axis products of a d=2 momentum table folded onto p >= 0,
+the free gas as the regular part plus the Green integral over beta, the
+factored cosine table of an axis transform) they must agree to roundoff.
 """
 
 import dataclasses
+import json
 from functools import partial, reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import becbox as bb
 from becbox import continuum as ct
+from becbox.config import parse_config_text
 from becbox.harmonics import harmonic_factors
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 
 # --- reference loops ----------------------------------------------------------
@@ -38,6 +42,15 @@ def ref_overlap(spec, fn, quad_points):
     for w in reversed(weights):
         vals = vals @ w if vals.ndim > 1 else np.dot(vals, w)
     return complex(vals)
+
+
+def ref_axis_transform(a, p, quad_points):
+    """The centred bump's transform on the symmetric grid p as one cosine
+    table: len(p) // 2 + 1 rows over p >= 0 by quad_points nodes, mirrored."""
+    x, w = ct._axis_quadrature(-a, a, quad_points)
+    fw = w * ct.bump_profile(x / a)
+    out = np.cos(np.outer(p[len(p) // 2:], x)) @ fw / np.sqrt(2.0 * np.pi)
+    return np.concatenate([out[:0:-1], out]), np.sum(np.abs(fw))
 
 
 def ref_condensate_term(family, f, g, beta, quad_points):
@@ -286,6 +299,45 @@ def test_overlap_integral_equals_mesh_reference(data, dim, quad_points):
         assert abs(value - ref) <= 1e-12 * abs_overlap(f, fn, quad_points) + under
 
 
+# M = steps; the examples put M + 1 below ROW_BLOCK and at a multiple of it,
+# and at a multiple of the transform's b = isqrt(M) + 1 and off one
+@settings(max_examples=60)
+@given(halfwidth=reals(0.2, 1.0), cutoff=reals(1.0, 40.0), steps=st.integers(1, 600),
+       quad_points=st.integers(8, 512))
+@example(halfwidth=0.75, cutoff=2.0, steps=2, quad_points=8)
+@example(halfwidth=0.5, cutoff=3.0, steps=3, quad_points=9)
+@example(halfwidth=1.0, cutoff=20.0, steps=2 * ct.ROW_BLOCK - 1, quad_points=64)
+@example(halfwidth=0.3, cutoff=40.0, steps=200, quad_points=512)
+def test_axis_transform_equals_cosine_table(halfwidth, cutoff, steps, quad_points):
+    """The factored axis transform against the full cosine table, within
+    1e-15 sum |fw| of it: both round each phase at the same scale."""
+    table = ct.fourier_oracle(ct.Bump(center=(0.0,), halfwidth=(halfwidth,)), cutoff,
+                              cutoff / steps, quad_points)
+    assert len(table.p) == 2 * steps + 1
+    ref, scale = ref_axis_transform(halfwidth, table.p, quad_points)
+    got, = table.factors
+    assert np.all(got.imag == 0)
+    assert np.abs(got.real - ref).max() <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("name", ["converge_d1", "converge_d2"])
+def test_p_spacing_is_exact_on_golden_grids(name):
+    """The step read at the origin is the configured one; the difference of
+    the first two nodes, at |p| = cutoff, rounds away from it."""
+    golden = json.loads((Path(__file__).parent / "golden" / f"{name}.json").read_text())
+    cfg = parse_config_text(golden["config"])
+    table = ct.fourier_oracle(ct.parse_test_function(cfg.f), cfg.cutoff, cfg.p_spacing, 8)
+    assert table.p_spacing == cfg.p_spacing
+    assert table.p[1] - table.p[0] != cfg.p_spacing
+
+
+@settings(max_examples=60)
+@given(cutoff=reals(1.0, 100.0), p_spacing=reals(1e-3, 1.0))
+def test_p_spacing_is_exact(cutoff, p_spacing):
+    table = ct.fourier_oracle(ct.Bump(center=(0.0,), halfwidth=(0.5,)), cutoff, p_spacing, 8)
+    assert table.p_spacing == p_spacing
+
+
 @st.composite
 def table_pairs(draw, zero_mean):
     dim = draw(st.integers(1, 2))
@@ -307,15 +359,15 @@ def test_momentum_integrals_equal_reference(tables, beta):
 
 
 def test_momentum_integrals_sum_every_row_block():
-    """A d=2 table many row blocks tall, with a partial last block and its
-    p = 0 row inside a later block: every integral matches the reference."""
+    """A d=2 table whose folded quadrant (rows p_1 >= 0) is many row blocks
+    tall, with a partial last block: every integral matches the reference."""
     f = ct.Dipole(center=(0.25, -0.5), offset=0.5, halfwidth=(0.75, 0.5), axis=1,
                   amplitude=1 - 2j)
     g = ct.Dipole(center=(0.0, 0.25), offset=0.75, halfwidth=(0.5, 0.75), amplitude=0.5j)
     table_f, table_g = (ct.fourier_oracle(u, cutoff=20.0, p_spacing=0.1, quad_points=128)
                         for u in (f, g))
-    n, m = len(table_f.p), table_f.zero_index
-    assert n > 4 * ct.ROW_BLOCK and n % ct.ROW_BLOCK and m // ct.ROW_BLOCK > 0
+    rows = table_f.zero_index + 1
+    assert rows > 3 * ct.ROW_BLOCK and rows % ct.ROW_BLOCK
     assert_momentum_integrals(table_f, table_g, beta=0.75)
 
 
