@@ -291,8 +291,10 @@ def fourier_oracle(
     Trapezoid quadrature over the support is spectrally accurate for the
     smooth bump family; the result is deterministic for fixed parameters.
     """
-    if cutoff <= 0 or p_spacing <= 0 or quad_points < 8:
-        raise ValueError("cutoff, p_spacing must be positive and quad_points >= 8")
+    # the Green limit at p = 0 reads two momentum shells on each side
+    if not (p_spacing > 0 and cutoff / p_spacing >= 2) or quad_points < 8:
+        raise ValueError("p_spacing must be positive, cutoff / p_spacing >= 2 "
+                         "and quad_points >= 8")
     M = int(round(cutoff / p_spacing))
     p = p_spacing * np.arange(-M, M + 1)
     cache: dict[float, np.ndarray] = {}

@@ -7,13 +7,13 @@ Green operator plus a rank-K update by the sampled harmonic columns,
 
 which in the orthonormal sine basis is diagonal(1/lambda) plus a rank-K
 congruence of the transformed columns.  The dense backend eigendecomposes that
-matrix without assembling it: exact deflation leaves every mode the update
-does not reach as an eigenpair of its own, a block that one column couples is
-solved through its secular equation, and only blocks of higher rank go to a
-dense eigensolver (operator eigenvalues are reported as 1/mu); the Lanczos
-backend only ever applies it.  Either way a readout is one quadrature rule per
-start vector (the eigenpairs, or a Lanczos Gauss rule), and every spectral
-function of the readout is read off that rule.  All inner products,
+matrix without assembling it, as K chained rank-one modifications: each stage
+adds one column, exact deflation leaves every mode its column does not reach
+as an eigenpair of its own, and the block the column couples is solved
+through its secular equation (operator eigenvalues are reported as 1/mu); the
+Lanczos backend only ever applies it.  Either way a readout is one quadrature
+rule per start vector (the eigenpairs, or a Lanczos Gauss rule), and every
+spectral function of the readout is read off that rule.  All inner products,
 normalizations and orthogonalizations use the h^d-weighted inner product,
 which in sine coefficients is the plain dot product.
 """
@@ -190,24 +190,41 @@ def build_condensate_basis(grid: Grid, columns: list[GridField]) -> CondensateBa
 
 
 @dataclass(frozen=True)
-class _Eigenbasis:
-    """Eigenvectors of diag(d) + C C^H in factored form, never as an N x N array.
+class _Stage:
+    """Eigenvectors of diag(d) + c c^H, for one column c and d ascending
+    wherever c is nonzero, in factored form: one stage of the dense backend's
+    chain.
 
-    Coefficients are first put in descending-d order (``perm``), then each
-    cluster of equal d is rotated so that at most K of its rows of C survive
-    (``rotations``: per cluster size, the stacked positions and unitaries Q).
-    A ``passive`` position then has no C part and is an eigenvector as it
-    stands; the other positions fall into ``blocks`` (positions, eigenvectors)
-    that no column couples to each other.  ``order`` sorts the eigenvalues of
-    [passive, block 1, block 2, ...] ascending.
+    Each cluster of equal d, a lone entry included, is rotated so that one of
+    its entries of c survives, real and positive (``rotations``: per cluster
+    size, the stacked positions and unitaries Q).  The ``active`` positions
+    left with a c part then take the real eigenvectors ``W`` of their block;
+    every other position is an eigenvector as it stands.  ``order`` sorts the
+    eigenvalues ascending.
     """
 
-    perm: np.ndarray
     rotations: tuple
-    passive: np.ndarray
-    blocks: tuple
+    active: np.ndarray
+    W: np.ndarray
     order: np.ndarray
-    dtype: np.dtype
+
+    def _dtype(self, x: np.ndarray) -> np.dtype:
+        return np.result_type(x, self.W, *(Q for _, Q in self.rotations))
+
+    def project(self, y: np.ndarray) -> np.ndarray:
+        y = y.astype(self._dtype(y))
+        for rows, Q in self.rotations:
+            y[rows] = np.einsum("cij,ci...->cj...", Q.conj(), y[rows])
+        y[self.active] = self.W.conj().T @ y[self.active]
+        return y[self.order]
+
+    def unproject(self, a: np.ndarray) -> np.ndarray:
+        y = np.empty(a.shape, dtype=self._dtype(a))
+        y[self.order] = a
+        y[self.active] = self.W @ y[self.active]
+        for rows, Q in self.rotations:
+            y[rows] = np.einsum("cij,cj...->ci...", Q, y[rows])
+        return y
 
 
 @dataclass
@@ -217,7 +234,8 @@ class PhiOperator:
     ``lam`` is the stencil Dirichlet spectrum in coefficient layout; the dense
     backend also holds the eigenvalues ``mu`` (ascending) of the inverse in the
     sine basis, so operator eigenvalues are 1/mu, and its eigenvectors in
-    factored form, read through ``project`` and ``unproject``.
+    factored form, as the chain of rank-one stages ``eigenbasis`` (see
+    ``_deflated_eigh``), read through ``project`` and ``unproject``.
     """
 
     grid: Grid
@@ -227,7 +245,7 @@ class PhiOperator:
     basis: CondensateBasis
     lam: np.ndarray
     mu: np.ndarray | None
-    eigenbasis: _Eigenbasis | None
+    eigenbasis: tuple[_Stage, ...] | None
 
     @property
     def operator_eigenvalues(self) -> np.ndarray:
@@ -236,7 +254,7 @@ class PhiOperator:
             raise ValueError("operator eigenvalues need the dense backend")
         return np.sort(1.0 / self.mu)
 
-    def _eigen(self) -> _Eigenbasis:
+    def _eigen(self) -> tuple[_Stage, ...]:
         if self.eigenbasis is None:
             raise ValueError("eigenvectors need the dense backend")
         return self.eigenbasis
@@ -244,30 +262,16 @@ class PhiOperator:
     def project(self, chat: np.ndarray) -> np.ndarray:
         """V^H chat: sine coefficients (along axis 0) to eigenvector
         coefficients aligned with mu."""
-        e = self._eigen()
-        y = chat[e.perm].astype(np.result_type(chat, e.dtype))
-        for rows, Q in e.rotations:
-            y[rows] = np.einsum("cij,ci...->cj...", Q.conj(), y[rows])
-        parts = [y[e.passive]] + [W.conj().T @ y[rows] for rows, W in e.blocks]
-        return np.concatenate(parts)[e.order]
+        for stage in self._eigen():
+            chat = stage.project(chat)
+        return chat
 
     def unproject(self, a: np.ndarray) -> np.ndarray:
         """V a: eigenvector coefficients aligned with mu (along axis 0) to sine
         coefficients."""
-        e = self._eigen()
-        raw = np.empty(a.shape, dtype=np.result_type(a, e.dtype))
-        raw[e.order] = a
-        y = np.empty_like(raw)
-        y[e.passive] = raw[: len(e.passive)]
-        start = len(e.passive)
-        for rows, W in e.blocks:
-            y[rows] = W @ raw[start : start + len(rows)]
-            start += len(rows)
-        for rows, Q in e.rotations:
-            y[rows] = np.einsum("cij,cj...->ci...", Q, y[rows])
-        chat = np.empty_like(y)
-        chat[e.perm] = y
-        return chat
+        for stage in reversed(self._eigen()):
+            a = stage.unproject(a)
+        return a
 
     def _hat(self, f: GridField) -> np.ndarray:
         if f.grid != self.grid:
@@ -308,48 +312,46 @@ _CHUNK = 64  # rows per pass of the secular solver: n x 64 temporaries stay in c
 _SECULAR_STEPS = 100  # per chunk of roots; the middle way takes about 4, bisection about 60
 
 
-def _secular_terms(d, z2, origin, tau, roots):
+def _secular_terms(d, z2, origin, tau, roots, work):
     """psi, phi and their derivatives at mu = origin + tau for the given
     (ascending, within one chunk) roots: the sums of z2_i / (d_i - mu) over the
     poles d_i at or below each root's interval and over those above, with d_i
     - mu formed as (d_i - origin) - tau.  Only the chunk's own columns differ
-    from row to row in which sum they join."""
-    r = np.add.outer(-origin, d)
+    from row to row in which sum they join.  ``work`` holds the two chunk x n
+    temporaries, reused from call to call: fresh ones cost more in page faults
+    than the sums themselves."""
+    r = np.add.outer(-origin, d, out=work[0, : len(roots)])
     r -= tau[:, None]
     np.reciprocal(r, out=r)
     s, e = roots[0], roots[-1] + 1
     lower = np.arange(s, e) <= roots[:, None]
     sums = []
-    for x in (r, r * r):
+    for x in (r, np.multiply(r, r, out=work[1, : len(roots)])):
         window = x[:, s:e] * z2[s:e]
         sums += [x[:, :s] @ z2[:s] + np.sum(window, axis=1, where=lower),
                  x[:, e:] @ z2[e:] + np.sum(window, axis=1, where=~lower)]
     return sums
 
 
-def _secular_eigh(d: np.ndarray, c: np.ndarray) -> np.ndarray | None:
-    """Orthonormal eigenvectors of diag(d) + c c^H for ascending, distinct d and
-    a column c without zeros, by the secular equation; None if a root does not
+def _secular_eigh(d: np.ndarray, z: np.ndarray) -> np.ndarray | None:
+    """Orthonormal eigenvectors of diag(d) + z z^T for ascending, distinct d and
+    a positive column z, by the secular equation; None if a root does not
     converge.
 
-    With z = |c|, root j of 1 + sum_i z_i^2 / (d_i - mu) lies in (d_j,
-    d_{j+1}), the last one in (d_n, d_n + |z|^2).  Each is held as the nearer
-    pole plus an offset tau, so that every d_i - mu is formed without
-    cancellation, and found by Li's middle-way rational iteration (psi and phi,
-    the sums over the poles below and above the interval, each fitted by one
-    pole), safeguarded by bisection of a bracket, until |f| <= eps (1 + |psi| +
-    |phi|) or a step is below 4 ulp.  The eigenvectors are zhat_i phase(c_i) /
-    (d_i - mu_j), normalized, where zhat is the column whose roots are exactly
-    the computed ones (Gu & Eisenstat 1994), which keeps them orthogonal
-    however close the roots are.
+    Root j of 1 + sum_i z_i^2 / (d_i - mu) lies in (d_j, d_{j+1}), the last
+    one in (d_n, d_n + |z|^2).  Each is held as the nearer pole plus an offset
+    tau, so that every d_i - mu is formed without cancellation, and found by
+    Li's middle-way rational iteration (psi and phi, the sums over the poles
+    below and above the interval, each fitted by one pole), safeguarded by
+    bisection of a bracket, until |f| <= eps (1 + |psi| + |phi|) or a step is
+    below 4 ulp.  The eigenvectors are zhat_i / (d_i - mu_j), normalized,
+    where zhat is the column whose roots are exactly the computed ones (Gu &
+    Eisenstat 1994), which keeps them orthogonal however close the roots are.
     """
     n = len(d)
-    z2 = np.abs(c) ** 2
-    phase = c / np.sqrt(z2)
-    if not np.any(np.imag(phase)):
-        phase = phase.real
-    if n == 1:
-        return phase[:, None]
+    z2 = z**2
+    if n <= 1:
+        return np.ones((n, n))
     upper = np.r_[d[1:], d[-1] + z2.sum()]
     last = np.arange(n) == n - 1
     eps = np.finfo(float).eps
@@ -357,10 +359,11 @@ def _secular_eigh(d: np.ndarray, c: np.ndarray) -> np.ndarray | None:
     # brackets for tau; the last one's width |z|^2 may be below the ulp of d_n
     lo, hi = np.zeros(n), np.r_[np.diff(d), z2.sum()]
     tau = hi / 2
+    work = np.empty((2, min(_CHUNK, n), n))
     for start in range(0, n, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, n))
         for step in range(_SECULAR_STEPS):
-            psi, phi, dpsi, dphi = _secular_terms(d, z2, origin[idx], tau[idx], idx)
+            psi, phi, dpsi, dphi = _secular_terms(d, z2, origin[idx], tau[idx], idx, work)
             w = 1.0 + psi + phi
             lo[idx[w < 0]] = tau[idx[w < 0]]
             hi[idx[w > 0]] = tau[idx[w > 0]]
@@ -404,92 +407,83 @@ def _secular_eigh(d: np.ndarray, c: np.ndarray) -> np.ndarray | None:
         block = W[start : start + _CHUNK]
         np.subtract.outer(d[i], origin, out=block)
         block -= tau
-        den = np.subtract.outer(d[i], np.r_[d[:start], d[start + 1 :], np.nan])
+        den = np.subtract.outer(d[i], np.r_[d[:start], d[start + 1 :], np.nan],
+                                out=work[0, : len(i)])
         np.subtract(d[i, None], d[i], out=den[:, start : i[-1] + 1], where=i < i[:, None])
         den[:, -1] = -1.0
-        zhat = np.sqrt(np.prod(block / den, axis=1))
+        zhat = np.sqrt(np.prod(np.divide(block, den, out=den), axis=1))
         np.divide(zhat[:, None], block, out=block)
         norm2 += np.einsum("ij,ij->j", block, block)
     W /= np.sqrt(norm2)
-    return phase[:, None] * W
+    return W
 
 
-def _deflated_eigh(d: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, _Eigenbasis]:
-    """Eigenpairs of diag(d) + C C^H by exact deflation and per-block solves.
-
-    The rank-one modification method (Golub 1973; Bunch, Nielsen & Sorensen
-    1978).  An entry of C with |C_ik| ||C||_2 <= eps max(max d, ||C||_2^2) is
-    dropped, and d values that far apart count as equal: perturbations no
-    larger than a dense eigensolver's backward error.  Rotating the rows of C
-    in a cluster of equal d onto their left singular vectors keeps diag(d) and
-    leaves at most rank-many of them.  Rows left without a C part are
-    eigenpairs (d_i, e_i); the rest split into blocks of rows that share a
-    column.  A block coupled by one column is solved through its secular
-    equation (``_secular_eigh``), in O(n^2); a block of higher rank goes to the
-    dense eigensolver.  A block's eigenvalues are then the Rayleigh quotients
-    of its eigenvectors, sum_j d_j |w_j|^2 + |C^H w|^2: sums of positive
-    terms, accurate relative to each eigenvalue, where a solver's own are
-    accurate only to eps max mu.
-    """
-    N, K = C.shape
-    # descending d grades each block downward, the order in which the dense
-    # solver's reduction (from the top-left) loses the least accuracy
-    perm = np.argsort(-d, kind="stable")
-    ds = d[perm]
-    Cs = C[perm]
-    norm = float(np.linalg.norm(Cs, 2)) if K else 0.0
-    scale = np.finfo(float).eps * max(float(ds[0]), norm**2)
-    if norm > 0:
-        tol = scale / norm
-        Cs[np.abs(Cs) <= tol] = 0
-    active = np.flatnonzero(np.any(Cs != 0, axis=1))
-    cluster = np.cumsum(np.r_[0, ds[:-1] - ds[1:] > scale])[active]
+def _rank_one_stage(d: np.ndarray, c: np.ndarray, scale: float, tol: float
+                    ) -> tuple[np.ndarray, _Stage]:
+    """Eigenpairs of diag(d) + c c^H, d ascending wherever c is nonzero:
+    ascending eigenvalues and the stage that holds the eigenvectors.  ``tol``
+    drops entries of c and d values within ``scale`` of each other count as
+    equal."""
+    c = np.where(np.abs(c) <= tol, 0, c)
+    active = np.flatnonzero(c)
+    cluster = np.cumsum(np.r_[0, np.diff(d) > scale])[active]
     size = np.bincount(cluster)[cluster]  # active rows in each active row's cluster
     rotations = []
-    for s in np.unique(size[size > 1]):
+    for s in np.unique(size):
         rows = active[size == s].reshape(-1, s)  # a cluster's active rows are contiguous
-        U, sigma, Vh = np.linalg.svd(Cs[rows])
-        r = min(s, K)  # U^H C = diag(sigma) Vh on the first r rows, zero below
-        Cs[rows] = 0
-        Cs[rows[:, :r]] = sigma[..., None] * Vh[:, :r]
+        # U^H c = sigma Vh on the first row, and zero below; with the phase Vh
+        # moved into U, every rotated c is real and positive
+        U, sigma, Vh = np.linalg.svd(c[rows][..., None])
+        U[..., 0] *= Vh[:, :, 0]
+        c[rows] = 0
+        c[rows[:, 0]] = sigma[:, 0]
         rotations.append((rows, U))
-    if rotations:
-        Cs[np.abs(Cs) <= tol] = 0
-        active = np.flatnonzero(np.any(Cs != 0, axis=1))
-    passive = np.setdiff1d(np.arange(N), active)
-    # columns sharing an active row belong to one block
-    nonzero = Cs[active] != 0
-    label = np.arange(K)
-    for pattern in np.unique(nonzero, axis=0):
-        joined = np.isin(label, label[pattern])
-        label[joined] = label[joined].min()
-    row_label = label[np.argmax(nonzero, axis=1)] if K else active
-    blocks = []
-    mu = [ds[passive]]
-    for group in np.unique(row_label):
-        rows = active[row_label == group]
-        Cb = Cs[rows]
-        column = np.flatnonzero(np.any(Cb != 0, axis=0))
-        W = None
-        if len(column) == 1 and np.all(ds[rows[:-1]] > ds[rows[1:]]):
-            W = _secular_eigh(ds[rows[::-1]], Cb[::-1, column[0]])
-            if W is not None:  # its rows are in ascending-d order
-                rows, Cb = rows[::-1], Cb[::-1]
-        if W is None:
-            update = Cb @ Cb.conj().T
-            if np.iscomplexobj(update) and np.all(update.imag == 0):
-                update = update.real
-            W = eigendecompose_symmetric(np.diag(ds[rows]) + update)[1]
-        w = ds[rows] @ np.abs(W) ** 2 + np.sum(np.abs(Cb.conj().T @ W) ** 2, axis=0)
-        blocks.append((rows, W))
-        mu.append(w)
-    logger.debug("dense build: N = %d, %d passive rows, coupled blocks of sizes %s",
-                 N, len(passive), [len(rows) for rows, _ in blocks])
-    mu = np.concatenate(mu)
+    # one active row per cluster: the active d are ascending and distinct
+    active = np.flatnonzero(c)
+    da, za = d[active], c[active].real
+    W = _secular_eigh(da, za)
+    if W is None:
+        W = eigendecompose_symmetric(np.diag(da) + np.outer(za, za))[1]
+    mu = d.copy()
+    mu[active] = da @ W**2 + (za @ W) ** 2
     order = np.argsort(mu, kind="stable")
-    dtype = np.result_type(float, *(Q for _, Q in rotations), *(W for _, W in blocks))
-    return mu[order], _Eigenbasis(perm=perm, rotations=tuple(rotations), passive=passive,
-                                  blocks=tuple(blocks), order=order, dtype=dtype)
+    return mu[order], _Stage(rotations=tuple(rotations), active=active, W=W, order=order)
+
+
+def _deflated_eigh(d: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, tuple[_Stage, ...]]:
+    """Eigenpairs of diag(d) + C C^H as a chain of rank-one modifications.
+
+    The rank-one modification method (Golub 1973; Bunch, Nielsen & Sorensen
+    1978), applied once per column: a rank-K update is K rank-one updates
+    (Arbenz, Gander & Golub 1988).  The chain starts with a stage of no
+    column, which sorts d ascending; stage k then solves diag(mu) + c c^H,
+    with mu the (ascending) eigenvalues of the stage before it and c column k
+    projected through the stages before it, so no product of stages is ever
+    formed.  Within a stage, an entry of c with |c_i| ||C||_2 <= eps max(max
+    d, ||C||_2^2) is dropped, and d values that far apart count as equal:
+    perturbations no larger than a dense eigensolver's backward error.
+    Rotating the entries of c in a cluster of equal d onto one keeps diag(d)
+    and leaves one of them, real and positive.  Rows left without a c part
+    are eigenpairs (d_i, e_i); the rest form one block, solved through its
+    secular equation (``_secular_eigh``) in O(n^2), or by the dense
+    eigensolver if a root does not converge.  The block's eigenvalues are then the Rayleigh quotients of
+    its eigenvectors, sum_j d_j |w_j|^2 + |c^H w|^2: sums of positive terms,
+    accurate relative to each eigenvalue, where a solver's own are accurate
+    only to eps max mu.
+    """
+    N, K = C.shape
+    norm = float(np.linalg.norm(C, 2)) if K else 0.0
+    scale = np.finfo(float).eps * max(float(d.max()), norm**2)
+    tol = scale / norm if norm > 0 else 0.0
+    mu, stages = d, []
+    for c in [np.zeros(N), *C.T]:
+        for stage in stages:
+            c = stage.project(c)
+        mu, stage = _rank_one_stage(mu, c, scale, tol)
+        stages.append(stage)
+    logger.debug("dense build: N = %d, coupled rows per stage %s",
+                 N, [len(stage.active) for stage in stages[1:]])
+    return mu, tuple(stages)
 
 
 def build_phi_operator(

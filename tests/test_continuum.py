@@ -115,6 +115,14 @@ class TestFourierOracle:
         with pytest.raises(ValueError):
             ct.fourier_oracle(dipole, cutoff=1.0, p_spacing=0.0)
 
+    def test_fewer_than_two_shells_per_side_are_rejected(self, dipole):
+        # both grids used to fail later with IndexError, in p_spacing and the Green limit
+        for cutoff in (0.01, 0.1):
+            with pytest.raises(ValueError, match="cutoff / p_spacing >= 2"):
+                ct.fourier_oracle(dipole, cutoff=cutoff, p_spacing=0.1)
+        table = ct.fourier_oracle(dipole, cutoff=0.2, p_spacing=0.1)
+        assert len(table.p) == 5 and np.isfinite(ct.green_integral(table))
+
 
 class TestMomentumIntegrals:
     def test_zero_function(self):

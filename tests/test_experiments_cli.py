@@ -14,6 +14,7 @@ import becbox as bb
 import becbox.cli as cli
 from becbox import continuum as ct
 from becbox import experiments as ex
+from becbox import phi_operator as po
 from becbox import verification as vf
 from becbox.config import ConfigError, ExperimentConfig, parse_config_text
 from becbox.continuum import HypothesisError
@@ -292,6 +293,17 @@ class TestCli:
         cli.main(args + ["--log-level", "INFO"])
         err = capsys.readouterr().err
         assert "INFO becbox.phi_operator: family of 2 columns deflated to numerical rank 1" in err
+
+    def test_log_level_debug_shows_each_dense_build(self, tmp_path, capsys, monkeypatch):
+        builds = []
+        solve = po._deflated_eigh
+        monkeypatch.setattr(po, "_deflated_eigh", lambda d, C: builds.append(len(d)) or solve(d, C))
+        cli.main(["verify", "--out", str(tmp_path), "--log-level", "DEBUG"])
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("DEBUG becbox.phi_operator: dense build: ")]
+        assert len(builds) > 1
+        assert [int(line.split("N = ")[1].split(",")[0]) for line in lines] == builds
+        assert all("coupled rows per stage [" in line for line in lines)
 
     def test_config_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
