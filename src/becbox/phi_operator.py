@@ -98,22 +98,22 @@ class BoseRegular:
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         t = self.beta * np.asarray(x, dtype=float)
-        out = np.empty_like(t)
+        # expm1 overflows to inf and 1/inf is 0; t = 0 gives inf - inf, overwritten below
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            out = 1.0 / np.expm1(t) - 1.0 / t
         small = t < 0.5
-        ts = t[small]
-        out[small] = (
-            -0.5
-            + ts / 12.0
-            - ts**3 / 720.0
-            + ts**5 / 30240.0
-            - ts**7 / 1209600.0
-            + ts**9 / 47900160.0
-            - ts**11 * 5.284190138687493e-10
-            + ts**13 * 1.3382536530684679e-11
-        )
-        tl = t[~small]
-        with np.errstate(over="ignore"):  # expm1 overflows to inf, and 1/inf is 0
-            out[~small] = 1.0 / np.expm1(tl) - 1.0 / tl
+        if small.any():
+            ts = t[small]
+            out[small] = (
+                -0.5
+                + ts / 12.0
+                - ts**3 / 720.0
+                + ts**5 / 30240.0
+                - ts**7 / 1209600.0
+                + ts**9 / 47900160.0
+                - ts**11 * 5.284190138687493e-10
+                + ts**13 * 1.3382536530684679e-11
+            )
         return out
 
 
@@ -285,8 +285,8 @@ class PhiOperator:
         """A^-1 acting on sine coefficients."""
         out = chat / self.lam
         C = self.basis.col_hat
-        if C.shape[1]:
-            out = out + C @ (C.conj().T @ chat)
+        if C.shape[1]:  # C^H chat as conj(C^T conj(chat)): no copy of C
+            out = out + C @ (C.T @ chat.conj()).conj()
         return out
 
 
@@ -429,7 +429,7 @@ def _rank_one_stage(d: np.ndarray, c: np.ndarray, scale: float, tol: float
     cluster = np.cumsum(np.r_[0, np.diff(d) > scale])[active]
     size = np.bincount(cluster)[cluster]  # active rows in each active row's cluster
     rotations = []
-    for s in np.unique(size):
+    for s in np.flatnonzero(np.bincount(size)):  # the sizes, ascending
         rows = active[size == s].reshape(-1, s)  # a cluster's active rows are contiguous
         # U^H c = sigma Vh on the first row, and zero below; with the phase Vh
         # moved into U, every rotated c is real and positive
@@ -445,7 +445,7 @@ def _rank_one_stage(d: np.ndarray, c: np.ndarray, scale: float, tol: float
     if W is None:
         W = eigendecompose_symmetric(np.diag(da) + np.outer(za, za))[1]
     mu = d.copy()
-    mu[active] = da @ W**2 + (za @ W) ** 2
+    mu[active] = np.einsum("i,ij,ij->j", da, W, W) + (za @ W) ** 2  # no n x n W**2
     order = np.argsort(mu, kind="stable")
     return mu[order], _Stage(rotations=tuple(rotations), active=active, W=W, order=order)
 
@@ -565,12 +565,17 @@ def _gauss_sum(Fs, nodes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarra
 
 @dataclass(frozen=True)
 class LanczosResult:
-    """Outcome of a Lanczos quadrature: ``value`` holds one form per function."""
+    """Outcome of a Lanczos quadrature: ``value`` holds one form per function,
+    ``repeats`` the steps whose Gram-Schmidt pass cancelled and was repeated."""
 
     value: np.ndarray
     steps: int
     converged: bool
     breakdown: bool = False
+    repeats: int = 0
+
+
+_DGKS = 1 / np.sqrt(2)  # a pass that leaves less of ||w|| than this has cancelled
 
 
 def lanczos_quadratic_form(
@@ -584,7 +589,10 @@ def lanczos_quadratic_form(
     recursion on the inverse, started from f.
 
     Runs the weighted-inner-product Lanczos recursion on A^-1 with full
-    (double Gram-Schmidt) reorthogonalization.  Its Gauss rule, the Ritz
+    reorthogonalization: after the three-term step, one classical
+    Gram-Schmidt pass against every Lanczos vector, repeated only when it
+    leaves less than 1/sqrt(2) of the vector's norm (Daniel, Gragg, Kaufman
+    & Stewart 1976; ``repeats`` counts those steps).  Its Gauss rule, the Ritz
     values theta with weights ||f||^2 S[0, i]^2 from the tridiagonal
     eigenvectors, gives the form of each g(mu) = F(1/mu).  Convergence is
     declared when two successive step counts agree to ``tolerance`` relative
@@ -603,16 +611,23 @@ def lanczos_quadratic_form(
     alphas: list[float] = []
     betas: list[float] = []
     value = None
+    repeats = 0
     for j in range(steps):
         w = op.inverse_matvec(Q[j])
         if j > 0:
-            w = w - betas[j - 1] * Q[j - 1]
+            w -= betas[j - 1] * Q[j - 1]
         alpha = float(np.vdot(Q[j], w).real)
         alphas.append(alpha)
-        w = w - alpha * Q[j]
+        w -= alpha * Q[j]
+        # one classical Gram-Schmidt pass; a second only if the first cancels (DGKS)
         Qj = Q[: j + 1]
-        w = w - (Qj @ w.conj()).conj() @ Qj
-        w = w - (Qj @ w.conj()).conj() @ Qj
+        before = np.linalg.norm(w)
+        w -= (Qj @ w.conj()).conj() @ Qj
+        beta = float(np.linalg.norm(w))
+        if beta < _DGKS * before:
+            repeats += 1
+            w -= (Qj @ w.conj()).conj() @ Qj
+            beta = float(np.linalg.norm(w))
         theta, S = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
         if theta.min() <= 0:
             raise RuntimeError("Ritz values left the positive axis; the inverse is not PD")
@@ -620,16 +635,16 @@ def lanczos_quadratic_form(
         if value is not None and np.all(
             np.abs(new_value - value) <= tolerance * np.maximum(np.abs(new_value), 1e-300)
         ):
-            return LanczosResult(value=new_value, steps=j + 1, converged=True)
+            return LanczosResult(value=new_value, steps=j + 1, converged=True, repeats=repeats)
         value = new_value
-        beta = float(np.linalg.norm(w))
         scale = max(map(abs, alphas)) + (max(betas) if betas else 0.0)
         if beta <= 1e-13 * max(scale, 1e-300):
-            return LanczosResult(value=new_value, steps=j + 1, converged=True, breakdown=True)
+            return LanczosResult(value=new_value, steps=j + 1, converged=True, breakdown=True,
+                                 repeats=repeats)
         if j + 1 < steps:
             betas.append(beta)
-            Q[j + 1] = w / beta
-    return LanczosResult(value=value, steps=steps, converged=False)
+            np.divide(w, beta, out=Q[j + 1])
+    return LanczosResult(value=value, steps=steps, converged=False, repeats=repeats)
 
 
 def _bilinear_forms(op: PhiOperator, Fs, f: GridField, g: GridField | None):

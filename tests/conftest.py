@@ -1,8 +1,13 @@
+import json
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import becbox as bb
 from becbox import continuum as ct
+from becbox.config import parse_config_text
 
 try:
     from hypothesis import settings
@@ -12,6 +17,13 @@ else:
     # reproducible examples and no timing limit: the suite runs on busy hosts
     settings.register_profile("becbox", deadline=None, derandomize=True, database=None)
     settings.load_profile("becbox")
+
+
+@pytest.fixture(scope="session")
+def golden_d2_config():
+    """Parsed config of the golden d=2 converge run."""
+    golden = json.loads((Path(__file__).parent / "golden" / "converge_d2.json").read_text())
+    return parse_config_text(golden["config"])
 
 
 @pytest.fixture(scope="session")
@@ -47,3 +59,13 @@ def random_field(grid, seed, complex_values=False):
     if complex_values:
         vals = vals + 1j * rng.standard_normal(grid.total)
     return bb.GridField(grid, vals)
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that tracemalloc (which sees numpy's buffers) records during fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

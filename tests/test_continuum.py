@@ -3,7 +3,6 @@ import os
 import runpy
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +11,7 @@ import pytest
 import becbox as bb
 from becbox import continuum as ct
 from becbox.config import parse_config_text
+from conftest import traced_peak
 
 # Frozen oracle values, computed once with adaptive quadrature (scipy.integrate
 # .quad at epsabs 1e-15) for the standard dipole: center 0, offset 1,
@@ -363,10 +363,9 @@ class TestTextSyntax:
 
 
 @pytest.fixture(scope="module")
-def golden_d2_oracle():
+def golden_d2_oracle(golden_d2_config):
     """Config, family, f and Fourier table of the golden d=2 converge run."""
-    golden = json.loads((Path(__file__).parent / "golden" / "converge_d2.json").read_text())
-    cfg = parse_config_text(golden["config"])
+    cfg = golden_d2_config
     f = ct.parse_test_function(cfg.f)
     table = ct.fourier_oracle(f, cfg.cutoff, cfg.p_spacing, cfg.quad_points)
     return cfg, bb.parse_family(cfg.family), f, table
@@ -391,16 +390,6 @@ def test_double_resolution_rhs_reproduces_golden():
     expected = golden["rhs_double_resolution_re"]
     got = double(parse_config_text(golden["config"])).real
     assert abs(got - expected) <= 1e-12 * abs(expected)
-
-
-def traced_peak(fn, *args) -> int:
-    """Peak bytes that tracemalloc (which sees numpy's buffers) records during fn(*args)."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestOracleMemory:

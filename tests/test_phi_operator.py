@@ -6,7 +6,7 @@ import pytest
 import becbox as bb
 from becbox import continuum as ct
 from becbox import phi_operator as po
-from conftest import random_field
+from conftest import random_field, traced_peak
 
 BOSE_N1 = 1.055148339809722  # 1/(e^(2/3) - 1), scalar oracle for the N=1 box
 
@@ -74,6 +74,28 @@ class TestSpectralFunctions:
         with np.errstate(over="ignore"):  # beta * 1e308 is inf for beta > 1
             for x in (edges, edges / beta, points, block):
                 assert po.BoseRegular(beta).evaluate(x).tobytes() == guarded(x).tobytes()
+
+    def test_bose_regular_matches_masked_form(self):
+        """The whole-array evaluation with the series written over t < 0.5
+        gives the bits of the form that evaluated each side of 0.5 on its
+        own masked copy, and raises no floating-point warning."""
+        def masked(x):
+            t = np.asarray(x, dtype=float)
+            out = np.empty_like(t)
+            small = t < 0.5
+            ts = t[small]
+            out[small] = (-0.5 + ts / 12.0 - ts**3 / 720.0 + ts**5 / 30240.0
+                          - ts**7 / 1209600.0 + ts**9 / 47900160.0
+                          - ts**11 * 5.284190138687493e-10 + ts**13 * 1.3382536530684679e-11)
+            tl = t[~small]
+            with np.errstate(over="ignore"):
+                out[~small] = 1.0 / np.expm1(tl) - 1.0 / tl
+            return out
+
+        t = np.array([0.0, 1e-300, 0.3, 0.5, 1.0, 40.0, 709.0, 710.0, 3200.0])
+        with np.errstate(all="raise", under="ignore"):  # 1/expm1(709) is subnormal
+            for x in (t, t[3:], t[:3]):
+                assert bb.BoseRegular(1.0).evaluate(x).tobytes() == masked(x).tobytes()
 
     def test_shifted_inverse_requires_negative(self):
         with pytest.raises(ValueError, match="negative"):
@@ -408,7 +430,72 @@ class TestLocality:
         assert self._inverse_residual(op, self._bump_field(g)) <= 1e-11
 
 
+def ref_lanczos(op, Fs, f, steps=200, tolerance=1e-10):
+    """The Lanczos readout with two full Gram-Schmidt passes on every step:
+    the reference for the single pass with its DGKS repeat."""
+    v = op._hat(f)
+    nrm = np.linalg.norm(v)
+    Q = np.empty((steps, v.size), dtype=np.result_type(v, op.basis.col_hat))
+    Q[0] = v / nrm
+    alphas, betas = [], []
+    value = None
+    for j in range(steps):
+        w = op.inverse_matvec(Q[j])
+        if j > 0:
+            w = w - betas[j - 1] * Q[j - 1]
+        alpha = float(np.vdot(Q[j], w).real)
+        alphas.append(alpha)
+        w = w - alpha * Q[j]
+        Qj = Q[: j + 1]
+        w = w - (Qj @ w.conj()).conj() @ Qj
+        w = w - (Qj @ w.conj()).conj() @ Qj
+        theta, S = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        new_value = po._gauss_sum(Fs, 1.0 / theta, nrm * S[0], nrm * S[0])
+        if value is not None and np.all(
+            np.abs(new_value - value) <= tolerance * np.maximum(np.abs(new_value), 1e-300)
+        ):
+            return po.LanczosResult(value=new_value, steps=j + 1, converged=True)
+        value = new_value
+        beta = float(np.linalg.norm(w))
+        scale = max(map(abs, alphas)) + (max(betas) if betas else 0.0)
+        if beta <= 1e-13 * max(scale, 1e-300):
+            return po.LanczosResult(value=new_value, steps=j + 1, converged=True, breakdown=True)
+        if j + 1 < steps:
+            betas.append(beta)
+            Q[j + 1] = w / beta
+    return po.LanczosResult(value=value, steps=steps, converged=False)
+
+
 class TestLanczos:
+    def test_single_pass_matches_two_pass_reference(self, golden_d2_config):
+        """The golden d=2 f and family at L = 16 (N = 16129): no pass cancels,
+        and the single pass takes the reference's steps to its values."""
+        cfg = golden_d2_config
+        grid = bb.make_grid(2, [16, 16], cfg.h)
+        op = bb.build_phi_operator(grid, bb.parse_family(cfg.family), backend="lanczos")
+        spec = ct.parse_test_function(cfg.f)
+        f = bb.sample_function(grid, lambda *x: ct.evaluate(spec, *x))
+        Fs = (bb.Bose(cfg.beta), bb.BoseRegular(cfg.beta))
+        res, ref = po.lanczos_quadratic_form(op, Fs, f), ref_lanczos(op, Fs, f)
+        assert res.converged and not res.breakdown and res.repeats == 0
+        assert res.steps == ref.steps == 25
+        assert np.all(np.abs(res.value - ref.value) <= 1e-13 * np.abs(ref.value))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exhausted_space_repeats_the_pass(self, seed):
+        """On a 7-node grid the recursion fills the whole space: the last
+        residual is roundoff inside the span, the first pass cancels it, and
+        the pass is repeated before the breakdown returns the exact rule."""
+        g = bb.make_grid(1, [8], 1.0)
+        f = random_field(g, seed)
+        Fs = (bb.Bose(1.0), bb.BoseRegular(1.0), bb.ShiftedInverse(-1.0))
+        res = po.lanczos_quadratic_form(
+            bb.build_phi_operator(g, bb.HarmonicFamily(()), backend="lanczos"), Fs, f)
+        assert res.repeats == 1 and res.breakdown and res.steps == g.total
+        dense = po._bilinear_forms(
+            bb.build_phi_operator(g, bb.HarmonicFamily(()), backend="dense"), Fs, f, None)[0]
+        assert np.all(np.abs(res.value - dense) <= 1e-13 * np.abs(dense))
+
     def test_agrees_with_dense(self):
         g = bb.make_grid(1, [8], 1 / 32)  # N = 255
         fam = bb.parse_family("affine:a=0,b=1")
@@ -488,3 +575,17 @@ class TestLanczos:
         with pytest.raises(ValueError, match="nonzero"):
             bb.lanczos_quadratic_form(op, (bb.ShiftedInverse(-1.0),),
                                       bb.GridField(grid_1d, np.zeros(grid_1d.total)))
+
+
+class TestReadoutMemory:
+    """A dense build holds its stage matrices and makes no temporary of their size."""
+
+    def test_dense_build_makes_no_square_temporary(self, golden_d2_config):
+        cfg = golden_d2_config
+        grid = bb.make_grid(2, [max(cfg.lengths())] * 2, cfg.h)
+        family = bb.parse_family(cfg.family)
+        assert grid.total == 3969
+        op = bb.build_phi_operator(grid, family, backend="dense")
+        stored = sum(s.W.nbytes + sum(Q.nbytes for _, Q in s.rotations) for s in op.eigenbasis)
+        assert stored > 8e6  # blocks of 992 and 481 coupled rows
+        assert traced_peak(bb.build_phi_operator, grid, family, "sampled", "dense") <= 1.3 * stored

@@ -7,7 +7,7 @@ import pytest
 import becbox as bb
 from becbox import verification as vf
 from becbox import continuum as ct
-from conftest import random_field
+from conftest import random_field, traced_peak
 
 
 def make_op(grid, family_text, mode="sampled"):
@@ -256,6 +256,13 @@ class TestDirichletReduction:
         for grid in (bb.make_grid(1, [32], 1.0), bb.make_grid(2, [8, 8], 1.0)):
             rep = vf.dirichlet_reduction_check(grid)
             assert rep.passed, rep.residuals
+
+    def test_streams_row_blocks(self):
+        """N = 961 is 16 blocks, the last of one row, and about ten N x N
+        arrays (7.4 MB each) if the eigenvectors were read at once."""
+        grid = bb.make_grid(2, [32, 32], 1.0)
+        assert vf.dirichlet_reduction_check(grid).passed
+        assert traced_peak(vf.dirichlet_reduction_check, grid) <= 8e6
 
 
 class TestSplitIdentity:
