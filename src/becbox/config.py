@@ -103,7 +103,7 @@ class ExperimentConfig:
                          and abs(ratio - round(ratio)) <= 1e-9 * max(1.0, ratio),
                          f"h = {h} does not divide L = {L}")
                 _require(round(ratio) >= 2, f"h = {h} leaves no interior node in L = {L}")
-        # the Green limit at p = 0 reads two momentum shells on each side
+        # fourier_oracle's rule: the p step, read at p = 0, lies between interior nodes
         _require(2 <= self.cutoff / self.p_spacing < math.inf,
                  "cutoff / p_spacing must be finite and >= 2")
         _require(math.isfinite(self.window_margin) and self.window_margin >= 0,

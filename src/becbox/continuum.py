@@ -2,9 +2,7 @@
 momentum-space form of the two-point function.
 
 The values are computed by quadrature in momentum space or over the support,
-never on the lattice, so they serve as an oracle for the lattice modules; the
-pointwise regular part of the Bose function is shared with the operator
-side, since a second copy of one series would check nothing.  The
+never on the lattice, so they serve as an oracle for the lattice modules.  The
 Fourier convention is unitary,
 fhat(p) = (2pi)^(-d/2) * integral f(x) e^(-ip.x) dx, which makes
 <f, F(-Delta) f> = integral F(|p|^2) |fhat|^2 dp without extra factors.
@@ -12,8 +10,10 @@ fhat(p) = (2pi)^(-d/2) * integral f(x) e^(-ip.x) dx, which makes
 Test functions are built from the smooth compactly supported bump
 psi(t) = exp(-1/(1-t^2)) on |t| < 1, tensorized per axis, so trapezoidal
 quadrature over the support converges faster than any power of the step.
-Every momentum kernel here is even in each p_i, so a d=2 momentum sum folds
-each per-axis vector onto p_i >= 0 and walks only the (M+1)^2 quadrant.
+Every momentum kernel here is a Laplace transform of a Gaussian (1/|p|^2,
+the regular part of the Bose function, 1/(1 + |p|^2)), and a Gaussian
+factorises over axes: each integral is a sum or t-integral of products of 1d
+heat-kernel pairings, the same formula in every dimension.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import Union
 import numpy as np
 
 from .harmonics import _format_number, _parse_number, harmonic_factors
-from .phi_operator import BoseRegular
 
 __all__ = [
     "HypothesisError",
@@ -54,8 +53,11 @@ __all__ = [
 
 ZERO_MEAN_RTOL = 1e-8
 
-# rows of the momentum grid formed at a time: no temporary is table-sized
-ROW_BLOCK = 32
+_LOG_EPS = 53 * math.log(2.0)  # e^-_LOG_EPS is the unit roundoff
+_ORDERS = np.arange(23)  # moment orders each table records: 12 large-t series terms
+_FACTORIALS = np.array([math.factorial(n) for n in _ORDERS], dtype=float)
+# (odd r, -B_(r+1)(1/2) / (r+1)!): the midpoint Euler-Maclaurin terms
+_EULER_MACLAURIN = ((1, 1 / 24), (3, -7 / 5760), (5, 31 / 967680), (7, -127 / 154828800))
 
 
 class HypothesisError(ValueError):
@@ -219,12 +221,16 @@ class FourierTable:
     ``p`` is the common per-axis momentum grid (0 sits at index len(p)//2).
     The transform of a tensor test function is a product of per-axis
     transforms, so the table holds one complex ``factors`` array over ``p``
-    per axis: fhat(p_1, ..., p_d) = prod_i factors[i][p_i].
+    per axis: fhat(p_1, ..., p_d) = prod_i factors[i][p_i].  Per axis it also
+    holds the support bounds and the moments sum_j w_j f_i(x_j) (x_j - mid)^n/n!
+    of the transform's nodes about their midpoint, for the large-t pairings.
     """
 
     p: np.ndarray
     factors: tuple[np.ndarray, ...]
     provenance: dict
+    supports: tuple[tuple[float, float], ...] = ()
+    moments: tuple[np.ndarray, ...] = ()
 
     @property
     def dim(self) -> int:
@@ -245,12 +251,8 @@ class FourierTable:
     def zero_index(self) -> int:
         return len(self.p) // 2
 
-    def _cells(self, index):
-        """fhat at the cells with per-axis indices ``index``."""
-        return reduce(np.multiply, (f[i] for f, i in zip(self.factors, index)))
-
     def value_at_zero(self) -> complex:
-        return complex(self._cells((self.zero_index,) * self.dim))
+        return complex(reduce(np.multiply, (f[self.zero_index] for f in self.factors)))
 
     def parseval_sum(self) -> float:
         """delta_p-weighted sum of |fhat|^2 (should match integral |f|^2)."""
@@ -262,10 +264,10 @@ class FourierTable:
         return abs(self.value_at_zero()) <= ZERO_MEAN_RTOL * max(peak, 1e-300)
 
 
-def _axis_transform_centered(a: float, p_spacing: float, M: int, quad_points: int) -> np.ndarray:
+def _axis_transform_centered(a: float, p_spacing: float, M: int, quad_points: int):
     """(2pi)^(-1/2) integral psi(x/a) e^(-ipx) dx (real, even) on the grid
     p = k dp, |k| <= M, from the trapezoid sum of cos(k dp x) over the support
-    for k >= 0, mirrored.
+    for k >= 0, mirrored; with the nodes x and weighted values it sums.
 
     With k = b q + r and b = isqrt(M) + 1, cos(k dp x) is the real part of
     e^(i b q dp x) e^(i r dp x): the (M+1) x quad_points cosine table is one
@@ -277,7 +279,7 @@ def _axis_transform_centered(a: float, p_spacing: float, M: int, quad_points: in
     fine = np.outer(p_spacing * np.arange(b), x)
     out = (np.cos(coarse) * fw) @ np.cos(fine).T - (np.sin(coarse) * fw) @ np.sin(fine).T
     out = out.ravel()[: M + 1] / np.sqrt(2.0 * np.pi)
-    return np.concatenate([out[:0:-1], out])
+    return np.concatenate([out[:0:-1], out]), x, fw
 
 
 def fourier_oracle(
@@ -291,151 +293,155 @@ def fourier_oracle(
     Trapezoid quadrature over the support is spectrally accurate for the
     smooth bump family; the result is deterministic for fixed parameters.
     """
-    # the Green limit at p = 0 reads two momentum shells on each side
+    # two steps per side keep the step, read at p = 0, between interior nodes;
+    # a grid too coarse for a momentum integral fails there (HypothesisError)
     if not (p_spacing > 0 and cutoff / p_spacing >= 2) or quad_points < 8:
         raise ValueError("p_spacing must be positive, cutoff / p_spacing >= 2 "
                          "and quad_points >= 8")
     M = int(round(cutoff / p_spacing))
     p = p_spacing * np.arange(-M, M + 1)
-    cache: dict[float, np.ndarray] = {}
+    cache: dict[float, tuple] = {}
 
-    def axis_hat(c, a):
-        # shift theorem: the centered transform is real and even, and a
-        # common center cancels exactly in antisymmetric combinations
+    def axis_hat(c, a, mid):
         if a not in cache:
             cache[a] = _axis_transform_centered(a, p_spacing, M, quad_points)
-        base = cache[a]
-        if c == 0.0:
-            return base
-        return np.exp(-1j * p * c) * base
+        base, x, fw = cache[a]
+        moments = fw @ np.vander(x + (c - mid), len(_ORDERS), increasing=True) / _FACTORIALS
+        # shift theorem: the centered transform is real and even, and a
+        # common center cancels exactly in antisymmetric combinations
+        return (base if c == 0.0 else np.exp(-1j * p * c) * base), moments
 
     # the tensor terms differ along one axis only (a dipole's): sum their
     # factors there; a centred real bump's factors are real, the table complex
     terms = _tensor_terms(spec)
     axis = getattr(spec, "axis", 0)
-    factors = tuple(sum(coeff * axis_hat(*fs[i]) for coeff, fs in terms) if i == axis
-                    else axis_hat(*terms[0][1][i]) for i in range(spec.dim))
+    supports = tuple(support_bounds(spec))
+    factors, moments = [], []
+    for i, (lo, hi) in enumerate(supports):
+        used = terms if i == axis else [(1.0, terms[0][1])]
+        pieces = [(coeff, *axis_hat(*fs[i], 0.5 * (lo + hi))) for coeff, fs in used]
+        factors.append(sum(coeff * hat for coeff, hat, _ in pieces))
+        moments.append(sum(coeff * m for coeff, _, m in pieces))
     prov = {"cutoff": float(cutoff), "p_spacing": float(p_spacing), "quad_points": int(quad_points)}
-    return FourierTable(p=p, factors=tuple(f.astype(complex) for f in factors), provenance=prov)
+    return FourierTable(p=p, factors=tuple(f.astype(complex) for f in factors), provenance=prov,
+                        supports=supports, moments=tuple(m.astype(complex) for m in moments))
 
 
-def _check_compatible(table_f: FourierTable, table_g: FourierTable) -> None:
-    if table_f.dim != table_g.dim or not np.array_equal(table_f.p, table_g.p):
+def _gauss_sums(a, p, ts):
+    """sum_k a[r, k] e^(-t p_k^2) for each row of ``a`` over the symmetric p-grid
+    and each t in ``ts``: folded onto p >= 0, 8 t at a time in increasing order,
+    each block over the p where t p^2 <= _LOG_EPS only: nothing table-sized."""
+    m = len(p) // 2
+    q2 = p[m:] ** 2
+    folded = a[:, m:].copy()
+    folded[:, 1:] += a[:, m - 1::-1]
+    parts = np.concatenate([folded.real, folded.imag])  # real rows: real products
+    out = np.empty((len(parts), len(ts)))
+    order = np.argsort(ts)
+    for j in range(0, len(ts), 8):
+        block = order[j:j + 8]
+        k = np.searchsorted(q2, _LOG_EPS / ts[block[0]], "right")
+        out[:, block] = parts[:, :k] @ np.exp(-np.outer(q2[:k], ts[block]))
+    return out[:len(a)] + 1j * out[len(a):]
+
+
+def _pair_series(table_f: FourierTable, table_g: FourierTable):
+    """Large-t heat pairings: per-axis sigma[i, k], S_i(t) = (4 pi t)^(-1/2)
+    sum_k sigma[i, k] t^-k for t >= t_c; t_c; P(t) = sum_k c_k t^-s_k as (c, s).
+
+    S_i(t) = (4 pi t)^(-1/2) integral integral conj(f_i(x)) g_i(y) e^(-(x-y)^2/4t); the
+    moments m_n of x - y have generating function e^(s delta) conj(A(s)) B(-s) (A, B the
+    tables' moments, delta their midpoints' distance): sigma[i, k] = m_2k / (k! (-4)^k).
+    At t_c the series and e^(-t P^2) at the cutoff P reach roundoff; the grid sum holds to
+    t_c unless a Poisson image of the pair, 2pi/dp away, is in reach (HypothesisError)."""
+    if len(table_f.factors) != len(table_g.factors) or not np.array_equal(table_f.p, table_g.p):
         raise ValueError("tables live on different momentum grids")
+    K = len(_ORDERS) // 2 + 1
+    sigma, widths = [], []
+    for a, (lo_f, hi_f), b, (lo_g, hi_g) in zip(table_f.moments, table_f.supports,
+                                                table_g.moments, table_g.supports):
+        delta = 0.5 * (lo_f + hi_f - lo_g - hi_g)
+        egf = np.convolve(np.convolve(np.conj(a), b * (-1.0) ** _ORDERS),
+                          delta ** _ORDERS / _FACTORIALS)[:len(_ORDERS)]
+        sigma.append(egf[::2] * _FACTORIALS[::2] / (_FACTORIALS[:K] * (-4.0) ** np.arange(K)))
+        widths.append(max(hi_f - lo_g, hi_g - lo_f))  # the largest |x - y|
+    width, dp, cutoff = max(widths), table_f.p_spacing, table_f.p[-1]
+    reach = (math.exp(-_LOG_EPS) * math.factorial(K)) ** (1 / K)  # (R^2/4t)^K/K! = eps
+    t_c = max(width**2 / (4 * reach), _LOG_EPS / cutoff**2)
+    image = 2 * np.pi / dp - width
+    if image <= 0 or image**2 < 4 * _LOG_EPS * t_c:
+        raise HypothesisError(
+            f"p_spacing {dp:.3g} is too coarse for test functions {width:.3g} wide at cutoff "
+            f"{cutoff:.3g}: the heat pairings need p_spacing <= "
+            f"{2 * np.pi / (width + 2 * math.sqrt(_LOG_EPS * t_c)):.3g}")
+    c = reduce(np.convolve, sigma) / (4 * np.pi) ** (len(sigma) / 2)
+    return np.array(sigma), t_c, c, len(sigma) / 2 + np.arange(len(c))
 
 
-def _fold(a):
-    """``a`` over the symmetric p-grid folded onto p >= 0 along its last axis,
-    a(0) then a(p) + a(-p): its sum against a kernel even in p is unchanged."""
-    m = a.shape[-1] // 2
-    out = a[..., m:].copy()
-    out[..., 1:] += a[..., :m][..., ::-1]
-    return out
-
-
-def _quadrant_blocks(p, dim):
-    """|p|^2 on the momentum grid, ROW_BLOCK rows at a time, with each block's
-    row slice.  A d=2 sum whose kernel is even in each p_i folds onto the
-    (M+1)^2 quadrant p >= 0, walked here; d=1 is one unfolded row over the
-    whole axis.  No temporary is table-sized."""
-    if dim == 1:
-        yield slice(0, 1), p**2
-        return
-    q = p[len(p) // 2:]
-    for r in range(0, len(q), ROW_BLOCK):
-        rows = slice(r, min(r + ROW_BLOCK, len(q)))
-        yield rows, q[rows, None] ** 2 + q**2
-
-
-def _green_zero_limit(table_f: FourierTable, table_g: FourierTable) -> complex:
-    """Limit of conj(fhat) ghat / |p|^2 at p = 0 by symmetric parabolic fit.
-
-    The limit is finite only when fhat(0) = ghat(0) = 0; every integral with
-    1/|p|^2 at the origin takes its p = 0 cell from here, so this is the one
-    zero-mean guard.
-    """
-    for name, t in (("f", table_f), ("g", table_g)):
-        if not t.is_zero_mean():
-            raise HypothesisError(
-                f"{name}hat(0) = {t.value_at_zero():.3e} is not zero; the 1/|p|^2 "
-                f"integrals need zero mean in d <= 2"
-            )
-    # conj(fhat) ghat on shells 1 and 2 next to p = 0: the +-1, +-2 cells on each axis
-    m = table_f.zero_index
-    shells = [m + 1, m + 2, m - 1, m - 2]
-    cells = (shells,) if table_f.dim == 1 else (shells + [m] * 4, [m] * 4 + shells)
-    z = np.conj(table_f._cells(cells)) * table_g._cells(cells)
-    dp2 = table_f.p_spacing**2
-    if table_f.dim == 1:
-        g1 = 0.5 * (z[0] + z[2]) / dp2
-        g2 = 0.5 * (z[1] + z[3]) / (4.0 * dp2)
-        return complex((4.0 * g1 - g2) / 3.0)
-    limits = []
-    for k in range(0, 8, 2):
-        g1 = z[k] / dp2
-        g2 = z[k + 1] / (4.0 * dp2)
-        limits.append((4.0 * g1 - g2) / 3.0)
-    return complex(np.mean(limits))
-
-
-def _bilinear_integrals(table_f, table_g, kernels):
-    """Trapezoid sums of conj(fhat) ghat kernel(|p|^2), one per (kernel,
-    p = 0 cell value) in ``kernels``, by one walk over the momentum grid; real
-    when g is f.  d=1 sums the row's cells as the full table does; d=2 sums
-    u_1[rows] @ kernel @ u_2 on the quadrant, u_i the weighted factors of
-    conj(fhat) ghat folded onto p_i >= 0."""
-    _check_compatible(table_f, table_g)
-    dim, m = table_f.dim, table_f.zero_index
+def _heat_pairings(table_f: FourierTable, table_g: FourierTable, ts):
+    """P(t) = prod_i S_i(t), S_i(t) = integral conj(fhat_i) ghat_i e^(-t p^2) dp,
+    for each t in ``ts``: the trapezoid sum over the table's p axis below the
+    crossover t_c, the moment series from t_c on (``_pair_series``)."""
+    sigma, t_c, _, _ = _pair_series(table_f, table_g)
     w = _trapezoid_weights(len(table_f.p), table_f.p_spacing)
-    z = [np.conj(a) * b for a, b in zip(table_f.factors, table_g.factors)]
-    if dim == 2:
-        u1, u2 = (_fold(w * zi) for zi in z)
-        u2 = u2.view(float).reshape(-1, 2)  # (re, im) columns: a real product per block
-    totals = [0.0 + 0.0j] * len(kernels)
-    for rows, psq in _quadrant_blocks(table_f.p, dim):
-        for i, (kernel, zero_value) in enumerate(kernels):
-            # the kernel may be singular at p = 0: that cell is overwritten by
-            # its limit, in d=2 by 0 with the limit added once after the walk
-            with np.errstate(divide="ignore", invalid="ignore"):
-                block = kernel(psq) if dim == 2 else z[0] * kernel(psq)
-            if dim == 1:
-                block[m] = zero_value
-                totals[i] += np.sum(block * w)
-            else:
-                if rows.start == 0:
-                    block[0, 0] = 0.0
-                totals[i] += u1[rows] @ (block @ u2).view(complex)[:, 0]
-    if dim == 2:
-        totals = [t + w[m] ** 2 * zero_value for t, (_, zero_value) in zip(totals, kernels)]
-    return [complex(t).real if table_g is table_f else complex(t) for t in totals]
+    z = np.array([w * np.conj(a) * b for a, b in zip(table_f.factors, table_g.factors)])
+    grid, far = ts < t_c, ts[ts >= t_c]
+    S = np.empty((len(z), len(ts)), dtype=complex)
+    S[:, grid] = _gauss_sums(z, table_f.p, ts[grid])
+    S[:, ~grid] = (sigma @ np.vander(1 / far, sigma.shape[1], increasing=True).T
+                   / np.sqrt(4 * np.pi * far))
+    return S.prod(axis=0)
 
 
-def _regular_kernel(table_f, table_g, beta):
-    """F(beta |p|^2) with F(x) = 1/(e^x-1) - 1/x, and its p = 0 cell."""
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    zero_value = -np.conj(table_f.value_at_zero()) * table_g.value_at_zero() / 2.0
-    return BoseRegular(beta).evaluate, zero_value
+def _finite_rule(T: float, cutoff: float):
+    """Trapezoid nodes and weights, step 1/4 in x, for integral_0^T dt by t = T/(1 + e^-x),
+    from where e^(-t p^2) is 1 to roundoff on the grid: the integrand vanishes like e^-|x|
+    at both ends, so the sum converges geometrically (a finite end makes it 2nd order)."""
+    x = np.arange(-_LOG_EPS - math.log(T * cutoff**2), _LOG_EPS + 0.25, 0.25)
+    s = 1.0 / (1.0 + np.exp(-x))
+    return T * s, 0.25 * T * s * (1.0 - s)
 
 
 def free_gas_integral(table_f: FourierTable, beta: float, table_g: FourierTable | None = None):
-    """integral conj(fhat) ghat / (e^(beta |p|^2) - 1) dp, as the regular part
-    plus the Green integral over beta (1/(e^x - 1) = F(x) + 1/x); requires
-    fhat(0) = ghat(0) = 0 in d <= 2 (HypothesisError otherwise)."""
+    """integral conj(fhat) ghat / (e^(beta |p|^2) - 1) dp = regular part + Green / beta, as
+    1/(e^x - 1) = F(x) + 1/x; requires fhat(0) = ghat(0) = 0 in d <= 2 (HypothesisError)."""
     return regular_part_integral(table_f, beta, table_g) + green_integral(table_f, table_g) / beta
 
 
 def regular_part_integral(table_f: FourierTable, beta: float, table_g: FourierTable | None = None):
-    """integral conj(fhat) ghat F(beta |p|^2) dp with F(x) = 1/(e^x-1) - 1/x."""
+    """integral conj(fhat) ghat F(beta |p|^2) dp with F(x) = 1/(e^x-1) - 1/x, finite at
+    any mean: as F(beta p^2) = sum_(n>=1) e^(-n beta p^2) - integral_0^inf e^(-t p^2) dt/beta,
+    it is sum_n P(n beta) - integral P dt / beta (``_heat_pairings``) to (N + 1/2) beta, past
+    the crossover, plus the Euler-Maclaurin tail of h(u) = P(beta u) = sum_k C_k u^-s_k."""
+    if not beta > 0:
+        raise ValueError("beta must be positive")
     table_g = table_f if table_g is None else table_g
-    return _bilinear_integrals(table_f, table_g, [_regular_kernel(table_f, table_g, beta)])[0]
+    _, t_c, c, s = _pair_series(table_f, table_g)
+    n = max(32, math.ceil(t_c / beta))
+    ts, wts = _finite_rule(beta * (n + 0.5), table_f.p[-1])
+    P = _heat_pairings(table_f, table_g, np.concatenate([beta * np.arange(1, n + 1), ts]))
+    C, a = c * beta ** -s, n + 0.5
+    tail = -sum(e * np.sum(C * np.prod(s[:, None] + np.arange(r), axis=1) * a ** (-s - r))
+                for r, e in _EULER_MACLAURIN)  # sum_j e_j h^(r_j)(a), odd r_j
+    total = complex(P[:n].sum() - wts @ P[n:] / beta + tail)
+    return total.real if table_g is table_f else total
 
 
 def green_integral(table_f: FourierTable, table_g: FourierTable | None = None):
-    """integral conj(fhat) ghat / |p|^2 dp, requiring zero mean in d <= 2."""
+    """integral conj(fhat) ghat / |p|^2 dp = integral_0^inf P(t) dt
+    (``_heat_pairings``), requiring zero mean in d <= 2.  Past the crossover
+    the product series integrates exactly, less its leading term, the product
+    of the axes' zeroth moments: zero mean removes it, and left in it diverges."""
     table_g = table_f if table_g is None else table_g
-    green = (np.reciprocal, _green_zero_limit(table_f, table_g))
-    return _bilinear_integrals(table_f, table_g, [green])[0]
+    for name, t in (("f", table_f), ("g", table_g)):
+        if not t.is_zero_mean():
+            raise HypothesisError(f"{name}hat(0) = {t.value_at_zero():.3e} is not zero; the "
+                                  f"1/|p|^2 integrals need zero mean in d <= 2")
+    _, t_c, c, s = _pair_series(table_f, table_g)
+    ts, wts = _finite_rule(t_c, table_f.p[-1])
+    total = complex(wts @ _heat_pairings(table_f, table_g, ts)
+                    + np.sum(c[1:] * t_c ** (1 - s[1:]) / (s[1:] - 1)))
+    return total.real if table_g is table_f else total
 
 
 # --- right-hand side of the two-point formula --------------------------------
@@ -477,13 +483,10 @@ def two_point_rhs(
     table_g: FourierTable | None = None,
     quad_points: int = 2048,
 ) -> RhsValue:
-    """Momentum-space two-point value plus condensate overlaps; the regular
-    part and the Green integral share one walk over the momentum grid, and
-    the free gas is the regular part plus the Green integral over beta."""
-    table_g = table_f if table_g is None else table_g
-    kernels = [_regular_kernel(table_f, table_g, beta),
-               (np.reciprocal, _green_zero_limit(table_f, table_g))]
-    reg, grn = _bilinear_integrals(table_f, table_g, kernels)
+    """Momentum-space two-point value plus condensate overlaps; the free gas
+    is the regular part plus the Green integral over beta."""
+    grn = green_integral(table_f, table_g)
+    reg = regular_part_integral(table_f, beta, table_g)
     cond = condensate_term(family, f, g, beta, quad_points)
     return RhsValue(free_gas=complex(reg + grn / beta), condensate=cond,
                     regular=complex(reg), green=complex(grn))
@@ -496,8 +499,10 @@ def resolvent_reference(u: TestFunctionSpec, points, table: FourierTable | None 
     """(1 - Delta)^-1 u on R^d at the given points.
 
     d=1 convolves with the kernel e^(-|x-y|)/2 by Gauss-Legendre panels split
-    at the kink; d=2 synthesizes from a Fourier table of u, with one phase
-    matrix per axis over the distinct coordinates of the points.
+    at the kink.  Otherwise 1/(1 + |p|^2) = integral_0^inf e^(-t(1 + |p|^2)) dt
+    factorises the synthesis from a Fourier table of u into (2pi)^(-d/2) times
+    integral e^(-t) prod_i L_i(x_i, t) dt, L_i the phase sums
+    sum_p w fhat_i(p) e^(i p x_i - t p^2) at the points' distinct coordinates.
     """
     if u.dim == 1:
         pts = np.atleast_1d(np.asarray(points, dtype=float))
@@ -508,27 +513,24 @@ def resolvent_reference(u: TestFunctionSpec, points, table: FourierTable | None 
             if b <= a:
                 return 0.0
             y = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-            w = 0.5 * (b - a) * wts
-            vals = evaluate(u, y) * np.exp(-np.abs(x - y)) / 2.0
-            return np.dot(w, vals)
+            return np.dot(0.5 * (b - a) * wts, evaluate(u, y) * np.exp(-np.abs(x - y)) / 2.0)
 
         return np.array([panel(lo, x, x) + panel(x, hi, x) if lo < x < hi else panel(lo, hi, x)
                          for x in pts])
     if table is None:
-        raise ValueError("d=2 synthesis needs a Fourier table of u")
+        raise ValueError("the synthesis needs a Fourier table of u")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    (x1, i1), (x2, i2) = (np.unique(c, return_inverse=True) for c in pts.T)
-    # phase times weighted factor per axis, folded onto p >= 0; the first as
-    # real rows (re, then im) so each block is one real product
+    coords = [np.unique(c, return_inverse=True) for c in pts.T]
+    ts, wts = _finite_rule(2 * _LOG_EPS, table.p[-1])  # e^(-t) is below roundoff past it
     w = _trapezoid_weights(len(table.p), table.p_spacing)
-    a1, a2 = (_fold(np.exp(1j * np.outer(x, table.p)) * (w * f))
-              for x, f in zip((x1, x2), table.factors))
-    a1 = np.concatenate([a1.real, a1.imag])
-    left = np.zeros(a1.shape)
-    for rows, psq in _quadrant_blocks(table.p, 2):
-        left += a1[:, rows] @ (1.0 / (1.0 + psq))
-    left = left[: len(x1)] + 1j * left[len(x1):]
-    return (left @ a2.T)[i1, i2] / (2.0 * np.pi)
+    sums = [_gauss_sums(np.exp(1j * np.outer(x, table.p)) * (w * f), table.p, ts)
+            for (x, _), f in zip(coords, table.factors)]
+    # the t-sum of prod_i L_i on the distinct coordinates, the last axis by a product
+    head = wts * np.exp(-ts)
+    for L in sums[:-1]:
+        head = head[..., None, :] * L
+    values = head @ sums[-1].T
+    return values[tuple(i for _, i in coords)] / (2.0 * np.pi) ** (table.dim / 2)
 
 
 # --- Wick rule ----------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -219,14 +219,9 @@ def run_srs_sweep(cfg: ExperimentConfig) -> SrsReport:
     ]
 
     def window_mask(grid: Grid):
-        masks = []
-        for ax in range(grid.dim):
-            x = grid.axis_nodes(ax)
-            lo, hi = window[ax]
-            masks.append((x >= lo - 1e-12) & (x <= hi + 1e-12))
-        if grid.dim == 1:
-            return masks[0]
-        return np.outer(masks[0], masks[1]).ravel()
+        masks = [(x >= lo - 1e-12) & (x <= hi + 1e-12)
+                 for x, (lo, hi) in zip(map(grid.axis_nodes, range(grid.dim)), window)]
+        return reduce(np.logical_and.outer, masks).ravel()
 
     # reference on the window nodes of the smallest grid (the node lattice is
     # shared across the schedule because h divides every L/2 offset)

@@ -596,8 +596,10 @@ def lanczos_quadratic_form(
     values theta with weights ||f||^2 S[0, i]^2 from the tridiagonal
     eigenvectors, gives the form of each g(mu) = F(1/mu).  Convergence is
     declared when two successive step counts agree to ``tolerance`` relative
-    for every F; a near-zero new Lanczos vector (breakdown: f lay in an
-    invariant subspace) returns the exact current values with a flag.
+    for every F; a new Lanczos vector near zero against its own step's
+    |alpha_j| + beta_(j-1), never a far Ritz value's (breakdown: f lay in an
+    invariant subspace), returns the exact current values with a flag; a Ritz
+    value that leaves the positive axis raises RuntimeError.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -630,14 +632,14 @@ def lanczos_quadratic_form(
             beta = float(np.linalg.norm(w))
         theta, S = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
         if theta.min() <= 0:
-            raise RuntimeError("Ritz values left the positive axis; the inverse is not PD")
+            raise RuntimeError("Ritz values left the positive axis: roundoff cost positivity")
         new_value = _gauss_sum(Fs, 1.0 / theta, nrm * S[0], nrm * S[0])
         if value is not None and np.all(
             np.abs(new_value - value) <= tolerance * np.maximum(np.abs(new_value), 1e-300)
         ):
             return LanczosResult(value=new_value, steps=j + 1, converged=True, repeats=repeats)
         value = new_value
-        scale = max(map(abs, alphas)) + (max(betas) if betas else 0.0)
+        scale = abs(alpha) + (betas[-1] if betas else 0.0)
         if beta <= 1e-13 * max(scale, 1e-300):
             return LanczosResult(value=new_value, steps=j + 1, converged=True, breakdown=True,
                                  repeats=repeats)

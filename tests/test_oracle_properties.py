@@ -3,19 +3,23 @@
 The references below are the straightforward forms of each integral: a dense
 coordinate mesh and one pair of overlap evaluations per harmonic function, a
 full cosine table per axis transform, a masked copy of the full momentum
-table on a full |p|^2 grid, the Green limit at p = 0 read off the product
-table conj(fhat) ghat formed in full, and one full table sum per resolvent
-point.
+table on a full |p|^2 grid (with the Green limit at p = 0 read off the
+product table conj(fhat) ghat formed in full), and one full table sum per
+resolvent point.
 The library evaluates each input once and reads every integral off it; where
 the arithmetic is the same the results must be bit-identical, and where the
-summation order changed (the resolvent synthesis, the separable overlaps, the
-row blocks and per-axis products of a d=2 momentum table folded onto p >= 0,
-the free gas as the regular part plus the Green integral over beta, the
-factored cosine table of an axis transform) they must agree to roundoff.
+summation order changed (the resolvent synthesis and the regular part as
+t-integrals of heat pairings, the separable overlaps, the free gas as the
+regular part plus the Green integral over beta, the factored cosine table of
+an axis transform) they must agree to roundoff.  The Green integral has no
+origin cell any more: the table sums converge to it as the p spacing
+shrinks, and in d=1 it matches a position-space reference.
 """
 
 import dataclasses
 import json
+import math
+import re
 from functools import partial, reduce
 from pathlib import Path
 
@@ -105,22 +109,6 @@ def ref_green_zero_limit(table_f, table_g):
     return complex(np.mean(limits))
 
 
-def momentum_kernels(table_f, table_g, beta):
-    """(kernel, p = 0 value) of the free gas (the Bose kernel itself), the
-    regular part and the Green integral."""
-    zf, zg = table_f.value_at_zero(), table_g.value_at_zero()
-    green0 = ref_green_zero_limit(table_f, table_g)
-    return ((bb.Bose(beta).evaluate, -np.conj(zf) * zg / 2.0 + green0 / beta),
-            (bb.BoseRegular(beta).evaluate, -np.conj(zf) * zg / 2.0),
-            (lambda q: 1.0 / q, green0))
-
-
-def ref_momentum_integrals(table_f, table_g, beta):
-    """(free gas, regular part, Green) by the masked reference."""
-    return tuple(ref_bilinear(table_f, table_g, kernel, zero_value)
-                 for kernel, zero_value in momentum_kernels(table_f, table_g, beta))
-
-
 def ref_resolvent_2d(table, pts):
     psq, w = grid_pieces(table)
     kern = table.values * w / (1.0 + psq)
@@ -154,34 +142,20 @@ def subnormal_allowance(table):
     return len(table.p) ** table.dim * np.finfo(float).smallest_subnormal
 
 
-def assert_table_sum(got, ref, scale, table):
-    """d=1 sums the whole table as the reference does, bit for bit; d=2 sums
-    products of per-axis factors in blocks of rows, which agrees to roundoff
-    of the absolute sum."""
-    if table.dim == 1:
-        assert got == ref
-    else:
-        assert abs(got - ref) <= 1e-13 * scale + subnormal_allowance(table)
-
-
-def assert_momentum_integrals(table_f, table_g, beta):
-    """Free gas, regular part and Green integral against ``ref_momentum_integrals``."""
-    other = None if table_g is table_f else table_g
-    free, reg, green = (ct.free_gas_integral(table_f, beta, other),
-                        ct.regular_part_integral(table_f, beta, other),
-                        ct.green_integral(table_f, other))
-    ref = ref_momentum_integrals(table_f, table_g, beta)
+def assert_regular_part(table_f, table_g, beta):
+    """The regular part, a sum over the Bose series and a t-integral of heat
+    pairings, against the table sum of F(beta |p|^2) with its p = 0 cell
+    F(0) = -1/2: the same sum in exact arithmetic, so they agree to roundoff
+    of the absolute sum (the Bose series and the t-integral cancel to it)."""
+    zero_value = -np.conj(table_f.value_at_zero()) * table_g.value_at_zero() / 2.0
+    kernel = bb.BoseRegular(beta).evaluate
+    ref = ref_bilinear(table_f, table_g, kernel, zero_value)
+    got = ct.regular_part_integral(table_f, beta, None if table_g is table_f else table_g)
     if table_g is table_f:
-        ref = tuple(r.real for r in ref)
-    _, reg_kernel, green_kernel = momentum_kernels(table_f, table_g, beta)
-    reg_scale = abs_bilinear(table_f, table_g, *reg_kernel)
-    green_scale = abs_bilinear(table_f, table_g, *green_kernel)
-    assert_table_sum(reg, ref[1], reg_scale, table_f)
-    assert_table_sum(green, ref[2], green_scale, table_f)
-    # regular + green / beta against the Bose kernel summed directly: the
-    # roundoff of both sums, in either dimension
-    bound = 1e-13 * (reg_scale + green_scale / beta) + subnormal_allowance(table_f)
-    assert abs(free - ref[0]) <= bound
+        assert isinstance(got, float)
+        ref = ref.real
+    scale = abs_bilinear(table_f, table_g, kernel, zero_value)
+    assert abs(got - ref) <= 1e-12 * scale + subnormal_allowance(table_f)
 
 
 # --- strategies -----------------------------------------------------------------
@@ -299,14 +273,14 @@ def test_overlap_integral_equals_mesh_reference(data, dim, quad_points):
         assert abs(value - ref) <= 1e-12 * abs_overlap(f, fn, quad_points) + under
 
 
-# M = steps; the examples put M + 1 below ROW_BLOCK and at a multiple of it,
-# and at a multiple of the transform's b = isqrt(M) + 1 and off one
+# M = steps; the examples put M at its smallest, M + 1 at a power of two, and
+# M + 1 at a multiple of the transform's b = isqrt(M) + 1 and off one
 @settings(max_examples=60)
 @given(halfwidth=reals(0.2, 1.0), cutoff=reals(1.0, 40.0), steps=st.integers(2, 600),
        quad_points=st.integers(8, 512))
 @example(halfwidth=0.75, cutoff=2.0, steps=2, quad_points=8)
 @example(halfwidth=0.5, cutoff=3.0, steps=3, quad_points=9)
-@example(halfwidth=1.0, cutoff=20.0, steps=2 * ct.ROW_BLOCK - 1, quad_points=64)
+@example(halfwidth=1.0, cutoff=20.0, steps=63, quad_points=64)
 @example(halfwidth=0.3, cutoff=40.0, steps=200, quad_points=512)
 def test_axis_transform_equals_cosine_table(halfwidth, cutoff, steps, quad_points):
     """The factored axis transform against the full cosine table, within
@@ -340,9 +314,12 @@ def test_p_spacing_is_exact(cutoff, p_spacing):
 
 @st.composite
 def table_pairs(draw, zero_mean):
+    """Tables of drawn test functions on a drawn grid.  ``tf_specs`` pairs are
+    at most 6 wide, so p_spacing <= 0.075 is within the heat pairings'
+    rule for them at every cutoff drawn (the finest they need is 0.079)."""
     dim = draw(st.integers(1, 2))
-    cutoff = draw(reals(2.0, 20.0))
-    p_spacing = cutoff / draw(st.integers(2, 40))
+    cutoff = draw(reals(2.0, 6.0))
+    p_spacing = draw(reals(0.04, 0.075))
     quad_points = draw(st.integers(8, 64))
     f = draw(tf_specs(dim, zero_mean))
     table_f = ct.fourier_oracle(f, cutoff, p_spacing, quad_points)
@@ -355,20 +332,54 @@ def table_pairs(draw, zero_mean):
 @settings(max_examples=40)
 @given(tables=table_pairs(zero_mean=True), beta=reals(0.1, 5.0))
 def test_momentum_integrals_equal_reference(tables, beta):
-    assert_momentum_integrals(*tables, beta)
+    table_f, table_g = tables
+    other = None if table_g is table_f else table_g
+    assert_regular_part(table_f, table_g, beta)
+    reg, green = ct.regular_part_integral(table_f, beta, other), ct.green_integral(table_f, other)
+    assert ct.free_gas_integral(table_f, beta, other) == reg + green / beta
+    # the Green integral is Hermitian in (f, g), and positive on the diagonal
+    swapped = ct.green_integral(table_g, None if other is None else table_f)
+    scale = math.sqrt(abs(ct.green_integral(table_f) * ct.green_integral(table_g)))
+    assert abs(green - np.conj(swapped)) <= 1e-13 * scale + subnormal_allowance(table_f)
+    if other is None:
+        assert isinstance(green, float) and green >= 0
 
 
-def test_momentum_integrals_sum_every_row_block():
-    """A d=2 table whose folded quadrant (rows p_1 >= 0) is many row blocks
-    tall, with a partial last block: every integral matches the reference."""
-    f = ct.Dipole(center=(0.25, -0.5), offset=0.5, halfwidth=(0.75, 0.5), axis=1,
-                  amplitude=1 - 2j)
-    g = ct.Dipole(center=(0.0, 0.25), offset=0.75, halfwidth=(0.5, 0.75), amplitude=0.5j)
-    table_f, table_g = (ct.fourier_oracle(u, cutoff=20.0, p_spacing=0.1, quad_points=128)
-                        for u in (f, g))
-    rows = table_f.zero_index + 1
-    assert rows > 3 * ct.ROW_BLOCK and rows % ct.ROW_BLOCK
-    assert_momentum_integrals(table_f, table_g, beta=0.75)
+@settings(max_examples=40)
+@given(tables=table_pairs(zero_mean=False), factor=reals(1.0, 4.0))
+def test_grid_sums_meet_the_moment_series(tables, factor):
+    """From the crossover on, each axis's grid sum of conj(fhat_i) ghat_i
+    e^(-t p^2) and its moment series agree to roundoff of their terms."""
+    table_f, table_g = tables
+    sigma, t_c, _, _ = ct._pair_series(table_f, table_g)
+    t = t_c * factor
+    w = ct._trapezoid_weights(len(table_f.p), table_f.p_spacing)
+    z = np.array([w * np.conj(a) * b for a, b in zip(table_f.factors, table_g.factors)])
+    grid = ct._gauss_sums(z, table_f.p, np.array([t]))[:, 0]
+    powers = t ** -np.arange(sigma.shape[1])
+    series = sigma @ powers / np.sqrt(4 * np.pi * t)
+    scale = np.abs(z).sum(axis=1) + np.abs(sigma) @ powers / np.sqrt(4 * np.pi * t)
+    tiny = len(table_f.p) * np.finfo(float).smallest_subnormal
+    assert np.all(np.abs(grid - series) <= 1e-14 * scale + tiny)
+
+
+@settings(max_examples=20)
+@given(data=st.data(), dim=st.integers(1, 2), cutoff=reals(30.0, 40.0))
+def test_too_coarse_tables_raise(data, dim, cutoff):
+    """The finest p_spacing a pair needs, as its HypothesisError states it:
+    1% below it the integrals run, 1% above it they raise.  (At these
+    cutoffs the pair's width sets the rule, not the cutoff.)"""
+    f, g = data.draw(tf_specs(dim, zero_mean=True)), data.draw(tf_specs(dim, zero_mean=True))
+
+    def green(p_spacing):
+        return ct.green_integral(*(ct.fourier_oracle(u, cutoff, p_spacing, 8) for u in (f, g)))
+
+    with pytest.raises(ct.HypothesisError, match="too coarse") as info:
+        green(1.0)
+    finest = float(re.search(r"p_spacing <= (\S+)$", str(info.value)).group(1))
+    assert np.isfinite(green(0.99 * finest))
+    with pytest.raises(ct.HypothesisError, match="too coarse"):
+        green(1.01 * finest)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -377,7 +388,7 @@ def test_is_zero_mean_equals_full_table_criterion(dim, ratio):
     """The zero-mean guard reads fhat(0) and max |fhat| off the per-axis
     factors; it agrees with |fhat(0)| <= ZERO_MEAN_RTOL max |fhat| on the full
     table just below and just above that threshold."""
-    n = 3 * ct.ROW_BLOCK + 5
+    n = 101
     m = n // 2
     rng = np.random.default_rng(3)
     factors = [rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n) for _ in range(dim)]
@@ -393,23 +404,128 @@ def test_is_zero_mean_equals_full_table_criterion(dim, ratio):
     assert table.is_zero_mean() == full
 
 
-@settings(max_examples=40)
-@given(tables=table_pairs(zero_mean=True))
-def test_green_zero_limit_equals_full_table_reference(tables):
-    table_f, table_g = tables
-    assert ct._green_zero_limit(table_f, table_g) == ref_green_zero_limit(table_f, table_g)
-
-
 @settings(max_examples=20)
 @given(tables=table_pairs(zero_mean=False), beta=reals(0.1, 5.0))
 def test_regular_part_equals_reference_at_any_mean(tables, beta):
-    table_f, table_g = tables
-    zero_value = -np.conj(table_f.value_at_zero()) * table_g.value_at_zero() / 2.0
-    kernel = bb.BoseRegular(beta).evaluate
-    ref = ref_bilinear(table_f, table_g, kernel, zero_value)
-    got = ct.regular_part_integral(table_f, beta, None if table_g is table_f else table_g)
-    assert_table_sum(got, ref.real if table_g is table_f else ref,
-                     abs_bilinear(table_f, table_g, kernel, zero_value), table_f)
+    assert_regular_part(*tables, beta)
+
+
+# --- the Green integral against references that need no origin cell ----------
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+
+def bump_mass(u):
+    """integral_-1^u exp(-1/(1-t^2)) dt.  With t = tanh(v) the integrand is
+    exp(-cosh(v)^2) / cosh(v)^2, analytic and below e^-100 past |v| = 3,
+    so Gauss-Legendre on [-3, min(atanh(u), 3)] is exact to roundoff."""
+    with np.errstate(divide="ignore"):
+        top = np.clip(np.arctanh(np.clip(u, -1.0, 1.0)), -3.0, 3.0)
+    half = 0.5 * (top + 3.0)
+    v = half[:, None] * (_GL_NODES + 1.0) - 3.0
+    return half * (np.exp(-np.cosh(v) ** 2) / np.cosh(v) ** 2 @ _GL_WEIGHTS)
+
+
+def antiderivative(spec, x):
+    """integral_-inf^x f for a 1d test function: a sum of scaled bump masses."""
+    return sum(coeff * a * bump_mass((x - c) / a) for coeff, ((c, a),) in ct._tensor_terms(spec))
+
+
+def ref_green_1d(f, g, nodes=2001):
+    """-1/2 integral integral conj(f(x)) g(y) |x - y| dx dy in position space.
+    For zero-mean f and g, two integrations by parts make it
+    integral conj(F) G dx with F, G the antiderivatives, smooth and supported
+    where f and g are: the trapezoid sum over that interval is spectrally
+    accurate."""
+    (lo_f, hi_f), = ct.support_bounds(f)
+    (lo_g, hi_g), = ct.support_bounds(g)
+    x, w = ct._axis_quadrature(min(lo_f, lo_g), max(hi_f, hi_g), nodes)
+    return complex(np.dot(w * np.conj(antiderivative(f, x)), antiderivative(g, x)))
+
+
+def dipoles_1d():
+    amplitude = st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0, allow_nan=False,
+                                   allow_infinity=False)
+    return st.builds(lambda c, s, a, amp: ct.Dipole(center=(c,), offset=s, halfwidth=(a,),
+                                                    amplitude=amp),
+                     reals(-1, 1), reals(0.1, 1.0), reals(0.75, 1.25), amplitude)
+
+
+@settings(max_examples=12)
+@given(f=dipoles_1d(), g=dipoles_1d())
+@example(f=ct.Dipole(center=(-0.6,), offset=0.5, halfwidth=(0.75,), amplitude=1 - 0.5j),
+         g=ct.Dipole(center=(0.7,), offset=0.75, halfwidth=(1.0,), amplitude=0.3 + 1j))
+def test_green_1d_equals_position_space_reference(f, g):
+    """At cutoff 160 the tables' truncation is below 1e-13 for halfwidths of
+    at least 0.75; the example is a complex pair with separated centres,
+    where the parent's origin-cell fit was off by 1.6e-5 at this p spacing."""
+    table_f, table_g = (ct.fourier_oracle(u, cutoff=160.0, p_spacing=0.05) for u in (f, g))
+    got = ct.green_integral(table_f, table_g)
+    ref = ref_green_1d(f, g)
+    scale = math.sqrt(ref_green_1d(f, f).real * ref_green_1d(g, g).real)
+    assert abs(got - ref) <= 1e-12 * scale
+
+
+def test_green_1d_of_a_separated_pair_vanishes():
+    """Zero-mean pairs with disjoint supports: -|x - y|/2 is affine in x - y
+    there, so the integral is 0."""
+    f = ct.Dipole(center=(-2.0,), offset=0.5, halfwidth=(0.75,), amplitude=1 - 0.5j)
+    g = ct.Dipole(center=(2.0,), offset=0.75, halfwidth=(1.0,), amplitude=0.3 + 1j)
+    table_f, table_g = (ct.fourier_oracle(u, cutoff=160.0, p_spacing=0.05) for u in (f, g))
+    scale = math.sqrt(ct.green_integral(table_f) * ct.green_integral(table_g))
+    assert abs(ref_green_1d(f, g)) <= 1e-15 * scale
+    assert abs(ct.green_integral(table_f, table_g)) <= 1e-13 * scale
+
+
+def test_green_2d_table_sums_approach_it():
+    """On one grid, the table sum with the origin cell fitted and the product
+    value differ by that cell's error: it shrinks about as dp^4 as the p
+    spacing halves.  (Both share the grid's truncation at the cutoff.)"""
+    f = ct.Dipole(center=(0.25, -0.5), offset=0.5, halfwidth=(0.75, 0.5), axis=1,
+                  amplitude=1 - 2j)
+    g = ct.Dipole(center=(0.0, 0.25), offset=0.75, halfwidth=(0.5, 0.75), amplitude=0.5j)
+    errors = []
+    for p_spacing in (0.1, 0.05):
+        table_f, table_g = (ct.fourier_oracle(u, cutoff=10.0, p_spacing=p_spacing)
+                            for u in (f, g))
+        green = ct.green_integral(table_f, table_g)
+        table_sum = ref_bilinear(table_f, table_g, lambda q: 1.0 / q,
+                                 ref_green_zero_limit(table_f, table_g))
+        errors.append(abs(table_sum - green) / abs(green))
+    assert errors[1] <= errors[0] / 8 and errors[0] <= 1e-5
+
+
+def test_green_2d_drops_the_zeroth_moments_near_zero_mean():
+    """A d=2 pair at 0.99 ZERO_MEAN_RTOL passes the guard; the product of its
+    axes' zeroth moments is then dropped from the Green integral.  Integrating
+    the pairings themselves, that term included, to t = 1e14 and to twice
+    that gives the same value to 1e-14, and the library's value to 1e-12."""
+    dipole = ct.Dipole(center=(0.25, 0.0), offset=1.0, halfwidth=(0.75, 0.5))
+    bump = ct.Bump(center=(0.25, 0.0), halfwidth=(0.75, 0.5))
+    table, mass = (ct.fourier_oracle(u, cutoff=20.0, p_spacing=0.05) for u in (dipole, bump))
+    # the x factors and their moments are linear in the function: add a bump
+    # with the dipole's midpoint along x, enough to put fhat(0) at 0.99 times
+    # the threshold
+    peak = math.prod(np.abs(f).max() for f in table.factors)
+    eps = 0.99 * ct.ZERO_MEAN_RTOL * peak / abs(mass.factors[0][table.zero_index]
+                                                 * table.factors[1][table.zero_index])
+    near = dataclasses.replace(
+        table, factors=(table.factors[0] + eps * mass.factors[0], table.factors[1]),
+        moments=(table.moments[0] + eps * mass.moments[0], table.moments[1]))
+    assert near.is_zero_mean() and abs(near.value_at_zero()) > 0.9 * ct.ZERO_MEAN_RTOL * peak
+    green = ct.green_integral(near)
+
+    def integrated(doublings):
+        # trapezoid in log t on nodes shared by both limits, 8 per doubling
+        step = math.log(2.0) / 8
+        x = math.log(1e14) + step * np.arange(-900, 8 * doublings + 1)
+        w = np.full(len(x), step)
+        w[[0, -1]] /= 2
+        return (w * np.exp(x)) @ ct._heat_pairings(near, near, np.exp(x))
+
+    short, long = integrated(0), integrated(1)
+    assert abs(long - short) <= 1e-14 * green
+    assert abs(short - green) <= 1e-12 * green
 
 
 @pytest.fixture(scope="module")

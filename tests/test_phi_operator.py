@@ -496,6 +496,20 @@ class TestLanczos:
             bb.build_phi_operator(g, bb.HarmonicFamily(()), backend="dense"), Fs, f, None)[0]
         assert np.all(np.abs(res.value - dense) <= 1e-13 * np.abs(dense))
 
+    def test_huge_columns_raise_instead_of_a_false_breakdown(self):
+        """Columns with ||C||^2 near 1.2e14 make the condensate's Ritz value
+        huge.  Measured against it, an ordinary beta of the regular part read
+        as breakdown at step 4, and the readout returned converged=True 15%
+        off the dense value; against the step's own scale the recursion runs
+        on until roundoff costs it positivity, and that raises."""
+        g = bb.make_grid(2, [16, 16], 1 / 8)
+        op = bb.build_phi_operator(g, bb.parse_family("hpoly2:n=4,part=re;expcos:k=2"),
+                                   backend="lanczos")
+        spec = ct.parse_test_function("dipole2:cx=0.2,cy=0.1,s=1,ax=0.75,ay=0.5,axis=y")
+        f = bb.sample_function(g, lambda *x: ct.evaluate(spec, *x))
+        with pytest.raises(RuntimeError, match="roundoff cost positivity"):
+            po.lanczos_quadratic_form(op, (bb.Bose(1.0), bb.BoseRegular(1.0)), f)
+
     def test_agrees_with_dense(self):
         g = bb.make_grid(1, [8], 1 / 32)  # N = 255
         fam = bb.parse_family("affine:a=0,b=1")
