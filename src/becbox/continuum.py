@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import reduce
 from typing import Union
 
 import numpy as np
 
-from .harmonics import _format_number, _parse_number, harmonic_factors
+from .harmonics import (_format_number, _join_tagged, _parse_number, _split_tagged,
+                        _sum_of_products, harmonic_factors)
 
 __all__ = [
     "HypothesisError",
@@ -141,17 +142,9 @@ def _tensor_terms(spec: TestFunctionSpec):
 
 
 def evaluate(spec: TestFunctionSpec, *coords) -> np.ndarray:
-    """Evaluate at broadcastable coordinate arrays; exactly 0 outside support."""
-    if len(coords) != spec.dim:
-        raise ValueError(f"expected {spec.dim} coordinates, got {len(coords)}")
-    coords = [np.asarray(c, dtype=float) for c in coords]
-    total = None
-    for coeff, factors in _tensor_terms(spec):
-        term = coeff
-        for x, (c, a) in zip(coords, factors):
-            term = term * bump_profile((x - c) / a)
-        total = term if total is None else total + term
-    return total
+    """Evaluate at broadcastable coordinate arrays; exactly 0 outside support.
+    The sum of products of the 1d bump factors (``_axis_factors``)."""
+    return _sum_of_products(_axis_factors(spec, coords))
 
 
 def support_bounds(spec: TestFunctionSpec) -> list[tuple[float, float]]:
@@ -179,11 +172,12 @@ def _axis_quadrature(lo: float, hi: float, quad_points: int):
 
 def _axis_factors(spec, axes):
     """(coefficient, real 1d factors on ``axes``) per tensor term of a test
-    function or harmonic spec."""
+    function or harmonic spec: a test function's factors are its bumps."""
     if not isinstance(spec, (Bump, Dipole)):
         return harmonic_factors(spec, *axes)
     if spec.dim != len(axes):
-        raise ValueError(f"expected {spec.dim} axes, got {len(axes)}")
+        raise ValueError(f"expected {spec.dim} coordinates, got {len(axes)}")
+    axes = [np.asarray(x, dtype=float) for x in axes]
     return [(coeff, tuple(bump_profile((x - c) / a) for x, (c, a) in zip(axes, factors)))
             for coeff, factors in _tensor_terms(spec)]
 
@@ -573,61 +567,73 @@ def permanent_enumerate(T: np.ndarray) -> complex:
 
 # --- text syntax ---------------------------------------------------------------
 #
+# A test function is TAG:key=value,... in the grammar of the harmonic specs:
+# bump or dipole with the axis count's suffix, one key per field in field
+# order, one per axis for a per-axis field, and none for a defaulted field
+# (axis, amp) that is left out:
 # 1d: bump:c=0,a=1,amp=1 and dipole:c=0,s=1,a=0.75,amp=1
 # 2d: bump2:cx=..,cy=..,ax=..,ay=..,amp=..
 #     dipole2:cx=..,cy=..,s=..,ax=..,ay=..,axis=x,amp=..
 # format -> parse -> format is the identity.
 
+_AXIS_LETTERS = ("x", "y")
+# axis count -> tag suffix, the keys of the per-axis fields (one per axis) and
+# those of the other fields that depend on it; a dipole names its axis only
+# where there is a choice
+_AXIS_KEYS = {
+    1: ("", {"center": ("c",), "halfwidth": ("a",)}, {"axis": ()}),
+    2: ("2", {"center": ("cx", "cy"), "halfwidth": ("ax", "ay")}, {"axis": ("axis",)}),
+}
+_TF_TAGS = {name + suffix: (cls, dim) for name, cls in (("bump", Bump), ("dipole", Dipole))
+            for dim, (suffix, *_) in _AXIS_KEYS.items()}
+_TF_TAG_OF = {form: tag for tag, form in _TF_TAGS.items()}
+
+
+def _axis_index(text: str) -> int:
+    if text not in _AXIS_LETTERS:
+        raise ValueError(f"dipole axis must be x or y, got {text!r}")
+    return _AXIS_LETTERS.index(text)
+
+
+# field -> (parse, format) of the text of one of its values
+_FIELD_TEXT = {
+    "center": (float, repr), "halfwidth": (float, repr), "offset": (float, repr),
+    "axis": (_axis_index, _AXIS_LETTERS.__getitem__), "amplitude": (_parse_number, _format_number),
+}
+
+
+def _field_keys(cls, dim: int):
+    """(field, its keys, whether it holds one value per axis) of a class's text
+    form on ``dim`` axes, in field order; a field with no key there is left out."""
+    if dim not in _AXIS_KEYS:
+        raise ValueError(f"test functions have a text form in d = 1, 2, not d = {dim}")
+    _, per_axis, other = _AXIS_KEYS[dim]
+    keys = {"offset": ("s",), "amplitude": ("amp",), **other, **per_axis}
+    return [(f, keys[f.name], f.name in per_axis) for f in fields(cls) if keys[f.name]]
+
 
 def parse_test_function(text: str) -> TestFunctionSpec:
-    text = text.strip()
-    tag, _, body = text.partition(":")
-    tag = tag.strip()
-    params = {}
-    if body.strip():
-        for item in body.split(","):
-            key, eq, val = item.partition("=")
-            if not eq:
-                raise ValueError(f"bad parameter {item!r} in {text!r}")
-            params[key.strip()] = val.strip()
-
-    def fnum(key):
-        if key not in params:
-            raise ValueError(f"{tag!r} needs parameter {key!r}")
-        return float(params.pop(key))
-
-    amp = _parse_number(params.pop("amp", "1.0"))
-    if tag == "bump":
-        spec = Bump(center=(fnum("c"),), halfwidth=(fnum("a"),), amplitude=amp)
-    elif tag == "dipole":
-        spec = Dipole(center=(fnum("c"),), offset=fnum("s"), halfwidth=(fnum("a"),),
-                      amplitude=amp)
-    elif tag == "bump2":
-        spec = Bump(center=(fnum("cx"), fnum("cy")), halfwidth=(fnum("ax"), fnum("ay")),
-                    amplitude=amp)
-    elif tag == "dipole2":
-        axis = params.pop("axis", "x")
-        if axis not in ("x", "y"):
-            raise ValueError(f"dipole2 axis must be x or y, got {axis!r}")
-        spec = Dipole(center=(fnum("cx"), fnum("cy")), offset=fnum("s"),
-                      halfwidth=(fnum("ax"), fnum("ay")), axis=0 if axis == "x" else 1,
-                      amplitude=amp)
-    else:
+    tag, items = _split_tagged(text)
+    if tag not in _TF_TAGS:
         raise ValueError(f"unknown test function tag {tag!r}")
-    if params:
-        raise ValueError(f"unknown parameters {sorted(params)} for {tag!r}")
-    return spec
+    cls, dim = _TF_TAGS[tag]
+    kwargs = {}
+    for f, keys, per_axis in _field_keys(cls, dim):
+        missing = [key for key in keys if key not in items]
+        if missing and f.default is MISSING:
+            raise ValueError(f"{tag!r} needs parameter {missing[0]!r}")
+        if not missing:
+            values = tuple(_FIELD_TEXT[f.name][0](items.pop(key)) for key in keys)
+            kwargs[f.name] = values if per_axis else values[0]
+    if items:
+        raise ValueError(f"unknown parameters {sorted(items)} for {tag!r}")
+    return cls(**kwargs)
 
 
 def format_test_function(spec: TestFunctionSpec) -> str:
-    amp = _format_number(spec.amplitude)
-    if isinstance(spec, Bump):
-        if spec.dim == 1:
-            return f"bump:c={spec.center[0]!r},a={spec.halfwidth[0]!r},amp={amp}"
-        return (f"bump2:cx={spec.center[0]!r},cy={spec.center[1]!r},"
-                f"ax={spec.halfwidth[0]!r},ay={spec.halfwidth[1]!r},amp={amp}")
-    if spec.dim == 1:
-        return f"dipole:c={spec.center[0]!r},s={spec.offset!r},a={spec.halfwidth[0]!r},amp={amp}"
-    return (f"dipole2:cx={spec.center[0]!r},cy={spec.center[1]!r},s={spec.offset!r},"
-            f"ax={spec.halfwidth[0]!r},ay={spec.halfwidth[1]!r},"
-            f"axis={'x' if spec.axis == 0 else 'y'},amp={amp}")
+    items = []
+    for f, keys, per_axis in _field_keys(type(spec), spec.dim):
+        value = getattr(spec, f.name)
+        values = value if per_axis else (value,)
+        items += zip(keys, map(_FIELD_TEXT[f.name][1], values))
+    return _join_tagged(_TF_TAG_OF[type(spec), spec.dim], items)

@@ -79,13 +79,11 @@ def _parsed(cfg: ExperimentConfig, key: str):
     return value
 
 
-def _check_support_inside(spec, L_min: float, margin: float = 0.0, name: str = "f") -> None:
+def _check_support_inside(spec, L_min: float, name: str = "f") -> None:
     for lo, hi in ct.support_bounds(spec):
-        if lo - margin <= -L_min / 2 or hi + margin >= L_min / 2:
+        if lo <= -L_min / 2 or hi >= L_min / 2:
             raise ct.HypothesisError(
-                f"support of {name} (plus margin {margin}) reaches the boundary "
-                f"of the smallest box L = {L_min}"
-            )
+                f"support of {name} reaches the boundary of the smallest box L = {L_min}")
 
 
 @dataclass(frozen=True)

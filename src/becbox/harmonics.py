@@ -10,8 +10,8 @@ is automatic here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from functools import partial
+from dataclasses import dataclass
+from functools import partial, reduce
 from typing import Union
 
 import numpy as np
@@ -96,67 +96,49 @@ def spec_dim(spec: HarmonicSpec) -> int | None:
     return 2
 
 
-def _check_coords(spec: HarmonicSpec, coords) -> None:
-    d = spec_dim(spec)
-    if d is not None and len(coords) != d:
-        raise ValueError(
-            f"{type(spec).__name__} expects {d} coordinate(s), got {len(coords)}"
-        )
-
-
 def eval_harmonic(spec: HarmonicSpec, *coords):
-    """Evaluate a harmonic function at broadcastable coordinates.
+    """Evaluate a harmonic function at broadcastable coordinates, one (scalar
+    or array) for 1d variants, two (x, y) for 2d ones: the sum of products
+    of ``harmonic_factors``, which broadcast like the coordinates."""
+    return _sum_of_products(harmonic_factors(spec, *coords))
 
-    One coordinate (scalar or array) for 1d variants, two (x, y) for 2d ones.
-    """
-    _check_coords(spec, coords)
-    if isinstance(spec, Constant):
-        shape = np.broadcast(*[np.asarray(c) for c in coords]).shape
-        return np.broadcast_to(np.asarray(spec.c), shape).copy() if shape else spec.c
-    if isinstance(spec, Affine1D):
-        x = np.asarray(coords[0])
-        return spec.a + spec.b * x
-    if isinstance(spec, HarmonicPoly2D):
-        x, y = (np.asarray(c) for c in coords)
-        w = (x + 1j * y - spec.center) ** spec.degree
-        part = np.real(w) if spec.part == "re" else np.imag(w)
-        return spec.coefficient * part
-    if isinstance(spec, ExpCos2D):
-        x, y = (np.asarray(c) for c in coords)
-        return np.exp(spec.k * x) * np.cos(spec.k * y + spec.phase)
-    raise TypeError(f"unknown harmonic spec {spec!r}")
+
+def _sum_of_products(terms):
+    """sum_j c_j prod_i u_ji over [(c_j, (u_j0, u_j1, ...))], each product
+    taken left to right from c_j; the factors broadcast against each other."""
+    return reduce(np.add, (reduce(np.multiply, factors, coeff) for coeff, factors in terms))
 
 
 def harmonic_factors(spec: HarmonicSpec, *axes) -> list[tuple[complex, tuple]]:
-    """The spec as a short sum of products of real 1d factors, one per axis.
-
-    Returns [(c_j, (u_j0, u_j1, ...))] with u_ji evaluated on ``axes[i]``, so
-    that eval_harmonic(spec, *mesh) = sum_j c_j prod_i u_ji on the tensor mesh
-    of the axes, up to roundoff.
+    """The spec as a short sum of products of real 1d factors, one per axis:
+    its one definition.  Returns [(c_j, (u_j0, u_j1, ...))] with u_ji on
+    ``axes[i]`` and c_j as the spec gives it (real stays real), so that
+    sum_j c_j prod_i u_ji is the spec on the tensor mesh of the axes, or at
+    broadcastable coordinates (``eval_harmonic``).
     """
-    _check_coords(spec, axes)
+    d = spec_dim(spec)
+    if d is not None and len(axes) != d:
+        raise ValueError(f"{type(spec).__name__} expects {d} coordinate(s), got {len(axes)}")
     axes = [np.asarray(x, dtype=float) for x in axes]
     if isinstance(spec, Constant):
-        return [(complex(spec.c), tuple(np.ones_like(x) for x in axes))]
+        return [(spec.c, tuple(np.ones_like(x) for x in axes))]
     if isinstance(spec, Affine1D):
         x, = axes
-        return [(complex(spec.a), (np.ones_like(x),)), (complex(spec.b), (x,))]
+        return [(spec.a, (np.ones_like(x),)), (spec.b, (x,))]
     if isinstance(spec, HarmonicPoly2D):
         # (X + iY)^n = sum_j C(n, j) i^j X^(n-j) Y^j; the real part keeps even
-        # j, the imaginary part odd j, each with sign (-1)^(j // 2).  The
-        # coefficient multiplies last, as in eval_harmonic.
+        # j, the imaginary part odd j, each with sign (-1)^(j // 2)
         n, z0 = spec.degree, complex(spec.center)
         X, Y = axes[0] - z0.real, axes[1] - z0.imag
         first = 0 if spec.part == "re" else 1
-        return [(complex(spec.coefficient), (math.comb(n, j) * (-1) ** (j // 2) * X ** (n - j),
-                                             Y ** j))
+        return [(spec.coefficient, (math.comb(n, j) * (-1) ** (j // 2) * X ** (n - j), Y ** j))
                 for j in range(first, n + 1, 2)]
     if isinstance(spec, ExpCos2D):
         # cos(ky + phase) = cos(ky) cos(phase) - sin(ky) sin(phase)
         x, y = axes
         ex = np.exp(spec.k * x)
-        return [(complex(math.cos(spec.phase)), (ex, np.cos(spec.k * y))),
-                (complex(-math.sin(spec.phase)), (ex, np.sin(spec.k * y)))]
+        return [(math.cos(spec.phase), (ex, np.cos(spec.k * y))),
+                (-math.sin(spec.phase), (ex, np.sin(spec.k * y)))]
     raise TypeError(f"unknown harmonic spec {spec!r}")
 
 
@@ -165,10 +147,7 @@ def boundary_values_1d(spec: HarmonicSpec, grid: Grid) -> tuple[complex, complex
     if grid.dim != 1:
         raise ValueError("boundary_values_1d requires a 1d grid")
     L = grid.lengths[0]
-    return (
-        complex(np.asarray(eval_harmonic(spec, -L / 2)).item()),
-        complex(np.asarray(eval_harmonic(spec, L / 2)).item()),
-    )
+    return complex(eval_harmonic(spec, -L / 2)), complex(eval_harmonic(spec, L / 2))
 
 
 def sample_family(family: HarmonicFamily, grid: Grid, mode: str = "sampled") -> list[GridField]:
@@ -194,16 +173,19 @@ def sample_family(family: HarmonicFamily, grid: Grid, mode: str = "sampled") -> 
 # --- text syntax -------------------------------------------------------------
 #
 # One spec is TAG:key=value,key=value with tags const, affine, hpoly2, expcos;
-# families join specs with ';'.  format -> parse -> format is the identity.
+# families join specs with ';'.  A tag's row pairs each key with the field it
+# sets, in canonical order; a field's value reads and writes by _FIELD_TEXT, a
+# number otherwise.  continuum's test functions share the split.
+# format -> parse -> format is the identity.
 
 _TAGS = {
-    "const": (Constant, {"c": "c"}),
-    "affine": (Affine1D, {"a": "a", "b": "b"}),
-    "hpoly2": (HarmonicPoly2D, {"n": "degree", "part": "part", "z0": "center", "coeff": "coefficient"}),
-    "expcos": (ExpCos2D, {"k": "k", "phase": "phase"}),
+    "const": (Constant, (("c", "c"),)),
+    "affine": (Affine1D, (("a", "a"), ("b", "b"))),
+    "hpoly2": (HarmonicPoly2D, (("n", "degree"), ("part", "part"), ("z0", "center"),
+                                ("coeff", "coefficient"))),
+    "expcos": (ExpCos2D, (("k", "k"), ("phase", "phase"))),
 }
-_TAG_OF = {Constant: "const", Affine1D: "affine", HarmonicPoly2D: "hpoly2", ExpCos2D: "expcos"}
-_KEY_OF = {tag: {field: key for key, field in mapping.items()} for tag, (_, mapping) in _TAGS.items()}
+_TAG_OF = {cls: tag for tag, (cls, _) in _TAGS.items()}
 
 
 def _parse_number(text: str):
@@ -223,51 +205,54 @@ def _format_number(value) -> str:
     return repr(z).strip("()")
 
 
+# field -> (parse, format) of its value text, where it is not a number
+_FLOAT_TEXT, _NUMBER_TEXT = (float, lambda v: repr(float(v))), (_parse_number, _format_number)
+_FIELD_TEXT = {"degree": (int, str), "part": (str.lower, str),
+               "k": _FLOAT_TEXT, "phase": _FLOAT_TEXT}
+
+
+def _split_tagged(text: str) -> tuple[str, dict[str, str]]:
+    """The tag and the stripped key -> value items of ``tag:key=value,...``;
+    an item without '=' or a key given twice is a ValueError."""
+    tag, _, body = text.strip().partition(":")
+    items: dict[str, str] = {}
+    for item in body.split(",") if body.strip() else ():
+        key, eq, value = item.partition("=")
+        key = key.strip()
+        if not eq:
+            raise ValueError(f"bad parameter {item!r} in {text!r}")
+        if key in items:
+            raise ValueError(f"duplicate parameter {key!r} in {text!r}")
+        items[key] = value.strip()
+    return tag.strip(), items
+
+
+def _join_tagged(tag: str, items) -> str:
+    """``tag:key=value,...`` from (key, value text) pairs."""
+    return f"{tag}:{','.join(f'{key}={value}' for key, value in items)}"
+
+
 def parse_harmonic(text: str) -> HarmonicSpec:
     """Parse one spec string like ``affine:a=1,b=0.5``."""
-    text = text.strip()
-    tag, _, body = text.partition(":")
-    tag = tag.strip()
+    tag, items = _split_tagged(text)
     if tag not in _TAGS:
         raise ValueError(f"unknown harmonic tag {tag!r} in {text!r}")
-    cls, mapping = _TAGS[tag]
+    cls, keys = _TAGS[tag]
+    field_of = dict(keys)
     kwargs = {}
-    if body.strip():
-        for item in body.split(","):
-            key, eq, val = item.partition("=")
-            key = key.strip()
-            if not eq or key not in mapping:
-                raise ValueError(f"bad parameter {item!r} for harmonic {tag!r}")
-            field = mapping[key]
-            val = val.strip()
-            if field == "degree":
-                kwargs[field] = int(val)
-            elif field == "part":
-                kwargs[field] = val.lower()
-            elif field in ("k", "phase"):
-                kwargs[field] = float(val)
-            else:
-                kwargs[field] = _parse_number(val)
+    for key, value in items.items():
+        if key not in field_of:
+            raise ValueError(f"bad parameter {key!r} for harmonic {tag!r}")
+        name = field_of[key]
+        kwargs[name] = _FIELD_TEXT.get(name, _NUMBER_TEXT)[0](value)
     return cls(**kwargs)
 
 
 def format_harmonic(spec: HarmonicSpec) -> str:
     """Canonical text form of a spec (round-trips through parse_harmonic)."""
     tag = _TAG_OF[type(spec)]
-    keys = _KEY_OF[tag]
-    parts = []
-    for f in fields(spec):
-        val = getattr(spec, f.name)
-        if f.name == "degree":
-            txt = str(val)
-        elif f.name == "part":
-            txt = val
-        elif f.name in ("k", "phase"):
-            txt = repr(float(val))
-        else:
-            txt = _format_number(val)
-        parts.append(f"{keys[f.name]}={txt}")
-    return f"{tag}:{','.join(parts)}"
+    return _join_tagged(tag, ((key, _FIELD_TEXT.get(name, _NUMBER_TEXT)[1](getattr(spec, name)))
+                              for key, name in _TAGS[tag][1]))
 
 
 def parse_family(text: str) -> HarmonicFamily:

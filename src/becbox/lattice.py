@@ -116,8 +116,13 @@ def make_grid(dim: int, lengths, spacing: float) -> Grid:
 
 
 def sample_function(grid: Grid, fn) -> GridField:
-    """Sample ``fn(*coords)`` at the nodes; fn must broadcast over arrays."""
-    vals = np.asarray(fn(*grid.meshes()))
+    """Sample ``fn(*coords)`` at the nodes; fn must broadcast over arrays.  It
+    gets open meshes (one axis array per coordinate, shaped to broadcast), so a
+    sum of products of 1d factors makes no node-sized factor."""
+    axes = [grid.axis_nodes(i) for i in range(grid.dim)]
+    vals = np.asarray(fn(*np.meshgrid(*axes, indexing="ij", sparse=True)))
+    if vals.shape != grid.counts:
+        vals = np.broadcast_to(vals, grid.counts)
     return GridField(grid, np.ascontiguousarray(vals.ravel()))
 
 

@@ -245,12 +245,21 @@ def _bc_residual_once(op: PhiOperator, which: int, r):
     return max(abs(dl - (hl - rv[0])), abs(dr - (hr - rv[1])))
 
 
+def _refinements(op: PhiOperator, levels: int):
+    """``op``, then its family, mode and backend on ``levels - 1`` 1d grids of
+    halved spacing, built one at a time."""
+    yield op
+    for level in range(1, levels):
+        grid = make_grid(1, list(op.grid.lengths), op.grid.spacing / 2**level)
+        yield build_phi_operator(grid, op.family, op.mode, op.backend)
+
+
 def boundary_condition_residual(
     op: PhiOperator, which_eigenvector: int = 0, levels: int = 3
 ) -> CheckReport:
     """Residual of the boundary condition (outward derivative equals the
     Dirichlet-to-Neumann term minus r times the trace) on a discrete
-    eigenvector, reported across mesh refinements.
+    eigenvector of the dense ``op`` and of ``levels - 1`` refinements of it.
 
     The continuum statement holds exactly; the discrete residual must decay
     with ratio >= 1.5 per halving.  With an empty family the condition
@@ -259,13 +268,10 @@ def boundary_condition_residual(
     """
     if op.grid.dim != 1:
         raise ValueError("boundary condition check requires a 1d grid")
-    L = op.grid.lengths[0]
+    _require_dense(op, "the boundary condition check")
     residuals = []
     degenerate = False
-    for level in range(levels):
-        h = op.grid.spacing / 2**level
-        grid = make_grid(1, [L], h)
-        fine = build_phi_operator(grid, op.family, op.mode, "dense")
+    for fine in _refinements(op, levels):
         r = bc_r_matrix(fine) if fine.basis.rank else None
         if fine.basis.rank and r is None:
             degenerate = True
@@ -350,7 +356,8 @@ def quadratic_form_identity(op: PhiOperator, seed: int = 0, levels: int = 2) -> 
     f = A^-1 w for seeded random w; the form is the forward-difference energy
     of f minus that of the discrete-harmonic extension of f's extracted trace,
     plus the R pairing of that extension.  Exact (to roundoff) for an empty
-    family; order >= 1 in h otherwise, checked over ``levels`` refinements.
+    family; order >= 1 in h otherwise, checked on ``op`` and ``levels - 1``
+    refinements of it.
     Requires discrete-harmonic sampling whenever the family is nonempty, since
     in sampled mode the identity is only asymptotic in a weaker sense.
     """
@@ -358,7 +365,6 @@ def quadratic_form_identity(op: PhiOperator, seed: int = 0, levels: int = 2) -> 
         raise ValueError("quadratic form identity requires a 1d grid")
     if op.basis.rank and op.mode != "discrete-harmonic":
         raise ValueError("quadratic form identity needs discrete-harmonic sampling")
-    L = op.grid.lengths[0]
     if op.basis.rank == 0:
         res = _qform_residual_once(op, seed)
         return CheckReport(
@@ -367,12 +373,7 @@ def quadratic_form_identity(op: PhiOperator, seed: int = 0, levels: int = 2) -> 
             tolerances={"relative": 1e-10},
             context={"family": format_family(op.family), "seed": seed},
         )
-    residuals = []
-    for level in range(levels):
-        h = op.grid.spacing / 2**level
-        grid = make_grid(1, [L], h)
-        fine = build_phi_operator(grid, op.family, "discrete-harmonic", op.backend)
-        residuals.append(float(_qform_residual_once(fine, seed)))
+    residuals = [float(_qform_residual_once(fine, seed)) for fine in _refinements(op, levels)]
     orders = [float(np.log2(residuals[i] / residuals[i + 1])) for i in range(len(residuals) - 1)]
     shortfall = max(0.0, 1.0 - min(orders)) if orders else 0.0
     return CheckReport(

@@ -297,6 +297,60 @@ def test_dimension_audit_sees_a_branch():
     assert dimension_comparisons(source, ("green_integral",))[1] == [("_walk", 5)]
 
 
+# the separable forms define each catalog class, so they alone may branch on it
+SEPARABLE_FORMS = {"harmonic_factors", "_axis_factors", "_tensor_terms"}
+SPEC_READERS = {bb.harmonics: ("eval_harmonic",),
+                ct: ("evaluate", "parse_test_function", "format_test_function")}
+
+
+def catalog_branches(source: str, roots):
+    """(function, line) of every ``isinstance`` call and every comparison of a
+    ``dim`` with a literal in the functions ``roots`` of a module's source and
+    the private module functions they call, followed transitively short of
+    the separable forms; read with ``ast``.  A lookup in a table is no branch."""
+    defs = {n.name: n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)}
+    todo, seen, found = list(roots), set(), []
+    while todo:
+        name = todo.pop()
+        if name in seen or name in SEPARABLE_FORMS:
+            continue
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id == "isinstance":
+                    found.append((name, node.lineno))
+                elif node.func.id.startswith("_") and node.func.id in defs:
+                    todo.append(node.func.id)
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(isinstance(n, ast.Constant) for n in operands) and any(
+                        getattr(n, "id", None) == "dim" or getattr(n, "attr", None) == "dim"
+                        for op in operands for n in ast.walk(op)):
+                    found.append((name, node.lineno))
+    return seen, found
+
+
+@pytest.mark.parametrize("module", SPEC_READERS, ids=lambda m: m.__name__)
+def test_spec_readers_have_no_class_or_dimension_branch(module):
+    """Evaluation and text forms read each spec's separable form and the
+    tagged grammar's tables: no class test, no dimension compared with a
+    literal, in them or the private helpers they call."""
+    seen, found = catalog_branches(Path(module.__file__).read_text(encoding="utf-8"),
+                                   SPEC_READERS[module])
+    assert set(SPEC_READERS[module]) <= seen
+    assert found == []
+
+
+def test_catalog_audit_sees_a_branch():
+    source = ("def evaluate(spec, *x):\n    return _form(spec, x)\n\n"
+              "def _form(spec, x):\n    if isinstance(spec, Bump):\n        return 0\n"
+              "    return 1 if spec.dim == 2 else 2\n\n"
+              "def _tensor_terms(spec):\n    return isinstance(spec, Bump)\n")
+    assert catalog_branches(source, ("evaluate",))[1] == [("_form", 5), ("_form", 7)]
+    table = "def evaluate(spec):\n    return TABLE[spec.dim] if spec.dim in TABLE else 0\n"
+    assert catalog_branches(table, ("evaluate",))[1] == []
+
+
 class TestResolventReference:
     def test_zero_input(self):
         zero = ct.Bump(center=(0.0,), halfwidth=(1.0,), amplitude=0.0)
@@ -407,6 +461,24 @@ class TestTextSyntax:
     def test_unknown_parameter(self):
         with pytest.raises(ValueError, match="unknown parameters"):
             ct.parse_test_function("bump:c=0,a=1,width=2")
+
+    def test_duplicate_parameter(self):
+        with pytest.raises(ValueError, match="duplicate parameter 'c'"):
+            ct.parse_test_function("bump:c=0,c=3,a=1")
+
+    def test_missing_parameter_and_bad_axis(self):
+        with pytest.raises(ValueError, match="'bump2' needs parameter 'ay'"):
+            ct.parse_test_function("bump2:cx=0,cy=0,ax=1")
+        with pytest.raises(ValueError, match="axis must be x or y"):
+            ct.parse_test_function("dipole2:cx=0,cy=0,s=1,ax=1,ay=1,axis=z")
+        with pytest.raises(ValueError, match="unknown parameters \\['axis'\\]"):
+            ct.parse_test_function("dipole:c=0,s=1,a=1,axis=x")
+
+    def test_only_one_and_two_axes_have_a_text_form(self):
+        with pytest.raises(ValueError, match="unknown test function"):
+            ct.parse_test_function("bump3:cx=0,cy=0,cz=0,ax=1,ay=1,az=1")
+        with pytest.raises(ValueError, match="d = 1, 2"):
+            ct.format_test_function(ct.Bump(center=(0.0,) * 3, halfwidth=(1.0,) * 3))
 
 
 @pytest.fixture(scope="module")

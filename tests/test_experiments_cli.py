@@ -263,6 +263,22 @@ class TestVerifySuite:
                 assert max(c.residuals.values()) <= 1e-13
 
 
+    def test_default_d1_verify_builds_each_operator_once(self, monkeypatch):
+        """The boundary-condition and quadratic-form checks take the operator
+        they are handed as their coarsest level instead of building it again."""
+        builds = []
+        def counted(grid, family, mode="sampled", backend="auto"):
+            builds.append((grid.total, mode))
+            return po.build_phi_operator(grid, family, mode, backend)
+
+        for module in (ex, vf):
+            monkeypatch.setattr(module, "build_phi_operator", counted)
+        checks = ex.run_verify_suite(ExperimentConfig(kind="verify"))
+        assert [c.name for c in checks][-3:-1] == ["boundary_condition", "quadratic_form_identity"]
+        assert sorted(builds) == [(127, "discrete-harmonic"), (127, "sampled"),
+                                  (255, "discrete-harmonic"), (255, "sampled"),
+                                  (255, "sampled"), (511, "sampled")]
+
     def test_d2_hpoly_family_all_pass(self):
         # the d = 2 verify configuration the benchmark runs
         cfg = parse_config_text(
@@ -362,6 +378,8 @@ class TestCli:
         ("verify", "dim = 2\nfamily = affine:a=0,b=1\nL_list = 8\nh = 0.25\n", "family"),
         ("converge", "f = bogus:c=0\n", "bogus"),
         ("converge", "family = affine:a=zz\n", "zz"),
+        ("converge", "family = hpoly2:n=1,n=2\n", "duplicate parameter 'n'"),
+        ("converge", "f = bump:c=0,c=3,a=1\n", "duplicate parameter 'c'"),
         ("fourier-dump", "dim = 2\n", "f does not match"),
         ("verify", "L_list = 4\nh = 2\n", "L/h >= 4"),
     ]

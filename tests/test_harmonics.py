@@ -5,6 +5,7 @@ import pytest
 
 import becbox as bb
 from becbox import harmonics as hm
+from conftest import traced_peak
 
 
 class TestEval:
@@ -104,6 +105,13 @@ class TestSampleFamily:
         with pytest.raises(ValueError, match="mode"):
             bb.sample_family(bb.HarmonicFamily(()), grid_1d, "nearest")
 
+    def test_sampled_mode_makes_no_node_sized_factor(self):
+        # the two fields and two term-sized temporaries; full meshes would
+        # make every 1d factor of every term node-sized as well
+        grid = bb.make_grid(2, [32.0, 32.0], 0.125)
+        fam = bb.parse_family("hpoly2:n=1,part=re;hpoly2:n=2,part=re")
+        assert traced_peak(bb.sample_family, fam, grid, "sampled") <= 4.5 * 8 * grid.total
+
 
 class TestTextSyntax:
     CASES = [
@@ -144,6 +152,12 @@ class TestTextSyntax:
     def test_bad_parameter(self):
         with pytest.raises(ValueError, match="bad parameter"):
             bb.parse_harmonic("affine:q=1")
+
+    def test_duplicate_parameter(self):
+        with pytest.raises(ValueError, match="duplicate parameter 'n'"):
+            bb.parse_harmonic("hpoly2:n=1,n=2")
+        with pytest.raises(ValueError, match="duplicate parameter"):
+            bb.parse_family("const:c=1;affine:a=0,b=1,a=2")
 
 
 def test_boundary_values_1d(grid_1d):

@@ -50,6 +50,17 @@ class TestMakeGrid:
         assert g.total == (8 - 1) * (12 - 1)
 
 
+def test_sample_function_fills_every_node():
+    # fn gets open meshes; a value that does not depend on every coordinate
+    # is still spread over the grid
+    g = bb.make_grid(2, [4, 6], 0.5)
+    x, y = g.meshes()
+    u = bb.sample_function(g, lambda x, y: x)
+    assert np.array_equal(u.values, x.ravel()) and u.values.flags.writeable
+    assert np.array_equal(bb.sample_function(g, lambda x, y: x * y).values, (x * y).ravel())
+    assert np.array_equal(bb.sample_function(g, lambda x, y: 2.0).values, np.full(g.total, 2.0))
+
+
 class TestInnerProduct:
     def test_constant_field(self):
         g = bb.make_grid(1, [4], 0.5)

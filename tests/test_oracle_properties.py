@@ -57,10 +57,26 @@ def ref_axis_transform(a, p, quad_points):
     return np.concatenate([out[:0:-1], out]), np.sum(np.abs(fw))
 
 
+def closed_form(spec):
+    """The harmonic function of a spec written out, with its complex power or
+    shifted cosine: a reference that does not read ``harmonic_factors``."""
+    def fn(*coords):
+        if isinstance(spec, bb.Constant):
+            return spec.c * np.ones(np.broadcast(*coords).shape)
+        if isinstance(spec, bb.Affine1D):
+            return spec.a + spec.b * coords[0]
+        x, y = coords
+        if isinstance(spec, bb.HarmonicPoly2D):
+            w = (x + 1j * y - spec.center) ** spec.degree
+            return spec.coefficient * (w.real if spec.part == "re" else w.imag)
+        return np.exp(spec.k * x) * np.cos(spec.k * y + spec.phase)
+    return fn
+
+
 def ref_condensate_term(family, f, g, beta, quad_points):
     total = 0.0 + 0.0j
     for spec in family.specs:
-        fn = partial(bb.eval_harmonic, spec)
+        fn = closed_form(spec)
         a = ref_overlap(f, fn, quad_points)
         b = ref_overlap(g, fn, quad_points)
         total += a * np.conj(b)
@@ -205,7 +221,7 @@ def test_condensate_term_equals_reference(data, dim, quad_points, beta, same):
     under = quad_points**dim * np.finfo(float).smallest_subnormal
     bound = 0.0
     for spec in family.specs:
-        fn = partial(bb.eval_harmonic, spec)
+        fn = closed_form(spec)
         a, b = abs_overlap(f, fn, quad_points), abs_overlap(g, fn, quad_points)
         bound += (1e-12 * a * b + under * (a + b)) / beta
     assert abs(got - ref) <= bound
@@ -223,7 +239,7 @@ def separable_sum(spec, *axes):
 
 def other_part(spec):
     """The other part of the complex function whose real or imaginary part the
-    spec is: the terms of both bound what eval_harmonic's complex power and
+    spec is: the terms of both bound what the closed form's complex power and
     cosine argument round."""
     if isinstance(spec, bb.HarmonicPoly2D):
         return dataclasses.replace(spec, part="im" if spec.part == "re" else "re")
@@ -239,15 +255,19 @@ NODES = (np.linspace(-3.0, 3.0, 13), np.linspace(-2.5, 3.5, 11))
 @settings(max_examples=80)
 @given(data=st.data(), dim=st.integers(1, 2))
 def test_harmonic_factors_equal_eval_harmonic(data, dim):
+    """The factors on the tensor mesh and eval_harmonic on the full mesh (their
+    sum taken pointwise) both equal the closed form, hence each other."""
     spec = data.draw(harmonic_specs(dim, max_degree=6, max_phase=10))
     axes = NODES[:dim]
+    mesh = np.meshgrid(*axes, indexing="ij")
     got, magnitude = separable_sum(spec, *axes)
     _, other = separable_sum(other_part(spec), *axes)
-    ref = bb.eval_harmonic(spec, *np.meshgrid(*axes, indexing="ij"))
+    ref = closed_form(spec)(*mesh)
     # plus one subnormal unit per rounded product, where a tiny coefficient
     # makes roundoff absolute
-    tiny = np.finfo(float).smallest_subnormal
-    assert np.all(np.abs(got - ref) <= 1e-13 * (magnitude + other) + 8 * tiny)
+    bound = 1e-13 * (magnitude + other) + 8 * np.finfo(float).smallest_subnormal
+    assert np.all(np.abs(got - ref) <= bound)
+    assert np.all(np.abs(bb.eval_harmonic(spec, *mesh) - ref) <= bound)
 
 
 def test_harmonic_factors_reject_unknown_specs():
@@ -268,7 +288,7 @@ def test_overlap_integral_equals_mesh_reference(data, dim, quad_points):
     under = quad_points**dim * np.finfo(float).smallest_subnormal
     for value, spec in zip(got, fns):
         is_test_function = isinstance(spec, (ct.Bump, ct.Dipole))
-        fn = partial(ct.evaluate if is_test_function else bb.eval_harmonic, spec)
+        fn = partial(ct.evaluate, spec) if is_test_function else closed_form(spec)
         ref = ref_overlap(f, fn, quad_points)
         assert abs(value - ref) <= 1e-12 * abs_overlap(f, fn, quad_points) + under
 

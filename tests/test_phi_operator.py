@@ -362,6 +362,18 @@ class TestRealArithmetic:
             got, want = getattr(real, name), getattr(ref, name)
             assert abs(got - want) <= rtol * abs(want), name
 
+    @pytest.mark.parametrize("mode", ["sampled", "discrete-harmonic"])
+    @pytest.mark.parametrize("dim, text", [
+        (1, "const:c=1;affine:a=0,b=1"),
+        (2, "hpoly2:n=1,part=re;hpoly2:n=4,part=im,z0=0.5,coeff=2;expcos:k=2,phase=0.3"),
+    ])
+    def test_real_family_columns_are_real(self, mode, dim, text):
+        grid = bb.make_grid(dim, [4.0] * dim, 0.25)
+        op = bb.build_phi_operator(grid, bb.parse_family(text), mode, "lanczos")
+        assert op.basis.col_hat.dtype == np.float64
+        op = bb.build_phi_operator(grid, bb.parse_family(text + ";const:c=1j"), mode, "lanczos")
+        assert op.basis.col_hat.dtype == np.complex128
+
 
 class TestOrderingInvariant:
     @pytest.mark.parametrize("family", [
