@@ -13,9 +13,11 @@ as an eigenpair of its own, and the block the column couples is solved
 through its secular equation (operator eigenvalues are reported as 1/mu); the
 Lanczos backend only ever applies it.  Either way a readout is one quadrature
 rule per start vector (the eigenpairs, or a Lanczos Gauss rule), and every
-spectral function of the readout is read off that rule.  All inner products,
-normalizations and orthogonalizations use the h^d-weighted inner product,
-which in sine coefficients is the plain dot product.
+spectral function of the readout is read off that rule.  A Lanczos recursion
+runs only on the sine coefficients its start vector reaches (see
+``lanczos_quadratic_form``).  All inner products, normalizations and
+orthogonalizations use the h^d-weighted inner product, which in sine
+coefficients is the plain dot product.
 """
 
 from __future__ import annotations
@@ -283,11 +285,15 @@ class PhiOperator:
 
     def inverse_matvec(self, chat: np.ndarray) -> np.ndarray:
         """A^-1 acting on sine coefficients."""
-        out = chat / self.lam
-        C = self.basis.col_hat
-        if C.shape[1]:  # C^H chat as conj(C^T conj(chat)): no copy of C
-            out = out + C @ (C.T @ chat.conj()).conj()
-        return out
+        return _inverse_matvec(self.lam, self.basis.col_hat, chat)
+
+
+def _inverse_matvec(lam: np.ndarray, C: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A^-1 x = x / lam + C C^H x on sine coefficients."""
+    out = x / lam
+    if C.shape[1]:  # C^H x as conj(C^T conj(x)): no copy of C
+        out = out + C @ (C.T @ x.conj()).conj()
+    return out
 
 
 def eigendecompose_symmetric(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -566,16 +572,33 @@ def _gauss_sum(Fs, nodes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarra
 @dataclass(frozen=True)
 class LanczosResult:
     """Outcome of a Lanczos quadrature: ``value`` holds one form per function,
-    ``repeats`` the steps whose Gram-Schmidt pass cancelled and was repeated."""
+    ``repeats`` the steps whose Gram-Schmidt pass cancelled and was repeated,
+    ``size`` the number of sine coefficients the recursion ran in."""
 
     value: np.ndarray
     steps: int
     converged: bool
     breakdown: bool = False
     repeats: int = 0
+    size: int = 0
 
 
 _DGKS = 1 / np.sqrt(2)  # a pass that leaves less of ||w|| than this has cancelled
+
+
+def _reached(v: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """The sine coefficients that A^-1 = diag(1/lam) + C C^H can carry v to:
+    v's nonzero rows, grown by the nonzero rows of every column that has one
+    among them, until no column is added (at most K + 1 passes)."""
+    rows = C != 0
+    reached = v != 0
+    left = np.ones(C.shape[1], dtype=bool)
+    while True:
+        meet = left & rows[reached].any(axis=0)
+        if not meet.any():
+            return reached
+        reached |= rows[:, meet].any(axis=1)
+        left &= ~meet
 
 
 def lanczos_quadratic_form(
@@ -600,6 +623,16 @@ def lanczos_quadratic_form(
     |alpha_j| + beta_(j-1), never a far Ritz value's (breakdown: f lay in an
     invariant subspace), returns the exact current values with a flag; a Ritz
     value that leaves the positive axis raises RuntimeError.
+
+    The recursion runs only on the sine coefficients S that f reaches (see
+    ``_reached``): f's nonzero coefficients, closed under every column with a
+    nonzero row among them.  For i outside S, (A^-1 x)_i = x_i / lam_i +
+    sum_k C_ik (c_k^H x) vanishes whenever x does: x_i = 0, and C_ik != 0 only
+    for columns whose rows miss S, so c_k^H x = 0.  The Krylov space therefore
+    lies in span{e_i : i in S}, and the tridiagonal and every value are those
+    of the full recursion up to the order of floating-point sums.  A centred,
+    reflection-symmetric f and family keep it in one parity sector; when S is
+    every coefficient the arrays are used as they are.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -607,15 +640,20 @@ def lanczos_quadratic_form(
     nrm = np.linalg.norm(v)
     if nrm == 0:
         raise ValueError("starting field must be nonzero")
+    lam, C = op.lam, op.basis.col_hat
+    reached = _reached(v, C)
+    if not reached.all():
+        v, lam, C = v[reached], lam[reached], C[reached]
     # a complex family makes the Krylov vectors complex even from a real f
-    Q = np.empty((steps, v.size), dtype=np.result_type(v, op.basis.col_hat))
+    Q = np.empty((steps, v.size), dtype=np.result_type(v, C))
     Q[0] = v / nrm
     alphas: list[float] = []
     betas: list[float] = []
     value = None
     repeats = 0
+    converged = breakdown = False
     for j in range(steps):
-        w = op.inverse_matvec(Q[j])
+        w = _inverse_matvec(lam, C, Q[j])
         if j > 0:
             w -= betas[j - 1] * Q[j - 1]
         alpha = float(np.vdot(Q[j], w).real)
@@ -634,19 +672,21 @@ def lanczos_quadratic_form(
         if theta.min() <= 0:
             raise RuntimeError("Ritz values left the positive axis: roundoff cost positivity")
         new_value = _gauss_sum(Fs, 1.0 / theta, nrm * S[0], nrm * S[0])
-        if value is not None and np.all(
-            np.abs(new_value - value) <= tolerance * np.maximum(np.abs(new_value), 1e-300)
-        ):
-            return LanczosResult(value=new_value, steps=j + 1, converged=True, repeats=repeats)
+        converged = value is not None and bool(np.all(
+            np.abs(new_value - value) <= tolerance * np.maximum(np.abs(new_value), 1e-300)))
         value = new_value
+        if converged:
+            break
         scale = abs(alpha) + (betas[-1] if betas else 0.0)
         if beta <= 1e-13 * max(scale, 1e-300):
-            return LanczosResult(value=new_value, steps=j + 1, converged=True, breakdown=True,
-                                 repeats=repeats)
+            converged = breakdown = True
+            break
         if j + 1 < steps:
             betas.append(beta)
             np.divide(w, beta, out=Q[j + 1])
-    return LanczosResult(value=value, steps=steps, converged=False, repeats=repeats)
+    logger.debug("lanczos: N = %d, reached %d, steps %d", op.lam.size, v.size, j + 1)
+    return LanczosResult(value=value, steps=j + 1, converged=converged, breakdown=breakdown,
+                         repeats=repeats, size=v.size)
 
 
 def _bilinear_forms(op: PhiOperator, Fs, f: GridField, g: GridField | None):

@@ -321,6 +321,16 @@ class TestCli:
         assert [int(line.split("N = ")[1].split(",")[0]) for line in lines] == builds
         assert all("coupled rows per stage [" in line for line in lines)
 
+    def test_log_level_debug_shows_each_lanczos_recursion(self, tmp_path, capsys):
+        """A centred dipole and the odd column x reach the odd sector only."""
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(MINI_CONVERGE + "backend = lanczos\n")
+        cli.main(["converge", "--config", str(cfg), "--out", str(tmp_path), "--log-level", "DEBUG"])
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("DEBUG becbox.phi_operator: lanczos: ")]
+        assert [line.split("lanczos: ")[1].split(", steps")[0] for line in lines] == [
+            "N = 63, reached 31", "N = 127, reached 63"]
+
     def test_config_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("mystery = 3\n")

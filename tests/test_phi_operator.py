@@ -17,6 +17,19 @@ def n1_operator():
     return g, bb.build_phi_operator(g, fam, backend="dense")
 
 
+OFF_CENTRE_DIPOLE = "dipole2:cx=0.2,cy=0.1,s=1,ax=0.75,ay=0.5,axis=y"
+
+
+def golden_d2_readout(cfg, L, f_text=None):
+    """The golden d=2 family on an L x L box at the golden h (Lanczos backend),
+    with the golden f or another test function, and the readout's functions."""
+    grid = bb.make_grid(2, [L, L], cfg.h)
+    op = bb.build_phi_operator(grid, bb.parse_family(cfg.family), backend="lanczos")
+    spec = ct.parse_test_function(f_text or cfg.f)
+    f = bb.sample_function(grid, lambda *x: ct.evaluate(spec, *x))
+    return op, (bb.Bose(cfg.beta), bb.BoseRegular(cfg.beta)), f
+
+
 class TestSpectralFunctions:
     def test_bose_overflow_safe(self):
         vals = bb.Bose(1.0).evaluate(np.array([1e-3, 1.0, 800.0, 2048.0]))
@@ -482,16 +495,76 @@ class TestLanczos:
     def test_single_pass_matches_two_pass_reference(self, golden_d2_config):
         """The golden d=2 f and family at L = 16 (N = 16129): no pass cancels,
         and the single pass takes the reference's steps to its values."""
-        cfg = golden_d2_config
-        grid = bb.make_grid(2, [16, 16], cfg.h)
-        op = bb.build_phi_operator(grid, bb.parse_family(cfg.family), backend="lanczos")
-        spec = ct.parse_test_function(cfg.f)
-        f = bb.sample_function(grid, lambda *x: ct.evaluate(spec, *x))
-        Fs = (bb.Bose(cfg.beta), bb.BoseRegular(cfg.beta))
+        op, Fs, f = golden_d2_readout(golden_d2_config, 16)
         res, ref = po.lanczos_quadratic_form(op, Fs, f), ref_lanczos(op, Fs, f)
         assert res.converged and not res.breakdown and res.repeats == 0
         assert res.steps == ref.steps == 25
         assert np.all(np.abs(res.value - ref.value) <= 1e-13 * np.abs(ref.value))
+
+    def test_centred_start_runs_in_its_symmetry_sector(self, golden_d2_config):
+        """The golden f and family are reflection-symmetric: the recursion runs
+        on the 4032 of 16129 sine coefficients they reach, and at a tight
+        tolerance it gives the full-space reference's values."""
+        op, Fs, f = golden_d2_readout(golden_d2_config, 16)
+        assert op.grid.total == 16129
+        res = po.lanczos_quadratic_form(op, Fs, f, tolerance=1e-13)
+        ref = ref_lanczos(op, Fs, f, tolerance=1e-13)
+        assert res.converged and ref.converged and res.size == 4032
+        assert np.all(np.abs(res.value - ref.value) <= 1e-13 * np.abs(ref.value))
+
+    def test_off_centre_start_runs_on_the_full_space(self, golden_d2_config):
+        """An off-centre dipole reaches 16105 of 16129 coefficients.  Its values
+        move by about 1e-12 relative with the order of floating-point sums: the
+        single-pass recursion on every coefficient is 1.2e-12 from the
+        reference here, so the restricted one is held to 2e-12."""
+        op, Fs, f = golden_d2_readout(golden_d2_config, 16, OFF_CENTRE_DIPOLE)
+        res = po.lanczos_quadratic_form(op, Fs, f, tolerance=1e-13)
+        ref = ref_lanczos(op, Fs, f, tolerance=1e-13)
+        assert res.converged and ref.converged and res.size > 0.99 * op.grid.total
+        assert np.all(np.abs(res.value - ref.value) <= 2e-12 * np.abs(ref.value))
+
+    def test_reached_set_follows_a_chain_of_columns(self):
+        """Column K-1-k joins coefficients k and k + 1: from coefficient 0 each
+        pass adds one column, and the last coefficient stays out."""
+        K = 4
+        C = np.zeros((K + 2, K))
+        for k in range(K):
+            C[[k, k + 1], K - 1 - k] = 0.5
+        e0 = np.eye(K + 2)[0]
+        assert np.flatnonzero(po._reached(e0, C)).tolist() == list(range(K + 1))
+        assert np.flatnonzero(po._reached(e0, C[:, :-1])).tolist() == [0]
+
+    def test_reached_set_is_closed_and_exact(self):
+        """Over the families of the structured-eigensolve property test
+        (asymmetric, complex, rank-deficient; 1d and 2d, N = 1 up, non-square
+        boxes) and centred or off-centre bumps: no column with a nonzero row
+        in the reached set has one outside it, and each restricted value
+        equals the full-space reference's to 1e-11 relative."""
+        hypothesis = pytest.importorskip("hypothesis")
+        from test_structured_eigensolve import cases
+
+        @hypothesis.given(cases(), hypothesis.strategies.booleans())
+        def check(case, centred):
+            grid, family, mode, _, beta = case
+            op = bb.build_phi_operator(grid, family, mode, "lanczos")
+            shift = 0.0 if centred else grid.spacing / 3
+            bump = ct.Bump(center=(shift,) * grid.dim,
+                           halfwidth=tuple(L / 2 for L in grid.lengths))
+            f = bb.sample_function(grid, lambda *x: ct.evaluate(bump, *x))
+            if centred:  # exactly even under x -> -x, whatever the nodes' roundoff
+                f = bb.GridField(grid, (f.values + f.values[::-1]) / 2)
+            v, C = op._hat(f), op.basis.col_hat
+            reached = po._reached(v, C)
+            assert not v[~reached].any()
+            meets = (C[reached] != 0).any(axis=0)
+            assert not C[~reached][:, meets].any()
+            Fs = (bb.Bose(beta), bb.BoseRegular(beta))
+            res = po.lanczos_quadratic_form(op, Fs, f, tolerance=1e-13)
+            ref = ref_lanczos(op, Fs, f, tolerance=1e-13)
+            assert res.size == reached.sum()
+            assert np.all(np.abs(res.value - ref.value) <= 1e-11 * np.abs(ref.value))
+
+        check()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_exhausted_space_repeats_the_pass(self, seed):
@@ -615,3 +688,12 @@ class TestReadoutMemory:
         stored = sum(s.W.nbytes + sum(Q.nbytes for _, Q in s.rotations) for s in op.eigenbasis)
         assert stored > 8e6  # blocks of 992 and 481 coupled rows
         assert traced_peak(bb.build_phi_operator, grid, family, "sampled", "dense") <= 1.3 * stored
+
+
+class TestLanczosMemory:
+    """The Lanczos basis holds only the coefficients the start vector reaches."""
+
+    def test_golden_d2_readout_holds_one_sector(self, golden_d2_config):
+        """200 basis rows of 4032 coefficients are 6.5 MB; of all 16129, 25.8 MB."""
+        op, Fs, f = golden_d2_readout(golden_d2_config, 16)
+        assert traced_peak(po.lanczos_quadratic_form, op, Fs, f) <= 8e6
