@@ -28,6 +28,53 @@ def _common(parser: argparse.ArgumentParser) -> None:
                         help="log messages of this level and above go to stderr")
 
 
+# Each command runs and emits through attributes of ``experiments`` read at
+# call time, so wrappers installed on that module see every call.  It returns
+# the lines to print (output paths and verdict, in order) and whether it passed.
+
+
+def _converge(cfg: ExperimentConfig, out: str, label: str) -> tuple[list[str], bool]:
+    report = experiments.run_converge_sweep(cfg)
+    ok = report.strictly_decreasing()
+    return experiments.emit_converge(report, out, label) + [
+        f"final rel_err = {report.final_rows()[-1].rel_err:.6e}  strictly_decreasing = {ok}"], ok
+
+
+def _srs(cfg: ExperimentConfig, out: str, label: str) -> tuple[list[str], bool]:
+    report = experiments.run_srs_sweep(cfg)
+    ok = report.all_decreasing()
+    return experiments.emit_srs(report, out, label) + [
+        f"final err = {report.rows[-1].err:.6e}  all_decreasing = {ok}"], ok
+
+
+def _verify(cfg: ExperimentConfig, out: str, label: str) -> tuple[list[str], bool]:
+    checks = experiments.run_verify_suite(cfg)
+    paths = experiments.emit_checks(checks, cfg, out, label)
+    return [f"[{'INCONCLUSIVE' if c.inconclusive else 'PASS' if c.passed else 'FAIL'}] {c.name}: "
+            + ", ".join(f"{k}={v:.3e}" for k, v in c.residuals.items())
+            for c in checks] + paths, all(c.passed for c in checks)
+
+
+def _wick(cfg: ExperimentConfig, out: str, label: str) -> tuple[list[str], bool]:
+    payload = experiments.run_wick_demo(cfg)
+    return experiments.emit_wick(payload, cfg, out, label) + [
+        f"n = {payload['n']}  permanent = "
+        f"{payload['npoint_value_re']:.12e} + {payload['npoint_value_im']:.3e}j"], True
+
+
+def _fourier(cfg: ExperimentConfig, out: str, label: str) -> tuple[list[str], bool]:
+    return experiments.emit_fourier(cfg, out, label), True
+
+
+_COMMANDS = {
+    "converge": ("thermodynamic-limit sweep of the two-point formula", _converge),
+    "srs": ("strong-resolvent-convergence sweep", _srs),
+    "verify": ("run the structural check suite", _verify),
+    "wick": ("n-point function demo via the permanent", _wick),
+    "fourier-dump": ("tabulate the Fourier transform of f", _fourier),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="becbox",
@@ -35,15 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "and their verification suite.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("converge", "thermodynamic-limit sweep of the two-point formula"),
-        ("srs", "strong-resolvent-convergence sweep"),
-        ("verify", "run the structural check suite"),
-        ("wick", "n-point function demo via the permanent"),
-        ("fourier-dump", "tabulate the Fourier transform of f"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        _common(p)
+    for name, (help_text, _) in _COMMANDS.items():
+        _common(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -82,52 +122,10 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(args: argparse.Namespace) -> int:
     try:
-        cfg = _load_config(args)
-        if args.command == "converge":
-            report = experiments.run_converge_sweep(cfg)
-            paths = experiments.emit_converge(report, args.out, args.label)
-            for p in paths:
-                print(p)
-            final = report.final_rows()[-1]
-            print(f"final rel_err = {final.rel_err:.6e}  "
-                  f"strictly_decreasing = {report.strictly_decreasing()}")
-            return 0 if report.strictly_decreasing() else 1
-        if args.command == "srs":
-            report = experiments.run_srs_sweep(cfg)
-            paths = experiments.emit_srs(report, args.out, args.label)
-            for p in paths:
-                print(p)
-            print(f"final err = {report.rows[-1].err:.6e}  "
-                  f"all_decreasing = {report.all_decreasing()}")
-            return 0 if report.all_decreasing() else 1
-        if args.command == "verify":
-            checks = experiments.run_verify_suite(cfg)
-            paths = experiments.emit_checks(checks, cfg, args.out, args.label)
-            ok = True
-            for c in checks:
-                status = "PASS" if c.passed else "FAIL"
-                if c.inconclusive:
-                    status = "INCONCLUSIVE"
-                detail = ", ".join(f"{k}={v:.3e}" for k, v in c.residuals.items())
-                print(f"[{status}] {c.name}: {detail}")
-                ok = ok and c.passed
-            for p in paths:
-                print(p)
-            return 0 if ok else 1
-        if args.command == "wick":
-            payload = experiments.run_wick_demo(cfg)
-            paths = experiments.emit_wick(payload, cfg, args.out, args.label)
-            for p in paths:
-                print(p)
-            print(f"n = {payload['n']}  permanent = "
-                  f"{payload['npoint_value_re']:.12e} + {payload['npoint_value_im']:.3e}j")
-            return 0
-        if args.command == "fourier-dump":
-            paths = experiments.emit_fourier(cfg, args.out, args.label)
-            for p in paths:
-                print(p)
-            return 0
-        raise ConfigError(f"unknown command {args.command!r}")
+        lines, ok = _COMMANDS[args.command][1](_load_config(args), args.out, args.label)
+        for line in lines:
+            print(line)
+        return 0 if ok else 1
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

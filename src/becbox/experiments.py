@@ -79,6 +79,14 @@ def _parsed(cfg: ExperimentConfig, key: str):
     return value
 
 
+def _sweep_lengths(cfg: ExperimentConfig) -> list[float]:
+    """The box schedule of a sweep; a trend in L needs at least two boxes."""
+    Ls = cfg.lengths()
+    if len(Ls) < 2:
+        raise ConfigError(f"a sweep needs at least two boxes, got L = {Ls}")
+    return Ls
+
+
 def _check_support_inside(spec, L_min: float, name: str = "f") -> None:
     for lo, hi in ct.support_bounds(spec):
         if lo <= -L_min / 2 or hi >= L_min / 2:
@@ -147,9 +155,9 @@ def _sweep_rows(cfg: ExperimentConfig, family, f, g, rhs_total: complex, h: floa
 def run_converge_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
     """Evaluate both sides of the two-point formula across the box schedule."""
     cfg.validate()
+    L_min = _sweep_lengths(cfg)[0]
     family, f = _parsed(cfg, "family"), _parsed(cfg, "f")
     g = _parsed(cfg, "g") if cfg.g.strip() else None
-    L_min = cfg.lengths()[0]
     _check_support_inside(f, L_min, name="f")
     if g is not None:
         _check_support_inside(g, L_min, name="g")
@@ -159,6 +167,9 @@ def run_converge_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
     rhs = ct.two_point_rhs(family, f, g if g is not None else f, cfg.beta,
                            table_f, table_g, cfg.quad_points)
     oracle_wall_time_s = time.perf_counter() - t0
+    if rhs.total == 0:
+        raise ct.HypothesisError("the continuum two-point value is 0 (a zero f or g): "
+                                 "no relative error is defined")
     rows = _sweep_rows(cfg, family, f, g, rhs.total, cfg.h)
     rows_fine = rows_rich = None
     if cfg.h_richardson:
@@ -204,8 +215,8 @@ def run_srs_sweep(cfg: ExperimentConfig) -> SrsReport:
     """Strong-resolvent-convergence study: (1 + A_L)^-1 (chi u) against the
     free-space resolvent of u, in the weighted norm over a fixed window."""
     cfg.validate()
+    Ls = _sweep_lengths(cfg)
     family, u = _parsed(cfg, "family"), _parsed(cfg, "u")
-    Ls = cfg.lengths()
     _check_support_inside(u, Ls[0], name="u")
     # fixed comparison window: support plus margin, clipped to the interior
     # of the smallest box so every grid in the schedule sees the same nodes
@@ -339,49 +350,45 @@ def _config_hash(config: dict) -> str:
     return reports.git_blob_sha(text.encode("utf-8"))
 
 
-def _converge_csv_rows(rows: list[ConvergeRow], zero_wall: bool) -> list[list]:
-    out = []
-    for r in rows:
-        out.append([
-            r.L, r.N, r.h, r.lhs.real, r.lhs.imag, r.rhs.real, r.rhs.imag,
-            r.abs_err, r.rel_err, r.green_term.real, r.regular_term.real,
-            r.condensate_term.real, 0.0 if zero_wall else r.wall_time_s,
-        ])
-    return out
+def _wall_time(config: dict, seconds: float) -> float:
+    """A wall time as emitted: 0 under ``zero_wall_time``, so golden runs are byte-stable."""
+    return 0.0 if config.get("zero_wall_time") else seconds
+
+
+def _write_summary(path: str, config: dict, fields: dict) -> str:
+    """Write a command's JSON summary: its config, the config's hash, then
+    the command's own fields.  Returns ``path``."""
+    reports.write_json(path, {"config": config, "input_hash": _config_hash(config), **fields})
+    return path
 
 
 def emit_converge(report: ConvergenceReport, out_dir: str, label: str) -> list[str]:
     cfg = report.config
-    zero_wall = bool(cfg.get("zero_wall_time"))
-    paths = []
     base = f"{out_dir}/{label}"
-    reports.write_csv(f"{base}.csv", CONVERGE_HEADER,
-                      _converge_csv_rows(report.rows, zero_wall))
-    paths.append(f"{base}.csv")
-    if report.rows_fine is not None:
-        reports.write_csv(f"{base}_fine.csv", CONVERGE_HEADER,
-                          _converge_csv_rows(report.rows_fine, zero_wall))
-        paths.append(f"{base}_fine.csv")
-    if report.rows_richardson is not None:
-        reports.write_csv(f"{base}_richardson.csv", CONVERGE_HEADER,
-                          _converge_csv_rows(report.rows_richardson, zero_wall))
-        paths.append(f"{base}_richardson.csv")
+    paths = []
+    for suffix, rows in (("", report.rows), ("_fine", report.rows_fine),
+                         ("_richardson", report.rows_richardson)):
+        if rows is not None:
+            paths.append(f"{base}{suffix}.csv")
+            reports.write_csv(paths[-1], CONVERGE_HEADER, [[
+                r.L, r.N, r.h, r.lhs.real, r.lhs.imag, r.rhs.real, r.rhs.imag,
+                r.abs_err, r.rel_err, r.green_term.real, r.regular_term.real,
+                r.condensate_term.real, _wall_time(cfg, r.wall_time_s),
+            ] for r in rows])
     final = report.final_rows()
     rel_errs = [r.rel_err for r in final]
     orders = [
         float(np.log2(a / b) / np.log2(y.L / x.L))
         for (x, a), (y, b) in zip(zip(final, rel_errs), zip(final[1:], rel_errs[1:]))
     ]
-    summary = {
-        "config": cfg,
-        "input_hash": _config_hash(cfg),
+    paths.append(_write_summary(f"{base}.json", cfg, {
         "rhs": {
             "total_re": report.rhs.total.real, "total_im": report.rhs.total.imag,
             "free_gas_re": report.rhs.free_gas.real,
             "condensate_re": report.rhs.condensate.real,
             "regular_re": report.rhs.regular.real,
             "green_re": report.rhs.green.real,
-            "oracle_wall_time_s": 0.0 if zero_wall else report.oracle_wall_time_s,
+            "oracle_wall_time_s": _wall_time(cfg, report.oracle_wall_time_s),
         },
         "rows": len(report.rows),
         "rel_err": rel_errs,
@@ -390,62 +397,45 @@ def emit_converge(report: ConvergenceReport, out_dir: str, label: str) -> list[s
         "max_split_disagreement": max(r.split_agreement for r in report.rows),
         "strictly_decreasing": report.strictly_decreasing(),
         "pass": report.strictly_decreasing(),
-    }
-    reports.write_json(f"{base}.json", summary)
-    paths.append(f"{base}.json")
+    }))
     series = {"rel_err": [(r.L, r.rel_err) for r in report.rows]}
     if report.rows_richardson is not None:
         series["rel_err (richardson)"] = [(r.L, r.rel_err) for r in report.rows_richardson]
     svg = reports.svg_loglog(series, "L", "relative error", "two-point convergence")
     reports.atomic_write(f"{base}.svg", svg)
-    paths.append(f"{base}.svg")
-    return paths
+    return paths + [f"{base}.svg"]
 
 
 def emit_srs(report: SrsReport, out_dir: str, label: str) -> list[str]:
     cfg = report.config
-    zero_wall = bool(cfg.get("zero_wall_time"))
-    base = f"{out_dir}/{label}"
-    rows = [
-        [r.L, r.N, r.h, r.err, r.decreasing, 0.0 if zero_wall else r.wall_time_s]
+    base = f"{out_dir}/{label}_srs"
+    reports.write_csv(f"{base}.csv", SRS_HEADER, [
+        [r.L, r.N, r.h, r.err, r.decreasing, _wall_time(cfg, r.wall_time_s)]
         for r in report.rows
-    ]
-    reports.write_csv(f"{base}_srs.csv", SRS_HEADER, rows)
-    summary = {
-        "config": cfg,
-        "input_hash": _config_hash(cfg),
+    ])
+    _write_summary(f"{base}.json", cfg, {
         "rows": len(report.rows),
         "final_err": report.rows[-1].err,
-        "oracle_wall_time_s": 0.0 if zero_wall else report.oracle_wall_time_s,
+        "oracle_wall_time_s": _wall_time(cfg, report.oracle_wall_time_s),
         "all_decreasing": report.all_decreasing(),
         "pass": report.all_decreasing(),
-    }
-    reports.write_json(f"{base}_srs.json", summary)
+    })
     svg = reports.svg_loglog({"err": [(r.L, r.err) for r in report.rows]},
                              "L", "window error", "strong resolvent convergence")
-    reports.atomic_write(f"{base}_srs.svg", svg)
-    return [f"{base}_srs.csv", f"{base}_srs.json", f"{base}_srs.svg"]
+    reports.atomic_write(f"{base}.svg", svg)
+    return [f"{base}.csv", f"{base}.json", f"{base}.svg"]
 
 
 def emit_checks(checks: list[CheckReport], cfg: ExperimentConfig,
                 out_dir: str, label: str) -> list[str]:
-    base = f"{out_dir}/{label}"
-    payload = {
-        "config": cfg.to_dict(),
-        "input_hash": _config_hash(cfg.to_dict()),
+    return [_write_summary(f"{out_dir}/{label}_checks.json", cfg.to_dict(), {
         "checks": [c.to_dict() for c in checks],
         "pass": all(c.passed for c in checks),
-    }
-    reports.write_json(f"{base}_checks.json", payload)
-    return [f"{base}_checks.json"]
+    })]
 
 
 def emit_wick(payload: dict, cfg: ExperimentConfig, out_dir: str, label: str) -> list[str]:
-    base = f"{out_dir}/{label}"
-    reports.write_json(f"{base}_wick.json",
-                       dict(payload, config=cfg.to_dict(),
-                            input_hash=_config_hash(cfg.to_dict())))
-    return [f"{base}_wick.json"]
+    return [_write_summary(f"{out_dir}/{label}_wick.json", cfg.to_dict(), payload)]
 
 
 def emit_fourier(cfg: ExperimentConfig, out_dir: str, label: str) -> list[str]:
@@ -453,18 +443,15 @@ def emit_fourier(cfg: ExperimentConfig, out_dir: str, label: str) -> list[str]:
     cfg.validate()
     f = _parsed(cfg, "f")
     table = ct.fourier_oracle(f, cfg.cutoff, cfg.p_spacing, cfg.quad_points)
-    base = f"{out_dir}/{label}"
+    base = f"{out_dir}/{label}_fourier"
     values = table.values.ravel()
     columns = [p.ravel() for p in np.meshgrid(*(table.p,) * table.dim, indexing="ij")]
     columns += [values.real, values.imag]
     header = ["p", "re", "im"] if table.dim == 1 else ["p1", "p2", "re", "im"]
-    reports.write_csv(f"{base}_fourier.csv", header, list(zip(*(c.tolist() for c in columns))))
-    reports.write_json(f"{base}_fourier.json", {
-        "config": cfg.to_dict(),
-        "input_hash": _config_hash(cfg.to_dict()),
+    reports.write_csv(f"{base}.csv", header, list(zip(*(c.tolist() for c in columns))))
+    return [f"{base}.csv", _write_summary(f"{base}.json", cfg.to_dict(), {
         "provenance": table.provenance,
         "parseval_sum": table.parseval_sum(),
         "value_at_zero_re": table.value_at_zero().real,
         "value_at_zero_im": table.value_at_zero().imag,
-    })
-    return [f"{base}_fourier.csv", f"{base}_fourier.json"]
+    })]

@@ -82,9 +82,20 @@ def svg_loglog(series: dict[str, list[tuple[float, float]]],
     """Minimal self-contained log-log line plot: one polyline per series."""
     width, height = 640, 440
     ml, mr, mt, mb = 70, 20, 30, 50
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{width//2}" y="18" text-anchor="middle" font-size="14">{title}</text>',
+        f'<text x="{width//2}" y="{height-10}" text-anchor="middle" font-size="12">{xlabel}</text>',
+        f'<text x="16" y="{height//2}" text-anchor="middle" font-size="12" '
+        f'transform="rotate(-90 16 {height//2})">{ylabel}</text>',
+        f'<rect x="{ml}" y="{mt}" width="{width-ml-mr}" height="{height-mt-mb}" '
+        f'fill="none" stroke="#333"/>',
+    ]
     pts = [p for pp in series.values() for p in pp if p[0] > 0 and p[1] > 0]
-    if not pts:
-        raise ValueError("nothing to plot")
+    if not pts:  # no positive point (e.g. every error 0): the empty frame
+        return "\n".join(parts + ["</svg>"]) + "\n"
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
     x0, x1 = math.log10(min(xs)), math.log10(max(xs))
@@ -101,17 +112,6 @@ def svg_loglog(series: dict[str, list[tuple[float, float]]],
         return height - mb - (math.log10(y) - y0) / (y1 - y0) * (height - mt - mb)
 
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e"]
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width//2}" y="18" text-anchor="middle" font-size="14">{title}</text>',
-        f'<text x="{width//2}" y="{height-10}" text-anchor="middle" font-size="12">{xlabel}</text>',
-        f'<text x="16" y="{height//2}" text-anchor="middle" font-size="12" '
-        f'transform="rotate(-90 16 {height//2})">{ylabel}</text>',
-        f'<rect x="{ml}" y="{mt}" width="{width-ml-mr}" height="{height-mt-mb}" '
-        f'fill="none" stroke="#333"/>',
-    ]
     for t in _ticks(min(xs), max(xs)):
         if 10**x0 <= t <= 10**x1:
             parts.append(f'<line x1="{sx(t):.1f}" y1="{height-mb}" x2="{sx(t):.1f}" '

@@ -36,6 +36,23 @@ zero_wall_time = true
 seed = 7
 """
 
+# one small config per command, and the experiments functions (by name) each
+# command runs and emits through
+TINY = {
+    "converge": MINI_CONVERGE,
+    "srs": "kind = srs\nL_start = 8\nL_steps = 2\nh = 0.25\n",
+    "verify": "kind = verify\nL_list = 8\nh = 0.25\n",
+    "wick": "kind = wick\nwick_n = 3\nL_start = 4\nh = 0.0625\n",
+    "fourier-dump": "kind = fourier\ncutoff = 10\np_spacing = 0.1\nquad_points = 512\n",
+}
+RUN_EMIT = {
+    "converge": ["run_converge_sweep", "emit_converge"],
+    "srs": ["run_srs_sweep", "emit_srs"],
+    "verify": ["run_verify_suite", "emit_checks"],
+    "wick": ["run_wick_demo", "emit_wick"],
+    "fourier-dump": ["emit_fourier"],
+}
+
 
 class TestConfig:
     def test_defaults_validate(self):
@@ -555,3 +572,64 @@ class TestCli:
             docs.append(json.loads((tmp_path / out / f"{label}_wick.json").read_text()))
         assert docs[0]["input_hash"] == docs[1]["input_hash"]
         assert docs[0] == docs[1]
+
+    @pytest.mark.parametrize("command", TINY)
+    def test_summary_records_config_and_its_hash(self, tmp_path, command):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(TINY[command])
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        (summary,) = (tmp_path / "o").glob("*.json")
+        doc = json.loads(summary.read_text())
+        assert doc["config"] == parse_config_text(TINY[command]).to_dict()
+        assert doc["input_hash"] == ex._config_hash(doc["config"])
+
+    @pytest.mark.parametrize("command", TINY)
+    def test_experiments_functions_are_looked_up_when_the_command_runs(
+            self, tmp_path, monkeypatch, command):
+        """The benchmark's tracer wraps these module globals; a CLI holding
+        the functions it imported would bypass the wrappers."""
+        calls = []
+
+        def recording(name, fn):
+            return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+        for name in sum(RUN_EMIT.values(), []):
+            monkeypatch.setattr(ex, name, recording(name, getattr(ex, name)))
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(TINY[command])
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert calls == RUN_EMIT[command]
+
+    @pytest.mark.parametrize("command", ["converge", "srs"])
+    def test_one_box_sweep_exit_2(self, tmp_path, capsys, command):
+        """A trend in L needs two boxes; one box used to pass by default."""
+        cfg = tmp_path / "o.cfg"
+        cfg.write_text(TINY[command] + "L_list = 8\n")
+        rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+        assert "two boxes" in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_zero_test_function_converge_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "z.cfg"
+        cfg.write_text(MINI_CONVERGE.replace("a=0.75", "a=0.75,amp=0"))
+        rc = cli.main(["converge", "--config", str(cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("hypothesis violation: ") and len(err.strip().splitlines()) == 1
+        assert "two-point value is 0" in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_zero_input_srs_writes_an_empty_plot(self, tmp_path, capsys):
+        cfg = tmp_path / "z.cfg"
+        cfg.write_text(TINY["srs"] + "u = bump:c=1,a=1,amp=0\n")
+        rc = cli.main(["srs", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [
+            "run_srs.csv", "run_srs.json", "run_srs.svg"]
+        assert json.loads((tmp_path / "o" / "run_srs.json").read_text())["final_err"] == 0.0
+        root = ET.parse(tmp_path / "o" / "run_srs.svg").getroot()
+        assert root.findall(".//{http://www.w3.org/2000/svg}polyline") == []
