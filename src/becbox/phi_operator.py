@@ -145,7 +145,8 @@ class CondensateBasis:
     weights in the weighted inner product); ``r_matrix`` represents the
     positive operator whose inverse, compressed to the span, is the rank-K
     column sum.  Rank-deficient families are deflated at relative threshold
-    RANK_RTOL, never rejected.
+    RANK_RTOL, never rejected; so is a Gram eigenvalue whose reciprocal
+    overflows.
     """
 
     col_hat: np.ndarray
@@ -176,11 +177,8 @@ def build_condensate_basis(grid: Grid, columns: list[GridField]) -> CondensateBa
     if np.all(gram.imag == 0):
         gram = gram.real
     g, U = np.linalg.eigh(gram)
-    gmax = g[-1]
-    if gmax <= 0:  # all columns vanish
-        keep = np.array([], dtype=int)
-    else:
-        keep = np.nonzero(g > RANK_RTOL * gmax)[0][::-1]  # descending
+    # descending; vanishing columns, and a subnormal g whose 1/g overflows, count as deflated
+    keep = np.nonzero(g > max(RANK_RTOL * g[-1], 1 / np.finfo(float).max))[0][::-1]
     rank = len(keep)
     weights = U[:, keep] / np.sqrt(g[keep])
     basis_hat = col_hat @ weights
@@ -200,33 +198,52 @@ class _Stage:
     Each cluster of equal d, a lone entry included, is rotated so that one of
     its entries of c survives, real and positive (``rotations``: per cluster
     size, the stacked positions and unitaries Q).  The ``active`` positions
-    left with a c part then take the real eigenvectors ``W`` of their block;
-    every other position is an eigenvector as it stands.  ``order`` sorts the
-    eigenvalues ascending.
+    left with a c part then take the real eigenvectors W of their block,
+    held as the generators ``vectors`` = (d, origin, tau, zhat, norm) of
+    ``_secular_eigh`` and applied ``_CHUNK`` at a time; every other position
+    is an eigenvector as it stands.  ``order`` sorts the eigenvalues ascending.
     """
 
     rotations: tuple
     active: np.ndarray
-    W: np.ndarray
+    vectors: tuple
     order: np.ndarray
 
     def _dtype(self, x: np.ndarray) -> np.dtype:
-        return np.result_type(x, self.W, *(Q for _, Q in self.rotations))
+        return np.result_type(x, float, *(Q for _, Q in self.rotations))
+
+    def _cauchy_blocks(self):
+        """Slices k and rows k of R, R_ki = 1 / ((d_i - origin_k) - tau_k) =
+        W_ik norm_k / zhat_i, in one reused buffer."""
+        d, origin, tau = self.vectors[:3]
+        work = np.empty((min(_CHUNK, len(d)), len(d)))
+        for start in range(0, len(d), _CHUNK):
+            k = slice(start, start + _CHUNK)
+            yield k, _cauchy(d, origin[k], tau[k], work)
 
     def project(self, y: np.ndarray) -> np.ndarray:
-        y = y.astype(self._dtype(y))
+        shape, y = y.shape, y.reshape(len(y), -1).astype(self._dtype(y))
         for rows, Q in self.rotations:
             y[rows] = np.einsum("cij,ci...->cj...", Q.conj(), y[rows])
-        y[self.active] = self.W.conj().T @ y[self.active]
-        return y[self.order]
+        zhat, norm = self.vectors[3:]
+        x = zhat[:, None] * y[self.active]
+        for k, R in self._cauchy_blocks():
+            y[self.active[k]] = (R @ x) / norm[k, None]
+        return y[self.order].reshape(shape)
 
     def unproject(self, a: np.ndarray) -> np.ndarray:
+        shape, a = a.shape, a.reshape(len(a), -1)
         y = np.empty(a.shape, dtype=self._dtype(a))
         y[self.order] = a
-        y[self.active] = self.W @ y[self.active]
+        zhat, norm = self.vectors[3:]
+        x = y[self.active] / norm[:, None]
+        out = np.zeros_like(x)
+        for k, R in self._cauchy_blocks():
+            out += R.T @ x[k]
+        y[self.active] = zhat[:, None] * out
         for rows, Q in self.rotations:
             y[rows] = np.einsum("cij,cj...->ci...", Q, y[rows])
-        return y
+        return y.reshape(shape)
 
 
 @dataclass
@@ -314,8 +331,16 @@ def eigendecompose_symmetric(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return w, V
 
 
-_CHUNK = 64  # rows per pass of the secular solver: n x 64 temporaries stay in cache
+_CHUNK = 64  # rows per pass of the secular solver and of W: n x 64 temporaries stay in cache
 _SECULAR_STEPS = 100  # per chunk of roots; the middle way takes about 4, bisection about 60
+
+
+def _cauchy(d, origin, tau, out):
+    """1 / ((d_i - origin_k) - tau_k), row k per (origin_k, tau_k), in ``out``:
+    1 / (d_i - mu_k) with the difference formed without cancellation."""
+    r = np.add.outer(-origin, d, out=out[: len(origin)])
+    r -= tau[:, None]
+    return np.reciprocal(r, out=r)
 
 
 def _secular_terms(d, z2, origin, tau, roots, work):
@@ -326,9 +351,7 @@ def _secular_terms(d, z2, origin, tau, roots, work):
     from row to row in which sum they join.  ``work`` holds the two chunk x n
     temporaries, reused from call to call: fresh ones cost more in page faults
     than the sums themselves."""
-    r = np.add.outer(-origin, d, out=work[0, : len(roots)])
-    r -= tau[:, None]
-    np.reciprocal(r, out=r)
+    r = _cauchy(d, origin, tau, work[0])
     s, e = roots[0], roots[-1] + 1
     lower = np.arange(s, e) <= roots[:, None]
     sums = []
@@ -339,25 +362,29 @@ def _secular_terms(d, z2, origin, tau, roots, work):
     return sums
 
 
-def _secular_eigh(d: np.ndarray, z: np.ndarray) -> np.ndarray | None:
-    """Orthonormal eigenvectors of diag(d) + z z^T for ascending, distinct d and
-    a positive column z, by the secular equation; None if a root does not
-    converge.
+def _secular_eigh(d: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Eigenvalues and orthonormal eigenvectors W of diag(d) + z z^T for
+    ascending, distinct d and a positive column z, by the secular equation;
+    W as its generators (origin, tau, zhat, norm), W_ik = zhat_i / ((d_i -
+    origin_k) - tau_k) / norm_k, and the eigenvalues as its Rayleigh quotients.
 
     Root j of 1 + sum_i z_i^2 / (d_i - mu) lies in (d_j, d_{j+1}), the last
-    one in (d_n, d_n + |z|^2).  Each is held as the nearer pole plus an offset
-    tau, so that every d_i - mu is formed without cancellation, and found by
-    Li's middle-way rational iteration (psi and phi, the sums over the poles
-    below and above the interval, each fitted by one pole), safeguarded by
-    bisection of a bracket, until |f| <= eps (1 + |psi| + |phi|) or a step is
-    below 4 ulp.  The eigenvectors are zhat_i / (d_i - mu_j), normalized,
-    where zhat is the column whose roots are exactly the computed ones (Gu &
-    Eisenstat 1994), which keeps them orthogonal however close the roots are.
+    one in (d_n, d_n + |z|^2).  Each is held as the nearer pole ``origin``
+    plus an offset ``tau``, so that every d_i - mu is formed without
+    cancellation, and found by Li's middle-way rational iteration (psi and
+    phi, the sums over the poles below and above the interval, each fitted by
+    one pole), safeguarded by bisection of a bracket, until |f| <= eps (1 +
+    |psi| + |phi|) or a step is below 4 ulp; a root still open after
+    ``_SECULAR_STEPS`` steps is finished by bisection of its bracket.  The
+    eigenvectors are zhat_i / (d_i - mu_k), normalized, where zhat is the
+    column whose roots are exactly the computed ones (Gu & Eisenstat 1994),
+    which keeps them orthogonal however close the roots are.  W is formed
+    ``_CHUNK`` rows at a time for its norms and Rayleigh quotients, never whole.
     """
     n = len(d)
     z2 = z**2
-    if n <= 1:
-        return np.ones((n, n))
+    if n <= 1:  # W = 1: (d - d) - (-1) = 1
+        return d + z2, (d.copy(), -np.ones(n), np.ones(n), np.ones(n))
     upper = np.r_[d[1:], d[-1] + z2.sum()]
     last = np.arange(n) == n - 1
     eps = np.finfo(float).eps
@@ -366,20 +393,24 @@ def _secular_eigh(d: np.ndarray, z: np.ndarray) -> np.ndarray | None:
     lo, hi = np.zeros(n), np.r_[np.diff(d), z2.sum()]
     tau = hi / 2
     work = np.empty((2, min(_CHUNK, n), n))
+
+    def secular(idx):  # f = 1 + psi + phi at tau[idx], brackets narrowed by its sign
+        psi, phi, dpsi, dphi = _secular_terms(d, z2, origin[idx], tau[idx], idx, work)
+        w = 1.0 + psi + phi
+        lo[idx[w < 0]] = tau[idx[w < 0]]
+        hi[idx[w > 0]] = tau[idx[w > 0]]
+        return w, psi, phi, dpsi, dphi, ~(np.abs(w) <= eps * (1.0 + np.abs(psi) + np.abs(phi)))
+
     for start in range(0, n, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, n))
         for step in range(_SECULAR_STEPS):
-            psi, phi, dpsi, dphi = _secular_terms(d, z2, origin[idx], tau[idx], idx, work)
-            w = 1.0 + psi + phi
-            lo[idx[w < 0]] = tau[idx[w < 0]]
-            hi[idx[w > 0]] = tau[idx[w > 0]]
+            w, psi, phi, dpsi, dphi, keep = secular(idx)
             if step == 0:  # from the midpoint, move the origin to the pole on the root's side
                 flip = idx[(w < 0) & ~last[idx]]
                 gap = upper[flip] - d[flip]
                 origin[flip] = upper[flip]
                 for x in (tau, lo, hi):
                     x[flip] -= gap
-            keep = ~(np.abs(w) <= eps * (1.0 + np.abs(psi) + np.abs(phi)))
             idx, w, psi, phi, dpsi, dphi = (x[keep] for x in (idx, w, psi, phi, dpsi, dphi))
             if not len(idx):
                 break
@@ -401,27 +432,28 @@ def _secular_eigh(d: np.ndarray, z: np.ndarray) -> np.ndarray | None:
             idx = idx[~small]
             if not len(idx):
                 break
-        else:
-            return None
-    # W_ik = zhat_i / (d_i - mu_k), with Gu and Eisenstat's zhat_i^2 = prod_k (d_i - mu_k) /
-    # prod_(k != i) (d_i - d_k) taken as a product of ratios in (0, 1): d_i - mu_k is
-    # paired with d_i - d_k below i, with d_i - d_(k+1) from i on, and the last with -1
-    W = np.empty((n, n))
-    norm2 = np.zeros(n)
+        while len(idx):  # bisection, until |f| is small or the bracket holds no float
+            tau[idx] = (lo[idx] + hi[idx]) / 2
+            shut = (tau[idx] == lo[idx]) | (tau[idx] == hi[idx])
+            idx = idx[secular(idx)[-1] & ~shut]
+    # Gu and Eisenstat's zhat_i^2 = prod_k (d_i - mu_k) / prod_(k != i) (d_i - d_k), taken
+    # as a product of ratios in (0, 1): d_i - mu_k is paired with d_i - d_k below i, with
+    # d_i - d_(k+1) from i on, and the last with -1
+    zhat, norm2, dw2, zw = np.empty(n), np.zeros(n), np.zeros(n), np.zeros(n)
     for start in range(0, n, _CHUNK):
         i = np.arange(start, min(start + _CHUNK, n))
-        block = W[start : start + _CHUNK]
-        np.subtract.outer(d[i], origin, out=block)
+        block = np.subtract.outer(d[i], origin, out=work[1, : len(i)])
         block -= tau
         den = np.subtract.outer(d[i], np.r_[d[:start], d[start + 1 :], np.nan],
                                 out=work[0, : len(i)])
         np.subtract(d[i, None], d[i], out=den[:, start : i[-1] + 1], where=i < i[:, None])
         den[:, -1] = -1.0
-        zhat = np.sqrt(np.prod(np.divide(block, den, out=den), axis=1))
-        np.divide(zhat[:, None], block, out=block)
+        zhat[i] = np.sqrt(np.prod(np.divide(block, den, out=den), axis=1))
+        np.divide(zhat[i, None], block, out=block)  # rows i of W, times norm
         norm2 += np.einsum("ij,ij->j", block, block)
-    W /= np.sqrt(norm2)
-    return W
+        dw2 += np.einsum("i,ij,ij->j", d[i], block, block)
+        zw += z[i] @ block
+    return (dw2 + zw**2) / norm2, (origin, tau, zhat, np.sqrt(norm2))
 
 
 def _rank_one_stage(d: np.ndarray, c: np.ndarray, scale: float, tol: float
@@ -446,14 +478,11 @@ def _rank_one_stage(d: np.ndarray, c: np.ndarray, scale: float, tol: float
         rotations.append((rows, U))
     # one active row per cluster: the active d are ascending and distinct
     active = np.flatnonzero(c)
-    da, za = d[active], c[active].real
-    W = _secular_eigh(da, za)
-    if W is None:
-        W = eigendecompose_symmetric(np.diag(da) + np.outer(za, za))[1]
     mu = d.copy()
-    mu[active] = np.einsum("i,ij,ij->j", da, W, W) + (za @ W) ** 2  # no n x n W**2
+    mu[active], vectors = _secular_eigh(d[active], c[active].real)
     order = np.argsort(mu, kind="stable")
-    return mu[order], _Stage(rotations=tuple(rotations), active=active, W=W, order=order)
+    return mu[order], _Stage(rotations=tuple(rotations), active=active,
+                             vectors=(d[active], *vectors), order=order)
 
 
 def _deflated_eigh(d: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, tuple[_Stage, ...]]:
@@ -471,22 +500,24 @@ def _deflated_eigh(d: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, tuple[_Sta
     Rotating the entries of c in a cluster of equal d onto one keeps diag(d)
     and leaves one of them, real and positive.  Rows left without a c part
     are eigenpairs (d_i, e_i); the rest form one block, solved through its
-    secular equation (``_secular_eigh``) in O(n^2), or by the dense
-    eigensolver if a root does not converge.  The block's eigenvalues are then the Rayleigh quotients of
-    its eigenvectors, sum_j d_j |w_j|^2 + |c^H w|^2: sums of positive terms,
-    accurate relative to each eigenvalue, where a solver's own are accurate
-    only to eps max mu.
+    secular equation (``_secular_eigh``) in O(n^2) time and O(n) storage: its
+    eigenvectors are kept as their generators and formed ``_CHUNK`` at a time
+    where they act, so no stage holds or makes an n x n array.  The block's
+    eigenvalues are then the Rayleigh quotients of its eigenvectors, sum_j d_j
+    |w_j|^2 + |c^H w|^2: sums of positive terms, accurate relative to each
+    eigenvalue, where a solver's own are accurate only to eps max mu.
     """
     N, K = C.shape
     norm = float(np.linalg.norm(C, 2)) if K else 0.0
     scale = np.finfo(float).eps * max(float(d.max()), norm**2)
     tol = scale / norm if norm > 0 else 0.0
-    mu, stages = d, []
-    for c in [np.zeros(N), *C.T]:
-        for stage in stages:
-            c = stage.project(c)
-        mu, stage = _rank_one_stage(mu, c, scale, tol)
+    mu, stages, C = d, [], np.c_[np.zeros(N), C]
+    while True:
+        mu, stage = _rank_one_stage(mu, C[:, 0], scale, tol)
         stages.append(stage)
+        if C.shape[1] == 1:
+            break
+        C = stage.project(C[:, 1:])  # every column still to come, at once
     logger.debug("dense build: N = %d, coupled rows per stage %s",
                  N, [len(stage.active) for stage in stages[1:]])
     return mu, tuple(stages)

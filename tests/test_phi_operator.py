@@ -677,7 +677,8 @@ class TestLanczos:
 
 
 class TestReadoutMemory:
-    """A dense build holds its stage matrices and makes no temporary of their size."""
+    """A dense build holds O(n) numbers per stage and makes no n x n temporary:
+    each stage's eigenvectors are formed 64 at a time where they act."""
 
     def test_dense_build_makes_no_square_temporary(self, golden_d2_config):
         cfg = golden_d2_config
@@ -685,9 +686,16 @@ class TestReadoutMemory:
         family = bb.parse_family(cfg.family)
         assert grid.total == 3969
         op = bb.build_phi_operator(grid, family, backend="dense")
-        stored = sum(s.W.nbytes + sum(Q.nbytes for _, Q in s.rotations) for s in op.eigenbasis)
-        assert stored > 8e6  # blocks of 992 and 481 coupled rows
-        assert traced_peak(bb.build_phi_operator, grid, family, "sampled", "dense") <= 1.3 * stored
+        assert [len(s.active) for s in op.eigenbasis] == [0, 992, 481]
+        stored = sum(x.nbytes for s in op.eigenbasis
+                     for x in (s.active, s.order, *s.vectors, *(a for r in s.rotations for a in r)))
+        assert stored <= 1e6  # 0.2 MB; the two 992- and 481-row W would be 9.7 MB
+        assert traced_peak(bb.build_phi_operator, grid, family, "sampled", "dense") <= 4e6
+        # a readout holds one 64 x 992 block (0.5 MB) at a time, plus O(N) vectors
+        spec = ct.parse_test_function(cfg.f)
+        f = bb.sample_function(grid, lambda *x: ct.evaluate(spec, *x))
+        g = bb.sample_function(grid, lambda *x: ct.evaluate(spec, *x) ** 2)
+        assert traced_peak(bb.two_point_lhs, op, cfg.beta, f, g) <= 1.2e6
 
 
 class TestLanczosMemory:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import becbox as bb  # noqa: E402
 from becbox import phi_operator as po  # noqa: E402
@@ -83,6 +83,9 @@ def test_structured_eigensolve_matches_dense_eigh(case):
         assert abs(value - np.sum(fa.conj() * F.evaluate(1.0 / w) * ga)) <= 1e-12 * s
 
 
+# a Gram eigenvalue of 9.6e-321, whose reciprocal overflows
+@example(case=(bb.make_grid(1, [0.25], 0.125),
+               bb.HarmonicFamily((bb.Constant(2.775462936146422e-160),)), "sampled", 0, 1.0))
 @given(cases())
 def test_ordering_and_krein_hold_for_every_family(case):
     grid, family, mode, _, _ = case
@@ -190,15 +193,42 @@ def test_rank_two_krein_identity_holds_to_roundoff():
         assert krein_identity_residual(op, z).residuals["relative"] <= 1e-10
 
 
-def test_unconverged_secular_roots_fall_back_to_the_dense_eigensolver(monkeypatch):
+@pytest.mark.parametrize("grid, family", [
+    (bb.make_grid(1, [4], 1 / 16), "affine:a=0,b=1"),  # N = 63
+    (bb.make_grid(2, [4, 4], 1 / 8), "hpoly2:n=1,part=re;hpoly2:n=2,part=re"),  # N = 961
+], ids=["d1-N63", "d2-N961"])
+def test_unconverged_secular_roots_are_finished_by_bisection(monkeypatch, grid, family):
     calls = _count_dense_solves(monkeypatch)
     monkeypatch.setattr(po, "_SECULAR_STEPS", 1)
-    grid = bb.make_grid(1, [4], 1 / 16)
-    op = bb.build_phi_operator(grid, bb.parse_family("affine:a=0,b=1"), backend="dense")
-    assert calls == [31]
+    op = bb.build_phi_operator(grid, bb.parse_family(family), backend="dense")
+    assert calls == []
     C = op.basis.col_hat
     w = np.linalg.eigvalsh(np.diag(1.0 / op.lam) + C @ C.conj().T)
     assert np.abs(op.mu - w).max() <= 1e-13 * w[-1]
+    a = np.random.default_rng(3).standard_normal((grid.total, 2))
+    assert np.linalg.norm(op.project(op.unproject(a)) - a) <= 1e-13 * np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+def test_implicit_eigenvectors_match_the_formed_ones(n):
+    """A stage's products against W formed whole from the same generators, on
+    both sides of every chunk boundary, for one and many columns, real and
+    complex."""
+    rng = np.random.default_rng(n)
+    d = np.sort(rng.uniform(0.01, 1.0, n))
+    z = rng.uniform(0.05, 1.0, n)
+    mu, (origin, tau, zhat, norm) = po._secular_eigh(d, z)
+    W = zhat[:, None] / ((d[:, None] - origin) - tau) / norm
+    assert np.abs(W.T @ W - np.eye(n)).max() <= 1e-13
+    assert np.abs(mu - np.linalg.eigvalsh(np.diag(d) + np.outer(z, z))).max() <= 1e-14 * mu[-1]
+    stage = po._Stage(rotations=(), active=np.arange(n), vectors=(d, origin, tau, zhat, norm),
+                      order=np.arange(n))
+    for shape in [(n,), (n, 1), (n, 12), (n, 20)]:
+        for y in (rng.standard_normal(shape),
+                  rng.standard_normal(shape) + 1j * rng.standard_normal(shape)):
+            for got, want in ((stage.project(y), W.T @ y), (stage.unproject(y), W @ y)):
+                assert got.shape == shape and got.dtype == y.dtype
+                assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_rank_one_block_below_the_resolution_of_d():
