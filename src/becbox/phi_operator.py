@@ -146,29 +146,30 @@ class CondensateBasis:
     positive operator whose inverse, compressed to the span, is the rank-K
     column sum.  Rank-deficient families are deflated at relative threshold
     RANK_RTOL, never rejected; so is a Gram eigenvalue whose reciprocal
-    overflows.
+    overflows.  Only ``col_hat`` is N-sized: the basis is formed when read.
     """
 
     col_hat: np.ndarray
     rank: int
     weights: np.ndarray
-    basis_hat: np.ndarray
     r_matrix: np.ndarray
 
     @property
     def deflated(self) -> bool:
         return self.rank < self.col_hat.shape[1]
 
+    @property
+    def basis_hat(self) -> np.ndarray:
+        """Sine coefficients of the orthonormal basis, col_hat @ weights."""
+        return self.col_hat @ self.weights
+
 
 def build_condensate_basis(grid: Grid, columns: list[GridField]) -> CondensateBasis:
     N = grid.total
     K = len(columns)
     if K == 0:
-        empty = np.zeros((N, 0))
-        return CondensateBasis(
-            col_hat=empty, rank=0, weights=np.zeros((0, 0)), basis_hat=empty,
-            r_matrix=np.zeros((0, 0)),
-        )
+        return CondensateBasis(col_hat=np.zeros((N, 0)), rank=0, weights=np.zeros((0, 0)),
+                               r_matrix=np.zeros((0, 0)))
     col_hat = np.stack([sine_transform(grid, c, "forward").values for c in columns], axis=1)
     gram = np.empty((K, K), dtype=complex)
     for i in range(K):
@@ -179,14 +180,9 @@ def build_condensate_basis(grid: Grid, columns: list[GridField]) -> CondensateBa
     g, U = np.linalg.eigh(gram)
     # descending; vanishing columns, and a subnormal g whose 1/g overflows, count as deflated
     keep = np.nonzero(g > max(RANK_RTOL * g[-1], 1 / np.finfo(float).max))[0][::-1]
-    rank = len(keep)
     weights = U[:, keep] / np.sqrt(g[keep])
-    basis_hat = col_hat @ weights
-    r_matrix = np.diag(1.0 / g[keep])
-    return CondensateBasis(
-        col_hat=col_hat, rank=rank, weights=weights, basis_hat=basis_hat,
-        r_matrix=r_matrix,
-    )
+    return CondensateBasis(col_hat=col_hat, rank=len(keep), weights=weights,
+                           r_matrix=np.diag(1.0 / g[keep]))
 
 
 @dataclass(frozen=True)
@@ -559,21 +555,23 @@ def apply_inverse(op: PhiOperator, f: GridField) -> GridField:
     return op._unhat(op.inverse_matvec(op._hat(f)))
 
 
-def _solve_diag_plus_lowrank(d: np.ndarray, C: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (diag(d) + C C^H) x = b by the Woodbury identity."""
-    bd = b / d
+def _solve_diag_plus_lowrank(d: np.ndarray, C: np.ndarray, b: np.ndarray,
+                             shift: float = 1.0) -> np.ndarray:
+    """Solve (diag(d) + shift C C^H) x = b by the Woodbury identity, in the
+    dtype of b and C: x = b/d - shift D^-1 C (I + shift C^H D^-1 C)^-1 C^H b/d.
+    b/d is the output; the shift scales only K x K and K-sized terms."""
+    x = (b / d).astype(np.result_type(b, C, float), copy=False)
     if C.shape[1] == 0:
-        return bd
+        return x
     Cd = C / d[:, None]
-    S = np.eye(C.shape[1], dtype=np.result_type(C.dtype, float)) + C.conj().T @ Cd
-    return bd - Cd @ np.linalg.solve(S, C.conj().T @ bd)
+    S = np.eye(C.shape[1], dtype=np.result_type(C.dtype, float)) + shift * (C.conj().T @ Cd)
+    x -= Cd @ (shift * np.linalg.solve(S, C.conj().T @ x))
+    return x
 
 
 def apply_forward(op: PhiOperator, f: GridField) -> GridField:
     """Apply the modified Laplacian itself, i.e. solve A^-1 x = f."""
-    chat = op._hat(f)
-    x = _solve_diag_plus_lowrank(1.0 / op.lam, op.basis.col_hat, chat)
-    return op._unhat(x)
+    return op._unhat(_solve_diag_plus_lowrank(1.0 / op.lam, op.basis.col_hat, op._hat(f)))
 
 
 def shifted_solve(op: PhiOperator, f: GridField, shift: float = 1.0) -> GridField:
@@ -581,14 +579,16 @@ def shifted_solve(op: PhiOperator, f: GridField, shift: float = 1.0) -> GridFiel
 
     Uses (s + A)^-1 = s^-1 (I - (I + s A^-1)^-1) with a Woodbury solve for the
     diagonal-plus-low-rank middle matrix, so it scales to Lanczos-sized grids.
+    The shift goes to the solve as a scalar, not onto a copy of the columns.
     """
     if not shift > 0:
         raise ValueError("shift must be positive")
     chat = op._hat(f)
-    d = 1.0 + shift / op.lam
-    C = np.sqrt(shift) * op.basis.col_hat
-    t = _solve_diag_plus_lowrank(d, C, chat)
-    return op._unhat((chat - t) / shift)
+    t = _solve_diag_plus_lowrank(1.0 + shift / op.lam, op.basis.col_hat, chat, shift)
+    np.subtract(chat, t, out=t)
+    del chat  # freed before the inverse transform, whose transients set the peak
+    t /= shift
+    return op._unhat(t)
 
 
 # --- quadratic forms -------------------------------------------------------------
@@ -728,8 +728,10 @@ def _bilinear_forms(op: PhiOperator, Fs, f: GridField, g: GridField | None):
     fhat = op._hat(f)
     ghat = fhat if same else op._hat(g)
     if op.backend == "dense":
-        a = op.project(fhat)
-        b = a if same else op.project(ghat)
+        if same:
+            a = b = op.project(fhat)
+        else:  # one pass over the stages for both
+            a, b = op.project(np.stack([fhat, ghat], axis=1)).T
         return _gauss_sum(Fs, 1.0 / op.mu, a, b), fhat, ghat
     fv = f.values
     if same:

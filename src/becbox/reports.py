@@ -8,7 +8,6 @@ then rename).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -44,7 +43,12 @@ def atomic_write(path: str, data: str) -> None:
 
 
 def git_blob_sha(data: bytes) -> str:
-    """Git-style content hash (sha1 over a blob header plus the bytes)."""
+    """Git-style content hash (sha1 over a blob header plus the bytes).
+
+    hashlib is imported here, not at module level: it loads OpenSSL (3-4 MB of
+    RSS), which a command then pays only once its output is written."""
+    import hashlib
+
     h = hashlib.sha1()
     h.update(b"blob %d\x00" % len(data))
     h.update(data)

@@ -182,6 +182,10 @@ class TestEmission:
             ".//{http://www.w3.org/2000/svg}polyline")
         assert len(polylines) == 1  # one series, one polyline
 
+    def test_git_blob_sha_is_gits_hash(self):
+        from becbox.reports import git_blob_sha
+        assert git_blob_sha(b"hello\n") == "ce013625030ba8dba906f756967f9e9ca394464a"
+
     def test_float_formatting(self):
         from becbox.reports import format_float
         assert format_float(0.125) == "1.2500000000000000e-01"
@@ -521,6 +525,12 @@ class TestCli:
         """numpy is the only runtime dependency: the CLI module loads no scipy."""
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         code = "import sys, becbox.cli; sys.exit('scipy' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    def test_import_loads_no_openssl(self):
+        """hashlib (OpenSSL's _hashlib, 3-4 MB of RSS) loads only when output is hashed."""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        code = "import sys, becbox.cli; sys.exit('_hashlib' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_dense_converge_loads_no_numpy_ma(self, tmp_path):

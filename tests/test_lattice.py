@@ -191,6 +191,20 @@ class TestSineTransform:
         scale = np.abs(direct.values).max()
         assert np.abs(via.values - direct.values).max() <= 1e-11 * scale
 
+    @pytest.mark.parametrize("L", [16, 32])
+    def test_parity_sectors_are_exact_zeros(self, L):
+        """An x-odd, y-even field has exactly 0.0, not roundoff, on every
+        coefficient of the other three parity sectors (sine mode k is even
+        about the centre for odd k): ``phi_operator._reached`` keeps a Lanczos
+        recursion in one sector only because of these zeros."""
+        g = bb.make_grid(2, [L, L], 0.125)
+        f = bb.sample_function(g, lambda x, y: x * np.exp(-x**2) * (1 + y**2) * np.exp(-y**2 / 4))
+        c = bb.sine_transform(g, f).values.reshape(g.counts)
+        odd_k = np.arange(1, g.counts[0] + 1) % 2 == 1
+        sector = ~odd_k[:, None] & odd_k[None, :]
+        assert np.all(c[~sector] == 0.0)
+        assert np.count_nonzero(c[sector]) >= 0.9 * sector.sum()
+
     def test_bad_direction(self, grid_1d_small):
         u = random_field(grid_1d_small, 8)
         with pytest.raises(ValueError, match="direction"):

@@ -323,6 +323,29 @@ class TestQuadraticForm:
         with pytest.raises(ValueError, match="grid"):
             bb.quadratic_form(op, bb.ShiftedInverse(-1.0), random_field(grid_1d_small, 1))
 
+    @pytest.mark.parametrize("complex_g", [False, True])
+    def test_dense_pair_projects_once(self, grid_2d, monkeypatch, complex_g):
+        """f != g takes one pass over the stages, projecting both at once, and
+        agrees with projecting each on its own."""
+        fam = bb.parse_family("hpoly2:n=1,part=re;hpoly2:n=2,part=re;expcos:k=1,phase=0.3")
+        op = bb.build_phi_operator(grid_2d, fam, backend="dense")
+        f, g = random_field(grid_2d, 32), random_field(grid_2d, 33, complex_values=complex_g)
+        fhat, ghat = (bb.sine_transform(grid_2d, u).values for u in (f, g))
+        a, b = op.project(fhat), op.project(ghat)
+        Fs = (bb.Bose(0.7), bb.ShiftedInverse(-1.0))
+        separate = po._gauss_sum(Fs, 1.0 / op.mu, a, b)
+        shapes = []
+        project = po.PhiOperator.project
+
+        def counted(self, chat):
+            shapes.append(chat.shape)
+            return project(self, chat)
+
+        monkeypatch.setattr(po.PhiOperator, "project", counted)
+        values = po._bilinear_forms(op, Fs, f, g)[0]
+        assert shapes == [(grid_2d.total, 2)]
+        assert np.all(np.abs(values - separate) <= 1e-14 * np.abs(separate))
+
 
 class TestTwoPointLhs:
     def test_split_identity_empty_family(self, grid_1d, dipole):
@@ -413,6 +436,35 @@ class TestShiftedSolve:
         coeff = op.unproject((op.mu / (1.0 + op.mu)) * op.project(chat))
         oracle = bb.sine_transform(grid_1d, bb.GridField(grid_1d, coeff), "inverse")
         assert np.abs(woodbury.values - oracle.values).max() <= 1e-11 * np.abs(oracle.values).max()
+
+
+class TestWoodbury:
+    """The Woodbury solves against a dense solve of the same matrix in sine
+    coefficients: A^-1 = diag(1/lam) + C C^H, with the family's dtype."""
+
+    @pytest.mark.parametrize("text", ["hpoly2:n=1,part=re;const:c=1j",
+                                      "hpoly2:n=1,part=re;hpoly2:n=2,part=re"],
+                             ids=["complex-family", "real-family"])
+    @pytest.mark.parametrize("shift", [1.0, 2.5])
+    def test_matches_dense_solve_for_a_real_field(self, text, shift):
+        grid = bb.make_grid(2, [2, 2], 0.25)
+        op = bb.build_phi_operator(grid, bb.parse_family(text), backend="lanczos")
+        C = op.basis.col_hat
+        assert C.dtype == (np.complex128 if "1j" in text else np.float64)
+        f = random_field(grid, 31)
+        chat = bb.sine_transform(grid, f).values
+        inverse = np.diag(1.0 / op.lam) + C @ C.conj().T
+
+        def field(coeff):
+            return bb.sine_transform(grid, bb.GridField(grid, coeff), "inverse").values
+
+        eye = np.eye(grid.total)
+        cases = [(bb.shifted_solve(op, f, shift),  # (s + A)^-1 = A^-1 (I + s A^-1)^-1
+                  field(inverse @ np.linalg.solve(eye + shift * inverse, chat))),
+                 (bb.apply_forward(op, f), field(np.linalg.solve(inverse, chat)))]
+        for got, want in cases:
+            assert got.values.dtype == want.dtype
+            assert np.abs(got.values - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestLocality:
@@ -699,9 +751,26 @@ class TestReadoutMemory:
 
 
 class TestLanczosMemory:
-    """The Lanczos basis holds only the coefficients the start vector reaches."""
+    """The Lanczos basis holds only the coefficients the start vector reaches;
+    a Lanczos-sized build holds one N x K array, and its shifted solve makes
+    no scaled copy of it."""
 
     def test_golden_d2_readout_holds_one_sector(self, golden_d2_config):
         """200 basis rows of 4032 coefficients are 6.5 MB; of all 16129, 25.8 MB."""
         op, Fs, f = golden_d2_readout(golden_d2_config, 16)
         assert traced_peak(po.lanczos_quadratic_form, op, Fs, f) <= 8e6
+
+    def test_basis_holds_only_the_columns(self, golden_d2_config):
+        op, _, _ = golden_d2_readout(golden_d2_config, 32)
+        N = op.grid.total
+        held = [name for name, x in vars(op.basis).items()
+                if isinstance(x, np.ndarray) and x.size >= N]
+        assert held == ["col_hat"]
+        assert op.basis.basis_hat.shape == (N, op.basis.rank)  # formed when read
+
+    def test_shifted_solve_makes_no_column_copy(self, golden_d2_config):
+        """6.0 fields of N = 65025; a scaled copy of the two columns, held with
+        d, chat and chat - t through the inverse transform, made it 11.0."""
+        op, _, f = golden_d2_readout(golden_d2_config, 32)
+        assert op.grid.total == 65025
+        assert traced_peak(bb.shifted_solve, op, f, 1.0) <= 8 * (8 * op.grid.total)
