@@ -10,6 +10,7 @@ non-positive Lanczos recursion, or an output that cannot be written).
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import sys
 from contextlib import contextmanager
@@ -137,5 +138,14 @@ def _run(args: argparse.Namespace) -> int:
         return 4
 
 
+def run() -> int:
+    """``main`` as a process's entry point (the ``becbox`` script and ``python
+    -m becbox.cli``): the objects the imports made are frozen first, so the
+    collector never walks them again, at teardown included.  ``main`` itself
+    leaves the collector alone for in-process callers."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

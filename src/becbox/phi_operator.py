@@ -6,24 +6,30 @@ Green operator plus a rank-K update by the sampled harmonic columns,
     A^-1 = G + h^d * sum_k |v_k><v_k|,
 
 which in the orthonormal sine basis is diagonal(1/lambda) plus a rank-K
-congruence of the transformed columns.  The dense backend eigendecomposes that
-matrix without assembling it, as K chained rank-one modifications: each stage
-adds one column, exact deflation leaves every mode its column does not reach
-as an eigenpair of its own, and the block the column couples is solved
-through its secular equation (operator eigenvalues are reported as 1/mu); the
-Lanczos backend only ever applies it.  Either way a readout is one quadrature
-rule per start vector (the eigenpairs, or a Lanczos Gauss rule), and every
-spectral function of the readout is read off that rule.  A Lanczos recursion
-runs only on the sine coefficients its start vector reaches (see
-``lanczos_quadratic_form``).  All inner products, normalizations and
-orthogonalizations use the h^d-weighted inner product, which in sine
-coefficients is the plain dot product.
+congruence of the transformed columns.  Columns that share no nonzero sine
+coefficient make that matrix block diagonal: at build the operator splits the
+coefficients into column components (columns linked by shared nonzero rows,
+with the rows they touch) and free rows, which no column touches and which are
+eigenvectors as they stand.  The dense backend eigendecomposes each component
+without assembling it, the first time something needs it, as chained
+rank-one modifications: each stage adds one column, exact deflation leaves
+every mode its column does not reach as an eigenpair of its own, and the block
+the column couples is solved through its secular equation (operator
+eigenvalues are reported as 1/mu); the Lanczos backend only ever applies it.
+Either way a readout is one quadrature rule per start vector (the eigenpairs
+of the components it reaches, or a Lanczos Gauss rule), and every spectral
+function of the readout is read off that rule.  A Lanczos recursion runs only
+on the sine coefficients its start vector reaches, read off the same
+partition (see ``lanczos_quadratic_form``).  All inner products,
+normalizations and orthogonalizations use the h^d-weighted inner product,
+which in sine coefficients is the plain dot product.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -242,15 +248,77 @@ class _Stage:
         return y.reshape(shape)
 
 
+@dataclass(frozen=True)
+class _Chain:
+    """A^-1 on the sine coefficients ``rows`` of one column component: its
+    ascending eigenvalues ``mu`` and the stages of ``_deflated_eigh`` that
+    hold its eigenvectors.  The free rows make a chain of no stage, each row
+    an eigenvector with its own d_i, in row order."""
+
+    rows: np.ndarray
+    mu: np.ndarray
+    stages: tuple[_Stage, ...]
+
+    def project(self, chat: np.ndarray) -> np.ndarray:
+        for stage in self.stages:
+            chat = stage.project(chat)
+        return chat
+
+    def unproject(self, a: np.ndarray) -> np.ndarray:
+        for stage in reversed(self.stages):
+            a = stage.unproject(a)
+        return a
+
+
+def _components(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The column components of C, per row and per column: columns that share
+    a nonzero row, directly or through a chain of columns, form one component
+    (labelled by one of its columns), and its rows are its columns' nonzero
+    rows.  A row that no column is nonzero on is free (-1), and so is a
+    column with no nonzero row.  A^-1 = diag(d) + C C^H is block diagonal over
+    the components and the free rows.  Column k joins every component it
+    shares a row with, one column and one row mask at a time."""
+    K = C.shape[1]
+    rows = np.full(len(C), -1, dtype=np.min_scalar_type(-K - 1))
+    columns = np.full(K, -1)
+    for k in range(K):
+        nonzero = C[:, k] != 0
+        for label in _touched(rows, nonzero):
+            rows[rows == label] = k
+            columns[columns == label] = k
+        rows[nonzero] = k
+        columns[k] = k if nonzero.any() else -1
+    return rows, columns
+
+
+def _touched(components: np.ndarray, rows: np.ndarray) -> list[int]:
+    """The labels, ascending, of the column components that ``rows`` (a mask)
+    lie in; np.unique would load numpy.ma."""
+    return np.flatnonzero(np.bincount(components[rows] + 1, minlength=1)[1:]).tolist()
+
+
+def _reached(v: np.ndarray, components: np.ndarray) -> np.ndarray:
+    """The sine coefficients that A^-1 can carry v to: v's nonzero rows and
+    every row of each column component that one of them lies in."""
+    reached = v != 0
+    for k in _touched(components, reached):
+        reached |= components == k
+    return reached
+
+
 @dataclass
 class PhiOperator:
     """Discrete modified Laplacian held through its inverse.
 
-    ``lam`` is the stencil Dirichlet spectrum in coefficient layout; the dense
-    backend also holds the eigenvalues ``mu`` (ascending) of the inverse in the
-    sine basis, so operator eigenvalues are 1/mu, and its eigenvectors in
-    factored form, as the chain of rank-one stages ``eigenbasis`` (see
-    ``_deflated_eigh``), read through ``project`` and ``unproject``.
+    ``lam`` is the stencil Dirichlet spectrum in coefficient layout, and
+    ``components`` labels each sine coefficient with its column component,
+    -1 for a free row (``column_components`` labels the columns; see
+    ``_components``).  The dense backend solves a component the first time
+    something needs it (``_chain``) and keeps it: a readout solves only the
+    components its vectors reach.  ``mu`` (ascending eigenvalues of the
+    inverse in the sine basis, so operator eigenvalues are 1/mu),
+    ``project``, ``unproject`` and ``eigenbasis`` (every component's chain,
+    then the free rows') assemble all of them.
     """
 
     grid: Grid
@@ -259,8 +327,9 @@ class PhiOperator:
     backend: str
     basis: CondensateBasis
     lam: np.ndarray
-    mu: np.ndarray | None
-    eigenbasis: tuple[_Stage, ...] | None
+    components: np.ndarray
+    column_components: np.ndarray
+    _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def operator_eigenvalues(self) -> np.ndarray:
@@ -269,24 +338,70 @@ class PhiOperator:
             raise ValueError("operator eigenvalues need the dense backend")
         return np.sort(1.0 / self.mu)
 
-    def _eigen(self) -> tuple[_Stage, ...]:
-        if self.eigenbasis is None:
+    @cached_property
+    def _tolerances(self) -> tuple[float, float]:
+        return _deflation_tolerances(1.0 / self.lam, self.basis.col_hat)
+
+    def _chain(self, k: int) -> _Chain:
+        """Component k's chain (k = -1: the free rows), solved on first use."""
+        if self.backend != "dense":
             raise ValueError("eigenvectors need the dense backend")
-        return self.eigenbasis
+        if k not in self._chains:
+            rows = np.flatnonzero(self.components == k)
+            d = 1.0 / self.lam[rows]
+            if k < 0:
+                self._chains[k] = _Chain(rows, d, ())
+            else:
+                C = self.basis.col_hat[rows][:, self.column_components == k]
+                self._chains[k] = _Chain(rows, *_deflated_eigh(d, C, *self._tolerances))
+        return self._chains[k]
+
+    @property
+    def eigenbasis(self) -> tuple[_Chain, ...] | None:
+        """Every component's chain, by label, then the free rows'; None on the
+        Lanczos backend."""
+        if self.backend != "dense":
+            return None
+        labels = sorted(set(self.column_components.tolist()) - {-1})
+        return tuple(self._chain(k) for k in [*labels, -1])
+
+    @cached_property
+    def _assembly(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Every chain's eigenvalues, ascending, and the order that sorts them
+        from the chains' concatenation."""
+        if self.eigenbasis is None:
+            return None
+        mu = np.concatenate([chain.mu for chain in self.eigenbasis])
+        order = np.argsort(mu, kind="stable")
+        return mu[order], order
+
+    @property
+    def mu(self) -> np.ndarray | None:
+        """Eigenvalues of A^-1, ascending; None on the Lanczos backend."""
+        return None if self._assembly is None else self._assembly[0]
 
     def project(self, chat: np.ndarray) -> np.ndarray:
         """V^H chat: sine coefficients (along axis 0) to eigenvector
         coefficients aligned with mu."""
-        for stage in self._eigen():
-            chat = stage.project(chat)
-        return chat
+        if self._assembly is None:
+            raise ValueError("eigenvectors need the dense backend")
+        return np.concatenate([chain.project(chat[chain.rows])
+                               for chain in self.eigenbasis])[self._assembly[1]]
 
     def unproject(self, a: np.ndarray) -> np.ndarray:
         """V a: eigenvector coefficients aligned with mu (along axis 0) to sine
         coefficients."""
-        for stage in reversed(self._eigen()):
-            a = stage.unproject(a)
-        return a
+        if self._assembly is None:
+            raise ValueError("eigenvectors need the dense backend")
+        chains = self.eigenbasis
+        y = np.empty_like(a)  # the chains' concatenation
+        y[self._assembly[1]] = a
+        cuts = np.cumsum([len(chain.rows) for chain in chains])[:-1]
+        pieces = [chain.unproject(x) for chain, x in zip(chains, np.split(y, cuts))]
+        out = np.empty(a.shape, dtype=np.result_type(*pieces))
+        for chain, x in zip(chains, pieces):
+            out[chain.rows] = x
+        return out
 
     def _hat(self, f: GridField) -> np.ndarray:
         if f.grid != self.grid:
@@ -481,7 +596,16 @@ def _rank_one_stage(d: np.ndarray, c: np.ndarray, scale: float, tol: float
                              vectors=(d[active], *vectors), order=order)
 
 
-def _deflated_eigh(d: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, tuple[_Stage, ...]]:
+def _deflation_tolerances(d: np.ndarray, C: np.ndarray) -> tuple[float, float]:
+    """(scale, tol) of ``_deflated_eigh`` for diag(d) + C C^H: eps max(max d,
+    ||C||_2^2), and that over ||C||_2."""
+    norm = float(np.linalg.norm(C, 2)) if C.shape[1] else 0.0
+    scale = np.finfo(float).eps * max(float(d.max()), norm**2)
+    return scale, scale / norm if norm > 0 else 0.0
+
+
+def _deflated_eigh(d: np.ndarray, C: np.ndarray, scale: float, tol: float
+                   ) -> tuple[np.ndarray, tuple[_Stage, ...]]:
     """Eigenpairs of diag(d) + C C^H as a chain of rank-one modifications.
 
     The rank-one modification method (Golub 1973; Bunch, Nielsen & Sorensen
@@ -490,23 +614,24 @@ def _deflated_eigh(d: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, tuple[_Sta
     column, which sorts d ascending; stage k then solves diag(mu) + c c^H,
     with mu the (ascending) eigenvalues of the stage before it and c column k
     projected through the stages before it, so no product of stages is ever
-    formed.  Within a stage, an entry of c with |c_i| ||C||_2 <= eps max(max
-    d, ||C||_2^2) is dropped, and d values that far apart count as equal:
-    perturbations no larger than a dense eigensolver's backward error.
-    Rotating the entries of c in a cluster of equal d onto one keeps diag(d)
-    and leaves one of them, real and positive.  Rows left without a c part
-    are eigenpairs (d_i, e_i); the rest form one block, solved through its
-    secular equation (``_secular_eigh``) in O(n^2) time and O(n) storage: its
-    eigenvectors are kept as their generators and formed ``_CHUNK`` at a time
-    where they act, so no stage holds or makes an n x n array.  The block's
-    eigenvalues are then the Rayleigh quotients of its eigenvectors, sum_j d_j
-    |w_j|^2 + |c^H w|^2: sums of positive terms, accurate relative to each
-    eigenvalue, where a solver's own are accurate only to eps max mu.
+    formed.  Within a stage, an entry of c with |c_i| <= ``tol`` is dropped,
+    and d values within ``scale`` of each other count as equal.  For the
+    whole operator (``_deflation_tolerances``) these are |c_i| ||C||_2 <= eps
+    max(max d, ||C||_2^2) and d values that far apart: perturbations no
+    larger than a dense eigensolver's backward error.  The operator calls
+    this once per column component, on its rows and columns, with the whole
+    operator's tolerances.  Rotating the entries of c in a cluster of equal d
+    onto one keeps diag(d) and leaves one of them, real and positive.  Rows
+    left without a c part are eigenpairs (d_i, e_i); the rest form one block,
+    solved through its secular equation (``_secular_eigh``) in O(n^2) time and
+    O(n) storage: its eigenvectors are kept as their generators and formed
+    ``_CHUNK`` at a time where they act, so no stage holds or makes an n x n
+    array.  The block's eigenvalues are then the Rayleigh quotients of its
+    eigenvectors, sum_j d_j |w_j|^2 + |c^H w|^2: sums of positive terms,
+    accurate relative to each eigenvalue, where a solver's own are accurate
+    only to eps max mu.
     """
-    N, K = C.shape
-    norm = float(np.linalg.norm(C, 2)) if K else 0.0
-    scale = np.finfo(float).eps * max(float(d.max()), norm**2)
-    tol = scale / norm if norm > 0 else 0.0
+    N = len(d)
     mu, stages, C = d, [], np.c_[np.zeros(N), C]
     while True:
         mu, stage = _rank_one_stage(mu, C[:, 0], scale, tol)
@@ -525,7 +650,9 @@ def build_phi_operator(
     mode: str = "sampled",
     backend: str = "auto",
 ) -> PhiOperator:
-    """Assemble the operator; dense backends eigendecompose the inverse.
+    """Assemble the operator and partition its sine coefficients into column
+    components; a dense backend eigendecomposes a component of the inverse
+    when something first needs it.
 
     backend "auto" picks dense for N <= DENSE_LIMIT and Lanczos above.
     """
@@ -540,13 +667,11 @@ def build_phi_operator(
             "family of %d columns deflated to numerical rank %d (threshold %g)",
             len(columns), basis.rank, RANK_RTOL,
         )
-    lam = dirichlet_eigenvalues(grid)
-    mu = eigenbasis = None
-    if backend == "dense":
-        mu, eigenbasis = _deflated_eigh(1.0 / lam, basis.col_hat)
+    components, column_components = _components(basis.col_hat)
     return PhiOperator(
         grid=grid, family=family, mode=mode, backend=backend, basis=basis,
-        lam=lam, mu=mu, eigenbasis=eigenbasis,
+        lam=dirichlet_eigenvalues(grid), components=components,
+        column_components=column_components,
     )
 
 
@@ -617,30 +742,16 @@ class LanczosResult:
 _DGKS = 1 / np.sqrt(2)  # a pass that leaves less of ||w|| than this has cancelled
 
 
-def _reached(v: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """The sine coefficients that A^-1 = diag(1/lam) + C C^H can carry v to:
-    v's nonzero rows, grown by the nonzero rows of every column that has one
-    among them, until no column is added (at most K + 1 passes)."""
-    rows = C != 0
-    reached = v != 0
-    left = np.ones(C.shape[1], dtype=bool)
-    while True:
-        meet = left & rows[reached].any(axis=0)
-        if not meet.any():
-            return reached
-        reached |= rows[:, meet].any(axis=1)
-        left &= ~meet
-
-
 def lanczos_quadratic_form(
     op: PhiOperator,
     Fs,
-    f: GridField,
+    f: GridField | np.ndarray,
     steps: int = 200,
     tolerance: float = 1e-10,
 ) -> LanczosResult:
     """<f, F(-Delta_Phi) f> for every F in the tuple Fs by one Lanczos
-    recursion on the inverse, started from f.
+    recursion on the inverse, started from f: a field, or its sine
+    coefficients (as a readout holds them).
 
     Runs the weighted-inner-product Lanczos recursion on A^-1 with full
     reorthogonalization: after the three-term step, one classical
@@ -656,10 +767,11 @@ def lanczos_quadratic_form(
     value that leaves the positive axis raises RuntimeError.
 
     The recursion runs only on the sine coefficients S that f reaches (see
-    ``_reached``): f's nonzero coefficients, closed under every column with a
-    nonzero row among them.  For i outside S, (A^-1 x)_i = x_i / lam_i +
-    sum_k C_ik (c_k^H x) vanishes whenever x does: x_i = 0, and C_ik != 0 only
-    for columns whose rows miss S, so c_k^H x = 0.  The Krylov space therefore
+    ``_reached``): f's nonzero coefficients and the rows of every column
+    component one of them lies in, read off the operator's partition.  For i
+    outside S, (A^-1 x)_i = x_i / lam_i + sum_k C_ik (c_k^H x) vanishes
+    whenever x does: x_i = 0, and C_ik != 0 only for columns whose rows miss
+    S, so c_k^H x = 0.  The Krylov space therefore
     lies in span{e_i : i in S}, and the tridiagonal and every value are those
     of the full recursion up to the order of floating-point sums.  A centred,
     reflection-symmetric f and family keep it in one parity sector; when S is
@@ -667,12 +779,12 @@ def lanczos_quadratic_form(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    v = op._hat(f)
+    v = op._hat(f) if isinstance(f, GridField) else f
     nrm = np.linalg.norm(v)
     if nrm == 0:
         raise ValueError("starting field must be nonzero")
     lam, C = op.lam, op.basis.col_hat
-    reached = _reached(v, C)
+    reached = _reached(v, op.components)
     if not reached.all():
         v, lam, C = v[reached], lam[reached], C[reached]
     # a complex family makes the Krylov vectors complex even from a real f
@@ -720,6 +832,22 @@ def lanczos_quadratic_form(
                          repeats=repeats, size=v.size)
 
 
+def _dense_forms(op: PhiOperator, Fs, fhat: np.ndarray, ghat: np.ndarray) -> np.ndarray:
+    """sum_j conj(a_j) F(1/mu_j) b_j for every F in Fs, a and b the eigenvector
+    coefficients of fhat and ghat (ghat is fhat for a quadratic form), summed
+    over the free rows and the column components that fhat or ghat reach:
+    every other component adds zero, and is not solved."""
+    values = np.zeros(len(Fs))
+    for k in [*_touched(op.components, (fhat != 0) | (ghat != 0)), -1]:
+        chain = op._chain(k)
+        if ghat is fhat:
+            a = b = chain.project(fhat[chain.rows])
+        else:  # one pass over the stages for both
+            a, b = chain.project(np.stack([fhat[chain.rows], ghat[chain.rows]], axis=1)).T
+        values = values + _gauss_sum(Fs, 1.0 / chain.mu, a, b)
+    return values
+
+
 def _bilinear_forms(op: PhiOperator, Fs, f: GridField, g: GridField | None):
     """``quadratic_form`` for every F in Fs, with the sine coefficients of f and g."""
     if f.grid != op.grid or (g is not None and g.grid != op.grid):
@@ -728,23 +856,18 @@ def _bilinear_forms(op: PhiOperator, Fs, f: GridField, g: GridField | None):
     fhat = op._hat(f)
     ghat = fhat if same else op._hat(g)
     if op.backend == "dense":
-        if same:
-            a = b = op.project(fhat)
-        else:  # one pass over the stages for both
-            a, b = op.project(np.stack([fhat, ghat], axis=1)).T
-        return _gauss_sum(Fs, 1.0 / op.mu, a, b), fhat, ghat
-    fv = f.values
+        return _dense_forms(op, Fs, fhat, ghat), fhat, ghat
     if same:
-        terms = [(1.0, fv)]
-    elif np.result_type(fv, g.values, op.basis.col_hat).kind == "c":  # complex pair or operator
-        terms = [((-1j) ** k / 4.0, fv + (1j**k) * g.values) for k in range(4)]
+        terms = [(1.0, fhat)]
+    elif np.result_type(fhat, ghat, op.basis.col_hat).kind == "c":  # complex pair or operator
+        terms = [((-1j) ** k / 4.0, fhat + (1j**k) * ghat) for k in range(4)]
     else:
-        terms = [(0.25, fv + g.values), (-0.25, fv - g.values)]
+        terms = [(0.25, fhat + ghat), (-0.25, fhat - ghat)]
     values = np.zeros(len(Fs), dtype=complex)
     for c, start in terms:
         if not np.any(start):
             continue
-        res = lanczos_quadratic_form(op, Fs, GridField(op.grid, start))
+        res = lanczos_quadratic_form(op, Fs, start)
         if not res.converged:
             raise RuntimeError(f"Lanczos did not converge in {res.steps} steps")
         values += c * res.value

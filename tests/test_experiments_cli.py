@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import json
 import os
+import runpy
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -334,7 +336,8 @@ class TestCli:
     def test_log_level_debug_shows_each_dense_build(self, tmp_path, capsys, monkeypatch):
         builds = []
         solve = po._deflated_eigh
-        monkeypatch.setattr(po, "_deflated_eigh", lambda d, C: builds.append(len(d)) or solve(d, C))
+        monkeypatch.setattr(po, "_deflated_eigh",
+                            lambda d, C, *tols: builds.append(len(d)) or solve(d, C, *tols))
         cli.main(["verify", "--out", str(tmp_path), "--log-level", "DEBUG"])
         lines = [line for line in capsys.readouterr().err.splitlines()
                  if line.startswith("DEBUG becbox.phi_operator: dense build: ")]
@@ -520,6 +523,38 @@ class TestCli:
         assert doc["parseval_sum"] == table.parseval_sum()
         assert complex(doc["value_at_zero_re"], doc["value_at_zero_im"]) == table.value_at_zero()
         assert abs(table.value_at_zero()) <= 1e-14  # a dipole has zero mean
+
+    def test_main_block_freezes_the_import_heap(self, tmp_path, monkeypatch, capsys):
+        """``python -m becbox.cli`` freezes what the imports made before
+        ``main`` runs; ``main`` itself, which tests call in-process, does not."""
+        missing = ["verify", "--config", str(tmp_path / "missing.cfg")]
+        gc.unfreeze()
+        try:
+            assert cli.main(missing) == 2 and gc.get_freeze_count() == 0
+            monkeypatch.setattr(sys, "argv", ["becbox", *missing])
+            # runpy warns when it runs a module that is already imported
+            monkeypatch.delitem(sys.modules, "becbox.cli")
+            with pytest.raises(SystemExit) as stop:
+                runpy.run_module("becbox.cli", run_name="__main__")
+            assert stop.value.code == 2 and gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+        assert capsys.readouterr().err.count("config error: ") == 2
+
+    @pytest.mark.parametrize("command, config, code", [
+        ("fourier-dump", TINY["fourier-dump"], 0),
+        # at h = 0.5 the h floor makes the L = 16 row worse than the L = 8 one
+        ("converge", MINI_CONVERGE.replace("h = 0.125", "h = 0.5"), 1),
+        ("converge", "mystery = 3\n", 2),
+    ], ids=["pass", "check-failure", "config-error"])
+    def test_module_entry_point_exit_codes(self, tmp_path, command, config, code):
+        """The frozen heap changes no exit code of ``python -m becbox.cli``."""
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        argv = [sys.executable, "-m", "becbox.cli", command, "--config", str(cfg),
+                "--out", str(tmp_path)]
+        assert subprocess.run(argv, env=env, capture_output=True).returncode == code
 
     def test_import_loads_no_scipy(self):
         """numpy is the only runtime dependency: the CLI module loads no scipy."""

@@ -5,6 +5,7 @@ import pytest
 
 import becbox as bb
 from becbox import continuum as ct
+from becbox import experiments
 from becbox import phi_operator as po
 from conftest import random_field, traced_peak
 
@@ -325,8 +326,9 @@ class TestQuadraticForm:
 
     @pytest.mark.parametrize("complex_g", [False, True])
     def test_dense_pair_projects_once(self, grid_2d, monkeypatch, complex_g):
-        """f != g takes one pass over the stages, projecting both at once, and
-        agrees with projecting each on its own."""
+        """f != g takes one pass over each chain's stages, projecting both at
+        once, and agrees with projecting each on its own.  Random fields reach
+        every component, so the chains cover every row."""
         fam = bb.parse_family("hpoly2:n=1,part=re;hpoly2:n=2,part=re;expcos:k=1,phase=0.3")
         op = bb.build_phi_operator(grid_2d, fam, backend="dense")
         f, g = random_field(grid_2d, 32), random_field(grid_2d, 33, complex_values=complex_g)
@@ -335,15 +337,16 @@ class TestQuadraticForm:
         Fs = (bb.Bose(0.7), bb.ShiftedInverse(-1.0))
         separate = po._gauss_sum(Fs, 1.0 / op.mu, a, b)
         shapes = []
-        project = po.PhiOperator.project
+        project = po._Chain.project
 
         def counted(self, chat):
             shapes.append(chat.shape)
             return project(self, chat)
 
-        monkeypatch.setattr(po.PhiOperator, "project", counted)
+        monkeypatch.setattr(po._Chain, "project", counted)
         values = po._bilinear_forms(op, Fs, f, g)[0]
-        assert shapes == [(grid_2d.total, 2)]
+        assert len(shapes) == len(op.eigenbasis)
+        assert all(m == 2 for _, m in shapes) and sum(n for n, _ in shapes) == grid_2d.total
         assert np.all(np.abs(values - separate) <= 1e-14 * np.abs(separate))
 
 
@@ -583,8 +586,8 @@ class TestLanczos:
         for k in range(K):
             C[[k, k + 1], K - 1 - k] = 0.5
         e0 = np.eye(K + 2)[0]
-        assert np.flatnonzero(po._reached(e0, C)).tolist() == list(range(K + 1))
-        assert np.flatnonzero(po._reached(e0, C[:, :-1])).tolist() == [0]
+        assert np.flatnonzero(po._reached(e0, po._components(C)[0])).tolist() == list(range(K + 1))
+        assert np.flatnonzero(po._reached(e0, po._components(C[:, :-1])[0])).tolist() == [0]
 
     def test_reached_set_is_closed_and_exact(self):
         """Over the families of the structured-eigensolve property test
@@ -606,7 +609,7 @@ class TestLanczos:
             if centred:  # exactly even under x -> -x, whatever the nodes' roundoff
                 f = bb.GridField(grid, (f.values + f.values[::-1]) / 2)
             v, C = op._hat(f), op.basis.col_hat
-            reached = po._reached(v, C)
+            reached = po._reached(v, op.components)
             assert not v[~reached].any()
             meets = (C[reached] != 0).any(axis=0)
             assert not C[~reached][:, meets].any()
@@ -702,6 +705,20 @@ class TestLanczos:
         bb.two_point_lhs(op, 1.0, f, g)
         assert len(starts) == calls
 
+    @pytest.mark.parametrize("pair, transforms", [("same", 1), ("real", 2), ("complex", 2)])
+    def test_one_transform_per_field(self, grid_1d, monkeypatch, pair, transforms):
+        """The polarization starts are sums of the coefficients the readout
+        already holds: no start is transformed again."""
+        op = bb.build_phi_operator(grid_1d, bb.parse_family("affine:a=0,b=1"), backend="lanczos")
+        transform = po.sine_transform
+        calls = []
+        monkeypatch.setattr(po, "sine_transform",
+                            lambda *args: calls.append(args[2]) or transform(*args))
+        f = random_field(grid_1d, 28, complex_values=pair == "complex")
+        g = f if pair == "same" else random_field(grid_1d, 29, complex_values=pair == "complex")
+        bb.two_point_lhs(op, 1.0, f, g)
+        assert calls == ["forward"] * transforms
+
     def test_unconverged_value_raises(self, grid_1d, monkeypatch):
         op = bb.build_phi_operator(grid_1d, bb.HarmonicFamily(()), backend="lanczos")
 
@@ -728,6 +745,49 @@ class TestLanczos:
                                       bb.GridField(grid_1d, np.zeros(grid_1d.total)))
 
 
+class TestComponents:
+    """A dense readout solves only the column components its vectors reach."""
+
+    def test_golden_d2_converge_solves_the_components_f_reaches(self, golden_d2_config,
+                                                                monkeypatch):
+        """The golden f is odd in x and even in y.  At N = 961 and 3969 (n + 1 =
+        32 and 64) it and each column lie in exact parity sectors: x and x^2 -
+        y^2 are two components, and only x's is solved (240 and 992 rows; the
+        113- and 481-row stages of x^2 - y^2 are not).  At N = 2209 (n + 1 =
+        48) the transforms leave about 1e-17 on the other sectors, the columns
+        share nonzero rows, and their one component is solved whole (552 and
+        265 rows).  Solving every stage made 6 secular solves."""
+        cfg = golden_d2_config
+        solves = []
+        secular = po._secular_eigh
+        monkeypatch.setattr(po, "_secular_eigh",
+                            lambda d, z: solves.append(len(d)) or secular(d, z))
+        experiments._sweep_rows(cfg, bb.parse_family(cfg.family),
+                                ct.parse_test_function(cfg.f), None, 0.0, cfg.h)
+        assert [n for n in solves if n] == [240, 552, 265, 992]
+
+    def test_inexact_parity_zeros_merge_the_sectors(self):
+        """On a 23 x 23 grid (n + 1 = 24) the transforms leave about 3e-17 on
+        the other parity sectors, so the golden columns form one component and
+        a centred dipole reaches all of it: no saving, and the readout is
+        still that of the assembled matrix."""
+        grid = bb.make_grid(2, [6, 6], 0.25)
+        op = bb.build_phi_operator(grid, bb.parse_family("hpoly2:n=1,part=re;hpoly2:n=2,part=re"),
+                                   backend="dense")
+        assert len(set(op.column_components.tolist())) == 1
+        spec = ct.parse_test_function("dipole2:cx=0,cy=0,s=1,ax=0.75,ay=0.75,axis=x")
+        f = bb.sample_function(grid, lambda *x: ct.evaluate(spec, *x))
+        tp = bb.two_point_lhs(op, 1.0, f)
+        assert sorted(op._chains) == [-1, op.column_components[0]]
+        C = op.basis.col_hat
+        w, V = np.linalg.eigh(np.diag(1.0 / op.lam) + C @ C.T)
+        fa = V.T @ op._hat(f)
+        for F, value in ((bb.Bose(1.0), tp.direct), (bb.BoseRegular(1.0), tp.regular_term)):
+            terms = fa**2 * F.evaluate(1.0 / w)
+            assert abs(value - terms.sum()) <= 1e-13 * np.abs(terms).sum()
+        assert tp.split_agreement <= 1e-13
+
+
 class TestReadoutMemory:
     """A dense build holds O(n) numbers per stage and makes no n x n temporary:
     each stage's eigenvectors are formed 64 at a time where they act."""
@@ -738,11 +798,13 @@ class TestReadoutMemory:
         family = bb.parse_family(cfg.family)
         assert grid.total == 3969
         op = bb.build_phi_operator(grid, family, backend="dense")
-        assert [len(s.active) for s in op.eigenbasis] == [0, 992, 481]
-        stored = sum(x.nbytes for s in op.eigenbasis
+        # a chain per column component (x, then x^2 - y^2), then the free rows'
+        assert [[len(s.active) for s in c.stages] for c in op.eigenbasis] == [[0, 992], [0, 481], []]
+        stored = sum(x.nbytes for c in op.eigenbasis for s in c.stages
                      for x in (s.active, s.order, *s.vectors, *(a for r in s.rotations for a in r)))
         assert stored <= 1e6  # 0.2 MB; the two 992- and 481-row W would be 9.7 MB
-        assert traced_peak(bb.build_phi_operator, grid, family, "sampled", "dense") <= 4e6
+        assert traced_peak(lambda: bb.build_phi_operator(grid, family, "sampled", "dense")
+                           .eigenbasis) <= 4e6
         # a readout holds one 64 x 992 block (0.5 MB) at a time, plus O(N) vectors
         spec = ct.parse_test_function(cfg.f)
         f = bb.sample_function(grid, lambda *x: ct.evaluate(spec, *x))

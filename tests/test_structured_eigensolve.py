@@ -5,11 +5,12 @@ assembled at N <= 576 and ``np.linalg.eigh`` is the oracle.  Grids are 1d and
 2d, from N = 1 up, with square boxes (whose equal Dirichlet eigenvalues form
 the clusters the deflation rotates) and non-square ones.  Families may be
 empty, repeat a spec (rank-deficient columns) and carry real or complex
-coefficients; both sampling modes are drawn.  Readout residuals are scaled as
-in ``tests/test_two_point_properties.py``.
+coefficients; both sampling modes are drawn.  Columns in different parity
+sectors fall into several column components (``SECTORS``), which the operator
+solves one by one and assembles.  Readout residuals are scaled as in
+``tests/test_two_point_properties.py``.
 """
 
-import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -51,16 +52,29 @@ def cases(draw):
     return grid, bb.HarmonicFamily(tuple(specs)), mode, seed, draw(st.floats(0.3, 3.0))
 
 
+# n + 1 a power of two: the parity zeros are exact, and x, y and 2xy (with
+# x^3 - 3xy^2 beside x) are three components; in d = 1, 1 and x are two
+SECTORS = [
+    (bb.make_grid(2, [4, 4], 0.25), bb.parse_family(
+        "hpoly2:n=1,part=re;hpoly2:n=1,part=im;hpoly2:n=2,part=im;hpoly2:n=3,part=re"),
+     "sampled", 5, 1.0),
+    (bb.make_grid(1, [8], 0.25), bb.parse_family("const:c=1;affine:a=0,b=1j"), "sampled", 6, 0.7),
+]
+
+
 def size(tp):
     return abs(tp.direct) + abs(tp.regular_term) + abs(tp.green_term) + abs(tp.condensate_term)
 
 
 @settings(max_examples=120)
+@example(case=SECTORS[0])
+@example(case=SECTORS[1])
 @given(cases())
 def test_structured_eigensolve_matches_dense_eigh(case):
     grid, family, mode, seed, beta = case
     with mock.patch.object(po, "eigendecompose_symmetric", side_effect=AssertionError):
         op = bb.build_phi_operator(grid, family, mode, "dense")
+        op.eigenbasis  # every component solved here, where LAPACK is barred
     C = op.basis.col_hat
     w, V = np.linalg.eigh(np.diag(1.0 / op.lam) + C @ C.conj().T)
     top = w[-1]
@@ -96,9 +110,13 @@ def test_ordering_and_krein_hold_for_every_family(case):
 
 
 EPS = np.finfo(float).eps
-# a dense operator with no grid: only mu and the eigenbasis are read
-DENSE_SHELL = po.PhiOperator(grid=None, family=None, mode="sampled", backend="dense",
-                             basis=None, lam=None, mu=None, eigenbasis=None)
+
+
+def deflated_eigh(d, C):
+    """``_deflated_eigh`` of diag(d) + C C^H as one component: its eigenvalues
+    and eigenvectors, formed whole."""
+    mu, stages = po._deflated_eigh(d, C, *po._deflation_tolerances(d, C))
+    return mu, po._Chain(np.arange(len(d)), mu, stages).unproject(np.eye(len(d)))
 
 
 @st.composite
@@ -127,12 +145,11 @@ def rank_one_blocks(draw):
 def test_rank_one_blocks_match_dense_eigh(case):
     d, c = case
     with mock.patch.object(po, "eigendecompose_symmetric", side_effect=AssertionError):
-        mu, eigenbasis = po._deflated_eigh(d, c[:, None].copy())
+        mu, V = deflated_eigh(d, c[:, None].copy())
     A = np.diag(d) + np.outer(c, c.conj())
     w = np.linalg.eigh(A)[0]
     scale = max(w[-1], 1e-300)
     assert np.abs(mu - w).max() <= 1e-13 * scale
-    V = dataclasses.replace(DENSE_SHELL, mu=mu, eigenbasis=eigenbasis).unproject(np.eye(len(d)))
     assert np.abs(V.conj().T @ V - np.eye(len(d))).max() <= 1e-13
     assert np.abs(A @ V - V * mu).max() <= 1e-13 * scale
 
@@ -150,9 +167,9 @@ def test_golden_builds_need_no_dense_eigensolve(monkeypatch):
     family2 = bb.parse_family("hpoly2:n=1,part=re;hpoly2:n=2,part=re")
     for L in (8, 16, 32, 64):
         for h in (1 / 16, 1 / 32):
-            bb.build_phi_operator(bb.make_grid(1, [L], h), family1, backend="dense")
+            bb.build_phi_operator(bb.make_grid(1, [L], h), family1, backend="dense").eigenbasis
     for L in (4, 6, 8):
-        bb.build_phi_operator(bb.make_grid(2, [L, L], 1 / 8), family2, backend="dense")
+        bb.build_phi_operator(bb.make_grid(2, [L, L], 1 / 8), family2, backend="dense").eigenbasis
     # families without the goldens' symmetry couple one block by several columns
     for grid, text in [
         (bb.make_grid(1, [32], 1 / 16), "affine:a=1,b=1;affine:a=0.5,b=-2"),
@@ -161,7 +178,7 @@ def test_golden_builds_need_no_dense_eigensolve(monkeypatch):
         (bb.make_grid(2, [3, 4], 1 / 8), "hpoly2:n=1,part=re,z0=0.3+0.2j;"
          "hpoly2:n=2,part=im,z0=0.3+0.2j;hpoly2:n=3,part=re,z0=-0.1+0.4j;expcos:k=0.7,phase=0.2"),
     ]:
-        bb.build_phi_operator(grid, bb.parse_family(text), backend="dense")
+        bb.build_phi_operator(grid, bb.parse_family(text), backend="dense").eigenbasis
     assert calls == []
 
 
@@ -170,10 +187,10 @@ def test_rank_two_block_needs_no_dense_eigensolve(monkeypatch):
     grid = bb.make_grid(1, [4], 1 / 16)  # N = 63
     # 1 couples the even modes, 1 + x all of them: one block of rank 2
     op = bb.build_phi_operator(grid, bb.parse_family("const:c=1;affine:a=1,b=1"), backend="dense")
-    assert calls == []
     C = op.basis.col_hat
     w = np.linalg.eigvalsh(np.diag(1.0 / op.lam) + C @ C.conj().T)
     assert np.abs(op.mu - w).max() <= 1e-13 * w[-1]
+    assert calls == []
 
 
 def test_rank_two_ordering_holds_to_roundoff():
@@ -201,10 +218,10 @@ def test_unconverged_secular_roots_are_finished_by_bisection(monkeypatch, grid, 
     calls = _count_dense_solves(monkeypatch)
     monkeypatch.setattr(po, "_SECULAR_STEPS", 1)
     op = bb.build_phi_operator(grid, bb.parse_family(family), backend="dense")
-    assert calls == []
     C = op.basis.col_hat
     w = np.linalg.eigvalsh(np.diag(1.0 / op.lam) + C @ C.conj().T)
     assert np.abs(op.mu - w).max() <= 1e-13 * w[-1]
+    assert calls == []
     a = np.random.default_rng(3).standard_normal((grid.total, 2))
     assert np.linalg.norm(op.project(op.unproject(a)) - a) <= 1e-13 * np.linalg.norm(a)
 
@@ -236,9 +253,8 @@ def test_rank_one_block_below_the_resolution_of_d():
     # its block's |c|^2 = 2e-30 is far below the ulp of d = 1
     d = np.array([0.5, 0.9, 1.0])
     C = np.array([[1.0, 0.0], [0.0, 1e-15], [0.0, 1e-15]])
-    mu, eigenbasis = po._deflated_eigh(d, C.copy())
+    mu, V = deflated_eigh(d, C.copy())
     A = np.diag(d) + C @ C.T
     assert np.abs(mu - np.linalg.eigvalsh(A)).max() <= 1e-15
-    V = dataclasses.replace(DENSE_SHELL, mu=mu, eigenbasis=eigenbasis).unproject(np.eye(3))
     assert np.abs(V.T @ V - np.eye(3)).max() <= 1e-15
     assert np.abs(A @ V - V * mu).max() <= 1e-15
