@@ -56,7 +56,7 @@ class ExperimentConfig:
     L_list: str = ""                        # explicit comma list, overrides the schedule
     h: float = 0.0625
     h_richardson: float = 0.0               # second (finer) spacing; 0 disables
-    backend: str = "auto"                   # auto | dense | lanczos
+    backend: str = "auto"                   # converge readout rule: auto | dense | lanczos
     cutoff: float = 80.0                    # momentum cutoff of the Fourier oracle
     p_spacing: float = 0.02                 # momentum grid spacing
     quad_points: int = 2048                 # spatial quadrature points per axis

@@ -251,7 +251,7 @@ def run_srs_sweep(cfg: ExperimentConfig) -> SrsReport:
     for L in Ls:
         t0 = time.perf_counter()
         grid = make_grid(cfg.dim, [L] * cfg.dim, cfg.h)
-        op = build_phi_operator(grid, family, backend="lanczos")
+        op = build_phi_operator(grid, family)
         y = shifted_solve(op, sample_function(grid, partial(ct.evaluate, u)), 1.0)
         vals = y.values[window_mask(grid)]
         err = float(np.sqrt(grid.weight * np.sum(np.abs(vals - ref) ** 2)))
@@ -274,7 +274,7 @@ def run_verify_suite(cfg: ExperimentConfig) -> list[CheckReport]:
     if cfg.dim == 1 and round(L / cfg.h) < 4:
         raise ConfigError(f"verify in d = 1 needs L/h >= 4, got L = {L}, h = {cfg.h}")
     grid = make_grid(cfg.dim, [L] * cfg.dim, cfg.h)
-    op = build_phi_operator(grid, family, backend="dense")
+    op = build_phi_operator(grid, family, backend="dense")  # the split check reads eigenpairs
 
     # reduction check on the canonical unit-spacing grid, where the operator
     # eigenvalues are O(1) and the 1e-13 absolute tolerance is meaningful
@@ -297,7 +297,7 @@ def run_verify_suite(cfg: ExperimentConfig) -> list[CheckReport]:
 
     if cfg.dim == 1:
         checks.append(boundary_condition_residual(op, 0, levels=3))
-        op_dh = build_phi_operator(grid, family, "discrete-harmonic", "dense")
+        op_dh = build_phi_operator(grid, family, "discrete-harmonic")
         checks.append(quadratic_form_identity(op_dh, seed=cfg.seed, levels=2))
 
     checks.append(wick_cross_check(4, cfg.seed))
@@ -314,7 +314,7 @@ def run_wick_demo(cfg: ExperimentConfig) -> dict:
     family = _parsed(cfg, "family")
     L = cfg.lengths()[0]
     grid = make_grid(1, [L], cfg.h)
-    op = build_phi_operator(grid, family, backend="dense")
+    op = build_phi_operator(grid, family)
     centers = [-L / 4 + (i + 1) * (L / 2) / (n + 1) for i in range(n)]
     width = min(0.4, (L / 2) / (n + 1) / 2.2)
     fields = [

@@ -10,19 +10,19 @@ congruence of the transformed columns.  Columns that share no nonzero sine
 coefficient make that matrix block diagonal: at build the operator splits the
 coefficients into column components (columns linked by shared nonzero rows,
 with the rows they touch) and free rows, which no column touches and which are
-eigenvectors as they stand.  The dense backend eigendecomposes each component
+eigenvectors as they stand.  Every operator eigendecomposes a component
 without assembling it, the first time something needs it, as chained
 rank-one modifications: each stage adds one column, exact deflation leaves
 every mode its column does not reach as an eigenpair of its own, and the block
 the column couples is solved through its secular equation (operator
-eigenvalues are reported as 1/mu); the Lanczos backend only ever applies it.
-Either way a readout is one quadrature rule per start vector (the eigenpairs
-of the components it reaches, or a Lanczos Gauss rule), and every spectral
-function of the readout is read off that rule.  A Lanczos recursion runs only
-on the sine coefficients its start vector reaches, read off the same
-partition (see ``lanczos_quadratic_form``).  All inner products,
-normalizations and orthogonalizations use the h^d-weighted inner product,
-which in sine coefficients is the plain dot product.
+eigenvalues are reported as 1/mu).  The backend is the rule a two-point
+readout is read with, and nothing else: one quadrature rule per start vector,
+the eigenpairs of the components it reaches (dense) or a Lanczos Gauss rule
+(lanczos), and every spectral function of the readout is read off that rule.
+A Lanczos recursion runs only on the sine coefficients its start vector
+reaches, read off the same partition (see ``lanczos_quadratic_form``).  All
+inner products, normalizations and orthogonalizations use the h^d-weighted
+inner product, which in sine coefficients is the plain dot product.
 """
 
 from __future__ import annotations
@@ -194,8 +194,7 @@ def build_condensate_basis(grid: Grid, columns: list[GridField]) -> CondensateBa
 @dataclass(frozen=True)
 class _Stage:
     """Eigenvectors of diag(d) + c c^H, for one column c and d ascending
-    wherever c is nonzero, in factored form: one stage of the dense backend's
-    chain.
+    wherever c is nonzero, in factored form: one stage of a component's chain.
 
     Each cluster of equal d, a lone entry included, is rotated so that one of
     its entries of c survives, real and positive (``rotations``: per cluster
@@ -313,12 +312,13 @@ class PhiOperator:
     ``lam`` is the stencil Dirichlet spectrum in coefficient layout, and
     ``components`` labels each sine coefficient with its column component,
     -1 for a free row (``column_components`` labels the columns; see
-    ``_components``).  The dense backend solves a component the first time
-    something needs it (``_chain``) and keeps it: a readout solves only the
-    components its vectors reach.  ``mu`` (ascending eigenvalues of the
-    inverse in the sine basis, so operator eigenvalues are 1/mu),
-    ``project``, ``unproject`` and ``eigenbasis`` (every component's chain,
-    then the free rows') assemble all of them.
+    ``_components``).  A component is solved the first time something needs
+    it (``_chain``) and kept: a dense readout solves only the components its
+    vectors reach.  ``mu`` (ascending eigenvalues of the inverse in the sine
+    basis, so operator eigenvalues are 1/mu), ``project``, ``unproject`` and
+    ``eigenbasis`` (every component's chain, then the free rows') assemble
+    all of them, whatever the backend: ``backend`` only picks the rule of a
+    two-point readout (``_bilinear_forms``).
     """
 
     grid: Grid
@@ -334,8 +334,6 @@ class PhiOperator:
     @property
     def operator_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of the modified Laplacian, ascending."""
-        if self.mu is None:
-            raise ValueError("operator eigenvalues need the dense backend")
         return np.sort(1.0 / self.mu)
 
     @cached_property
@@ -344,8 +342,6 @@ class PhiOperator:
 
     def _chain(self, k: int) -> _Chain:
         """Component k's chain (k = -1: the free rows), solved on first use."""
-        if self.backend != "dense":
-            raise ValueError("eigenvectors need the dense backend")
         if k not in self._chains:
             rows = np.flatnonzero(self.components == k)
             d = 1.0 / self.lam[rows]
@@ -357,42 +353,33 @@ class PhiOperator:
         return self._chains[k]
 
     @property
-    def eigenbasis(self) -> tuple[_Chain, ...] | None:
-        """Every component's chain, by label, then the free rows'; None on the
-        Lanczos backend."""
-        if self.backend != "dense":
-            return None
+    def eigenbasis(self) -> tuple[_Chain, ...]:
+        """Every component's chain, by label, then the free rows'."""
         labels = sorted(set(self.column_components.tolist()) - {-1})
         return tuple(self._chain(k) for k in [*labels, -1])
 
     @cached_property
-    def _assembly(self) -> tuple[np.ndarray, np.ndarray] | None:
+    def _assembly(self) -> tuple[np.ndarray, np.ndarray]:
         """Every chain's eigenvalues, ascending, and the order that sorts them
         from the chains' concatenation."""
-        if self.eigenbasis is None:
-            return None
         mu = np.concatenate([chain.mu for chain in self.eigenbasis])
         order = np.argsort(mu, kind="stable")
         return mu[order], order
 
     @property
-    def mu(self) -> np.ndarray | None:
-        """Eigenvalues of A^-1, ascending; None on the Lanczos backend."""
-        return None if self._assembly is None else self._assembly[0]
+    def mu(self) -> np.ndarray:
+        """Eigenvalues of A^-1, ascending."""
+        return self._assembly[0]
 
     def project(self, chat: np.ndarray) -> np.ndarray:
         """V^H chat: sine coefficients (along axis 0) to eigenvector
         coefficients aligned with mu."""
-        if self._assembly is None:
-            raise ValueError("eigenvectors need the dense backend")
         return np.concatenate([chain.project(chat[chain.rows])
                                for chain in self.eigenbasis])[self._assembly[1]]
 
     def unproject(self, a: np.ndarray) -> np.ndarray:
         """V a: eigenvector coefficients aligned with mu (along axis 0) to sine
         coefficients."""
-        if self._assembly is None:
-            raise ValueError("eigenvectors need the dense backend")
         chains = self.eigenbasis
         y = np.empty_like(a)  # the chains' concatenation
         y[self._assembly[1]] = a
@@ -651,10 +638,11 @@ def build_phi_operator(
     backend: str = "auto",
 ) -> PhiOperator:
     """Assemble the operator and partition its sine coefficients into column
-    components; a dense backend eigendecomposes a component of the inverse
-    when something first needs it.
+    components; a component of the inverse is eigendecomposed when something
+    first needs it.
 
-    backend "auto" picks dense for N <= DENSE_LIMIT and Lanczos above.
+    ``backend`` is the rule of the two-point readout (``_bilinear_forms``):
+    "auto" picks dense for N <= DENSE_LIMIT and Lanczos above.
     """
     if backend not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -878,8 +866,8 @@ def quadratic_form(op: PhiOperator, F, f: GridField, g: GridField | None = None)
     """<f, F(-Delta_Phi) g> in the weighted inner product.
 
     Every function of one readout comes from one quadrature rule per start
-    vector: on dense backends the eigenpairs with the projections of f and
-    g; on the Lanczos backend the Gauss rule of one recursion per term of the
+    vector: with backend dense the eigenpairs with the projections of f and
+    g; with backend lanczos the Gauss rule of one recursion per term of the
     polarization of the bilinear form into quadratic ones, raising
     RuntimeError rather than returning an unconverged value.  Conjugate
     symmetry result(f, g) = conj(result(g, f)) holds by construction.

@@ -45,11 +45,14 @@ def atomic_write(path: str, data: str) -> None:
 def git_blob_sha(data: bytes) -> str:
     """Git-style content hash (sha1 over a blob header plus the bytes).
 
-    hashlib is imported here, not at module level: it loads OpenSSL (3-4 MB of
-    RSS), which a command then pays only once its output is written."""
-    import hashlib
+    SHA-1 comes from CPython's builtin ``_sha1``, and from hashlib only where
+    that is missing: hashlib loads OpenSSL (3-4 MB of RSS) for one short hash."""
+    try:
+        from _sha1 import sha1
+    except ImportError:
+        from hashlib import sha1
 
-    h = hashlib.sha1()
+    h = sha1()
     h.update(b"blob %d\x00" % len(data))
     h.update(data)
     return h.hexdigest()

@@ -76,17 +76,12 @@ class CheckReport:
         }
 
 
-def _require_dense(op: PhiOperator, what: str) -> None:
-    if op.mu is None or op.eigenbasis is None:
-        raise ValueError(f"{what} needs the dense backend")
-
-
 def krein_identity_residual(
     op: PhiOperator, z: float, n_fields: int = 20, seed: int = 0
 ) -> CheckReport:
     """Residual of the Krein resolvent formula at a spectral parameter z < 0.
 
-    Both sides act on random fields: the left side through the dense
+    Both sides act on random fields: the left side through the
     eigendecomposition of the modified operator, the right side through the
     Dirichlet resolvent plus the explicit finite-rank correction built from
     the projection and the R matrix.  The formula is exact matrix algebra, so
@@ -94,7 +89,6 @@ def krein_identity_residual(
     """
     if not z < 0:
         raise ValueError(f"spectral parameter must be negative, got {z}")
-    _require_dense(op, "the Krein check")
     s = -z
     lam = op.lam
     B = op.basis.basis_hat
@@ -223,7 +217,6 @@ def bc_r_matrix(op: PhiOperator):
 def _eigvec_hat(op: PhiOperator, which: int) -> np.ndarray:
     """Sine coefficients of the eigenvector of the modified Laplacian with the
     ``which``-th smallest eigenvalue (mu ascending: the ``which``-th largest mu)."""
-    _require_dense(op, "eigenvector extraction")
     unit = np.zeros(op.grid.total)
     unit[op.grid.total - 1 - which] = 1.0
     return op.unproject(unit)
@@ -246,12 +239,12 @@ def _bc_residual_once(op: PhiOperator, which: int, r):
 
 
 def _refinements(op: PhiOperator, levels: int):
-    """``op``, then its family, mode and backend on ``levels - 1`` 1d grids of
-    halved spacing, built one at a time."""
+    """``op``, then its family and mode on ``levels - 1`` 1d grids of halved
+    spacing, built one at a time."""
     yield op
     for level in range(1, levels):
         grid = make_grid(1, list(op.grid.lengths), op.grid.spacing / 2**level)
-        yield build_phi_operator(grid, op.family, op.mode, op.backend)
+        yield build_phi_operator(grid, op.family, op.mode)
 
 
 def boundary_condition_residual(
@@ -259,7 +252,8 @@ def boundary_condition_residual(
 ) -> CheckReport:
     """Residual of the boundary condition (outward derivative equals the
     Dirichlet-to-Neumann term minus r times the trace) on a discrete
-    eigenvector of the dense ``op`` and of ``levels - 1`` refinements of it.
+    eigenvector of ``op`` and of ``levels - 1`` refinements of it; the
+    ``which_eigenvector``-th smallest, in ``[0, N)`` for ``op``'s N nodes.
 
     The continuum statement holds exactly; the discrete residual must decay
     with ratio >= 1.5 per halving.  With an empty family the condition
@@ -268,7 +262,9 @@ def boundary_condition_residual(
     """
     if op.grid.dim != 1:
         raise ValueError("boundary condition check requires a 1d grid")
-    _require_dense(op, "the boundary condition check")
+    if not 0 <= which_eigenvector < op.grid.total:
+        raise ValueError(f"which_eigenvector must lie in [0, {op.grid.total}), "
+                         f"got {which_eigenvector}")
     residuals = []
     degenerate = False
     for fine in _refinements(op, levels):
@@ -388,7 +384,6 @@ def quadratic_form_identity(op: PhiOperator, seed: int = 0, levels: int = 2) -> 
 def ordering_check(op: PhiOperator) -> CheckReport:
     """Sorted eigenvalues of the modified operator never exceed the Dirichlet
     ones (the form-order upper bound, compared eigenvalue by eigenvalue)."""
-    _require_dense(op, "the ordering check")
     nu = op.operator_eigenvalues
     nu0 = np.sort(op.lam)
     excess = np.max(nu / nu0 - 1.0)
@@ -411,7 +406,7 @@ def dirichlet_reduction_check(grid: Grid) -> CheckReport:
     The eigenvectors stream through in blocks of ``_REDUCTION_BLOCK``, each
     unprojected from unit coefficients and compared at the nodes, so no N x N
     array is ever formed."""
-    op = build_phi_operator(grid, HarmonicFamily(()), backend="dense")
+    op = build_phi_operator(grid, HarmonicFamily(()))
     lam = op.lam
     nu = 1.0 / op.mu[::-1]  # ascending operator eigenvalues
     dev_vals = float(np.max(np.abs(np.sort(nu) - np.sort(lam))))

@@ -563,10 +563,23 @@ class TestCli:
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_import_loads_no_openssl(self):
-        """hashlib (OpenSSL's _hashlib, 3-4 MB of RSS) loads only when output is hashed."""
+        """Importing the CLI leaves OpenSSL's _hashlib (3-4 MB of RSS) unloaded."""
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         code = "import sys, becbox.cli; sys.exit('_hashlib' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    def test_converge_hashes_its_output_without_openssl(self, tmp_path):
+        """A converge run writes its outputs, input_hash included, and leaves
+        _hashlib unloaded: the hash is CPython's builtin SHA-1."""
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(MINI_CONVERGE)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        code = ("import sys, becbox.cli as cli; "
+                f"rc = cli.main(['converge', '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]); "
+                "sys.exit(3 if '_hashlib' in sys.modules else rc)")
+        assert subprocess.run([sys.executable, "-c", code], env=env,
+                              stdout=subprocess.DEVNULL).returncode == 0
+        assert len(json.loads((tmp_path / "run.json").read_text())["input_hash"]) == 40
 
     def test_dense_converge_loads_no_numpy_ma(self, tmp_path):
         """A dense build leaves numpy.ma unloaded (about 13 ms and 1 MB a process)."""

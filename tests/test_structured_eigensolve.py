@@ -1,6 +1,6 @@
-"""Property tests for the dense backend's structured eigensolve.
+"""Property tests for the structured eigensolve of every operator.
 
-The backend never assembles diag(1/lambda) + C C^H; here that matrix is
+The operator never assembles diag(1/lambda) + C C^H; here that matrix is
 assembled at N <= 576 and ``np.linalg.eigh`` is the oracle.  Grids are 1d and
 2d, from N = 1 up, with square boxes (whose equal Dirichlet eigenvalues form
 the clusters the deflation rotates) and non-square ones.  Families may be

@@ -166,6 +166,19 @@ class TestBoundaryCondition:
         assert rep.passed
         assert min(rep.context["ratios"]) >= 1.5
 
+    @pytest.mark.parametrize("which", [-1, 127])
+    def test_rejects_an_eigenvector_index_outside_the_grid(self, which, monkeypatch):
+        """``which_eigenvector`` must name one of the N = 127 eigenvectors of
+        ``op``; it is refused before any refinement is built."""
+        op = make_op(bb.make_grid(1, [8], 1 / 16), "affine:a=0,b=1")
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a refinement was built")
+
+        monkeypatch.setattr(vf, "build_phi_operator", no_build)
+        with pytest.raises(ValueError, match=r"which_eigenvector must lie in \[0, 127\)"):
+            vf.boundary_condition_residual(op, which)
+
     def test_empty_family_dirichlet_trace_decays(self):
         g = bb.make_grid(1, [4], 1 / 16)
         op = make_op(g, "")
@@ -278,3 +291,35 @@ class TestWickCheck:
     def test_passes(self):
         rep = vf.wick_cross_check(4, seed=11)
         assert rep.passed
+
+
+class TestEigenpairsOnEveryBackend:
+    """``backend`` picks the two-point readout rule and nothing else: an
+    operator built for Lanczos readouts has the same eigenpairs, bit for
+    bit, and every check that reads them reports the same."""
+
+    @pytest.fixture(params=["golden-d2", "affine-d1"])
+    def pair(self, request, golden_d2_config):
+        if request.param == "golden-d2":  # N = 961
+            cfg = golden_d2_config
+            grid, family = bb.make_grid(2, [4, 4], cfg.h), bb.parse_family(cfg.family)
+        else:  # N = 127
+            grid, family = bb.make_grid(1, [8], 1 / 16), bb.parse_family("affine:a=0,b=1")
+        return tuple(bb.build_phi_operator(grid, family, backend=b) for b in ("dense", "lanczos"))
+
+    def test_eigenpairs_are_bit_identical(self, pair):
+        dense, lanczos = pair
+        assert (dense.backend, lanczos.backend) == ("dense", "lanczos")
+        assert dense.grid.total in (961, 127)
+        x = np.random.default_rng(3).standard_normal((dense.grid.total, 2))
+        for read in (lambda op: op.mu, lambda op: op.operator_eigenvalues,
+                     lambda op: op.project(x), lambda op: op.unproject(x)):
+            assert np.array_equal(read(dense), read(lanczos))
+
+    def test_checks_report_the_same(self, pair):
+        dense, lanczos = pair
+        checks = [lambda op: vf.krein_identity_residual(op, -1.0, 4, seed=5), vf.ordering_check]
+        if dense.grid.dim == 1:
+            checks.append(lambda op: vf.boundary_condition_residual(op, 0, levels=2))
+        for check in checks:
+            assert check(dense).to_dict() == check(lanczos).to_dict()
