@@ -51,9 +51,10 @@ def _srs(cfg: ExperimentConfig, out: str, label: str) -> tuple[list[str], bool]:
 def _verify(cfg: ExperimentConfig, out: str, label: str) -> tuple[list[str], bool]:
     checks = experiments.run_verify_suite(cfg)
     paths = experiments.emit_checks(checks, cfg, out, label)
-    return [f"[{'INCONCLUSIVE' if c.inconclusive else 'PASS' if c.passed else 'FAIL'}] {c.name}: "
-            + ", ".join(f"{k}={v:.3e}" for k, v in c.residuals.items())
-            for c in checks] + paths, all(c.passed for c in checks)
+    lines = [f"[{'INCONCLUSIVE' if c.inconclusive else 'PASS' if c.passed else 'FAIL'}] {c.name}: "
+             + ", ".join(f"{k}={v:.3e}" for k, v in c.residuals.items()) for c in checks]
+    lines += [f"[SKIP] {s['name']}: {s['reason']}" for s in experiments.skipped_checks(cfg)]
+    return lines + paths, all(c.passed for c in checks)
 
 
 def _wick(cfg: ExperimentConfig, out: str, label: str) -> tuple[list[str], bool]:

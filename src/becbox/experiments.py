@@ -42,6 +42,7 @@ __all__ = [
     "run_converge_sweep",
     "run_srs_sweep",
     "run_verify_suite",
+    "skipped_checks",
     "run_wick_demo",
     "emit_converge",
     "emit_srs",
@@ -263,6 +264,13 @@ def run_srs_sweep(cfg: ExperimentConfig) -> SrsReport:
     return SrsReport(config=cfg.to_dict(), rows=rows, oracle_wall_time_s=oracle_wall_time_s)
 
 
+def skipped_checks(cfg: ExperimentConfig) -> list[dict]:
+    """The checks a verify run on ``cfg`` leaves out, each with its reason."""
+    reason = "needs the boundary trace, Dirichlet-to-Neumann map and r matrix of d = 1"
+    return [] if cfg.dim == 1 else [{"name": name, "reason": reason} for name in
+                                    ("boundary_condition", "quadratic_form_identity")]
+
+
 def run_verify_suite(cfg: ExperimentConfig) -> list[CheckReport]:
     """The standard structural check battery on the configured grid/family."""
     cfg.validate()
@@ -430,6 +438,7 @@ def emit_checks(checks: list[CheckReport], cfg: ExperimentConfig,
                 out_dir: str, label: str) -> list[str]:
     return [_write_summary(f"{out_dir}/{label}_checks.json", cfg.to_dict(), {
         "checks": [c.to_dict() for c in checks],
+        "skipped": skipped_checks(cfg),
         "pass": all(c.passed for c in checks),
     })]
 

@@ -184,18 +184,7 @@ def sine_transform(grid: Grid, u: GridField, direction: str = "forward") -> Grid
 
 def _dst1(a: np.ndarray, axis: int) -> np.ndarray:
     """Orthonormal DST-I along ``axis``: the real FFT of the odd extension [0, a, 0,
-    -a reversed], complex input part by part so a zero imaginary part stays zero.
-
-    The odd extension is kept, although a zero-padded rfft of half its length
-    makes fewer transients: for a field with a reflection parity it gives
-    exact 0.0 on the sine modes of the other parity (with n + 1 a power of
-    two, as on every benchmark grid), where the zero-padded form leaves
-    roundoff of ~1e-17.  The operator's column components
-    (``phi_operator._components``) split along parity sectors only on exact
-    zeros: then a Lanczos recursion stays in one sector and a dense readout
-    solves only the sectors its vectors reach; on roundoff (n + 1 = 24 or
-    48, say) the sectors merge into one component, and the values are the
-    same with no saving."""
+    -a reversed], complex input part by part so a zero imaginary part stays zero."""
     if np.iscomplexobj(a):
         return _dst1(a.real, axis) + 1j * _dst1(a.imag, axis)
     n = a.shape[axis]

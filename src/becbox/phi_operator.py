@@ -6,23 +6,26 @@ Green operator plus a rank-K update by the sampled harmonic columns,
     A^-1 = G + h^d * sum_k |v_k><v_k|,
 
 which in the orthonormal sine basis is diagonal(1/lambda) plus a rank-K
-congruence of the transformed columns.  Columns that share no nonzero sine
-coefficient make that matrix block diagonal: at build the operator splits the
-coefficients into column components (columns linked by shared nonzero rows,
-with the rows they touch) and free rows, which no column touches and which are
-eigenvectors as they stand.  Every operator eigendecomposes a component
-without assembling it, the first time something needs it, as chained
-rank-one modifications: each stage adds one column, exact deflation leaves
-every mode its column does not reach as an eigenpair of its own, and the block
-the column couples is solved through its secular equation (operator
-eigenvalues are reported as 1/mu).  The backend is the rule a two-point
-readout is read with, and nothing else: one quadrature rule per start vector,
-the eigenpairs of the components it reaches (dense) or a Lanczos Gauss rule
-(lanczos), and every spectral function of the readout is read off that rule.
-A Lanczos recursion runs only on the sine coefficients its start vector
-reaches, read off the same partition (see ``lanczos_quadratic_form``).  All
-inner products, normalizations and orthogonalizations use the h^d-weighted
-inner product, which in sine coefficients is the plain dot product.
+congruence of the transformed columns.  One rule, ``_negligible``, says which
+entries count as zero: those of a column that perturb its rank-one term by no
+more than a dense eigensolver's backward error, and those of a vector within
+roundoff of its norm.  Columns that share no other sine coefficient make that
+matrix block diagonal: at build the operator splits the coefficients into
+column components (columns linked by shared rows, with the rows they touch)
+and free rows, which no column touches and which are eigenvectors as they
+stand.  Every operator eigendecomposes a component without assembling it, the
+first time something needs it, as chained rank-one modifications: each stage
+adds one column, deflation by the same rule leaves every mode its column does
+not reach as an eigenpair of its own, and the block the column couples is
+solved through its secular equation (operator eigenvalues are reported as
+1/mu).  The backend is the rule a two-point readout is read with, and nothing
+else: one quadrature rule per start vector, the eigenpairs of the components
+it reaches (dense) or a Lanczos Gauss rule (lanczos), and every spectral
+function of the readout is read off that rule.  A Lanczos recursion runs only
+on the sine coefficients its start vector reaches, read off the same partition
+(see ``lanczos_quadratic_form``).  All inner products, normalizations and
+orthogonalizations use the h^d-weighted inner product, which in sine
+coefficients is the plain dot product.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ __all__ = [
 
 DENSE_LIMIT = 4096
 RANK_RTOL = 1e-10
+_EPS = np.finfo(float).eps
 
 logger = logging.getLogger(__name__)
 
@@ -269,24 +273,36 @@ class _Chain:
         return a
 
 
-def _components(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _negligible(c: np.ndarray, dmax: float) -> np.ndarray:
+    """The entries of a column c that diag(d) + c c^H, max d = dmax, drops:
+    |c_i| ||c|| <= eps max(dmax, ||c||^2), a perturbation no larger than a
+    dense eigensolver's backward error for that matrix.  With dmax = 0 these
+    are a vector's entries within roundoff of its norm, |v_i| <= eps ||v||."""
+    norm = np.linalg.norm(c)
+    scaled = np.abs(c)
+    scaled *= norm
+    return scaled <= _EPS * max(dmax, norm**2)
+
+
+def _components(C: np.ndarray, dmax: float) -> tuple[np.ndarray, np.ndarray]:
     """The column components of C, per row and per column: columns that share
-    a nonzero row, directly or through a chain of columns, form one component
-    (labelled by one of its columns), and its rows are its columns' nonzero
-    rows.  A row that no column is nonzero on is free (-1), and so is a
-    column with no nonzero row.  A^-1 = diag(d) + C C^H is block diagonal over
-    the components and the free rows.  Column k joins every component it
+    a row, directly or through a chain of columns, form one component
+    (labelled by one of its columns), and its rows are its columns' rows,
+    the entries ``_negligible`` keeps against the largest d, ``dmax``.  A row
+    of no column is free (-1), and so is a column with no row.  A^-1 =
+    diag(d) + C C^H is block diagonal over the components and the free rows,
+    up to the stages' backward error.  Column k joins every component it
     shares a row with, one column and one row mask at a time."""
     K = C.shape[1]
     rows = np.full(len(C), -1, dtype=np.min_scalar_type(-K - 1))
     columns = np.full(K, -1)
     for k in range(K):
-        nonzero = C[:, k] != 0
-        for label in _touched(rows, nonzero):
+        kept = ~_negligible(C[:, k], dmax)
+        for label in _touched(rows, kept):
             rows[rows == label] = k
             columns[columns == label] = k
-        rows[nonzero] = k
-        columns[k] = k if nonzero.any() else -1
+        rows[kept] = k
+        columns[k] = k if kept.any() else -1
     return rows, columns
 
 
@@ -297,9 +313,10 @@ def _touched(components: np.ndarray, rows: np.ndarray) -> list[int]:
 
 
 def _reached(v: np.ndarray, components: np.ndarray) -> np.ndarray:
-    """The sine coefficients that A^-1 can carry v to: v's nonzero rows and
-    every row of each column component that one of them lies in."""
-    reached = v != 0
+    """The sine coefficients that A^-1 can carry v to: v's entries above the
+    roundoff of its norm (``_negligible``) and every row of each column
+    component that one of them lies in."""
+    reached = ~_negligible(v, 0.0)
     for k in _touched(components, reached):
         reached |= components == k
     return reached
@@ -336,10 +353,6 @@ class PhiOperator:
         """Eigenvalues of the modified Laplacian, ascending."""
         return np.sort(1.0 / self.mu)
 
-    @cached_property
-    def _tolerances(self) -> tuple[float, float]:
-        return _deflation_tolerances(1.0 / self.lam, self.basis.col_hat)
-
     def _chain(self, k: int) -> _Chain:
         """Component k's chain (k = -1: the free rows), solved on first use."""
         if k not in self._chains:
@@ -349,7 +362,7 @@ class PhiOperator:
                 self._chains[k] = _Chain(rows, d, ())
             else:
                 C = self.basis.col_hat[rows][:, self.column_components == k]
-                self._chains[k] = _Chain(rows, *_deflated_eigh(d, C, *self._tolerances))
+                self._chains[k] = _Chain(rows, *_deflated_eigh(d, C))
         return self._chains[k]
 
     @property
@@ -554,15 +567,14 @@ def _secular_eigh(d: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, tuple]:
     return (dw2 + zw**2) / norm2, (origin, tau, zhat, np.sqrt(norm2))
 
 
-def _rank_one_stage(d: np.ndarray, c: np.ndarray, scale: float, tol: float
-                    ) -> tuple[np.ndarray, _Stage]:
+def _rank_one_stage(d: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, _Stage]:
     """Eigenpairs of diag(d) + c c^H, d ascending wherever c is nonzero:
-    ascending eigenvalues and the stage that holds the eigenvectors.  ``tol``
-    drops entries of c and d values within ``scale`` of each other count as
-    equal."""
-    c = np.where(np.abs(c) <= tol, 0, c)
+    ascending eigenvalues and the stage that holds the eigenvectors.  The
+    entries of c that ``_negligible`` names are dropped, and d values one
+    roundoff apart, d_(i+1) - d_i <= eps d_(i+1), count as equal."""
+    c = np.where(_negligible(c, d.max()), 0, c)
     active = np.flatnonzero(c)
-    cluster = np.cumsum(np.r_[0, np.diff(d) > scale])[active]
+    cluster = np.cumsum(np.r_[0, np.diff(d) > _EPS * d[1:]])[active]
     size = np.bincount(cluster)[cluster]  # active rows in each active row's cluster
     rotations = []
     for s in np.flatnonzero(np.bincount(size)):  # the sizes, ascending
@@ -583,16 +595,7 @@ def _rank_one_stage(d: np.ndarray, c: np.ndarray, scale: float, tol: float
                              vectors=(d[active], *vectors), order=order)
 
 
-def _deflation_tolerances(d: np.ndarray, C: np.ndarray) -> tuple[float, float]:
-    """(scale, tol) of ``_deflated_eigh`` for diag(d) + C C^H: eps max(max d,
-    ||C||_2^2), and that over ||C||_2."""
-    norm = float(np.linalg.norm(C, 2)) if C.shape[1] else 0.0
-    scale = np.finfo(float).eps * max(float(d.max()), norm**2)
-    return scale, scale / norm if norm > 0 else 0.0
-
-
-def _deflated_eigh(d: np.ndarray, C: np.ndarray, scale: float, tol: float
-                   ) -> tuple[np.ndarray, tuple[_Stage, ...]]:
+def _deflated_eigh(d: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, tuple[_Stage, ...]]:
     """Eigenpairs of diag(d) + C C^H as a chain of rank-one modifications.
 
     The rank-one modification method (Golub 1973; Bunch, Nielsen & Sorensen
@@ -601,27 +604,27 @@ def _deflated_eigh(d: np.ndarray, C: np.ndarray, scale: float, tol: float
     column, which sorts d ascending; stage k then solves diag(mu) + c c^H,
     with mu the (ascending) eigenvalues of the stage before it and c column k
     projected through the stages before it, so no product of stages is ever
-    formed.  Within a stage, an entry of c with |c_i| <= ``tol`` is dropped,
-    and d values within ``scale`` of each other count as equal.  For the
-    whole operator (``_deflation_tolerances``) these are |c_i| ||C||_2 <= eps
-    max(max d, ||C||_2^2) and d values that far apart: perturbations no
-    larger than a dense eigensolver's backward error.  The operator calls
-    this once per column component, on its rows and columns, with the whole
-    operator's tolerances.  Rotating the entries of c in a cluster of equal d
-    onto one keeps diag(d) and leaves one of them, real and positive.  Rows
-    left without a c part are eigenpairs (d_i, e_i); the rest form one block,
-    solved through its secular equation (``_secular_eigh``) in O(n^2) time and
-    O(n) storage: its eigenvectors are kept as their generators and formed
-    ``_CHUNK`` at a time where they act, so no stage holds or makes an n x n
-    array.  The block's eigenvalues are then the Rayleigh quotients of its
-    eigenvectors, sum_j d_j |w_j|^2 + |c^H w|^2: sums of positive terms,
-    accurate relative to each eigenvalue, where a solver's own are accurate
-    only to eps max mu.
+    formed.  Each stage sets its own zeros from its own c and d: it drops an
+    entry with |c_i| ||c|| <= eps max(max d, ||c||^2), its backward error
+    (``_negligible``), and counts d values one roundoff apart as equal, so a
+    huge column merges no two poles of the bulk.  Columns go in ascending
+    order of norm (diag(d) + C C^H is unchanged), so no huge column's outlier
+    sets a smaller column's drop rule.  The operator calls this once
+    per column component, on its rows and columns.  Rotating the entries of c
+    in a cluster of equal d onto one keeps diag(d) and leaves one of them,
+    real and positive.  Rows left without a c part are eigenpairs (d_i, e_i);
+    the rest form one block, solved through its secular equation
+    (``_secular_eigh``) in O(n^2) time and O(n) storage: its eigenvectors are
+    kept as their generators and formed ``_CHUNK`` at a time where they act,
+    so no stage holds or makes an n x n array.  The block's eigenvalues are
+    then the Rayleigh quotients of its eigenvectors, sum_j d_j |w_j|^2 +
+    |c^H w|^2: sums of positive terms, accurate relative to each eigenvalue,
+    where a solver's own are accurate only to eps max mu.
     """
-    N = len(d)
-    mu, stages, C = d, [], np.c_[np.zeros(N), C]
+    N, order = len(d), np.argsort(np.linalg.norm(C, axis=0), kind="stable")
+    mu, stages, C = d, [], np.c_[np.zeros(N), C[:, order]]
     while True:
-        mu, stage = _rank_one_stage(mu, C[:, 0], scale, tol)
+        mu, stage = _rank_one_stage(mu, C[:, 0])
         stages.append(stage)
         if C.shape[1] == 1:
             break
@@ -655,11 +658,11 @@ def build_phi_operator(
             "family of %d columns deflated to numerical rank %d (threshold %g)",
             len(columns), basis.rank, RANK_RTOL,
         )
-    components, column_components = _components(basis.col_hat)
+    lam = dirichlet_eigenvalues(grid)
+    components, column_components = _components(basis.col_hat, 1.0 / lam.min())
     return PhiOperator(
-        grid=grid, family=family, mode=mode, backend=backend, basis=basis,
-        lam=dirichlet_eigenvalues(grid), components=components,
-        column_components=column_components,
+        grid=grid, family=family, mode=mode, backend=backend, basis=basis, lam=lam,
+        components=components, column_components=column_components,
     )
 
 
@@ -755,15 +758,14 @@ def lanczos_quadratic_form(
     value that leaves the positive axis raises RuntimeError.
 
     The recursion runs only on the sine coefficients S that f reaches (see
-    ``_reached``): f's nonzero coefficients and the rows of every column
-    component one of them lies in, read off the operator's partition.  For i
-    outside S, (A^-1 x)_i = x_i / lam_i + sum_k C_ik (c_k^H x) vanishes
-    whenever x does: x_i = 0, and C_ik != 0 only for columns whose rows miss
-    S, so c_k^H x = 0.  The Krylov space therefore
-    lies in span{e_i : i in S}, and the tridiagonal and every value are those
-    of the full recursion up to the order of floating-point sums.  A centred,
-    reflection-symmetric f and family keep it in one parity sector; when S is
-    every coefficient the arrays are used as they are.
+    ``_reached``): f's coefficients above the roundoff of its norm and the
+    rows of every column component one of them lies in.  For i outside S,
+    (A^-1 x)_i = x_i / lam_i + sum_k C_ik (c_k^H x) vanishes whenever x does,
+    up to the entries the columns' stages drop: x_i = 0, and a column that
+    keeps row i keeps no row of S.  The Krylov space therefore lies in
+    span{e_i : i in S}, and every value is that of the full recursion up to
+    roundoff.  A centred, reflection-symmetric f and family keep it in one
+    parity sector; when S is every coefficient the arrays are used as they are.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -823,10 +825,12 @@ def lanczos_quadratic_form(
 def _dense_forms(op: PhiOperator, Fs, fhat: np.ndarray, ghat: np.ndarray) -> np.ndarray:
     """sum_j conj(a_j) F(1/mu_j) b_j for every F in Fs, a and b the eigenvector
     coefficients of fhat and ghat (ghat is fhat for a quadratic form), summed
-    over the free rows and the column components that fhat or ghat reach:
-    every other component adds zero, and is not solved."""
+    over the free rows and the column components that an entry of fhat or
+    ghat above its vector's roundoff lies in: every other component adds
+    roundoff at most, and is not solved."""
     values = np.zeros(len(Fs))
-    for k in [*_touched(op.components, (fhat != 0) | (ghat != 0)), -1]:
+    reach = ~(_negligible(fhat, 0.0) & _negligible(ghat, 0.0))
+    for k in [*_touched(op.components, reach), -1]:
         chain = op._chain(k)
         if ghat is fhat:
             a = b = chain.project(fhat[chain.rows])

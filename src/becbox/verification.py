@@ -96,15 +96,12 @@ def krein_identity_residual(
     lhs_factor = op.mu / (1.0 + s * op.mu)        # 1/(nu + s) for nu = 1/mu
     dirichlet = 1.0 / (lam + s)
     S = lam / (lam + s)
-    if op.basis.rank:
-        Kz = R + s * (B.conj().T @ (S[:, None] * B))
+    Kz = R + s * (B.conj().T @ (S[:, None] * B))  # 0 x 0 for an empty family
     # one draw of every field (column-wise), the same stream as one draw per field
     x = np.random.default_rng(seed).standard_normal((n_fields, op.grid.total)).T
     lhs = op.unproject(lhs_factor[:, None] * op.project(x))
-    rhs = dirichlet[:, None] * x
-    if op.basis.rank:
-        Sx = S[:, None] * x
-        rhs = rhs + S[:, None] * (B @ np.linalg.solve(Kz, B.conj().T @ Sx))
+    Sx = S[:, None] * x
+    rhs = dirichlet[:, None] * x + S[:, None] * (B @ np.linalg.solve(Kz, B.conj().T @ Sx))
     nx = np.linalg.norm(x, axis=0)
     num = float(np.max(np.linalg.norm(lhs - rhs, axis=0) / nx))
     den = float(np.max(np.linalg.norm(lhs, axis=0) / nx))

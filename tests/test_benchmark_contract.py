@@ -1,7 +1,8 @@
 """The names, config keys and flags the benchmark relies on still exist.
 
 ``perfbench/tracer.py`` wraps the functions listed in its ``TARGETS`` and its
-``INFO`` entries read arguments of those functions by parameter name.
+``INFO`` entries read arguments of those functions by parameter name and
+attributes of what they return.
 ``perfbench/workloads.py`` generates the config file and argv of every
 benchmark command.  A rename or deletion in ``src/`` would only surface as a
 crash of a benchmark run; these tests make it fail here instead.  Both files
@@ -15,8 +16,10 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import becbox as bb
 from becbox import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,6 +31,13 @@ INFO_READS = {
     "continuum.condensate_term": ("family", "f", "quad_points"),
     "continuum.resolvent_reference": ("points",),
     "phi_operator.eigh": ("matrix",),
+}
+
+# span -> attributes its INFO entry reads from the wrapped function's result
+RESULT_READS = {
+    "phi_operator.build": ("backend",),
+    "phi_operator.two_point": ("split_agreement",),
+    "phi_operator.lanczos": ("steps", "converged"),
 }
 
 
@@ -59,6 +69,30 @@ def test_info_reads_existing_parameters(tracer):
         for qualname, fn in _functions(tracer, span):
             missing = set(params) - set(inspect.signature(fn).parameters)
             assert not missing, f"span {span!r} reads {sorted(missing)}, not parameters of {qualname}"
+
+
+def test_info_reads_existing_result_attributes(tracer):
+    # every result attribute INFO reads is listed above, so a new read shows up here
+    source = TRACER.read_text(encoding="utf-8")
+    info = source[source.index("\nINFO = {"):]
+    reads = set(re.findall(r"\bout\.(\w+)", info[: info.index("\n}\n")]))
+    assert reads == {r for attrs in RESULT_READS.values() for r in attrs}
+    grid = bb.make_grid(1, [1.0], 0.25)
+    op = bb.build_phi_operator(grid, bb.parse_family("affine:a=0,b=1"))
+    f = bb.GridField(grid, np.array([1.0, -0.5, 0.25]))
+    # span -> the function it wraps and that function's result on a 3-node grid
+    results = {
+        "phi_operator.build": ("build_phi_operator", op),
+        "phi_operator.two_point": ("two_point_lhs", bb.two_point_lhs(op, 1.0, f)),
+        "phi_operator.lanczos": ("lanczos_quadratic_form",
+                                 bb.lanczos_quadratic_form(op, (bb.Bose(1.0),), f)),
+    }
+    for span, attrs in RESULT_READS.items():
+        assert span in tracer.INFO
+        name, out = results[span]
+        assert tracer.TARGETS[span] == ("becbox.phi_operator", [name])
+        missing = [attr for attr in attrs if not hasattr(out, attr)]
+        assert not missing, f"span {span!r} reads {missing}, not attributes of {name}'s result"
 
 
 @pytest.fixture

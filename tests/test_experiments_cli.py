@@ -323,6 +323,28 @@ class TestCli:
         doc = json.loads((tmp_path / "run_checks.json").read_text())
         assert doc["pass"] is True
 
+    def test_d2_verify_names_the_checks_it_skips(self, tmp_path, capsys):
+        """A d=2 verify prints one [SKIP] line per d=1-only check and lists them
+        under ``skipped``; the checks it ran and its pass flag are as before.
+        A d=1 verify skips nothing."""
+        cfg = tmp_path / "v2.cfg"
+        cfg.write_text("dim = 2\nfamily = hpoly2:n=1,part=re;hpoly2:n=2,part=re\n"
+                       "L_list = 8\nh = 0.25\n")
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        skips = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[SKIP]")]
+        names = ["boundary_condition", "quadratic_form_identity"]
+        assert [line.split(":")[0] for line in skips] == [f"[SKIP] {n}" for n in names]
+        doc = json.loads((tmp_path / "run_checks.json").read_text())
+        assert [s["name"] for s in doc["skipped"]] == names
+        assert all(s["reason"] and s["reason"] in line for s, line in zip(doc["skipped"], skips))
+        assert [c["name"] for c in doc["checks"]] == [
+            "dirichlet_reduction", "krein_identity", "krein_identity", "domain_decomposition",
+            "eigenvalue_ordering", "split_identity", "wick_permanent"]
+        assert doc["pass"] is True
+        assert cli.main(["verify", "--out", str(tmp_path)]) == 0
+        assert "[SKIP]" not in capsys.readouterr().out
+        assert json.loads((tmp_path / "run_checks.json").read_text())["skipped"] == []
+
     def test_log_level_info_shows_rank_deflation(self, tmp_path, capsys):
         cfg = tmp_path / "deficient.cfg"
         cfg.write_text("family = affine:a=0,b=1;affine:a=0,b=2\n")
@@ -337,7 +359,7 @@ class TestCli:
         builds = []
         solve = po._deflated_eigh
         monkeypatch.setattr(po, "_deflated_eigh",
-                            lambda d, C, *tols: builds.append(len(d)) or solve(d, C, *tols))
+                            lambda d, C: builds.append(len(d)) or solve(d, C))
         cli.main(["verify", "--out", str(tmp_path), "--log-level", "DEBUG"])
         lines = [line for line in capsys.readouterr().err.splitlines()
                  if line.startswith("DEBUG becbox.phi_operator: dense build: ")]

@@ -195,10 +195,7 @@ class TestSineTransform:
     def test_parity_sectors_are_exact_zeros(self, L):
         """An x-odd, y-even field has exactly 0.0, not roundoff, on every
         coefficient of the other three parity sectors (sine mode k is even
-        about the centre for odd k): the operator's column components
-        (``phi_operator._components``) split along the sectors, so that a
-        Lanczos recursion stays in one and a dense readout solves only those
-        it reaches, only because of these zeros."""
+        about the centre for odd k), on grids with n + 1 a power of two."""
         g = bb.make_grid(2, [L, L], 0.125)
         f = bb.sample_function(g, lambda x, y: x * np.exp(-x**2) * (1 + y**2) * np.exp(-y**2 / 4))
         c = bb.sine_transform(g, f).values.reshape(g.counts)

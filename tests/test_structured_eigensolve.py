@@ -8,9 +8,13 @@ empty, repeat a spec (rank-deficient columns) and carry real or complex
 coefficients; both sampling modes are drawn.  Columns in different parity
 sectors fall into several column components (``SECTORS``), which the operator
 solves one by one and assembles.  Readout residuals are scaled as in
-``tests/test_two_point_properties.py``.
+``tests/test_two_point_properties.py``.  The same draws fuzz the Krein
+identity over shifts and the Woodbury round-trips; at column norms up to
+||C||_2^2 = 3.3e19 the readout is checked against mpmath at 50 digits.
 """
 
+import json
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -20,10 +24,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import becbox as bb  # noqa: E402
+from becbox import continuum as ct  # noqa: E402
 from becbox import phi_operator as po  # noqa: E402
 from becbox.verification import krein_identity_residual, ordering_check  # noqa: E402
 from conftest import random_field  # noqa: E402
 
+EPS = np.finfo(float).eps
 COEFFICIENT = st.one_of(st.floats(-2, 2), st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)))
 
 
@@ -109,13 +115,38 @@ def test_ordering_and_krein_hold_for_every_family(case):
         assert report.passed, report.to_dict()
 
 
-EPS = np.finfo(float).eps
+@given(cases(), st.floats(-50.0, -0.01))
+def test_krein_identity_holds_at_drawn_shifts(case, z):
+    grid, family, mode, _, _ = case
+    report = krein_identity_residual(bb.build_phi_operator(grid, family, mode, "dense"), z)
+    assert report.passed, report.to_dict()
+
+
+@given(cases(), st.floats(0.01, 50.0))
+def test_woodbury_round_trips(case, s):
+    """apply_forward inverts apply_inverse to 16 eps kappa, kappa = max mu /
+    min mu the condition number of the Woodbury solve's matrix A^-1; and
+    shifted_solve is the eigenpairs' resolvent to 8 eps (1 + s max mu) |u| /
+    s, the rounding of s^-1 (u - (I + s A^-1)^-1 u), whose solve has
+    condition number at most 1 + s max mu."""
+    grid, family, mode, seed, _ = case
+    op = bb.build_phi_operator(grid, family, mode, "dense")
+    u = random_field(grid, seed, True)
+    back = bb.apply_forward(op, bb.apply_inverse(op, u)).values
+    kappa = op.mu[-1] / op.mu[0]
+    assert np.linalg.norm(back - u.values) <= 16 * EPS * kappa * np.linalg.norm(u.values)
+    uhat = op._hat(u)
+    want = op.unproject(op.project(uhat) / (s + 1.0 / op.mu))
+    got = op._hat(bb.shifted_solve(op, u, s))
+    assert (np.linalg.norm(got - want)
+            <= 8 * EPS * (1 + s * op.mu[-1]) * np.linalg.norm(uhat) / s)
+
 
 
 def deflated_eigh(d, C):
     """``_deflated_eigh`` of diag(d) + C C^H as one component: its eigenvalues
     and eigenvectors, formed whole."""
-    mu, stages = po._deflated_eigh(d, C, *po._deflation_tolerances(d, C))
+    mu, stages = po._deflated_eigh(d, C)
     return mu, po._Chain(np.arange(len(d)), mu, stages).unproject(np.eye(len(d)))
 
 
@@ -249,12 +280,79 @@ def test_implicit_eigenvectors_match_the_formed_ones(n):
 
 
 def test_rank_one_block_below_the_resolution_of_d():
-    # the second column survives the drop (its entries exceed eps ||C||_2), but
-    # its block's |c|^2 = 2e-30 is far below the ulp of d = 1
+    """The second column's block has |c|^2 = 2e-30, far below the ulp of d = 1.
+    Its stage, the first after the sort (columns go in ascending order of
+    norm), drops it, since |c_i| ||c|| = 1.4e-30 <= eps max d is within the
+    stage's own backward error; the secular solver, given that block, still
+    resolves its last root inside a bracket narrower than one ulp of d_n."""
     d = np.array([0.5, 0.9, 1.0])
     C = np.array([[1.0, 0.0], [0.0, 1e-15], [0.0, 1e-15]])
+    assert [len(s.active) for s in po._deflated_eigh(d, C.copy())[1]] == [0, 0, 1]
     mu, V = deflated_eigh(d, C.copy())
     A = np.diag(d) + C @ C.T
     assert np.abs(mu - np.linalg.eigvalsh(A)).max() <= 1e-15
     assert np.abs(V.T @ V - np.eye(3)).max() <= 1e-15
     assert np.abs(A @ V - V * mu).max() <= 1e-15
+    z = C[1:, 1]
+    mu, (origin, tau, zhat, norm) = po._secular_eigh(d[1:], z)
+    W = zhat[:, None] / ((d[1:, None] - origin) - tau) / norm
+    B = np.diag(d[1:]) + np.outer(z, z)
+    assert np.abs(mu - np.linalg.eigvalsh(B)).max() <= 1e-15
+    assert np.abs(W.T @ W - np.eye(2)).max() <= 1e-15
+    assert np.abs(B @ W - W * mu).max() <= 1e-15
+
+
+# regular terms at 50 digits, from tests/golden/mpmath_regular_terms.py
+HIGH_PRECISION = json.loads(
+    (Path(__file__).parent / "golden" / "regular_terms_n49.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("family", list(HIGH_PRECISION["regular_term"]))
+def test_regular_term_matches_high_precision_at_every_column_norm(family):
+    """At N = 49 the families run from ||C||_2^2 = 1.2e1 to 3.3e19.  Every
+    stage clusters and drops against its own column and diagonal, so the bulk
+    is resolved whatever ||C||_2 is; clustering at the operator-wide eps
+    ||C||_2^2 put expcos:k=12 3.0e-6 and expcos:k=15,phase=0.4 5.1e-4 off.
+    The last two families list the huge column first: taken in that order,
+    its outlier set the modest column's drop rule and put
+    expcos:k=12;hpoly2:n=1,part=re 5.9e-5 off."""
+    ref = HIGH_PRECISION
+    grid = bb.make_grid(2, [ref["L"]] * 2, ref["h"])
+    op = bb.build_phi_operator(grid, bb.parse_family(family), backend="dense")
+    spec = ct.parse_test_function(ref["f"])
+    f = bb.sample_function(grid, lambda *x: ct.evaluate(spec, *x))
+    want = ref["regular_term"][family]
+    assert abs(bb.two_point_lhs(op, ref["beta"], f).regular_term - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("family", ["hpoly2:n=1,part=re;expcos:k=12",
+                                    "hpoly2:n=4,part=re;expcos:k=9",
+                                    "expcos:k=12;expcos:k=15,phase=0.4",
+                                    "hpoly2:n=1,part=re;hpoly2:n=2,part=re;expcos:k=6"])
+def test_regular_term_does_not_depend_on_the_column_order(family):
+    """A family and its reverse give the same diag(d) + C C^H, and the stages
+    take its columns in ascending order of norm, so the N = 49 regular term
+    is the same to 1e-12 in either order."""
+    ref = HIGH_PRECISION
+    grid = bb.make_grid(2, [ref["L"]] * 2, ref["h"])
+    spec = ct.parse_test_function(ref["f"])
+    f = bb.sample_function(grid, lambda *x: ct.evaluate(spec, *x))
+    forward, reverse = (
+        bb.two_point_lhs(bb.build_phi_operator(grid, bb.parse_family(text), backend="dense"),
+                         ref["beta"], f).regular_term
+        for text in (family, ";".join(reversed(family.split(";")))))
+    assert abs(reverse - forward) <= 1e-12 * abs(forward)
+
+
+def test_large_norm_regular_term_matches_the_golden_family():
+    """At L = 16, h = 1/8 (N = 16129) expcos:k=2 has ||C||_2^2 near 1.2e14,
+    and its regular term is the golden family's, -1.934593520474e-3 (as a
+    contour-integral readout of both gives to 12 digits).  Clustering the
+    stages at the operator-wide eps ||C||_2^2 merged 16111 of 16128 gaps and
+    read -1.934542491979e-3."""
+    grid = bb.make_grid(2, [16.0, 16.0], 0.125)
+    op = bb.build_phi_operator(grid, bb.parse_family("expcos:k=2"), backend="dense")
+    spec = ct.parse_test_function("dipole2:cx=0.2,cy=0.1,s=1,ax=0.75,ay=0.5,axis=y")
+    f = bb.sample_function(grid, lambda *x: ct.evaluate(spec, *x))
+    value = bb.two_point_lhs(op, 1.0, f).regular_term
+    assert abs(value - -1.934593520474e-3) <= 1e-10 * 1.934593520474e-3
