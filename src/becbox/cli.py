@@ -3,8 +3,9 @@
 Subcommands: converge, srs, verify, wick, fourier-dump.  Exit codes: 0
 success, 1 check failure (the output JSON says "pass": false), 2 config
 error, 3 hypothesis violation (e.g. a nonzero-mean test function in d <= 2,
-or a support reaching the smallest box), 4 runtime error (an unconverged or
-non-positive Lanczos recursion, or an output that cannot be written).
+a support reaching the smallest box, or a family whose Gram entries overflow
+on a box), 4 runtime error (an unconverged or non-positive Lanczos
+recursion, or an output that cannot be written).
 """
 
 from __future__ import annotations

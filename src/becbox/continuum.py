@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from functools import reduce
 from typing import Union
 
 import numpy as np
 
-from .harmonics import (_format_number, _join_tagged, _parse_number, _split_tagged,
+from .harmonics import (_NUMBER_TEXT, _REAL_TEXT, _format_tagged, _parse_tagged,
                         _sum_of_products, harmonic_factors)
 
 __all__ = [
@@ -567,26 +567,16 @@ def permanent_enumerate(T: np.ndarray) -> complex:
 
 # --- text syntax ---------------------------------------------------------------
 #
-# A test function is TAG:key=value,... in the grammar of the harmonic specs:
-# bump or dipole with the axis count's suffix, one key per field in field
-# order, one per axis for a per-axis field, and none for a defaulted field
-# (axis, amp) that is left out:
+# A test function is TAG:key=value,... in the grammar of the harmonic specs
+# (``harmonics._parse_tagged``): bump or dipole with the axis count's suffix,
+# one key per axis for a per-axis field, and none for a defaulted field (axis,
+# amp) that is left out; a dipole names its axis only where there is a choice:
 # 1d: bump:c=0,a=1,amp=1 and dipole:c=0,s=1,a=0.75,amp=1
 # 2d: bump2:cx=..,cy=..,ax=..,ay=..,amp=..
 #     dipole2:cx=..,cy=..,s=..,ax=..,ay=..,axis=x,amp=..
 # format -> parse -> format is the identity.
 
 _AXIS_LETTERS = ("x", "y")
-# axis count -> tag suffix, the keys of the per-axis fields (one per axis) and
-# those of the other fields that depend on it; a dipole names its axis only
-# where there is a choice
-_AXIS_KEYS = {
-    1: ("", {"center": ("c",), "halfwidth": ("a",)}, {"axis": ()}),
-    2: ("2", {"center": ("cx", "cy"), "halfwidth": ("ax", "ay")}, {"axis": ("axis",)}),
-}
-_TF_TAGS = {name + suffix: (cls, dim) for name, cls in (("bump", Bump), ("dipole", Dipole))
-            for dim, (suffix, *_) in _AXIS_KEYS.items()}
-_TF_TAG_OF = {form: tag for tag, form in _TF_TAGS.items()}
 
 
 def _axis_index(text: str) -> int:
@@ -595,45 +585,27 @@ def _axis_index(text: str) -> int:
     return _AXIS_LETTERS.index(text)
 
 
-# field -> (parse, format) of the text of one of its values
-_FIELD_TEXT = {
-    "center": (float, repr), "halfwidth": (float, repr), "offset": (float, repr),
-    "axis": (_axis_index, _AXIS_LETTERS.__getitem__), "amplitude": (_parse_number, _format_number),
+_AMP = ("amplitude", "amp", _NUMBER_TEXT)
+_TF_TAGS = {
+    "bump": (Bump, (("center", ("c",), _REAL_TEXT), ("halfwidth", ("a",), _REAL_TEXT), _AMP)),
+    "dipole": (Dipole, (("center", ("c",), _REAL_TEXT), ("offset", "s", _REAL_TEXT),
+                        ("halfwidth", ("a",), _REAL_TEXT), _AMP)),
+    "bump2": (Bump, (("center", ("cx", "cy"), _REAL_TEXT),
+                     ("halfwidth", ("ax", "ay"), _REAL_TEXT), _AMP)),
+    "dipole2": (Dipole, (("center", ("cx", "cy"), _REAL_TEXT), ("offset", "s", _REAL_TEXT),
+                         ("halfwidth", ("ax", "ay"), _REAL_TEXT),
+                         ("axis", "axis", (_axis_index, _AXIS_LETTERS.__getitem__)), _AMP)),
 }
-
-
-def _field_keys(cls, dim: int):
-    """(field, its keys, whether it holds one value per axis) of a class's text
-    form on ``dim`` axes, in field order; a field with no key there is left out."""
-    if dim not in _AXIS_KEYS:
-        raise ValueError(f"test functions have a text form in d = 1, 2, not d = {dim}")
-    _, per_axis, other = _AXIS_KEYS[dim]
-    keys = {"offset": ("s",), "amplitude": ("amp",), **other, **per_axis}
-    return [(f, keys[f.name], f.name in per_axis) for f in fields(cls) if keys[f.name]]
+# (class, axis count) -> tag; the count is that of the row's first field, center
+_TF_TAG_OF = {(cls, len(row[0][1])): tag for tag, (cls, row) in _TF_TAGS.items()}
 
 
 def parse_test_function(text: str) -> TestFunctionSpec:
-    tag, items = _split_tagged(text)
-    if tag not in _TF_TAGS:
-        raise ValueError(f"unknown test function tag {tag!r}")
-    cls, dim = _TF_TAGS[tag]
-    kwargs = {}
-    for f, keys, per_axis in _field_keys(cls, dim):
-        missing = [key for key in keys if key not in items]
-        if missing and f.default is MISSING:
-            raise ValueError(f"{tag!r} needs parameter {missing[0]!r}")
-        if not missing:
-            values = tuple(_FIELD_TEXT[f.name][0](items.pop(key)) for key in keys)
-            kwargs[f.name] = values if per_axis else values[0]
-    if items:
-        raise ValueError(f"unknown parameters {sorted(items)} for {tag!r}")
-    return cls(**kwargs)
+    return _parse_tagged(text, _TF_TAGS, "test function")
 
 
 def format_test_function(spec: TestFunctionSpec) -> str:
-    items = []
-    for f, keys, per_axis in _field_keys(type(spec), spec.dim):
-        value = getattr(spec, f.name)
-        values = value if per_axis else (value,)
-        items += zip(keys, map(_FIELD_TEXT[f.name][1], values))
-    return _join_tagged(_TF_TAG_OF[type(spec), spec.dim], items)
+    tag = _TF_TAG_OF.get((type(spec), spec.dim))
+    if tag is None:
+        raise ValueError(f"test functions have a text form in d = 1, 2, not d = {spec.dim}")
+    return _format_tagged(tag, spec, _TF_TAGS[tag][1])

@@ -9,8 +9,9 @@ is automatic here.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import partial, reduce
 from typing import Union
 
@@ -173,19 +174,21 @@ def sample_family(family: HarmonicFamily, grid: Grid, mode: str = "sampled") -> 
 # --- text syntax -------------------------------------------------------------
 #
 # One spec is TAG:key=value,key=value with tags const, affine, hpoly2, expcos;
-# families join specs with ';'.  A tag's row pairs each key with the field it
-# sets, in canonical order; a field's value reads and writes by _FIELD_TEXT, a
-# number otherwise.  continuum's test functions share the split.
+# families join specs with ';'.  Both catalogs, these specs and continuum's
+# test functions, keep only a table, tag -> (class, row): the row lists each
+# field in canonical order with its key (a tuple of keys, one per axis, for a
+# per-axis field) and the (parse, format) pair of its value text.
+# _parse_tagged and _format_tagged read every table by one rule: a field
+# without a default must be given, an unknown key is an error, and every
+# number read, real or complex, is finite.
 # format -> parse -> format is the identity.
 
-_TAGS = {
-    "const": (Constant, (("c", "c"),)),
-    "affine": (Affine1D, (("a", "a"), ("b", "b"))),
-    "hpoly2": (HarmonicPoly2D, (("n", "degree"), ("part", "part"), ("z0", "center"),
-                                ("coeff", "coefficient"))),
-    "expcos": (ExpCos2D, (("k", "k"), ("phase", "phase"))),
-}
-_TAG_OF = {cls: tag for tag, (cls, _) in _TAGS.items()}
+
+def _finite(x, text: str):
+    """x, the number ``text`` reads as, if it is finite."""
+    if not cmath.isfinite(x):
+        raise ValueError(f"number {text!r} is not finite")
+    return x
 
 
 def _parse_number(text: str):
@@ -193,6 +196,7 @@ def _parse_number(text: str):
         z = complex(text)
     except ValueError:
         raise ValueError(f"cannot parse number {text!r}") from None
+    _finite(z, text)
     if z.imag == 0:
         return z.real
     return z
@@ -205,10 +209,19 @@ def _format_number(value) -> str:
     return repr(z).strip("()")
 
 
-# field -> (parse, format) of its value text, where it is not a number
-_FLOAT_TEXT, _NUMBER_TEXT = (float, lambda v: repr(float(v))), (_parse_number, _format_number)
-_FIELD_TEXT = {"degree": (int, str), "part": (str.lower, str),
-               "k": _FLOAT_TEXT, "phase": _FLOAT_TEXT}
+# the (parse, format) pairs of a real and of a real-or-complex value text
+_REAL_TEXT = (lambda text: _finite(float(text), text), lambda v: repr(float(v)))
+_NUMBER_TEXT = (_parse_number, _format_number)
+
+_TAGS = {
+    "const": (Constant, (("c", "c", _NUMBER_TEXT),)),
+    "affine": (Affine1D, (("a", "a", _NUMBER_TEXT), ("b", "b", _NUMBER_TEXT))),
+    "hpoly2": (HarmonicPoly2D, (("degree", "n", (int, str)), ("part", "part", (str.lower, str)),
+                                ("center", "z0", _NUMBER_TEXT),
+                                ("coefficient", "coeff", _NUMBER_TEXT))),
+    "expcos": (ExpCos2D, (("k", "k", _REAL_TEXT), ("phase", "phase", _REAL_TEXT))),
+}
+_TAG_OF = {cls: tag for tag, (cls, _) in _TAGS.items()}
 
 
 def _split_tagged(text: str) -> tuple[str, dict[str, str]]:
@@ -227,32 +240,47 @@ def _split_tagged(text: str) -> tuple[str, dict[str, str]]:
     return tag.strip(), items
 
 
-def _join_tagged(tag: str, items) -> str:
-    """``tag:key=value,...`` from (key, value text) pairs."""
+def _parse_tagged(text: str, tags: dict, kind: str):
+    """The spec that ``tag:key=value,...`` names in ``tags``, a table of tag ->
+    (class, row) of ``kind``; a field is given by all of its keys or by none."""
+    tag, items = _split_tagged(text)
+    if tag not in tags:
+        raise ValueError(f"unknown {kind} tag {tag!r} in {text!r}")
+    cls, row = tags[tag]
+    required = {f.name for f in fields(cls) if f.default is MISSING}
+    kwargs = {}
+    for name, keys, (parse, _) in row:
+        per_axis = isinstance(keys, tuple)
+        keys = keys if per_axis else (keys,)
+        missing = [key for key in keys if key not in items]
+        if missing and name in required:
+            raise ValueError(f"{tag!r} needs parameter {missing[0]!r}")
+        if not missing:
+            values = tuple(parse(items.pop(key)) for key in keys)
+            kwargs[name] = values if per_axis else values[0]
+    if items:
+        raise ValueError(f"unknown parameters {sorted(items)} for {tag!r}")
+    return cls(**kwargs)
+
+
+def _format_tagged(tag: str, spec, row) -> str:
+    """The canonical ``tag:key=value,...`` of a spec by its tag's row."""
+    items = []
+    for name, keys, (_, fmt) in row:
+        value = getattr(spec, name)
+        items += zip(keys, map(fmt, value)) if isinstance(keys, tuple) else [(keys, fmt(value))]
     return f"{tag}:{','.join(f'{key}={value}' for key, value in items)}"
 
 
 def parse_harmonic(text: str) -> HarmonicSpec:
     """Parse one spec string like ``affine:a=1,b=0.5``."""
-    tag, items = _split_tagged(text)
-    if tag not in _TAGS:
-        raise ValueError(f"unknown harmonic tag {tag!r} in {text!r}")
-    cls, keys = _TAGS[tag]
-    field_of = dict(keys)
-    kwargs = {}
-    for key, value in items.items():
-        if key not in field_of:
-            raise ValueError(f"bad parameter {key!r} for harmonic {tag!r}")
-        name = field_of[key]
-        kwargs[name] = _FIELD_TEXT.get(name, _NUMBER_TEXT)[0](value)
-    return cls(**kwargs)
+    return _parse_tagged(text, _TAGS, "harmonic")
 
 
 def format_harmonic(spec: HarmonicSpec) -> str:
     """Canonical text form of a spec (round-trips through parse_harmonic)."""
     tag = _TAG_OF[type(spec)]
-    return _join_tagged(tag, ((key, _FIELD_TEXT.get(name, _NUMBER_TEXT)[1](getattr(spec, name)))
-                              for key, name in _TAGS[tag][1]))
+    return _format_tagged(tag, spec, _TAGS[tag][1])
 
 
 def parse_family(text: str) -> HarmonicFamily:

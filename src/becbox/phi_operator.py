@@ -36,6 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .continuum import HypothesisError
 from .harmonics import HarmonicFamily, sample_family
 from .lattice import (
     Grid,
@@ -156,7 +157,8 @@ class CondensateBasis:
     positive operator whose inverse, compressed to the span, is the rank-K
     column sum.  Rank-deficient families are deflated at relative threshold
     RANK_RTOL, never rejected; so is a Gram eigenvalue whose reciprocal
-    overflows.  Only ``col_hat`` is N-sized: the basis is formed when read.
+    overflows.  A Gram entry that overflows is a HypothesisError.  Only
+    ``col_hat`` is N-sized: the basis is formed when read.
     """
 
     col_hat: np.ndarray
@@ -185,6 +187,10 @@ def build_condensate_basis(grid: Grid, columns: list[GridField]) -> CondensateBa
     for i in range(K):
         for j in range(K):
             gram[i, j] = inner_product(columns[i], columns[j])
+    if not np.isfinite(gram).all():
+        k = int(np.argmin(np.isfinite(gram).all(axis=0)))
+        raise HypothesisError(f"harmonic column {k} is not finite on the grid: its Gram "
+                              "entries overflow")
     if np.all(gram.imag == 0):
         gram = gram.real
     g, U = np.linalg.eigh(gram)
@@ -418,10 +424,7 @@ class PhiOperator:
 
 def _inverse_matvec(lam: np.ndarray, C: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A^-1 x = x / lam + C C^H x on sine coefficients."""
-    out = x / lam
-    if C.shape[1]:  # C^H x as conj(C^T conj(x)): no copy of C
-        out = out + C @ (C.T @ x.conj()).conj()
-    return out
+    return x / lam + C @ (C.T @ x.conj()).conj()  # C^H x as conj(C^T conj(x)): no copy of C
 
 
 def eigendecompose_symmetric(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -677,8 +680,6 @@ def _solve_diag_plus_lowrank(d: np.ndarray, C: np.ndarray, b: np.ndarray,
     dtype of b and C: x = b/d - shift D^-1 C (I + shift C^H D^-1 C)^-1 C^H b/d.
     b/d is the output; the shift scales only K x K and K-sized terms."""
     x = (b / d).astype(np.result_type(b, C, float), copy=False)
-    if C.shape[1] == 0:
-        return x
     Cd = C / d[:, None]
     S = np.eye(C.shape[1], dtype=np.result_type(C.dtype, float)) + shift * (C.conj().T @ Cd)
     x -= Cd @ (shift * np.linalg.solve(S, C.conj().T @ x))

@@ -134,24 +134,20 @@ def domain_decomposition_check(op: PhiOperator, ws: list[GridField]) -> CheckRep
         w_hat = sine_transform(op.grid, w, "forward").values
         psi_norm = np.linalg.norm(psi_hat)
         w_norm = np.linalg.norm(w_hat)
-        if op.basis.rank:
-            coords = B.conj().T @ psi_hat
-            off_span = np.linalg.norm(psi_hat - B @ coords)
-            pw = B.conj().T @ w_hat
-            pw_norm = np.linalg.norm(pw)
-            if psi_norm > 1e-12 * max(w_norm, 1e-300):
-                res_a = off_span / psi_norm
-            else:
-                # psi is pure roundoff (w essentially orthogonal to the span)
-                res_a = psi_norm / max(w_norm, 1e-300)
-            if pw_norm > 1e-12 * max(w_norm, 1e-300):
-                res_b = np.linalg.norm(R @ coords - pw) / pw_norm
-            else:
-                # w orthogonal to the span: psi itself must vanish
-                res_b = psi_norm / max(w_norm, 1e-300)
+        coords = B.conj().T @ psi_hat
+        off_span = np.linalg.norm(psi_hat - B @ coords)
+        pw = B.conj().T @ w_hat
+        pw_norm = np.linalg.norm(pw)
+        if psi_norm > 1e-12 * max(w_norm, 1e-300):
+            res_a = off_span / psi_norm
         else:
+            # psi is pure roundoff (w essentially orthogonal to the span)
             res_a = psi_norm / max(w_norm, 1e-300)
-            res_b = res_a
+        if pw_norm > 1e-12 * max(w_norm, 1e-300):
+            res_b = np.linalg.norm(R @ coords - pw) / pw_norm
+        else:
+            # w orthogonal to the span, the empty one included: psi itself must vanish
+            res_b = psi_norm / max(w_norm, 1e-300)
         worst_a = max(worst_a, float(res_a))
         worst_b = max(worst_b, float(res_b))
     return CheckReport(

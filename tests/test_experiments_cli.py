@@ -436,6 +436,9 @@ class TestCli:
         ("converge", "family = affine:a=zz\n", "zz"),
         ("converge", "family = hpoly2:n=1,n=2\n", "duplicate parameter 'n'"),
         ("converge", "f = bump:c=0,c=3,a=1\n", "duplicate parameter 'c'"),
+        ("converge", "family = hpoly2:part=re\n", "needs parameter 'n'"),
+        ("converge", "family = affine:a=nan,b=1\n", "not finite"),
+        ("converge", "f = bump:c=0,a=inf\n", "not finite"),
         ("fourier-dump", "dim = 2\n", "f does not match"),
         ("verify", "L_list = 4\nh = 2\n", "L/h >= 4"),
     ]
@@ -457,6 +460,15 @@ class TestCli:
                        "L_start = 8\nL_steps = 2\nh = 0.125\n"
                        "cutoff = 20\np_spacing = 0.1\nquad_points = 512\n")
         assert cli.main(["converge", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+
+    def test_overflowing_family_exit_3(self, tmp_path, capsys):
+        # e^(400 x) fits a double on the L = 4 box, its square does not
+        cfg = tmp_path / "o.cfg"
+        cfg.write_text("dim = 2\nfamily = expcos:k=400\nf = dipole2:cx=0,cy=0,s=0.5,ax=0.4,ay=0.4\n"
+                       "L_list = 4,6\nh = 0.25\n")
+        assert cli.main(["converge", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert "harmonic column 0 is not finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_check_failure_exit_1(self, tmp_path, monkeypatch):
         from becbox.verification import CheckReport

@@ -150,7 +150,7 @@ class TestTextSyntax:
             bb.parse_harmonic("legendre:n=2")
 
     def test_bad_parameter(self):
-        with pytest.raises(ValueError, match="bad parameter"):
+        with pytest.raises(ValueError, match="unknown parameters \\['q'\\] for 'affine'"):
             bb.parse_harmonic("affine:q=1")
 
     def test_duplicate_parameter(self):

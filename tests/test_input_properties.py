@@ -2,13 +2,16 @@
 
 A config text either parses into a config whose numeric values are all finite
 and in range, or raises ``ConfigError``; nothing else may escape, since the
-CLI maps ``ConfigError`` to exit 2 and anything else to a traceback.  Spec
-strings round-trip: parsing the canonical text of a spec gives the spec back.
-No command is run here.
+CLI maps ``ConfigError`` to exit 2 and anything else to a traceback.  A spec
+string of either catalog likewise parses into a spec whose numbers are all
+finite, or raises ``ValueError`` (which the commands report as a config
+error).  Spec strings round-trip: parsing the canonical text of a spec gives
+the spec back.  No command is run here.
 """
 
+import cmath
 import math
-from dataclasses import fields
+from dataclasses import astuple, fields
 
 import pytest
 
@@ -17,7 +20,7 @@ from becbox import continuum as ct
 from becbox.config import ConfigError, ExperimentConfig, parse_config_text
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 # --- config fuzz -------------------------------------------------------------------
 
@@ -74,6 +77,57 @@ def test_config_parse_raises_only_config_error(text):
     except ConfigError:
         return
     _assert_in_range(cfg)
+
+
+# --- spec string fuzz --------------------------------------------------------------
+
+# tag -> its keys, per catalog, each with one tag neither catalog knows
+SPEC_KEYS = {
+    "harmonic": {"const": ["c"], "affine": ["a", "b"], "hpoly2": ["n", "part", "z0", "coeff"],
+                 "expcos": ["k", "phase"], "legendre": ["n"]},
+    "test function": {"bump": ["c", "a", "amp"], "dipole": ["c", "s", "a", "amp"],
+                      "bump2": ["cx", "cy", "ax", "ay", "amp"],
+                      "dipole2": ["cx", "cy", "s", "ax", "ay", "axis", "amp"], "gauss": ["c"]},
+}
+PARSERS = {"harmonic": bb.parse_harmonic, "test function": ct.parse_test_function}
+SPEC_WORDS = ["nan", "-inf", "1e999", "1+2j", "x", "re", ""]
+
+spec_values = st.one_of(st.sampled_from(SPEC_WORDS), st.integers(-2, 5).map(str),
+                        st.floats(allow_nan=False, allow_infinity=False).map(repr))
+
+
+@st.composite
+def spec_texts(draw):
+    """(catalog, text): some keys of a tag left out, some unknown, some repeated."""
+    catalog = draw(st.sampled_from(sorted(SPEC_KEYS)))
+    tag = draw(st.sampled_from(sorted(SPEC_KEYS[catalog])))
+    known = SPEC_KEYS[catalog][tag]
+    keys = [key for key in known if draw(st.integers(0, 3))]  # mostly given
+    keys += draw(st.lists(st.sampled_from(known + ["q", "width"]), max_size=2))
+    items = [f"{key}={draw(spec_values)}" for key in draw(st.permutations(keys))]
+    return catalog, f"{tag}:{','.join(items)}"
+
+
+def _numbers(spec):
+    """Every number a spec holds, per-axis tuples unpacked."""
+    for value in astuple(spec):
+        for x in value if isinstance(value, tuple) else (value,):
+            if not isinstance(x, str):
+                yield x
+
+
+@settings(max_examples=400)
+@given(case=spec_texts())
+@example(case=("harmonic", "hpoly2:part=re"))
+@example(case=("harmonic", "affine:a=nan,b=1"))
+@example(case=("test function", "bump:c=0,a=inf"))
+def test_spec_parse_raises_only_value_error(case):
+    catalog, text = case
+    try:
+        spec = PARSERS[catalog](text)
+    except ValueError:
+        return
+    assert all(cmath.isfinite(x) for x in _numbers(spec)), spec
 
 
 # --- spec string round trips --------------------------------------------------------
