@@ -53,7 +53,13 @@ class Affine1D:
 
 @dataclass(frozen=True)
 class HarmonicPoly2D:
-    """phi(x, y) = coefficient * Re/Im((x + iy - center)^degree), degree >= 1."""
+    """phi(x, y) = coefficient * Re/Im((x + iy - center)^degree), 1 <= degree <= 40.
+
+    ``harmonic_factors`` expands (X + iY)^n by the binomial theorem, whose
+    terms cancel by up to 2^(n/2) on the diagonal |X| = |Y|: at (0.9, 0.9)
+    the value is 1.7e-11 off at n = 40 and 4.2e-5 at n = 80, and past a few
+    hundred the terms overflow.  So the degree is bounded.
+    """
 
     degree: int
     part: str = "re"
@@ -61,8 +67,8 @@ class HarmonicPoly2D:
     coefficient: complex = 1.0
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError("degree must be >= 1")
+        if not 1 <= self.degree <= 40:
+            raise ValueError(f"degree must lie in [1, 40], got {self.degree}")
         if self.part not in ("re", "im"):
             raise ValueError(f"part must be 're' or 'im', got {self.part!r}")
 

@@ -42,7 +42,6 @@ from .lattice import (
     Grid,
     GridField,
     dirichlet_eigenvalues,
-    inner_product,
     sine_transform,
 )
 
@@ -149,56 +148,41 @@ class ShiftedInverse:
 
 @dataclass
 class CondensateBasis:
-    """Sampled harmonic columns (``col_hat``, their sine coefficients) with an
-    orthonormal basis of their span.
+    """The sampled harmonic columns, ``col_hat`` (their sine coefficients, an
+    N x K matrix C): the one form of the rank-K update C C^H.
 
-    ``weights`` maps columns to the orthonormal basis (basis = columns @
-    weights in the weighted inner product); ``r_matrix`` represents the
-    positive operator whose inverse, compressed to the span, is the rank-K
-    column sum.  Rank-deficient families are deflated at relative threshold
-    RANK_RTOL, never rejected; so is a Gram eigenvalue whose reciprocal
-    overflows.  A Gram entry that overflows is a HypothesisError.  Only
-    ``col_hat`` is N-sized: the basis is formed when read.
+    ``rank`` is the numerical rank of the columns scaled to unit norm (Gram
+    eigenvalues above RANK_RTOL of the largest), so a spread of column norms
+    is not rank loss; a column that vanishes on the grid counts as deflated.
+    Deflated families are kept, never rejected.  A Gram entry that overflows
+    is a HypothesisError.
     """
 
     col_hat: np.ndarray
     rank: int
-    weights: np.ndarray
-    r_matrix: np.ndarray
 
     @property
     def deflated(self) -> bool:
         return self.rank < self.col_hat.shape[1]
 
-    @property
-    def basis_hat(self) -> np.ndarray:
-        """Sine coefficients of the orthonormal basis, col_hat @ weights."""
-        return self.col_hat @ self.weights
-
 
 def build_condensate_basis(grid: Grid, columns: list[GridField]) -> CondensateBasis:
-    N = grid.total
-    K = len(columns)
-    if K == 0:
-        return CondensateBasis(col_hat=np.zeros((N, 0)), rank=0, weights=np.zeros((0, 0)),
-                               r_matrix=np.zeros((0, 0)))
+    """Transform the columns to sine coefficients and take their rank from
+    the Gram matrix col_hat^H col_hat, the weighted pairing of the fields."""
+    if not columns:
+        return CondensateBasis(col_hat=np.zeros((grid.total, 0)), rank=0)
     col_hat = np.stack([sine_transform(grid, c, "forward").values for c in columns], axis=1)
-    gram = np.empty((K, K), dtype=complex)
-    for i in range(K):
-        for j in range(K):
-            gram[i, j] = inner_product(columns[i], columns[j])
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = col_hat.conj().T @ col_hat
     if not np.isfinite(gram).all():
         k = int(np.argmin(np.isfinite(gram).all(axis=0)))
         raise HypothesisError(f"harmonic column {k} is not finite on the grid: its Gram "
                               "entries overflow")
-    if np.all(gram.imag == 0):
-        gram = gram.real
-    g, U = np.linalg.eigh(gram)
-    # descending; vanishing columns, and a subnormal g whose 1/g overflows, count as deflated
-    keep = np.nonzero(g > max(RANK_RTOL * g[-1], 1 / np.finfo(float).max))[0][::-1]
-    weights = U[:, keep] / np.sqrt(g[keep])
-    return CondensateBasis(col_hat=col_hat, rank=len(keep), weights=weights,
-                           r_matrix=np.diag(1.0 / g[keep]))
+    norms = np.sqrt(gram.diagonal().real)
+    kept = norms > 0  # a vanishing column adds nothing to the rank
+    scale = 1.0 / norms[kept]  # finite: a nonzero norm is at least 2e-162
+    g = np.linalg.eigvalsh(scale[:, None] * gram[np.ix_(kept, kept)] * scale)
+    return CondensateBasis(col_hat=col_hat, rank=int(np.sum(g > RANK_RTOL * g.max(initial=0.0))))
 
 
 @dataclass(frozen=True)
@@ -654,7 +638,8 @@ def build_phi_operator(
         raise ValueError(f"unknown backend {backend!r}")
     if backend == "auto":
         backend = "dense" if grid.total <= DENSE_LIMIT else "lanczos"
-    columns = sample_family(family, grid, mode)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is the Gram's to report
+        columns = sample_family(family, grid, mode)
     basis = build_condensate_basis(grid, columns)
     if basis.deflated:
         logger.info(

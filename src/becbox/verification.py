@@ -83,25 +83,25 @@ def krein_identity_residual(
 
     Both sides act on random fields: the left side through the
     eigendecomposition of the modified operator, the right side through the
-    Dirichlet resolvent plus the explicit finite-rank correction built from
-    the projection and the R matrix.  The formula is exact matrix algebra, so
-    anything above roundoff indicates an assembly bug.
+    Dirichlet resolvent plus the finite-rank correction S C K_z^-1 C^H S built
+    from the columns C, with S = lambda / (lambda + s) and K_z = I + s C^H S C
+    (positive definite whatever the rank of C).  The formula is exact matrix
+    algebra, so anything above roundoff indicates an assembly bug.
     """
     if not z < 0:
         raise ValueError(f"spectral parameter must be negative, got {z}")
     s = -z
     lam = op.lam
-    B = op.basis.basis_hat
-    R = op.basis.r_matrix
+    C = op.basis.col_hat
     lhs_factor = op.mu / (1.0 + s * op.mu)        # 1/(nu + s) for nu = 1/mu
     dirichlet = 1.0 / (lam + s)
     S = lam / (lam + s)
-    Kz = R + s * (B.conj().T @ (S[:, None] * B))  # 0 x 0 for an empty family
+    Kz = np.eye(C.shape[1]) + s * (C.conj().T @ (S[:, None] * C))  # 0 x 0 for an empty family
     # one draw of every field (column-wise), the same stream as one draw per field
     x = np.random.default_rng(seed).standard_normal((n_fields, op.grid.total)).T
     lhs = op.unproject(lhs_factor[:, None] * op.project(x))
     Sx = S[:, None] * x
-    rhs = dirichlet[:, None] * x + S[:, None] * (B @ np.linalg.solve(Kz, B.conj().T @ Sx))
+    rhs = dirichlet[:, None] * x + S[:, None] * (C @ np.linalg.solve(Kz, C.conj().T @ Sx))
     nx = np.linalg.norm(x, axis=0)
     num = float(np.max(np.linalg.norm(lhs - rhs, axis=0) / nx))
     den = float(np.max(np.linalg.norm(lhs, axis=0) / nx))
@@ -116,44 +116,30 @@ def krein_identity_residual(
 
 
 def domain_decomposition_check(op: PhiOperator, ws: list[GridField]) -> CheckReport:
-    """Check the decomposition u = Gw + psi with psi in the span and R psi = P w
-    for every field w in ``ws``, reporting the worst residual of each kind.
+    """Check the decomposition u = Gw + psi, psi = C C^H w, for every field w in
+    ``ws``, reporting the worst residual.
 
-    Residual (a) is the distance of psi = A^-1 w - G w to the span of the
-    sampled columns, relative to |psi|; (b) is |R psi - P w| relative to
-    |P w|.  Both identities are exact algebra at the discrete level.
+    psi = A^-1 w - G w lies in the span of the columns C, and its least-norm
+    column coordinates are C^H w, so R psi = P w; the one identity psi = C C^H
+    w carries both.  psi is formed as a difference, whose rounding is about
+    eps |G w| whatever the size of psi, so the residual |psi - C C^H w| is
+    relative to |G w| + |C C^H w|, the sizes of the two parts of u: relative
+    to |C C^H w| alone, a correct operator with columns of norm 1e-3 read
+    3e-9.  It is exact algebra at the discrete level.
     """
-    B = op.basis.basis_hat
-    R = op.basis.r_matrix
-    worst_a = worst_b = 0.0
+    C = op.basis.col_hat
+    worst = 0.0
     for w in ws:
-        u = apply_inverse(op, w)
-        gw = green_apply(op.grid, w)
-        psi = GridField(op.grid, u.values - gw.values)
-        psi_hat = sine_transform(op.grid, psi, "forward").values
-        w_hat = sine_transform(op.grid, w, "forward").values
-        psi_norm = np.linalg.norm(psi_hat)
-        w_norm = np.linalg.norm(w_hat)
-        coords = B.conj().T @ psi_hat
-        off_span = np.linalg.norm(psi_hat - B @ coords)
-        pw = B.conj().T @ w_hat
-        pw_norm = np.linalg.norm(pw)
-        if psi_norm > 1e-12 * max(w_norm, 1e-300):
-            res_a = off_span / psi_norm
-        else:
-            # psi is pure roundoff (w essentially orthogonal to the span)
-            res_a = psi_norm / max(w_norm, 1e-300)
-        if pw_norm > 1e-12 * max(w_norm, 1e-300):
-            res_b = np.linalg.norm(R @ coords - pw) / pw_norm
-        else:
-            # w orthogonal to the span, the empty one included: psi itself must vanish
-            res_b = psi_norm / max(w_norm, 1e-300)
-        worst_a = max(worst_a, float(res_a))
-        worst_b = max(worst_b, float(res_b))
+        gw = green_apply(op.grid, w).values
+        psi = apply_inverse(op, w).values - gw
+        psi_hat = sine_transform(op.grid, GridField(op.grid, psi), "forward").values
+        want = C @ (C.conj().T @ sine_transform(op.grid, w, "forward").values)
+        scale = max(np.linalg.norm(gw) + np.linalg.norm(want), 1e-300)
+        worst = max(worst, float(np.linalg.norm(psi_hat - want) / scale))
     return CheckReport(
         name="domain_decomposition",
-        residuals={"off_span": worst_a, "r_psi_vs_pw": worst_b},
-        tolerances={"off_span": 1e-10, "r_psi_vs_pw": 1e-10},
+        residuals={"relative": worst},
+        tolerances={"relative": 1e-10},
         context={"rank": op.basis.rank, "N": op.grid.total, "n_fields": len(ws)},
     )
 
@@ -168,43 +154,26 @@ def dtn_apply_1d(grid: Grid, boundary_values) -> tuple[complex, complex]:
     return (-slope, slope)
 
 
-def _basis_traces(op: PhiOperator) -> np.ndarray:
-    """Exact endpoint values of the orthonormal basis fields (2 x rank).
-
-    The orthonormal basis is a linear combination of the family columns, whose
-    boundary values are known in closed form from the harmonic specs; this
-    holds in both sampling modes since discrete-harmonic columns carry the
-    same boundary data.
-    """
-    traces = np.array(
-        [boundary_values_1d(spec, op.grid) for spec in op.family.specs],
-        dtype=complex,
-    ).T  # 2 x K
-    return traces @ op.basis.weights
-
-
 def bc_r_matrix(op: PhiOperator):
     """The boundary operator r on the trace space of the span, as a 2x2 matrix.
 
-    Determined by <psi|R psi> = <trace psi| r trace psi> over the span; returns
-    None when the trace map is rank-deficient on the span (degenerate case,
-    e.g. a column vanishing at both endpoints).
+    <psi, R psi> = |a|^2 for the least-norm column coordinates a of psi, and
+    a = P t for psi's trace t, P the pseudo-inverse of the columns' exact
+    endpoint values T (2 x K, closed form from the specs in both sampling
+    modes), whenever T has the columns' rank: so r = P^H P.  Returns None when
+    it has not (degenerate case: the trace map is not injective on the span).
     """
     if op.grid.dim != 1:
         raise ValueError("bc_r_matrix requires a 1d grid")
     if op.basis.rank == 0:
         return None
-    T = _basis_traces(op)  # 2 x rank
+    T = np.array([boundary_values_1d(spec, op.grid) for spec in op.family.specs],
+                 dtype=complex).T
     svals = np.linalg.svd(T, compute_uv=False)
-    if len(svals) < op.basis.rank or svals[-1] <= 1e-10 * svals[0]:
+    if np.sum(svals > 1e-10 * svals[0]) != op.basis.rank:
         return None
-    P = np.linalg.pinv(T)  # rank x 2
-    r = P.conj().T @ op.basis.r_matrix @ P
-    # consistency on the trace space
-    err = np.linalg.norm(T.conj().T @ r @ T - op.basis.r_matrix)
-    if err > 1e-8 * max(np.linalg.norm(op.basis.r_matrix), 1e-300):
-        return None
-    return r
+    P = np.linalg.pinv(T, rcond=1e-10)  # K x 2
+    return P.conj().T @ P
 
 
 def _eigvec_hat(op: PhiOperator, which: int) -> np.ndarray:
@@ -315,6 +284,15 @@ def _seeded_source(grid: Grid, seed: int) -> GridField:
     return GridField(grid, vals)
 
 
+def _least_norm_coordinates(op: PhiOperator, v: GridField) -> np.ndarray:
+    """The least-norm a with C a the projection of v on the span of the
+    columns C, taken at the columns' rank."""
+    U, sv, Vh = np.linalg.svd(op.basis.col_hat, full_matrices=False)
+    r = op.basis.rank
+    return Vh[:r].conj().T @ (U[:, :r].conj().T @ sine_transform(op.grid, v, "forward").values
+                              / sv[:r])
+
+
 def _qform_residual_once(op: PhiOperator, seed: int) -> float:
     grid = op.grid
     w = _seeded_source(grid, seed)
@@ -330,8 +308,7 @@ def _qform_residual_once(op: PhiOperator, seed: int) -> float:
     if op.basis.rank:
         psi = harmonic_extension(grid, lambda x: tl if x < 0 else tr)
         energy_psi = _gradient_sum(psi.values, h, tl, tr)
-        coords = op.basis.basis_hat.conj().T @ sine_transform(grid, psi, "forward").values
-        r_term = float((coords.conj() @ (op.basis.r_matrix @ coords)).real)
+        r_term = float(np.sum(np.abs(_least_norm_coordinates(op, psi)) ** 2))
     else:
         energy_psi = 0.0
         r_term = 0.0
@@ -344,7 +321,8 @@ def quadratic_form_identity(op: PhiOperator, seed: int = 0, levels: int = 2) -> 
 
     f = A^-1 w for seeded random w; the form is the forward-difference energy
     of f minus that of the discrete-harmonic extension of f's extracted trace,
-    plus the R pairing of that extension.  Exact (to roundoff) for an empty
+    plus the R pairing of that extension, |a|^2 for its least-norm column
+    coordinates a.  Exact (to roundoff) for an empty
     family; order >= 1 in h otherwise, checked on ``op`` and ``levels - 1``
     refinements of it.
     Requires discrete-harmonic sampling whenever the family is nonempty, since

@@ -108,7 +108,8 @@ def test_criterion_02_krein_identity():
     lam = op1.lam[0]
     s = lam / (lam + 1.0)
     lhs = 1.0 / (op1.operator_eigenvalues[0] + 1.0)
-    rhs = 1.0 / (lam + 1.0) + s * (1.0 / (op1.basis.r_matrix[0, 0] + s)) * s
+    r = 1.0 / abs(op1.basis.col_hat[0, 0]) ** 2  # R = 1/|c|^2 on the one column
+    rhs = 1.0 / (lam + 1.0) + s * (1.0 / (r + s)) * s
     scalar_ok = abs(lhs - 0.6) <= 1e-15 and abs(rhs - 0.6) <= 1e-15
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and scalar_ok and elapsed < 10.0

@@ -355,6 +355,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert "INFO becbox.phi_operator: family of 2 columns deflated to numerical rank 1" in err
 
+    def test_spread_column_norms_are_not_deflated(self, tmp_path, capsys):
+        """expcos:k=12 is 2.1e7 times longer than x on this grid, a Gram ratio
+        of 2e-15: the scaled columns have rank 2, and Krein, read through an
+        orthonormal basis deflated to rank 1, is no longer 0.74 off."""
+        cfg = tmp_path / "spread.cfg"
+        cfg.write_text("dim = 2\nfamily = expcos:k=12;hpoly2:n=1,part=re\nL_list = 4\nh = 0.5\n")
+        args = ["verify", "--config", str(cfg), "--out", str(tmp_path), "--log-level", "INFO"]
+        assert cli.main(args) == 0
+        assert "deflated" not in capsys.readouterr().err
+
     def test_log_level_debug_shows_each_dense_build(self, tmp_path, capsys, monkeypatch):
         builds = []
         solve = po._deflated_eigh
@@ -437,6 +447,8 @@ class TestCli:
         ("converge", "family = hpoly2:n=1,n=2\n", "duplicate parameter 'n'"),
         ("converge", "f = bump:c=0,c=3,a=1\n", "duplicate parameter 'c'"),
         ("converge", "family = hpoly2:part=re\n", "needs parameter 'n'"),
+        # its binomial coefficients overflow a double; past degree 40 the expansion cancels
+        ("converge", "dim = 2\nfamily = hpoly2:n=2000,part=re\n", "degree must lie in [1, 40]"),
         ("converge", "family = affine:a=nan,b=1\n", "not finite"),
         ("converge", "f = bump:c=0,a=inf\n", "not finite"),
         ("fourier-dump", "dim = 2\n", "f does not match"),
@@ -461,13 +473,23 @@ class TestCli:
                        "cutoff = 20\np_spacing = 0.1\nquad_points = 512\n")
         assert cli.main(["converge", "--config", str(cfg), "--out", str(tmp_path)]) == 3
 
-    def test_overflowing_family_exit_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, text", [
         # e^(400 x) fits a double on the L = 4 box, its square does not
+        ("converge", "dim = 2\nfamily = expcos:k=400\nf = dipole2:cx=0,cy=0,s=0.5,ax=0.4,ay=0.4\n"
+                     "L_list = 4,6\nh = 0.25\n"),
+        # on the L = 16 box e^(400 x) itself overflows, and inf * 0 is nan
+        ("srs", "dim = 2\nfamily = expcos:k=400\nu = bump2:cx=1,cy=0,ax=1,ay=1\n"
+                "L_list = 8,16\nh = 0.125\nwindow_margin = 1.0\ncutoff = 40\np_spacing = 0.1\n"),
+    ], ids=["converge", "srs"])
+    def test_overflowing_family_exit_3(self, tmp_path, capsys, command, text):
+        """The Gram matrix's finiteness check reports the overflow, on one line
+        and with no numpy warning before it."""
         cfg = tmp_path / "o.cfg"
-        cfg.write_text("dim = 2\nfamily = expcos:k=400\nf = dipole2:cx=0,cy=0,s=0.5,ax=0.4,ay=0.4\n"
-                       "L_list = 4,6\nh = 0.25\n")
-        assert cli.main(["converge", "--config", str(cfg), "--out", str(tmp_path)]) == 3
-        assert "harmonic column 0 is not finite" in capsys.readouterr().err
+        cfg.write_text(text)
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["hypothesis violation: harmonic column 0 is not finite on "
+                                    "the grid: its Gram entries overflow"]
         assert list(tmp_path.iterdir()) == [cfg]
 
     def test_check_failure_exit_1(self, tmp_path, monkeypatch):

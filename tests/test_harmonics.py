@@ -29,6 +29,17 @@ class TestEval:
         with pytest.raises(ValueError, match="coordinate"):
             bb.eval_harmonic(bb.ExpCos2D(1.0), 1.0)
 
+    def test_hpoly2_degree_is_bounded_where_the_expansion_holds(self):
+        """The binomial expansion cancels by up to 2^(n/2) on the diagonal; at
+        n = 40 it is still within 2e-11 at (0.9, 0.9), where (0.9 + 0.9i)^40 is
+        real."""
+        value = bb.eval_harmonic(bb.HarmonicPoly2D(degree=40, part="re"), 0.9, 0.9)
+        assert value == pytest.approx(((0.9 + 0.9j) ** 40).real, rel=2e-11)
+        with pytest.raises(ValueError, match=r"degree must lie in \[1, 40\], got 41"):
+            bb.HarmonicPoly2D(degree=41)
+        with pytest.raises(ValueError, match="got 0"):
+            bb.HarmonicPoly2D(degree=0)
+
     def test_centered_poly(self):
         spec = bb.HarmonicPoly2D(degree=1, part="im", center=1 + 1j, coefficient=2.0)
         # 2 * Im((x + iy) - (1 + i)) at (1, 3) -> 2 * 2 = 4

@@ -153,7 +153,7 @@ def tf_specs(draw):
 harmonic_specs = st.one_of(
     st.builds(bb.Constant, numbers_or_complex),
     st.builds(bb.Affine1D, numbers_or_complex, numbers_or_complex),
-    st.builds(bb.HarmonicPoly2D, st.integers(1, 50), st.sampled_from(["re", "im"]),
+    st.builds(bb.HarmonicPoly2D, st.integers(1, 40), st.sampled_from(["re", "im"]),
               numbers_or_complex, numbers_or_complex),
     st.builds(bb.ExpCos2D, reals, reals),
 )

@@ -9,8 +9,9 @@ coefficients; both sampling modes are drawn.  Columns in different parity
 sectors fall into several column components (``SECTORS``), which the operator
 solves one by one and assembles.  Readout residuals are scaled as in
 ``tests/test_two_point_properties.py``.  The same draws fuzz the Krein
-identity over shifts and the Woodbury round-trips; at column norms up to
-||C||_2^2 = 3.3e19 the readout is checked against mpmath at 50 digits.
+identity over shifts, the domain decomposition and the Woodbury round-trips;
+at column norms up to ||C||_2^2 = 3.3e19 the readout is checked against
+mpmath at 50 digits, and the exact identities hold there too.
 """
 
 import json
@@ -26,7 +27,11 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 import becbox as bb  # noqa: E402
 from becbox import continuum as ct  # noqa: E402
 from becbox import phi_operator as po  # noqa: E402
-from becbox.verification import krein_identity_residual, ordering_check  # noqa: E402
+from becbox.verification import (  # noqa: E402
+    domain_decomposition_check,
+    krein_identity_residual,
+    ordering_check,
+)
 from conftest import random_field  # noqa: E402
 
 EPS = np.finfo(float).eps
@@ -119,6 +124,15 @@ def test_ordering_and_krein_hold_for_every_family(case):
 def test_krein_identity_holds_at_drawn_shifts(case, z):
     grid, family, mode, _, _ = case
     report = krein_identity_residual(bb.build_phi_operator(grid, family, mode, "dense"), z)
+    assert report.passed, report.to_dict()
+
+
+@given(cases())
+def test_domain_decomposition_holds_for_every_family(case):
+    grid, family, mode, seed, _ = case
+    op = bb.build_phi_operator(grid, family, mode, "dense")
+    report = domain_decomposition_check(op, [random_field(grid, seed, True),
+                                             random_field(grid, seed + 1)])
     assert report.passed, report.to_dict()
 
 
@@ -356,3 +370,25 @@ def test_large_norm_regular_term_matches_the_golden_family():
     f = bb.sample_function(grid, lambda *x: ct.evaluate(spec, *x))
     value = bb.two_point_lhs(op, 1.0, f).regular_term
     assert abs(value - -1.934593520474e-3) <= 1e-10 * 1.934593520474e-3
+
+
+# the families of the high-precision golden, and a 2.75 x 0.5 box whose Gram
+# ratio is 2.0e-9: through a deflated orthonormal basis and its R matrix, Krein
+# read 0.74 on expcos:k=12;hpoly2:n=1,part=re (taken as rank 1), domain
+# decomposition 9.6e-8 and 1.1e-7 on the two orders of hpoly2:n=4;expcos:k=9
+# and 1.2e-4 on the box
+IDENTITY_CASES = [(bb.make_grid(2, [HIGH_PRECISION["L"]] * 2, HIGH_PRECISION["h"]), family)
+                  for family in HIGH_PRECISION["regular_term"]] + [
+    (bb.make_grid(2, [2.75, 0.5], 0.25),
+     "const:c=-1.61-0.642j;expcos:k=-0.127,phase=1.215;expcos:k=-0.0688,phase=-1.482")]
+
+
+@pytest.mark.parametrize("grid, family", IDENTITY_CASES,
+                         ids=[family for _, family in IDENTITY_CASES])
+def test_exact_identities_hold_at_every_column_norm(grid, family):
+    op = bb.build_phi_operator(grid, bb.parse_family(family), backend="dense")
+    assert op.basis.rank == len(op.family.specs)
+    ws = np.random.default_rng(0).standard_normal((20, grid.total))
+    for report in (krein_identity_residual(op, -1.0), krein_identity_residual(op, -2.5),
+                   domain_decomposition_check(op, [bb.GridField(grid, w) for w in ws])):
+        assert report.passed, report.to_dict()
