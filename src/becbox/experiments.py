@@ -448,15 +448,14 @@ def emit_wick(payload: dict, cfg: ExperimentConfig, out_dir: str, label: str) ->
 
 
 def emit_fourier(cfg: ExperimentConfig, out_dir: str, label: str) -> list[str]:
-    """Dump the Fourier table of f for audit."""
+    """Dump the Fourier table of f for audit, as it is held: one row per p,
+    with each axis factor's real and imaginary part (fhat is their product)."""
     cfg.validate()
     f = _parsed(cfg, "f")
     table = ct.fourier_oracle(f, cfg.cutoff, cfg.p_spacing, cfg.quad_points)
     base = f"{out_dir}/{label}_fourier"
-    values = table.values.ravel()
-    columns = [p.ravel() for p in np.meshgrid(*(table.p,) * table.dim, indexing="ij")]
-    columns += [values.real, values.imag]
-    header = ["p", "re", "im"] if table.dim == 1 else ["p1", "p2", "re", "im"]
+    columns = [table.p] + [part for factor in table.factors for part in (factor.real, factor.imag)]
+    header = ["p", "re", "im"] if table.dim == 1 else ["p", "re_x", "im_x", "re_y", "im_y"]
     reports.write_csv(f"{base}.csv", header, list(zip(*(c.tolist() for c in columns))))
     return [f"{base}.csv", _write_summary(f"{base}.json", cfg.to_dict(), {
         "provenance": table.provenance,

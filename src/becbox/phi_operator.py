@@ -659,15 +659,13 @@ def apply_inverse(op: PhiOperator, f: GridField) -> GridField:
     return op._unhat(op.inverse_matvec(op._hat(f)))
 
 
-def _solve_diag_plus_lowrank(d: np.ndarray, C: np.ndarray, b: np.ndarray,
-                             shift: float = 1.0) -> np.ndarray:
-    """Solve (diag(d) + shift C C^H) x = b by the Woodbury identity, in the
-    dtype of b and C: x = b/d - shift D^-1 C (I + shift C^H D^-1 C)^-1 C^H b/d.
-    b/d is the output; the shift scales only K x K and K-sized terms."""
+def _solve_diag_plus_lowrank(d: np.ndarray, C: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (diag(d) + C C^H) x = b by the Woodbury identity, in the dtype of
+    b and C: x = b/d - D^-1 C (I + C^H D^-1 C)^-1 C^H b/d."""
     x = (b / d).astype(np.result_type(b, C, float), copy=False)
     Cd = C / d[:, None]
-    S = np.eye(C.shape[1], dtype=np.result_type(C.dtype, float)) + shift * (C.conj().T @ Cd)
-    x -= Cd @ (shift * np.linalg.solve(S, C.conj().T @ x))
+    S = np.eye(C.shape[1], dtype=np.result_type(C.dtype, float)) + C.conj().T @ Cd
+    x -= Cd @ np.linalg.solve(S, C.conj().T @ x)
     return x
 
 
@@ -676,21 +674,29 @@ def apply_forward(op: PhiOperator, f: GridField) -> GridField:
     return op._unhat(_solve_diag_plus_lowrank(1.0 / op.lam, op.basis.col_hat, op._hat(f)))
 
 
+def _resolvent(op: PhiOperator, x: np.ndarray, s: float) -> np.ndarray:
+    """(s + A)^-1 on sine coefficients x (along axis 0), by the Krein formula
+
+        (s + A)^-1 = (lam + s)^-1 + S C K^-1 C^H S,  S = lam / (lam + s),
+
+    with K = I + s C^H S C (positive definite whatever the rank of C; 0 x 0
+    for an empty family).  Every term is a sum of like signs: no difference
+    cancels at a small s."""
+    lam = op.lam.reshape((-1,) + (1,) * (x.ndim - 1))
+    SC = (op.lam / (op.lam + s))[:, None] * op.basis.col_hat
+    K = np.eye(SC.shape[1]) + s * (op.basis.col_hat.conj().T @ SC)
+    # S is real: (SC)^H x = C^H S x
+    return x / (lam + s) + SC @ np.linalg.solve(K, SC.conj().T @ x)
+
+
 def shifted_solve(op: PhiOperator, f: GridField, shift: float = 1.0) -> GridField:
     """Apply (shift + A)^-1 without any eigendecomposition.
 
-    Uses (s + A)^-1 = s^-1 (I - (I + s A^-1)^-1) with a Woodbury solve for the
-    diagonal-plus-low-rank middle matrix, so it scales to Lanczos-sized grids.
-    The shift goes to the solve as a scalar, not onto a copy of the columns.
-    """
+    The Krein formula of ``_resolvent``: the Dirichlet resolvent plus a rank-K
+    term whose only solve is K x K, so it scales to Lanczos-sized grids."""
     if not shift > 0:
         raise ValueError("shift must be positive")
-    chat = op._hat(f)
-    t = _solve_diag_plus_lowrank(1.0 + shift / op.lam, op.basis.col_hat, chat, shift)
-    np.subtract(chat, t, out=t)
-    del chat  # freed before the inverse transform, whose transients set the peak
-    t /= shift
-    return op._unhat(t)
+    return op._unhat(_resolvent(op, op._hat(f), shift))
 
 
 # --- quadratic forms -------------------------------------------------------------

@@ -29,6 +29,8 @@ from .lattice import (
 )
 from .phi_operator import (
     PhiOperator,
+    ShiftedInverse,
+    _resolvent,
     apply_inverse,
     build_phi_operator,
     two_point_lhs,
@@ -81,27 +83,18 @@ def krein_identity_residual(
 ) -> CheckReport:
     """Residual of the Krein resolvent formula at a spectral parameter z < 0.
 
-    Both sides act on random fields: the left side through the
-    eigendecomposition of the modified operator, the right side through the
-    Dirichlet resolvent plus the finite-rank correction S C K_z^-1 C^H S built
-    from the columns C, with S = lambda / (lambda + s) and K_z = I + s C^H S C
-    (positive definite whatever the rank of C).  The formula is exact matrix
+    Both sides act on random fields: the left side is ``ShiftedInverse(z)``
+    read off the eigenpairs of the modified operator, the right side the
+    Dirichlet resolvent plus the finite-rank correction S C K_z^-1 C^H S that
+    ``shifted_solve`` applies (``_resolvent``).  The formula is exact matrix
     algebra, so anything above roundoff indicates an assembly bug.
     """
     if not z < 0:
         raise ValueError(f"spectral parameter must be negative, got {z}")
-    s = -z
-    lam = op.lam
-    C = op.basis.col_hat
-    lhs_factor = op.mu / (1.0 + s * op.mu)        # 1/(nu + s) for nu = 1/mu
-    dirichlet = 1.0 / (lam + s)
-    S = lam / (lam + s)
-    Kz = np.eye(C.shape[1]) + s * (C.conj().T @ (S[:, None] * C))  # 0 x 0 for an empty family
     # one draw of every field (column-wise), the same stream as one draw per field
     x = np.random.default_rng(seed).standard_normal((n_fields, op.grid.total)).T
-    lhs = op.unproject(lhs_factor[:, None] * op.project(x))
-    Sx = S[:, None] * x
-    rhs = dirichlet[:, None] * x + S[:, None] * (C @ np.linalg.solve(Kz, C.conj().T @ Sx))
+    lhs = op.unproject(ShiftedInverse(z).evaluate(1.0 / op.mu)[:, None] * op.project(x))
+    rhs = _resolvent(op, x, -z)
     nx = np.linalg.norm(x, axis=0)
     num = float(np.max(np.linalg.norm(lhs - rhs, axis=0) / nx))
     den = float(np.max(np.linalg.norm(lhs, axis=0) / nx))
@@ -160,8 +153,9 @@ def bc_r_matrix(op: PhiOperator):
     <psi, R psi> = |a|^2 for the least-norm column coordinates a of psi, and
     a = P t for psi's trace t, P the pseudo-inverse of the columns' exact
     endpoint values T (2 x K, closed form from the specs in both sampling
-    modes), whenever T has the columns' rank: so r = P^H P.  Returns None when
-    it has not (degenerate case: the trace map is not injective on the span).
+    modes), whenever T has the columns' rank: so r = P^H P, the matrix both
+    trace checks read.  Returns None when it has not (degenerate case: the
+    trace map is not injective on the span).
     """
     if op.grid.dim != 1:
         raise ValueError("bc_r_matrix requires a 1d grid")
@@ -176,20 +170,16 @@ def bc_r_matrix(op: PhiOperator):
     return P.conj().T @ P
 
 
-def _eigvec_hat(op: PhiOperator, which: int) -> np.ndarray:
-    """Sine coefficients of the eigenvector of the modified Laplacian with the
-    ``which``-th smallest eigenvalue (mu ascending: the ``which``-th largest mu)."""
+def _eigvec_field(op: PhiOperator, which: int) -> GridField:
+    """The eigenvector of the modified Laplacian with the ``which``-th smallest
+    eigenvalue (mu ascending: the ``which``-th largest mu), as a
+    unit-weighted-norm node field."""
     unit = np.zeros(op.grid.total)
     unit[op.grid.total - 1 - which] = 1.0
-    return op.unproject(unit)
+    return sine_transform(op.grid, GridField(op.grid, op.unproject(unit)), "inverse")
 
 
-def _eigvec_field(op: PhiOperator, which: int) -> GridField:
-    """The same eigenvector as a unit-weighted-norm node field."""
-    return sine_transform(op.grid, GridField(op.grid, _eigvec_hat(op, which)), "inverse")
-
-
-def _bc_residual_once(op: PhiOperator, which: int, r):
+def _bc_residual_once(op: PhiOperator, r, which: int) -> float:
     u = _eigvec_field(op, which)
     vl, dl = boundary_trace_1d(op.grid, u, "left")
     vr, dr = boundary_trace_1d(op.grid, u, "right")
@@ -200,13 +190,31 @@ def _bc_residual_once(op: PhiOperator, which: int, r):
     return max(abs(dl - (hl - rv[0])), abs(dr - (hr - rv[1])))
 
 
-def _refinements(op: PhiOperator, levels: int):
-    """``op``, then its family and mode on ``levels - 1`` 1d grids of halved
-    spacing, built one at a time."""
-    yield op
-    for level in range(1, levels):
-        grid = make_grid(1, list(op.grid.lengths), op.grid.spacing / 2**level)
-        yield build_phi_operator(grid, op.family, op.mode)
+def _refinement_check(name: str, op: PhiOperator, levels: int, min_ratio: float,
+                      residual, context: dict) -> CheckReport:
+    """residual(fine, r) on ``op`` and on its family and mode on ``levels - 1``
+    1d grids of halved spacing, built one at a time, with r = ``bc_r_matrix``
+    (None for an empty family); it must fall by ``min_ratio`` or more per
+    halving.  A trace map of lower rank than the columns is inconclusive."""
+    residuals = []
+    for level in range(levels):
+        fine = op if level == 0 else build_phi_operator(
+            make_grid(1, list(op.grid.lengths), op.grid.spacing / 2**level), op.family, op.mode)
+        r = bc_r_matrix(fine)
+        if fine.basis.rank and r is None:
+            return CheckReport(name=name, residuals={}, tolerances={},
+                               context={**context, "reason": "degenerate trace space"},
+                               inconclusive=True)
+        residuals.append(float(residual(fine, r)))
+    ratios = [a / b for a, b in zip(residuals, residuals[1:])]
+    shortfall = max(0.0, min_ratio - min(ratios)) if ratios else 0.0
+    return CheckReport(
+        name=name,
+        residuals={"ratio_shortfall": shortfall},
+        tolerances={"ratio_shortfall": 0.0},
+        context={"levels": residuals, "ratios": ratios,
+                 "empirical_orders": [float(np.log2(q)) for q in ratios], **context},
+    )
 
 
 def boundary_condition_residual(
@@ -227,35 +235,10 @@ def boundary_condition_residual(
     if not 0 <= which_eigenvector < op.grid.total:
         raise ValueError(f"which_eigenvector must lie in [0, {op.grid.total}), "
                          f"got {which_eigenvector}")
-    residuals = []
-    degenerate = False
-    for fine in _refinements(op, levels):
-        r = bc_r_matrix(fine) if fine.basis.rank else None
-        if fine.basis.rank and r is None:
-            degenerate = True
-            break
-        residuals.append(float(_bc_residual_once(fine, which_eigenvector, r)))
-    if degenerate:
-        return CheckReport(
-            name="boundary_condition",
-            residuals={}, tolerances={},
-            context={"family": format_family(op.family), "reason": "degenerate trace space"},
-            inconclusive=True,
-        )
-    ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
-    shortfall = max(0.0, 1.5 - min(ratios)) if ratios else 0.0
-    return CheckReport(
-        name="boundary_condition",
-        residuals={"ratio_shortfall": float(shortfall)},
-        tolerances={"ratio_shortfall": 0.0},
-        context={
-            "levels": residuals,
-            "ratios": ratios,
-            "empirical_orders": [float(np.log2(r)) for r in ratios],
-            "which_eigenvector": which_eigenvector,
-            "family": format_family(op.family),
-        },
-    )
+    return _refinement_check(
+        "boundary_condition", op, levels, 1.5,
+        lambda fine, r: _bc_residual_once(fine, r, which_eigenvector),
+        {"which_eigenvector": which_eigenvector, "family": format_family(op.family)})
 
 
 def _gradient_sum(values: np.ndarray, h: float, t_left: complex, t_right: complex) -> float:
@@ -284,35 +267,20 @@ def _seeded_source(grid: Grid, seed: int) -> GridField:
     return GridField(grid, vals)
 
 
-def _least_norm_coordinates(op: PhiOperator, v: GridField) -> np.ndarray:
-    """The least-norm a with C a the projection of v on the span of the
-    columns C, taken at the columns' rank."""
-    U, sv, Vh = np.linalg.svd(op.basis.col_hat, full_matrices=False)
-    r = op.basis.rank
-    return Vh[:r].conj().T @ (U[:, :r].conj().T @ sine_transform(op.grid, v, "forward").values
-                              / sv[:r])
-
-
-def _qform_residual_once(op: PhiOperator, seed: int) -> float:
+def _qform_residual_once(op: PhiOperator, r, seed: int) -> float:
     grid = op.grid
     w = _seeded_source(grid, seed)
     f = apply_inverse(op, w)
     lhs = inner_product(f, w).real
-    if op.basis.rank:
-        tl, _ = boundary_trace_1d(grid, f, "left")
-        tr, _ = boundary_trace_1d(grid, f, "right")
-    else:
-        tl = tr = 0.0
     h = grid.spacing
-    energy_f = _gradient_sum(f.values, h, tl, tr)
-    if op.basis.rank:
-        psi = harmonic_extension(grid, lambda x: tl if x < 0 else tr)
-        energy_psi = _gradient_sum(psi.values, h, tl, tr)
-        r_term = float(np.sum(np.abs(_least_norm_coordinates(op, psi)) ** 2))
-    else:
-        energy_psi = 0.0
-        r_term = 0.0
-    form = energy_f - energy_psi + r_term
+    if r is None:
+        return abs(lhs - _gradient_sum(f.values, h, 0.0, 0.0)) / abs(lhs)
+    tl, _ = boundary_trace_1d(grid, f, "left")
+    tr, _ = boundary_trace_1d(grid, f, "right")
+    psi = harmonic_extension(grid, lambda x: tl if x < 0 else tr)
+    t = np.array([tl, tr])
+    form = (_gradient_sum(f.values, h, tl, tr) - _gradient_sum(psi.values, h, tl, tr)
+            + float((t.conj() @ r @ t).real))
     return abs(lhs - form) / abs(lhs)
 
 
@@ -320,36 +288,28 @@ def quadratic_form_identity(op: PhiOperator, seed: int = 0, levels: int = 2) -> 
     """Compare <f, A f> with the boundary-corrected gradient form.
 
     f = A^-1 w for seeded random w; the form is the forward-difference energy
-    of f minus that of the discrete-harmonic extension of f's extracted trace,
-    plus the R pairing of that extension, |a|^2 for its least-norm column
-    coordinates a.  Exact (to roundoff) for an empty
-    family; order >= 1 in h otherwise, checked on ``op`` and ``levels - 1``
-    refinements of it.
-    Requires discrete-harmonic sampling whenever the family is nonempty, since
-    in sampled mode the identity is only asymptotic in a weaker sense.
+    of f minus that of the discrete-harmonic extension of f's extracted trace
+    t, plus t^H r t with r = ``bc_r_matrix``, the matrix of the boundary
+    condition check.  Exact (to roundoff) for an empty family; order >= 1 in
+    h otherwise, a ratio >= 2 per halving on ``op`` and ``levels - 1``
+    refinements of it.  Requires discrete-harmonic sampling whenever the
+    family is nonempty, since in sampled mode the identity is only asymptotic
+    in a weaker sense.
     """
     if op.grid.dim != 1:
         raise ValueError("quadratic form identity requires a 1d grid")
     if op.basis.rank and op.mode != "discrete-harmonic":
         raise ValueError("quadratic form identity needs discrete-harmonic sampling")
+    context = {"family": format_family(op.family), "seed": seed}
     if op.basis.rank == 0:
-        res = _qform_residual_once(op, seed)
         return CheckReport(
             name="quadratic_form_identity",
-            residuals={"relative": float(res)},
+            residuals={"relative": float(_qform_residual_once(op, None, seed))},
             tolerances={"relative": 1e-10},
-            context={"family": format_family(op.family), "seed": seed},
+            context=context,
         )
-    residuals = [float(_qform_residual_once(fine, seed)) for fine in _refinements(op, levels)]
-    orders = [float(np.log2(residuals[i] / residuals[i + 1])) for i in range(len(residuals) - 1)]
-    shortfall = max(0.0, 1.0 - min(orders)) if orders else 0.0
-    return CheckReport(
-        name="quadratic_form_identity",
-        residuals={"order_shortfall": float(shortfall)},
-        tolerances={"order_shortfall": 0.0},
-        context={"levels": residuals, "empirical_orders": orders,
-                 "family": format_family(op.family), "seed": seed},
-    )
+    return _refinement_check("quadratic_form_identity", op, levels, 2.0,
+                             lambda fine, r: _qform_residual_once(fine, r, seed), context)
 
 
 def ordering_check(op: PhiOperator) -> CheckReport:

@@ -6,7 +6,7 @@ import runpy
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
-from functools import partial
+from functools import partial, reduce
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,7 @@ from becbox import phi_operator as po
 from becbox import verification as vf
 from becbox.config import ConfigError, ExperimentConfig, parse_config_text
 from becbox.continuum import HypothesisError
+from conftest import traced_peak
 
 MINI_CONVERGE = """
 kind = converge
@@ -504,10 +505,13 @@ class TestCli:
     def test_inconclusive_check_exit_1(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(vf, "bc_r_matrix", lambda op: None)
         assert cli.main(["verify", "--out", str(tmp_path)]) == 1
-        assert "[INCONCLUSIVE] boundary_condition" in capsys.readouterr().out
+        out = capsys.readouterr().out
         doc = json.loads((tmp_path / "run_checks.json").read_text())
-        (bc,) = [c for c in doc["checks"] if c["name"] == "boundary_condition"]
-        assert bc["context"]["inconclusive"] is True and bc["pass"] is False
+        # both trace checks read r through one refinement routine
+        for name in ("boundary_condition", "quadratic_form_identity"):
+            assert f"[INCONCLUSIVE] {name}" in out
+            (check,) = [c for c in doc["checks"] if c["name"] == name]
+            assert check["context"]["inconclusive"] is True and check["pass"] is False
         assert doc["pass"] is False
 
     def test_converge_not_decreasing_exit_1(self, tmp_path, monkeypatch):
@@ -569,16 +573,28 @@ class TestCli:
         assert cli.main(["fourier-dump", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         table = ct.fourier_oracle(ct.parse_test_function(spec), cutoff, dp, quad_points)
         lines = (tmp_path / "run_fourier.csv").read_text().splitlines()
-        assert lines[0] == ("p,re,im" if dim == 1 else "p1,p2,re,im")
-        assert len(lines) - 1 == len(table.p) ** dim
-        index = {p: i for i, p in enumerate(table.p)}
-        for line in lines[1:]:
-            *ps, re, im = map(float, line.split(","))
-            assert complex(re, im) == table.values[tuple(index[p] for p in ps)]
+        assert lines[0] == ("p,re,im" if dim == 1 else "p,re_x,im_x,re_y,im_y")
+        assert len(lines) - 1 == len(table.p)  # one row per p, not per cell
+        rows = np.array([list(map(float, line.split(","))) for line in lines[1:]])
+        assert np.array_equal(rows[:, 0], table.p)
+        factors = rows[:, 1::2] + 1j * rows[:, 2::2]
+        assert np.array_equal(factors, np.stack(table.factors, axis=1))
+        # the axis factors' product is the table's fhat on every cell
+        assert np.array_equal(reduce(np.multiply, np.ix_(*factors.T)), table.values)
         doc = json.loads((tmp_path / "run_fourier.json").read_text())
         assert doc["parseval_sum"] == table.parseval_sum()
         assert complex(doc["value_at_zero_re"], doc["value_at_zero_im"]) == table.value_at_zero()
         assert abs(table.value_at_zero()) <= 1e-14  # a dipole has zero mean
+
+    def test_fourier_dump_d2_writes_no_grid(self, tmp_path):
+        """At the default oracle (cutoff 80, p_spacing 0.02: 8001 p) the d = 2
+        table as a grid would be 64,016,001 cells, 1.02 GB of complex values;
+        the dump writes one row per p and stays near the oracle's own peak."""
+        cfg = parse_config_text("kind = fourier\ndim = 2\n"
+                                "f = dipole2:cx=0,cy=0,s=1,ax=0.75,ay=0.75\n")
+        assert traced_peak(ex.emit_fourier, cfg, str(tmp_path), "run") <= 16e6
+        with open(tmp_path / "run_fourier.csv") as fh:
+            assert sum(1 for _ in fh) == 1 + 8001
 
     def test_main_block_freezes_the_import_heap(self, tmp_path, monkeypatch, capsys):
         """``python -m becbox.cli`` freezes what the imports made before

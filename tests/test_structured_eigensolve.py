@@ -136,25 +136,26 @@ def test_domain_decomposition_holds_for_every_family(case):
     assert report.passed, report.to_dict()
 
 
-@given(cases(), st.floats(0.01, 50.0))
+# a small shift: s^-1 (u - (I + s A^-1)^-1 u), the same resolvent through a
+# difference, reads 4.1e-13 relative here, 114 times the bound
+@example(case=(bb.make_grid(1, [8], 1 / 32), bb.parse_family("affine:a=0,b=1;const:c=1"),
+               "sampled", 0, 1.0), s=1e-4)
+@given(cases(), st.floats(1e-6, 50.0))
 def test_woodbury_round_trips(case, s):
     """apply_forward inverts apply_inverse to 16 eps kappa, kappa = max mu /
     min mu the condition number of the Woodbury solve's matrix A^-1; and
-    shifted_solve is the eigenpairs' resolvent to 8 eps (1 + s max mu) |u| /
-    s, the rounding of s^-1 (u - (I + s A^-1)^-1 u), whose solve has
-    condition number at most 1 + s max mu."""
+    shifted_solve is the eigenpairs' resolvent to 16 eps (1 + s max mu)
+    |(s + A)^-1 u|, with no 1/s: the Krein formula forms no difference that
+    cancels, and its K x K solve has condition number at most 1 + s max mu."""
     grid, family, mode, seed, _ = case
     op = bb.build_phi_operator(grid, family, mode, "dense")
     u = random_field(grid, seed, True)
     back = bb.apply_forward(op, bb.apply_inverse(op, u)).values
     kappa = op.mu[-1] / op.mu[0]
     assert np.linalg.norm(back - u.values) <= 16 * EPS * kappa * np.linalg.norm(u.values)
-    uhat = op._hat(u)
-    want = op.unproject(op.project(uhat) / (s + 1.0 / op.mu))
+    want = op.unproject(op.project(op._hat(u)) / (s + 1.0 / op.mu))
     got = op._hat(bb.shifted_solve(op, u, s))
-    assert (np.linalg.norm(got - want)
-            <= 8 * EPS * (1 + s * op.mu[-1]) * np.linalg.norm(uhat) / s)
-
+    assert np.linalg.norm(got - want) <= 16 * EPS * (1 + s * op.mu[-1]) * np.linalg.norm(want)
 
 
 def deflated_eigh(d, C):
