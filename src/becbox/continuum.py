@@ -231,11 +231,6 @@ class FourierTable:
         return len(self.factors)
 
     @property
-    def values(self) -> np.ndarray:
-        """fhat on the full grid, shape (len(p),) * dim, formed on each read."""
-        return reduce(np.multiply.outer, self.factors)
-
-    @property
     def p_spacing(self) -> float:
         # the step at the origin is exact; p[1] - p[0] rounds at |p| = cutoff
         m = self.zero_index

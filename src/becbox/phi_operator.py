@@ -17,15 +17,15 @@ stand.  Every operator eigendecomposes a component without assembling it, the
 first time something needs it, as chained rank-one modifications: each stage
 adds one column, deflation by the same rule leaves every mode its column does
 not reach as an eigenpair of its own, and the block the column couples is
-solved through its secular equation (operator eigenvalues are reported as
-1/mu).  The backend is the rule a two-point readout is read with, and nothing
-else: one quadrature rule per start vector, the eigenpairs of the components
-it reaches (dense) or a Lanczos Gauss rule (lanczos), and every spectral
-function of the readout is read off that rule.  A Lanczos recursion runs only
-on the sine coefficients its start vector reaches, read off the same partition
-(see ``lanczos_quadratic_form``).  All inner products, normalizations and
-orthogonalizations use the h^d-weighted inner product, which in sine
-coefficients is the plain dot product.
+solved through its secular equation (the operator's eigenvalues, ascending,
+are 1/mu: ``PhiOperator.eigenvalues``).  The backend is the rule a two-point
+readout is read with, and nothing else: one quadrature rule per start vector,
+the eigenpairs of the components it reaches (dense) or a Lanczos Gauss rule
+(lanczos), and every spectral function of the readout is read off that rule.
+A Lanczos recursion runs only on the sine coefficients its start vector
+reaches, read off the same partition (see ``lanczos_quadratic_form``).  All
+inner products, normalizations and orthogonalizations use the h^d-weighted
+inner product, which in sine coefficients is the plain dot product.
 """
 
 from __future__ import annotations
@@ -267,11 +267,12 @@ def _negligible(c: np.ndarray, dmax: float) -> np.ndarray:
     """The entries of a column c that diag(d) + c c^H, max d = dmax, drops:
     |c_i| ||c|| <= eps max(dmax, ||c||^2), a perturbation no larger than a
     dense eigensolver's backward error for that matrix.  With dmax = 0 these
-    are a vector's entries within roundoff of its norm, |v_i| <= eps ||v||."""
-    norm = np.linalg.norm(c)
+    are a vector's entries within roundoff of its norm, |v_i| <= eps ||v||
+    (of a block, per column)."""
+    norm = np.linalg.norm(c, axis=0)
     scaled = np.abs(c)
     scaled *= norm
-    return scaled <= _EPS * max(dmax, norm**2)
+    return scaled <= _EPS * np.maximum(dmax, norm**2)
 
 
 def _components(C: np.ndarray, dmax: float) -> tuple[np.ndarray, np.ndarray]:
@@ -321,11 +322,11 @@ class PhiOperator:
     -1 for a free row (``column_components`` labels the columns; see
     ``_components``).  A component is solved the first time something needs
     it (``_chain``) and kept: a dense readout solves only the components its
-    vectors reach.  ``mu`` (ascending eigenvalues of the inverse in the sine
-    basis, so operator eigenvalues are 1/mu), ``project``, ``unproject`` and
-    ``eigenbasis`` (every component's chain, then the free rows') assemble
-    all of them, whatever the backend: ``backend`` only picks the rule of a
-    two-point readout (``_bilinear_forms``).
+    vectors reach.  ``eigenvalues`` (of -Delta_Phi, ascending), ``project``
+    and ``unproject`` (aligned with them) and ``eigenbasis`` (every
+    component's chain, then the free rows') assemble all of them, whatever
+    the backend: ``backend`` only picks the rule of a two-point readout
+    (``_bilinear_forms``).
     """
 
     grid: Grid
@@ -337,11 +338,6 @@ class PhiOperator:
     components: np.ndarray
     column_components: np.ndarray
     _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def operator_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of the modified Laplacian, ascending."""
-        return np.sort(1.0 / self.mu)
 
     def _chain(self, k: int) -> _Chain:
         """Component k's chain (k = -1: the free rows), solved on first use."""
@@ -363,26 +359,27 @@ class PhiOperator:
 
     @cached_property
     def _assembly(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every chain's eigenvalues, ascending, and the order that sorts them
-        from the chains' concatenation."""
-        mu = np.concatenate([chain.mu for chain in self.eigenbasis])
-        order = np.argsort(mu, kind="stable")
-        return mu[order], order
+        """Every chain's operator eigenvalues 1/mu, ascending, and the order
+        that sorts them from the chains' concatenation."""
+        nu = 1.0 / np.concatenate([chain.mu for chain in self.eigenbasis])
+        order = np.argsort(nu, kind="stable")
+        return nu[order], order
 
     @property
-    def mu(self) -> np.ndarray:
-        """Eigenvalues of A^-1, ascending."""
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of -Delta_Phi, ascending: 1/mu of the chains, whose
+        Rayleigh quotients mu are accurate relative to each mu."""
         return self._assembly[0]
 
     def project(self, chat: np.ndarray) -> np.ndarray:
         """V^H chat: sine coefficients (along axis 0) to eigenvector
-        coefficients aligned with mu."""
+        coefficients aligned with ``eigenvalues``."""
         return np.concatenate([chain.project(chat[chain.rows])
                                for chain in self.eigenbasis])[self._assembly[1]]
 
     def unproject(self, a: np.ndarray) -> np.ndarray:
-        """V a: eigenvector coefficients aligned with mu (along axis 0) to sine
-        coefficients."""
+        """V a: eigenvector coefficients aligned with ``eigenvalues`` (along
+        axis 0) to sine coefficients."""
         chains = self.eigenbasis
         y = np.empty_like(a)  # the chains' concatenation
         y[self._assembly[1]] = a
@@ -670,8 +667,12 @@ def _solve_diag_plus_lowrank(d: np.ndarray, C: np.ndarray, b: np.ndarray) -> np.
 
 
 def apply_forward(op: PhiOperator, f: GridField) -> GridField:
-    """Apply the modified Laplacian itself, i.e. solve A^-1 x = f."""
-    return op._unhat(_solve_diag_plus_lowrank(1.0 / op.lam, op.basis.col_hat, op._hat(f)))
+    """Apply the modified Laplacian itself, i.e. solve A^-1 x = f: a Woodbury
+    solve, whose formula cancels by up to |C^H D^-1 C| (36 eps on one node,
+    where A^-1 has condition number 1), and one step of iterative refinement."""
+    b, d, C = op._hat(f), 1.0 / op.lam, op.basis.col_hat
+    x = _solve_diag_plus_lowrank(d, C, b)
+    return op._unhat(x + _solve_diag_plus_lowrank(d, C, b - op.inverse_matvec(x)))
 
 
 def _resolvent(op: PhiOperator, x: np.ndarray, s: float) -> np.ndarray:
@@ -703,9 +704,10 @@ def shifted_solve(op: PhiOperator, f: GridField, shift: float = 1.0) -> GridFiel
 
 
 def _gauss_sum(Fs, nodes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_i conj(a_i) F(nodes_i) b_i for every F in Fs: a quadrature rule read off."""
-    a = a.conj()  # no copy of a real a
-    return np.array([np.sum(a * F.evaluate(nodes) * b) for F in Fs])
+    """sum_i conj(a_i) F(nodes_i) b_i for every F in Fs: a quadrature rule read
+    off, for vectors a and b or, column by column, for blocks (a^H F b)."""
+    aH = a.conj().T  # no copy of a real a
+    return np.array([aH @ (F.evaluate(nodes) * b.T).T for F in Fs])
 
 
 @dataclass(frozen=True)
@@ -814,20 +816,21 @@ def lanczos_quadratic_form(
                          repeats=repeats, size=v.size)
 
 
-def _dense_forms(op: PhiOperator, Fs, fhat: np.ndarray, ghat: np.ndarray) -> np.ndarray:
-    """sum_j conj(a_j) F(1/mu_j) b_j for every F in Fs, a and b the eigenvector
-    coefficients of fhat and ghat (ghat is fhat for a quadratic form), summed
-    over the free rows and the column components that an entry of fhat or
-    ghat above its vector's roundoff lies in: every other component adds
+def _dense_forms(op: PhiOperator, Fs, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X^H F(-Delta_Phi) Y, shape (len(Fs), X columns, Y columns), for blocks
+    X and Y of sine coefficients (a field per column; Y is X for quadratic
+    forms), summed over the free rows and the column components that an entry
+    of a column above its roundoff lies in: every other component adds
     roundoff at most, and is not solved."""
-    values = np.zeros(len(Fs))
-    reach = ~(_negligible(fhat, 0.0) & _negligible(ghat, 0.0))
+    values = 0.0
+    reach = ~(_negligible(X, 0.0) & _negligible(Y, 0.0)).all(axis=1)
     for k in [*_touched(op.components, reach), -1]:
         chain = op._chain(k)
-        if ghat is fhat:
-            a = b = chain.project(fhat[chain.rows])
+        if Y is X:
+            a = b = chain.project(X[chain.rows])
         else:  # one pass over the stages for both
-            a, b = chain.project(np.stack([fhat[chain.rows], ghat[chain.rows]], axis=1)).T
+            a, b = np.split(chain.project(np.hstack([X[chain.rows], Y[chain.rows]])),
+                            [X.shape[1]], axis=1)
         values = values + _gauss_sum(Fs, 1.0 / chain.mu, a, b)
     return values
 
@@ -839,8 +842,9 @@ def _bilinear_forms(op: PhiOperator, Fs, f: GridField, g: GridField | None):
     same = g is None or g is f or np.array_equal(f.values, g.values)
     fhat = op._hat(f)
     ghat = fhat if same else op._hat(g)
-    if op.backend == "dense":
-        return _dense_forms(op, Fs, fhat, ghat), fhat, ghat
+    if op.backend == "dense":  # the block readout of one column each
+        X = fhat[:, None]
+        return _dense_forms(op, Fs, X, X if same else ghat[:, None])[:, 0, 0], fhat, ghat
     if same:
         terms = [(1.0, fhat)]
     elif np.result_type(fhat, ghat, op.basis.col_hat).kind == "c":  # complex pair or operator

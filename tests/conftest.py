@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,12 @@ def random_field(grid, seed, complex_values=False):
     if complex_values:
         vals = vals + 1j * rng.standard_normal(grid.total)
     return bb.GridField(grid, vals)
+
+
+def fourier_grid(table) -> np.ndarray:
+    """A Fourier table's fhat on its full p-grid, shape (len(p),) * dim: the
+    outer product of its axis factors, which is all the table holds."""
+    return reduce(np.multiply.outer, table.factors)
 
 
 def traced_peak(fn, *args) -> int:

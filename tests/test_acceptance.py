@@ -107,7 +107,7 @@ def test_criterion_02_krein_identity():
     op1 = bb.build_phi_operator(g1, bb.parse_family("const:c=1"), backend="dense")
     lam = op1.lam[0]
     s = lam / (lam + 1.0)
-    lhs = 1.0 / (op1.operator_eigenvalues[0] + 1.0)
+    lhs = 1.0 / (op1.eigenvalues[0] + 1.0)
     r = 1.0 / abs(op1.basis.col_hat[0, 0]) ** 2  # R = 1/|c|^2 on the one column
     rhs = 1.0 / (lam + 1.0) + s * (1.0 / (r + s)) * s
     scalar_ok = abs(lhs - 0.6) <= 1e-15 and abs(rhs - 0.6) <= 1e-15
@@ -148,13 +148,13 @@ def test_criterion_05_eigenvalue_ordering():
     worst = 0.0
     tested = []
     for N, K, op in _ops_1d():
-        excess = float(np.max(op.operator_eigenvalues / np.sort(op.lam) - 1.0))
+        excess = float(np.max(op.eigenvalues / np.sort(op.lam) - 1.0))
         worst = max(worst, excess)
         tested.append((1, N, K))
     g2 = bb.make_grid(2, [4, 4], 1 / 8)  # N = 961, the d=2 sweep family
     op2 = bb.build_phi_operator(
         g2, bb.parse_family("hpoly2:n=1,part=re;hpoly2:n=2,part=re"), backend="dense")
-    worst = max(worst, float(np.max(op2.operator_eigenvalues / np.sort(op2.lam) - 1.0)))
+    worst = max(worst, float(np.max(op2.eigenvalues / np.sort(op2.lam) - 1.0)))
     tested.append((2, 961, 2))
     ok = worst <= 1e-12
     _report(5, ok, f"max eigenvalue excess {worst:.3e} (tol 1e-12) over "
@@ -224,7 +224,7 @@ def test_criterion_08_theorem1_d2(converge_d2):
     cross = abs(qd - ql) / abs(qd)
     # exact ordering on the inverse side at this scale (Weyl inequality),
     # with the tolerance carried by the eigensolver's backward error
-    mu_sorted = np.sort(dense_op.mu)
+    mu_sorted = np.sort(1.0 / dense_op.eigenvalues)
     green_sorted = np.sort(1.0 / dense_op.lam)
     weyl_ok = bool(np.all(mu_sorted >= green_sorted - 1e-12 * mu_sorted[-1]))
     ok = (decreasing and final <= golden["threshold_final_rel_err"]

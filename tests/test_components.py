@@ -86,12 +86,14 @@ def test_one_component_readout_equals_every_component(case, pick, complex_g):
     if complex_g:
         ghat = ghat + 1j * np.where(on, rng.standard_normal(grid.total), 0.0)
     Fs = (bb.Bose(beta), bb.BoseRegular(beta), bb.ShiftedInverse(-1.0))
-    got = [po._dense_forms(op, Fs, fhat, fhat), po._dense_forms(op, Fs, fhat, ghat)]
+    X = fhat[:, None]
+    got = [po._dense_forms(op, Fs, X, X)[:, 0, 0],
+           po._dense_forms(op, Fs, X, ghat[:, None])[:, 0, 0]]
     assert set(op._chains) <= {k, -1}
     a = op.project(fhat)
     for value, b in zip(got, (a, op.project(ghat))):
-        want = po._gauss_sum(Fs, 1.0 / op.mu, a, b)
-        size = np.array([np.sum(np.abs(a * F.evaluate(1.0 / op.mu) * b)) for F in Fs])
+        want = po._gauss_sum(Fs, op.eigenvalues, a, b)
+        size = np.array([np.sum(np.abs(a * F.evaluate(op.eigenvalues) * b)) for F in Fs])
         assert np.all(np.abs(value - want) <= 1e-13 * size)
 
 

@@ -6,7 +6,7 @@ import runpy
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
-from functools import partial, reduce
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +178,20 @@ class TestEmission:
         doc = json.loads((tmp_path / "t.json").read_text())
         assert doc["rhs"]["oracle_wall_time_s"] == mini_report.oracle_wall_time_s
 
+    def test_split_disagreement_covers_the_fine_rows(self, tmp_path, mini_report):
+        """A Richardson run's JSON reports the largest disagreement of every
+        row it reads, the fine sweep's included: its Richardson rows carry
+        max(coarse, fine), and the coarse rows alone miss the fine one."""
+        fine = [dataclasses.replace(r, split_agreement=r.split_agreement + 1e-9)
+                for r in mini_report.rows]
+        rich = [dataclasses.replace(b, split_agreement=max(a.split_agreement, b.split_agreement))
+                for a, b in zip(mini_report.rows, fine)]
+        report = dataclasses.replace(mini_report, rows_fine=fine, rows_richardson=rich)
+        ex.emit_converge(report, str(tmp_path), "r")
+        doc = json.loads((tmp_path / "r.json").read_text())
+        assert doc["max_split_disagreement"] == max(r.split_agreement for r in fine)
+        assert doc["max_split_disagreement"] > max(r.split_agreement for r in mini_report.rows)
+
     def test_svg_well_formed(self, tmp_path, mini_report):
         ex.emit_converge(mini_report, str(tmp_path), "p")
         tree = ET.parse(tmp_path / "p.svg")
@@ -259,18 +273,37 @@ class TestWickDemo:
         assert payload["cross_check_rel"] <= 1e-13
         assert payload["n"] == 3
 
-    def test_matrix_equals_the_pairwise_two_point_values(self):
-        cfg = parse_config_text("kind = wick\nwick_n = 5\nL_start = 4\nh = 0.0625\n")
+    @pytest.mark.parametrize("text, unreached", [
+        ("kind = wick\nwick_n = 5\nL_start = 4\nh = 0.0625\n", False),
+        # the benchmark's wick command: twelve bumps, N = 1023
+        ("kind = wick\nL_list = 32\nh = 0.03125\nwick_n = 12\n", False),
+        # one centred even bump and a family of one even and one odd column:
+        # the odd column's component is not reached, and not solved
+        ("kind = wick\nfamily = const:c=1;affine:a=0,b=1\nL_list = 8\nh = 0.0625\n"
+         "wick_n = 1\n", True),
+    ], ids=["n5", "cli-session", "centred"])
+    def test_matrix_equals_the_pairwise_two_point_values(self, monkeypatch, text, unreached):
+        """T is the block readout of every pair at once: each entry equals
+        quadratic_form(op, Bose(beta), f_i, f_j), and T is Hermitian."""
+        ops = []
+        monkeypatch.setattr(ex, "build_phi_operator",
+                            lambda *args: ops.append(po.build_phi_operator(*args)) or ops[-1])
+        cfg = parse_config_text(text)
         payload = ex.run_wick_demo(cfg)
         T = np.array(payload["two_point_matrix_re"]) + 1j * np.array(payload["two_point_matrix_im"])
-        grid = bb.make_grid(1, [4], 0.0625)
-        op = bb.build_phi_operator(grid, bb.parse_family(cfg.family), backend="dense")
-        fields = [bb.sample_function(grid, partial(ct.evaluate, ct.Bump(center=(c,),
-                                                   halfwidth=(payload["halfwidth"],))))
-                  for c in payload["centers"]]
-        pairwise = np.array([[bb.two_point_lhs(op, cfg.beta, f, g).direct for g in fields]
-                             for f in fields])
-        assert np.abs(T - pairwise).max() <= 1e-13 * np.abs(pairwise).max()
+        (op,) = ops
+        fresh = po.build_phi_operator(op.grid, op.family)
+        fields = [bb.sample_function(op.grid, partial(ct.evaluate, ct.Bump(
+            center=(c,), halfwidth=(payload["halfwidth"],)))) for c in payload["centers"]]
+        pairs = np.array([[bb.quadratic_form(fresh, bb.Bose(cfg.beta), f, g) for g in fields]
+                          for f in fields])
+        scale = np.abs(pairs).max()
+        assert np.abs(T - pairs).max() <= 1e-13 * scale
+        assert np.abs(T - T.conj().T).max() <= 1e-15 * scale
+        solved = set(op._chains) - {-1}
+        labels = set(op.column_components.tolist()) - {-1}
+        assert len(labels) == (2 if unreached else 1)
+        assert solved == ({int(op.column_components[0])} if unreached else labels)
 
     def test_n_limit(self):
         with pytest.raises(ConfigError, match="wick_n"):
@@ -474,6 +507,18 @@ class TestCli:
                        "cutoff = 20\np_spacing = 0.1\nquad_points = 512\n")
         assert cli.main(["converge", "--config", str(cfg), "--out", str(tmp_path)]) == 3
 
+    def test_verify_checks_f_before_any_build(self, tmp_path, monkeypatch):
+        """A support that reaches the boundary exits 3 before any operator is
+        built, as in converge and srs."""
+        def barred(*args, **kwargs):
+            raise AssertionError("built an operator")
+
+        for module in (ex, vf):
+            monkeypatch.setattr(module, "build_phi_operator", barred)
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text("kind = verify\nf = dipole:c=0,s=1,a=3\nL_list = 8\nh = 0.25\n")
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+
     @pytest.mark.parametrize("command, text", [
         # e^(400 x) fits a double on the L = 4 box, its square does not
         ("converge", "dim = 2\nfamily = expcos:k=400\nf = dipole2:cx=0,cy=0,s=0.5,ax=0.4,ay=0.4\n"
@@ -579,8 +624,6 @@ class TestCli:
         assert np.array_equal(rows[:, 0], table.p)
         factors = rows[:, 1::2] + 1j * rows[:, 2::2]
         assert np.array_equal(factors, np.stack(table.factors, axis=1))
-        # the axis factors' product is the table's fhat on every cell
-        assert np.array_equal(reduce(np.multiply, np.ix_(*factors.T)), table.values)
         doc = json.loads((tmp_path / "run_fourier.json").read_text())
         assert doc["parseval_sum"] == table.parseval_sum()
         assert complex(doc["value_at_zero_re"], doc["value_at_zero_im"]) == table.value_at_zero()

@@ -189,7 +189,8 @@ class TestCondensateBasis:
         fam = bb.HarmonicFamily((bb.Constant(0.0),))
         op = bb.build_phi_operator(grid_1d, fam, backend="dense")
         assert op.basis.rank == 0
-        np.testing.assert_array_equal(np.sort(op.mu), np.sort(1.0 / op.lam))
+        # 1/mu of the Green operator's eigenvalues mu = 1/lam, bit for bit
+        np.testing.assert_array_equal(op.eigenvalues, np.sort(1.0 / (1.0 / op.lam)))
 
     def test_a_vanishing_column_is_deflated(self, grid_1d):
         fam = bb.parse_family("const:c=0;affine:a=0,b=1")
@@ -202,12 +203,12 @@ class TestBuildOperator:
     def test_n1_closed_form(self):
         g, op = n1_operator()
         np.testing.assert_allclose(op.lam, [2.0])
-        np.testing.assert_allclose(op.mu, [1.5])
-        np.testing.assert_allclose(op.operator_eigenvalues, [2 / 3])
+        np.testing.assert_allclose(1.0 / op.eigenvalues, [1.5])
+        np.testing.assert_allclose(op.eigenvalues, [2 / 3])
 
     def test_empty_family_recovers_dirichlet(self, grid_1d):
         op = bb.build_phi_operator(grid_1d, bb.HarmonicFamily(()), backend="dense")
-        np.testing.assert_array_equal(np.sort(op.mu), np.sort(1.0 / op.lam))
+        np.testing.assert_array_equal(op.eigenvalues, np.sort(1.0 / (1.0 / op.lam)))
 
     def test_duplicate_column_doubles_rank_one_term(self, grid_1d):
         fam2 = bb.HarmonicFamily((bb.Affine1D(0.0, 1.0), bb.Affine1D(0.0, 1.0)))
@@ -219,7 +220,7 @@ class TestBuildOperator:
         b = bb.apply_inverse(op1, u)
         scale = np.abs(a.values).max()
         assert np.abs(a.values - b.values).max() <= 1e-12 * scale
-        np.testing.assert_allclose(op2.mu, op1.mu, rtol=1e-12)
+        np.testing.assert_allclose(op2.eigenvalues, op1.eigenvalues, rtol=1e-12)
 
     def test_backend_auto_threshold(self):
         g_small = bb.make_grid(1, [128], 1.0)
@@ -240,13 +241,13 @@ class TestBuildOperator:
     def test_eigenpair_invariants(self, grid_1d):
         fam = bb.parse_family("affine:a=0,b=1;affine:a=1,b=0")
         op = bb.build_phi_operator(grid_1d, fam, backend="dense")
-        assert np.all(op.mu > 0)
+        assert np.all(op.eigenvalues > 0)
         # orthonormal in the weighted inner product (plain dot in coefficients)
         V = op.unproject(np.eye(grid_1d.total))
         gram = V.conj().T @ V
         assert np.abs(gram - np.eye(grid_1d.total)).max() <= 1e-10
         # the inverse dominates the Green operator, eigenvalue by eigenvalue
-        assert np.all(np.sort(op.mu)[::-1] >= np.sort(1.0 / op.lam)[::-1] * (1 - 1e-12))
+        assert np.all(1.0 / op.eigenvalues >= np.sort(1.0 / op.lam)[::-1] * (1 - 1e-12))
 
 
 class TestEigendecompose:
@@ -329,7 +330,7 @@ class TestQuadraticForm:
         fhat, ghat = (bb.sine_transform(grid_2d, u).values for u in (f, g))
         a, b = op.project(fhat), op.project(ghat)
         Fs = (bb.Bose(0.7), bb.ShiftedInverse(-1.0))
-        separate = po._gauss_sum(Fs, 1.0 / op.mu, a, b)
+        separate = po._gauss_sum(Fs, op.eigenvalues, a, b)
         shapes = []
         project = po._Chain.project
 
@@ -415,7 +416,7 @@ class TestOrderingInvariant:
     ])
     def test_modified_below_dirichlet(self, grid_1d, family):
         op = bb.build_phi_operator(grid_1d, bb.parse_family(family), backend="dense")
-        nu = op.operator_eigenvalues
+        nu = op.eigenvalues
         nu0 = np.sort(op.lam)
         assert np.all(nu <= nu0 * (1 + 1e-12))
         # a rank-one perturbation strictly lowers at least one eigenvalue
@@ -430,7 +431,7 @@ class TestShiftedSolve:
         woodbury = bb.shifted_solve(op, u, 1.0)
         # dense spectral oracle
         chat = bb.sine_transform(grid_1d, u, "forward").values
-        coeff = op.unproject((op.mu / (1.0 + op.mu)) * op.project(chat))
+        coeff = op.unproject(op.project(chat) / (1.0 + op.eigenvalues))
         oracle = bb.sine_transform(grid_1d, bb.GridField(grid_1d, coeff), "inverse")
         assert np.abs(woodbury.values - oracle.values).max() <= 1e-11 * np.abs(oracle.values).max()
 

@@ -44,7 +44,7 @@ class TestKrein:
         # lhs = 1/(2/3 + 1) = 3/5, rhs = 1/3 + (2/3)(1/(1 + 2/3))(2/3) = 3/5
         lam = op.lam[0]
         s = lam / (lam + 1.0)
-        lhs = 1.0 / (op.operator_eigenvalues[0] + 1.0)
+        lhs = 1.0 / (op.eigenvalues[0] + 1.0)
         r = 1.0 / abs(op.basis.col_hat[0, 0]) ** 2
         rhs = 1.0 / (lam + 1.0) + s * (1.0 / (r + s)) * s
         assert lhs == pytest.approx(3 / 5, rel=1e-15)
@@ -76,7 +76,7 @@ class TestKrein:
         """The eigenpairs are solved from the true columns; the right side then
         reads columns 1% too long."""
         op = make_op(grid_1d, "affine:a=0,b=1")
-        op.mu  # every component solved here
+        op.eigenvalues  # every component solved here
         op.basis = dataclasses.replace(op.basis, col_hat=op.basis.col_hat * 1.01)
         rep = vf.krein_identity_residual(op, -1.0)
         assert not rep.passed
@@ -285,14 +285,14 @@ class TestOrdering:
         op = make_op(grid_1d, "")
         rep = vf.ordering_check(op)
         assert rep.passed
-        nu = op.operator_eigenvalues
+        nu = op.eigenvalues
         np.testing.assert_allclose(nu, np.sort(op.lam), rtol=1e-13)
 
     def test_single_family_strict_for_some_mode(self, grid_1d):
         op = make_op(grid_1d, "affine:a=0,b=1")
         rep = vf.ordering_check(op)
         assert rep.passed
-        assert np.min(op.operator_eigenvalues / np.sort(op.lam)) < 1 - 1e-6
+        assert np.min(op.eigenvalues / np.sort(op.lam)) < 1 - 1e-6
 
     def test_k3_family_2d(self):
         g = bb.make_grid(2, [4, 4], 0.125)  # N = 961
@@ -356,8 +356,8 @@ class TestEigenpairsOnEveryBackend:
         assert (dense.backend, lanczos.backend) == ("dense", "lanczos")
         assert dense.grid.total in (961, 127)
         x = np.random.default_rng(3).standard_normal((dense.grid.total, 2))
-        for read in (lambda op: op.mu, lambda op: op.operator_eigenvalues,
-                     lambda op: op.project(x), lambda op: op.unproject(x)):
+        for read in (lambda op: op.eigenvalues, lambda op: op.project(x),
+                     lambda op: op.unproject(x)):
             assert np.array_equal(read(dense), read(lanczos))
 
     def test_checks_report_the_same(self, pair):
