@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .lattice import Grid, GridField, harmonic_extension, sample_function
+from .lattice import Grid, GridField, sample_function
 
 __all__ = [
     "Constant",
@@ -157,23 +157,14 @@ def boundary_values_1d(spec: HarmonicSpec, grid: Grid) -> tuple[complex, complex
     return complex(eval_harmonic(spec, -L / 2)), complex(eval_harmonic(spec, L / 2))
 
 
-def sample_family(family: HarmonicFamily, grid: Grid, mode: str = "sampled") -> list[GridField]:
-    """Realize the family on the grid.
-
-    mode "sampled": pointwise evaluation at the nodes.  mode
-    "discrete-harmonic": solve stencil*v = 0 with boundary data phi on the
-    boundary lattice points (``harmonic_extension``), so v is exactly
-    stencil-harmonic in the interior.
-    """
-    if mode not in ("sampled", "discrete-harmonic"):
-        raise ValueError(f"mode must be 'sampled' or 'discrete-harmonic', got {mode!r}")
-    realize = sample_function if mode == "sampled" else harmonic_extension
+def sample_family(family: HarmonicFamily, grid: Grid) -> list[GridField]:
+    """The family's columns: each spec evaluated pointwise at the nodes."""
     out = []
     for spec in family.specs:
         d = spec_dim(spec)
         if d is not None and d != grid.dim:
             raise ValueError(f"spec {spec!r} is {d}d but grid is {grid.dim}d")
-        out.append(realize(grid, partial(eval_harmonic, spec)))
+        out.append(sample_function(grid, partial(eval_harmonic, spec)))
     return out
 
 

@@ -218,7 +218,7 @@ def green_apply(grid: Grid, u: GridField) -> GridField:
 
 
 def harmonic_extension(grid: Grid, boundary_fn) -> GridField:
-    """Discrete-harmonic extension of Dirichlet data into the interior.
+    """Stencil-harmonic extension of Dirichlet data into the interior.
 
     ``boundary_fn(*coords)`` gives the data on the boundary lattice points;
     each face (axis 0 low/high, then axis 1) adds its values to the nodes next

@@ -331,7 +331,6 @@ class PhiOperator:
 
     grid: Grid
     family: HarmonicFamily
-    mode: str
     backend: str
     basis: CondensateBasis
     lam: np.ndarray
@@ -621,7 +620,6 @@ def _deflated_eigh(d: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, tuple[_Sta
 def build_phi_operator(
     grid: Grid,
     family: HarmonicFamily,
-    mode: str = "sampled",
     backend: str = "auto",
 ) -> PhiOperator:
     """Assemble the operator and partition its sine coefficients into column
@@ -636,7 +634,7 @@ def build_phi_operator(
     if backend == "auto":
         backend = "dense" if grid.total <= DENSE_LIMIT else "lanczos"
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is the Gram's to report
-        columns = sample_family(family, grid, mode)
+        columns = sample_family(family, grid)
     basis = build_condensate_basis(grid, columns)
     if basis.deflated:
         logger.info(
@@ -646,7 +644,7 @@ def build_phi_operator(
     lam = dirichlet_eigenvalues(grid)
     components, column_components = _components(basis.col_hat, 1.0 / lam.min())
     return PhiOperator(
-        grid=grid, family=family, mode=mode, backend=backend, basis=basis, lam=lam,
+        grid=grid, family=family, backend=backend, basis=basis, lam=lam,
         components=components, column_components=column_components,
     )
 

@@ -11,6 +11,7 @@ asymptotically and are checked by mesh-refinement ratios.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .lattice import (
     harmonic_extension,
     inner_product,
     make_grid,
+    sample_function,
     sine_transform,
 )
 from .phi_operator import (
@@ -152,10 +154,10 @@ def bc_r_matrix(op: PhiOperator):
 
     <psi, R psi> = |a|^2 for the least-norm column coordinates a of psi, and
     a = P t for psi's trace t, P the pseudo-inverse of the columns' exact
-    endpoint values T (2 x K, closed form from the specs in both sampling
-    modes), whenever T has the columns' rank: so r = P^H P, the matrix both
-    trace checks read.  Returns None when it has not (degenerate case: the
-    trace map is not injective on the span).
+    endpoint values T (2 x K, closed form from the specs), whenever T has the
+    columns' rank: so r = P^H P, the matrix both trace checks read.  Returns
+    None when it has not (degenerate case: the trace map is not injective on
+    the span).
     """
     if op.grid.dim != 1:
         raise ValueError("bc_r_matrix requires a 1d grid")
@@ -191,14 +193,14 @@ def _bc_residual_once(op: PhiOperator, r, which: int) -> float:
 
 def _refinement_check(name: str, op: PhiOperator, levels: int, min_ratio: float,
                       residual, context: dict) -> CheckReport:
-    """residual(fine, r) on ``op`` and on its family and mode on ``levels - 1``
-    1d grids of halved spacing, built one at a time, with r = ``bc_r_matrix``
+    """residual(fine, r) on ``op`` and on its family on ``levels - 1`` 1d
+    grids of halved spacing, built one at a time, with r = ``bc_r_matrix``
     (None for an empty family); it must fall by ``min_ratio`` or more per
     halving.  A trace map of lower rank than the columns is inconclusive."""
     residuals = []
     for level in range(levels):
         fine = op if level == 0 else build_phi_operator(
-            make_grid(1, list(op.grid.lengths), op.grid.spacing / 2**level), op.family, op.mode)
+            make_grid(1, list(op.grid.lengths), op.grid.spacing / 2**level), op.family)
         r = bc_r_matrix(fine)
         if fine.basis.rank and r is None:
             return CheckReport(name=name, residuals={}, tolerances={},
@@ -287,18 +289,15 @@ def quadratic_form_identity(op: PhiOperator, seed: int = 0, levels: int = 2) -> 
     """Compare <f, A f> with the boundary-corrected gradient form.
 
     f = A^-1 w for seeded random w; the form is the forward-difference energy
-    of f minus that of the discrete-harmonic extension of f's extracted trace
-    t, plus t^H r t with r = ``bc_r_matrix``, the matrix of the boundary
-    condition check.  Exact (to roundoff) for an empty family; order >= 1 in
-    h otherwise, a ratio >= 2 per halving on ``op`` and ``levels - 1``
-    refinements of it.  Requires discrete-harmonic sampling whenever the
-    family is nonempty, since in sampled mode the identity is only asymptotic
-    in a weaker sense.
+    of f minus that of the stencil-harmonic extension (``harmonic_extension``)
+    of f's extracted trace t, plus t^H r t with r = ``bc_r_matrix``, the
+    matrix of the boundary condition check.  Exact (to roundoff) for an empty
+    family; order >= 1 in h otherwise, a ratio >= 2 per halving on ``op`` and
+    ``levels - 1`` refinements of it.  Every d = 1 column (a constant or an
+    affine function) is stencil-harmonic as sampled.
     """
     if op.grid.dim != 1:
         raise ValueError("quadratic form identity requires a 1d grid")
-    if op.basis.rank and op.mode != "discrete-harmonic":
-        raise ValueError("quadratic form identity needs discrete-harmonic sampling")
     context = {"family": format_family(op.family), "seed": seed}
     if op.basis.rank == 0:
         return CheckReport(
@@ -377,15 +376,18 @@ def dirichlet_reduction_check(grid: Grid) -> CheckReport:
     )
 
 
-def split_identity_check(op: PhiOperator, beta: float, f: GridField,
-                         g: GridField | None = None) -> CheckReport:
-    """Direct Bose evaluation versus the regular-plus-inverse split."""
-    tp = two_point_lhs(op, beta, f, g)
+def split_identity_check(op: PhiOperator, beta: float,
+                         f: continuum.TestFunctionSpec) -> CheckReport:
+    """Direct Bose evaluation versus the regular-plus-inverse split of
+    <f, (e^(-beta Delta_Phi) - 1)^-1 f>, for the test function ``f`` sampled
+    on the operator's grid."""
+    tp = two_point_lhs(op, beta, sample_function(op.grid, partial(continuum.evaluate, f)))
     return CheckReport(
         name="split_identity",
         residuals={"relative": float(tp.split_agreement)},
         tolerances={"relative": 1e-12},
-        context={"beta": beta, "N": op.grid.total, "rank": op.basis.rank},
+        context={"f": continuum.format_test_function(f), "beta": beta,
+                 "N": op.grid.total, "rank": op.basis.rank},
     )
 
 

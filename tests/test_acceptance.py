@@ -270,9 +270,21 @@ def test_criterion_11_eigensolver_contract():
     w, V = bb.eigendecompose_symmetric(A)
     recon = float(np.abs(V @ np.diag(w) @ V.T - A).max() / np.abs(A).max())
     ortho = float(np.abs(V.T @ V - np.eye(50)).max())
-    ok = recon <= 1e-10 and ortho <= 1e-10
-    _report(11, ok, f"reconstruction {recon:.3e}, orthonormality {ortho:.3e} "
-                    f"(tol 1e-10)")
+    # the eigensolver every build runs: the operator's chains of rank-one
+    # stages, against the inverse they decompose, diag(1/lambda) + C C^H
+    grid = bb.make_grid(2, [4, 4], 0.25)
+    op = bb.build_phi_operator(grid, bb.parse_family(
+        "hpoly2:n=1,part=re;expcos:k=1,phase=0.3;hpoly2:n=3,part=im,z0=0.5"))
+    C = op.basis.col_hat
+    inverse = np.diag(1.0 / op.lam) + C @ C.conj().T
+    Vop = op.unproject(np.eye(grid.total))
+    op_recon = float(np.abs(Vop @ np.diag(1.0 / op.eigenvalues) @ Vop.conj().T - inverse).max()
+                     / np.abs(inverse).max())
+    op_ortho = float(np.abs(Vop.conj().T @ Vop - np.eye(grid.total)).max())
+    ok = max(recon, ortho, op_recon, op_ortho) <= 1e-10
+    _report(11, ok, f"LAPACK wrapper: reconstruction {recon:.3e}, orthonormality {ortho:.3e}; "
+                    f"operator chains: reconstruction {op_recon:.3e}, "
+                    f"orthonormality {op_ortho:.3e} (tol 1e-10)")
 
 
 def test_criterion_12_determinism(tmp_path, converge_d1, converge_d2, srs_d1):

@@ -5,7 +5,7 @@ on the backend: in ``phi_operator`` and ``verification`` only
 ``_bilinear_forms`` reads a ``.backend`` attribute, and in ``experiments`` and
 ``verification`` only ``_sweep_rows`` (the configured rule of a sweep) and
 ``run_verify_suite`` (the dense rule of its split check) pass a backend to a
-build, by keyword or as the fourth positional argument of
+build, by keyword or as the third positional argument of
 ``build_phi_operator``.  The sources are read with ``ast``; nothing is
 imported.
 """
@@ -29,7 +29,7 @@ def _enclosing(tree):
 def _passes_backend(call: ast.Call) -> bool:
     name = call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)
     return (any(k.arg == "backend" for k in call.keywords)
-            or (name == "build_phi_operator" and len(call.args) >= 4))
+            or (name == "build_phi_operator" and len(call.args) >= 3))
 
 
 def backend_reads(source: str) -> set:
@@ -68,7 +68,7 @@ def test_the_audit_sees_a_gate_and_a_pass():
         "        raise ValueError\n"
         "class A:\n"
         "    def m(self):\n"
-        "        return build_phi_operator(g, f, 'sampled', self.mode)\n"
+        "        return build_phi_operator(g, f, 'lanczos')\n"
         "def k(grid):\n"
         "    return build(grid, backend='dense')\n"
     )

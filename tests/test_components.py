@@ -7,9 +7,8 @@ max(max d, ||c||^2).  A^-1 is block diagonal over the components and the free
 rows up to that backward error, so a dense readout solves only the components
 its vectors reach, and a Lanczos recursion runs on the rows its start reaches.
 Grids and families are those of ``tests/test_structured_eigensolve.py`` (1d
-and 2d from N = 1, complex and rank-deficient families, both sampling modes),
-plus examples whose columns lie in different parity sectors and so fall into
-several components.
+and 2d from N = 1, complex and rank-deficient families), plus examples whose
+columns lie in different parity sectors and so fall into several components.
 """
 
 import numpy as np
@@ -47,8 +46,8 @@ def test_components_partition_the_coefficients(case):
     """Each row is free or in the one component of every column that keeps
     it; a component's rows are its columns' kept rows, and its columns are
     linked through shared rows."""
-    grid, family, mode, _, _ = case
-    op = bb.build_phi_operator(grid, family, mode, "lanczos")
+    grid, family, _, _ = case
+    op = bb.build_phi_operator(grid, family, "lanczos")
     nz = column_rows(op)
     rows, columns = op.components, op.column_components
     assert np.array_equal(columns >= 0, nz.any(axis=0))
@@ -75,8 +74,8 @@ def test_one_component_readout_equals_every_component(case, pick, complex_g):
     """Vectors on one component's rows and on the free rows: the readout
     solves that component alone and equals the one through every component
     (the assembled eigenbasis) to 1e-13 of the sum of its terms' sizes."""
-    grid, family, mode, seed, beta = case
-    op = bb.build_phi_operator(grid, family, mode, "dense")
+    grid, family, seed, beta = case
+    op = bb.build_phi_operator(grid, family, "dense")
     labels = sorted(set(op.column_components.tolist()) - {-1})
     k = labels[pick % len(labels)] if labels else -1
     rng = np.random.default_rng(seed)
@@ -105,8 +104,8 @@ def test_lanczos_reaches_the_components_of_its_start(case):
     row of its component; A^-1 maps that set into itself, up to what the
     columns drop: sum_k |C_ik| |c_k^H x| <= K eps max(max d, max_k ||c_k||^2) ||x||
     on every row outside it."""
-    grid, family, mode, seed, _ = case
-    op = bb.build_phi_operator(grid, family, mode, "lanczos")
+    grid, family, seed, _ = case
+    op = bb.build_phi_operator(grid, family, "lanczos")
     i = np.random.default_rng(seed).integers(grid.total)
     v = np.zeros(grid.total)
     v[i] = 1.0

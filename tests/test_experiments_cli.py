@@ -321,20 +321,37 @@ class TestVerifySuite:
 
 
     def test_default_d1_verify_builds_each_operator_once(self, monkeypatch):
-        """The boundary-condition and quadratic-form checks take the operator
-        they are handed as their coarsest level instead of building it again."""
+        """The boundary-condition and quadratic-form checks read the operator
+        every other check reads as their coarsest level instead of building
+        another."""
         builds = []
-        def counted(grid, family, mode="sampled", backend="auto"):
-            builds.append((grid.total, mode))
-            return po.build_phi_operator(grid, family, mode, backend)
+        def counted(grid, family, backend="auto"):
+            builds.append(grid.total)
+            return po.build_phi_operator(grid, family, backend)
 
         for module in (ex, vf):
             monkeypatch.setattr(module, "build_phi_operator", counted)
         checks = ex.run_verify_suite(ExperimentConfig(kind="verify"))
         assert [c.name for c in checks][-3:-1] == ["boundary_condition", "quadratic_form_identity"]
-        assert sorted(builds) == [(127, "discrete-harmonic"), (127, "sampled"),
-                                  (255, "discrete-harmonic"), (255, "sampled"),
-                                  (255, "sampled"), (511, "sampled")]
+        assert sorted(builds) == [127, 255, 255, 255, 511]
+
+    def test_default_d1_verify_contexts(self):
+        """The split check names the f it read, in the canonical grammar.  The
+        default family's affine column is stencil-harmonic as sampled, so the
+        quadratic form reads the levels of stencil-harmonic columns, to
+        roundoff in the columns' sine coefficients."""
+        checks = {c.name: c for c in ex.run_verify_suite(ExperimentConfig(kind="verify"))}
+        assert checks["split_identity"].context["f"] == "dipole:c=0.0,s=1.0,a=0.75,amp=1.0"
+        assert checks["quadratic_form_identity"].context["levels"] == pytest.approx(
+            [1.0562572206108289e-04, 1.3632250482741805e-05], rel=1e-9, abs=0)
+
+    def test_skipped_checks_decide_the_d1_checks(self, monkeypatch):
+        """A check that ``skipped_checks`` names does not run, in d = 1 too."""
+        names = ["boundary_condition", "quadratic_form_identity"]
+        monkeypatch.setattr(ex, "skipped_checks", lambda cfg: [
+            {"name": name, "reason": "skipped"} for name in names])
+        checks = ex.run_verify_suite(ExperimentConfig(kind="verify"))
+        assert not {c.name for c in checks} & set(names)
 
     def test_d2_hpoly_family_all_pass(self):
         # the d = 2 verify configuration the benchmark runs
@@ -346,6 +363,9 @@ class TestVerifySuite:
             "dirichlet_reduction", "krein_identity", "krein_identity", "domain_decomposition",
             "eigenvalue_ordering", "split_identity", "wick_permanent"]
         assert all(c.passed for c in checks), [c.to_dict() for c in checks if not c.passed]
+        # a d = 2 verify reads its built-in f, whatever the config says
+        assert checks[5].context["f"] == (
+            "dipole2:cx=0.0,cy=0.0,s=1.0,ax=0.75,ay=0.75,axis=x,amp=1.0")
 
 
 class TestCli:

@@ -55,7 +55,10 @@ def harmonicity_residual(spec, grid):
 
 class TestHarmonicityResidual:
     def test_affine_exact(self, grid_1d):
-        assert harmonicity_residual(bb.Affine1D(1.0, 2.0), grid_1d) == 0.0
+        # every d = 1 column, a constant or an affine function, is
+        # stencil-harmonic as sampled
+        for spec in (bb.Affine1D(1.0, 2.0), bb.Constant(1.5)):
+            assert harmonicity_residual(spec, grid_1d) == 0.0
 
     @pytest.mark.parametrize("degree", [1, 2, 3])
     def test_low_degree_exact(self, grid_2d, degree):
@@ -83,45 +86,61 @@ class TestHarmonicityResidual:
         assert all(3.5 <= r <= 4.5 for r in ratios)
 
 
+def discrete_harmonic(grid, spec):
+    """The stencil-harmonic extension of the spec's boundary values."""
+    return bb.harmonic_extension(grid, partial(bb.eval_harmonic, spec))
+
+
 class TestSampleFamily:
-    def test_affine_modes_identical(self, grid_1d):
-        fam = bb.HarmonicFamily((bb.Affine1D(1.0, 2.0),))
-        s = bb.sample_family(fam, grid_1d, "sampled")[0]
-        d = bb.sample_family(fam, grid_1d, "discrete-harmonic")[0]
-        assert np.abs(s.values - d.values).max() <= 1e-11
+    def test_affine_columns_are_discrete_harmonic(self, grid_1d):
+        # on an interval sampling and extending the boundary values agree
+        fam = bb.parse_family("const:c=1.5;affine:a=1,b=2")
+        for spec, s in zip(fam.specs, bb.sample_family(fam, grid_1d)):
+            assert np.abs(s.values - discrete_harmonic(grid_1d, spec).values).max() <= 1e-11
 
     def test_empty_family(self, grid_1d):
         assert bb.sample_family(bb.HarmonicFamily(()), grid_1d) == []
 
-    def test_mode_difference_second_order(self):
-        fam = bb.HarmonicFamily((bb.HarmonicPoly2D(degree=4, part="re"),))
+    def test_columns_follow_the_family(self, grid_2d):
+        fam = bb.parse_family("hpoly2:n=2,part=im;const:c=2j;expcos:k=1,phase=0.3")
+        cols = bb.sample_family(fam, grid_2d)
+        assert len(cols) == len(fam.specs)
+        for spec, col in zip(fam.specs, cols):
+            want = bb.sample_function(grid_2d, partial(bb.eval_harmonic, spec))
+            assert col.grid == grid_2d
+            assert np.array_equal(col.values, want.values)
+
+    def test_difference_from_discrete_harmonic_is_second_order(self):
+        spec = bb.HarmonicPoly2D(degree=4, part="re")
+        fam = bb.HarmonicFamily((spec,))
         diffs = []
         for h in (0.25, 0.125, 0.0625):
             g = bb.make_grid(2, [4, 4], h)
-            s = bb.sample_family(fam, g, "sampled")[0]
-            d = bb.sample_family(fam, g, "discrete-harmonic")[0]
-            diffs.append(np.abs(s.values - d.values).max())
+            s = bb.sample_family(fam, g)[0]
+            diffs.append(np.abs(s.values - discrete_harmonic(g, spec).values).max())
         ratios = [diffs[i] / diffs[i + 1] for i in range(2)]
         assert all(3.5 <= r <= 4.5 for r in ratios)
 
     def test_discrete_harmonic_is_stencil_harmonic(self):
-        fam = bb.HarmonicFamily((bb.ExpCos2D(k=1.0), bb.HarmonicPoly2D(degree=4, part="im")))
         g = bb.make_grid(2, [4, 4], 0.125)
-        for v in bb.sample_family(fam, g, "discrete-harmonic"):
+        for spec in (bb.ExpCos2D(k=1.0), bb.HarmonicPoly2D(degree=4, part="im")):
+            v = discrete_harmonic(g, spec)
             res = bb.stencil_apply(g, v).reshaped()
             core = np.abs(res[1:-1, 1:-1]).max()
             assert core <= 1e-11 * np.abs(v.values).max()
 
-    def test_bad_mode(self, grid_1d):
-        with pytest.raises(ValueError, match="mode"):
-            bb.sample_family(bb.HarmonicFamily(()), grid_1d, "nearest")
+    def test_dimension_mismatch(self, grid_1d, grid_2d):
+        with pytest.raises(ValueError, match="is 2d but grid is 1d"):
+            bb.sample_family(bb.parse_family("expcos:k=1"), grid_1d)
+        with pytest.raises(ValueError, match="is 1d but grid is 2d"):
+            bb.sample_family(bb.parse_family("affine:a=0,b=1"), grid_2d)
 
     def test_sampled_mode_makes_no_node_sized_factor(self):
         # the two fields and two term-sized temporaries; full meshes would
         # make every 1d factor of every term node-sized as well
         grid = bb.make_grid(2, [32.0, 32.0], 0.125)
         fam = bb.parse_family("hpoly2:n=1,part=re;hpoly2:n=2,part=re")
-        assert traced_peak(bb.sample_family, fam, grid, "sampled") <= 4.5 * 8 * grid.total
+        assert traced_peak(bb.sample_family, fam, grid) <= 4.5 * 8 * grid.total
 
 
 class TestTextSyntax:

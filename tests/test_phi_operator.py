@@ -396,16 +396,15 @@ class TestRealArithmetic:
             got, want = getattr(real, name), getattr(ref, name)
             assert abs(got - want) <= rtol * abs(want), name
 
-    @pytest.mark.parametrize("mode", ["sampled", "discrete-harmonic"])
     @pytest.mark.parametrize("dim, text", [
         (1, "const:c=1;affine:a=0,b=1"),
         (2, "hpoly2:n=1,part=re;hpoly2:n=4,part=im,z0=0.5,coeff=2;expcos:k=2,phase=0.3"),
     ])
-    def test_real_family_columns_are_real(self, mode, dim, text):
+    def test_real_family_columns_are_real(self, dim, text):
         grid = bb.make_grid(dim, [4.0] * dim, 0.25)
-        op = bb.build_phi_operator(grid, bb.parse_family(text), mode, "lanczos")
+        op = bb.build_phi_operator(grid, bb.parse_family(text), "lanczos")
         assert op.basis.col_hat.dtype == np.float64
-        op = bb.build_phi_operator(grid, bb.parse_family(text + ";const:c=1j"), mode, "lanczos")
+        op = bb.build_phi_operator(grid, bb.parse_family(text + ";const:c=1j"), "lanczos")
         assert op.basis.col_hat.dtype == np.complex128
 
 
@@ -470,6 +469,9 @@ class TestLocality:
         f = ct.Bump(center=(0.0, 0.0), halfwidth=(0.8, 0.8))
         return bb.sample_function(grid, lambda x, y: ct.evaluate(f, x, y))
 
+    # columns of degree <= 3 are stencil-harmonic as sampled
+    HARMONIC = "hpoly2:n=1,part=re;hpoly2:n=2,part=im;hpoly2:n=3,part=re,z0=0.5"
+
     @staticmethod
     def _forward_residual(op, f):
         """|A f - stencil f| / |stencil f|: away from the boundary A acts as the stencil."""
@@ -484,8 +486,7 @@ class TestLocality:
 
     def test_discrete_harmonic_exact(self):
         g = bb.make_grid(2, [4, 4], 0.125)
-        fam = bb.HarmonicFamily((bb.ExpCos2D(k=1.0),))
-        op = bb.build_phi_operator(g, fam, "discrete-harmonic", "dense")
+        op = bb.build_phi_operator(g, bb.parse_family(self.HARMONIC), "dense")
         assert self._forward_residual(op, self._bump_field(g)) <= 1e-10
 
     def test_sampled_second_order(self):
@@ -493,15 +494,14 @@ class TestLocality:
         res = []
         for h in (0.125, 0.0625, 0.03125):
             g = bb.make_grid(2, [4, 4], h)
-            op = bb.build_phi_operator(g, fam, "sampled", "lanczos")
+            op = bb.build_phi_operator(g, fam, "lanczos")
             res.append(self._inverse_residual(op, self._bump_field(g)))
         ratios = [res[i] / res[i + 1] for i in range(2)]
         assert all(3.5 <= r <= 4.5 for r in ratios)
 
-    def test_inverse_residual_exact_in_discrete_harmonic_mode(self):
+    def test_inverse_residual_exact_for_discrete_harmonic_columns(self):
         g = bb.make_grid(2, [4, 4], 0.125)
-        fam = bb.HarmonicFamily((bb.ExpCos2D(k=1.0),))
-        op = bb.build_phi_operator(g, fam, "discrete-harmonic", "lanczos")
+        op = bb.build_phi_operator(g, bb.parse_family(self.HARMONIC), "lanczos")
         assert self._inverse_residual(op, self._bump_field(g)) <= 1e-11
 
 
@@ -613,8 +613,8 @@ class TestLanczos:
 
         @hypothesis.given(cases(), hypothesis.strategies.booleans())
         def check(case, centred):
-            grid, family, mode, _, beta = case
-            op = bb.build_phi_operator(grid, family, mode, "lanczos")
+            grid, family, _, beta = case
+            op = bb.build_phi_operator(grid, family, "lanczos")
             shift = 0.0 if centred else grid.spacing / 3
             bump = ct.Bump(center=(shift,) * grid.dim,
                            halfwidth=tuple(L / 2 for L in grid.lengths))
@@ -823,7 +823,7 @@ class TestReadoutMemory:
         stored = sum(x.nbytes for c in op.eigenbasis for s in c.stages
                      for x in (s.active, s.order, *s.vectors, *(a for r in s.rotations for a in r)))
         assert stored <= 1e6  # 0.2 MB; the two 992- and 481-row W would be 9.7 MB
-        assert traced_peak(lambda: bb.build_phi_operator(grid, family, "sampled", "dense")
+        assert traced_peak(lambda: bb.build_phi_operator(grid, family, "dense")
                            .eigenbasis) <= 4e6
         # a readout holds one 64 x 992 block (0.5 MB) at a time, plus O(N) vectors
         spec = ct.parse_test_function(cfg.f)

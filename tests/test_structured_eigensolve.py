@@ -5,9 +5,8 @@ assembled at N <= 576 and ``np.linalg.eigh`` is the oracle.  Grids are 1d and
 2d, from N = 1 up, with square boxes (whose equal Dirichlet eigenvalues form
 the clusters the deflation rotates) and non-square ones.  Families may be
 empty, repeat a spec (rank-deficient columns) and carry real or complex
-coefficients; both sampling modes are drawn.  Columns in different parity
-sectors fall into several column components (``SECTORS``), which the operator
-solves one by one and assembles.  Readout residuals are scaled as in
+coefficients.  Columns in different parity sectors fall into several column
+components (``SECTORS``), which the operator solves one by one and assembles.  Readout residuals are scaled as in
 ``tests/test_two_point_properties.py``.  The same draws fuzz the Krein
 identity over shifts, the domain decomposition and the Woodbury round-trips;
 at column norms up to ||C||_2^2 = 3.3e19 the readout is checked against
@@ -58,9 +57,8 @@ def cases(draw):
     grid = bb.make_grid(d, [(n + 1) * h for n in nodes], h)
     specs = draw(st.lists(spec, max_size=3))
     specs += specs[: draw(st.integers(0, 1))]
-    mode = draw(st.sampled_from(["sampled", "discrete-harmonic"]))
     seed = draw(st.integers(0, 2**32 - 1))
-    return grid, bb.HarmonicFamily(tuple(specs)), mode, seed, draw(st.floats(0.3, 3.0))
+    return grid, bb.HarmonicFamily(tuple(specs)), seed, draw(st.floats(0.3, 3.0))
 
 
 # n + 1 a power of two: the parity zeros are exact, and x, y and 2xy (with
@@ -68,8 +66,8 @@ def cases(draw):
 SECTORS = [
     (bb.make_grid(2, [4, 4], 0.25), bb.parse_family(
         "hpoly2:n=1,part=re;hpoly2:n=1,part=im;hpoly2:n=2,part=im;hpoly2:n=3,part=re"),
-     "sampled", 5, 1.0),
-    (bb.make_grid(1, [8], 0.25), bb.parse_family("const:c=1;affine:a=0,b=1j"), "sampled", 6, 0.7),
+     5, 1.0),
+    (bb.make_grid(1, [8], 0.25), bb.parse_family("const:c=1;affine:a=0,b=1j"), 6, 0.7),
 ]
 
 
@@ -82,9 +80,9 @@ def size(tp):
 @example(case=SECTORS[1])
 @given(cases())
 def test_structured_eigensolve_matches_dense_eigh(case):
-    grid, family, mode, seed, beta = case
+    grid, family, seed, beta = case
     with mock.patch.object(po, "eigendecompose_symmetric", side_effect=AssertionError):
-        op = bb.build_phi_operator(grid, family, mode, "dense")
+        op = bb.build_phi_operator(grid, family, "dense")
         op.eigenbasis  # every component solved here, where LAPACK is barred
     C = op.basis.col_hat
     w, V = np.linalg.eigh(np.diag(1.0 / op.lam) + C @ C.conj().T)
@@ -110,11 +108,11 @@ def test_structured_eigensolve_matches_dense_eigh(case):
 
 # a Gram eigenvalue of 9.6e-321, whose reciprocal overflows
 @example(case=(bb.make_grid(1, [0.25], 0.125),
-               bb.HarmonicFamily((bb.Constant(2.775462936146422e-160),)), "sampled", 0, 1.0))
+               bb.HarmonicFamily((bb.Constant(2.775462936146422e-160),)), 0, 1.0))
 @given(cases())
 def test_ordering_and_krein_hold_for_every_family(case):
-    grid, family, mode, _, _ = case
-    op = bb.build_phi_operator(grid, family, mode, "dense")
+    grid, family, _, _ = case
+    op = bb.build_phi_operator(grid, family, "dense")
     for report in (ordering_check(op), krein_identity_residual(op, -1.0),
                    krein_identity_residual(op, -2.5)):
         assert report.passed, report.to_dict()
@@ -122,15 +120,15 @@ def test_ordering_and_krein_hold_for_every_family(case):
 
 @given(cases(), st.floats(-50.0, -0.01))
 def test_krein_identity_holds_at_drawn_shifts(case, z):
-    grid, family, mode, _, _ = case
-    report = krein_identity_residual(bb.build_phi_operator(grid, family, mode, "dense"), z)
+    grid, family, _, _ = case
+    report = krein_identity_residual(bb.build_phi_operator(grid, family, "dense"), z)
     assert report.passed, report.to_dict()
 
 
 @given(cases())
 def test_domain_decomposition_holds_for_every_family(case):
-    grid, family, mode, seed, _ = case
-    op = bb.build_phi_operator(grid, family, mode, "dense")
+    grid, family, seed, _ = case
+    op = bb.build_phi_operator(grid, family, "dense")
     report = domain_decomposition_check(op, [random_field(grid, seed, True),
                                              random_field(grid, seed + 1)])
     assert report.passed, report.to_dict()
@@ -139,11 +137,11 @@ def test_domain_decomposition_holds_for_every_family(case):
 # a small shift: s^-1 (u - (I + s A^-1)^-1 u), the same resolvent through a
 # difference, reads 4.1e-13 relative here, 114 times the bound
 @example(case=(bb.make_grid(1, [8], 1 / 32), bb.parse_family("affine:a=0,b=1;const:c=1"),
-               "sampled", 0, 1.0), s=1e-4)
+               0, 1.0), s=1e-4)
 # one node: the Woodbury formula alone cancels by C^H D^-1 C = 36, and its
 # round trip read 4.1e-15 relative, 1.2 times the bound at condition number 1
 @example(case=(bb.make_grid(1, [0.25], 0.125), bb.HarmonicFamily((bb.Constant(1.5),)),
-               "sampled", 0, 1.0), s=1.0)
+               0, 1.0), s=1.0)
 @given(cases(), st.floats(1e-6, 50.0))
 def test_woodbury_round_trips(case, s):
     """apply_forward inverts apply_inverse to 16 eps kappa, kappa = max mu /
@@ -151,8 +149,8 @@ def test_woodbury_round_trips(case, s):
     shifted_solve is the eigenpairs' resolvent to 16 eps (1 + s max mu)
     |(s + A)^-1 u|, with no 1/s: the Krein formula forms no difference that
     cancels, and its K x K solve has condition number at most 1 + s max mu."""
-    grid, family, mode, seed, _ = case
-    op = bb.build_phi_operator(grid, family, mode, "dense")
+    grid, family, seed, _ = case
+    op = bb.build_phi_operator(grid, family, "dense")
     u = random_field(grid, seed, True)
     back = bb.apply_forward(op, bb.apply_inverse(op, u)).values
     kappa = op.eigenvalues[-1] / op.eigenvalues[0]

@@ -10,8 +10,8 @@ from becbox import continuum as ct
 from conftest import random_field, traced_peak
 
 
-def make_op(grid, family_text, mode="sampled"):
-    return bb.build_phi_operator(grid, bb.parse_family(family_text), mode, "dense")
+def make_op(grid, family_text):
+    return bb.build_phi_operator(grid, bb.parse_family(family_text), "dense")
 
 
 class TestCheckReport:
@@ -119,7 +119,7 @@ class TestDomainDecomposition:
         """psi is a difference whose rounding is eps |G w|: relative to |psi|
         alone, c = 1e-3 read 3e-9 and c = 1e-6 read 3e-3 on this grid."""
         g = bb.make_grid(1, [72.125], 0.125)  # N = 576
-        op = bb.build_phi_operator(g, bb.HarmonicFamily((bb.Constant(c),)), "sampled", "dense")
+        op = bb.build_phi_operator(g, bb.HarmonicFamily((bb.Constant(c),)), "dense")
         rep = vf.domain_decomposition_check(op, [random_field(g, 1, True), random_field(g, 2)])
         assert rep.residuals["relative"] <= 1e-14
 
@@ -228,7 +228,7 @@ class TestQuadraticFormIdentity:
 
     def test_affine_family_order_one(self):
         g = bb.make_grid(1, [4], 1 / 16)
-        op = make_op(g, "affine:a=0,b=1", mode="discrete-harmonic")
+        op = make_op(g, "affine:a=0,b=1")
         rep = vf.quadratic_form_identity(op, seed=5, levels=2)
         assert rep.passed
         assert min(rep.context["empirical_orders"]) >= 1.0
@@ -240,14 +240,14 @@ class TestQuadraticFormIdentity:
     @pytest.mark.parametrize("h", [1 / 16, 1 / 32, 1 / 64])
     def test_r_pairing_is_the_least_norm_column_coordinates(self, family, h):
         """t^H r t, r = bc_r_matrix, is |a|^2 for the least-norm coordinates a
-        of the trace's discrete-harmonic extension psi in the columns C (an SVD
+        of the trace's stencil-harmonic extension psi in the columns C (an SVD
         of C, truncated at its rank).  Here psi lies in the span (rank 2) or
         splits by parity like the one column, so the two agree to roundoff; a
         rank-one column of no parity, such as affine:a=2,b=0.5, projects psi
         in the weighted norm of the nodes instead of the trace's, and they
         differ by 2e-4 at h = 1/16, 4.5e-6 at h = 1/64."""
         g = bb.make_grid(1, [4], h)
-        op = make_op(g, family, mode="discrete-harmonic")
+        op = make_op(g, family)
         f = bb.apply_inverse(op, vf._seeded_source(g, 5))
         t = np.array([bb.boundary_trace_1d(g, f, side)[0] for side in ("left", "right")])
         psi = bb.harmonic_extension(g, lambda x: t[0] if x < 0 else t[1])
@@ -258,15 +258,13 @@ class TestQuadraticFormIdentity:
         pairing = t.conj() @ vf.bc_r_matrix(op) @ t
         assert abs(pairing - least_norm) <= 1e-14 * least_norm
 
-    def test_refuses_sampled_mode(self):
-        g = bb.make_grid(1, [4], 1 / 16)
-        op = make_op(g, "affine:a=0,b=1", mode="sampled")
-        with pytest.raises(ValueError, match="discrete-harmonic"):
-            vf.quadratic_form_identity(op)
+    def test_requires_1d(self, grid_2d):
+        with pytest.raises(ValueError, match="1d"):
+            vf.quadratic_form_identity(make_op(grid_2d, "hpoly2:n=1,part=re"))
 
     def test_field_vanishing_near_boundary(self):
         g = bb.make_grid(1, [4], 1 / 32)
-        op = make_op(g, "affine:a=0,b=1", mode="discrete-harmonic")
+        op = make_op(g, "affine:a=0,b=1")
         bump = ct.Bump(center=(0.0,), halfwidth=(1.0,))
         f = bb.sample_function(g, lambda x: ct.evaluate(bump, x))
         # trace extrapolation of an identically-zero neighborhood is exactly 0
@@ -325,8 +323,7 @@ class TestDirichletReduction:
 class TestSplitIdentity:
     def test_check_passes(self, grid_1d, dipole):
         op = make_op(grid_1d, "affine:a=0,b=1")
-        f = bb.sample_function(grid_1d, lambda x: ct.evaluate(dipole, x))
-        rep = vf.split_identity_check(op, 1.0, f)
+        rep = vf.split_identity_check(op, 1.0, dipole)
         assert rep.passed
         assert rep.residuals["relative"] <= 1e-12
 
