@@ -13,7 +13,6 @@ from .lattice import (
     make_grid,
     dirichlet_eigenvalues,
     green_apply,
-    harmonic_extension,
     sample_function,
     inner_product,
     stencil_apply,

@@ -149,14 +149,6 @@ def harmonic_factors(spec: HarmonicSpec, *axes) -> list[tuple[complex, tuple]]:
     raise TypeError(f"unknown harmonic spec {spec!r}")
 
 
-def boundary_values_1d(spec: HarmonicSpec, grid: Grid) -> tuple[complex, complex]:
-    """Exact values of phi at the interval endpoints -L/2, +L/2."""
-    if grid.dim != 1:
-        raise ValueError("boundary_values_1d requires a 1d grid")
-    L = grid.lengths[0]
-    return complex(eval_harmonic(spec, -L / 2)), complex(eval_harmonic(spec, L / 2))
-
-
 def sample_family(family: HarmonicFamily, grid: Grid) -> list[GridField]:
     """The family's columns: each spec evaluated pointwise at the nodes."""
     out = []

@@ -22,7 +22,6 @@ __all__ = [
     "make_grid",
     "dirichlet_eigenvalues",
     "green_apply",
-    "harmonic_extension",
     "sample_function",
     "inner_product",
     "stencil_apply",
@@ -217,49 +216,20 @@ def green_apply(grid: Grid, u: GridField) -> GridField:
                           "inverse")
 
 
-def harmonic_extension(grid: Grid, boundary_fn) -> GridField:
-    """Stencil-harmonic extension of Dirichlet data into the interior.
+def boundary_trace_1d(grid: Grid, u: GridField) -> tuple[np.ndarray, np.ndarray]:
+    """Second-order boundary values and outward derivatives at x = -L/2 and
+    x = +L/2, left first, as two length-2 arrays.
 
-    ``boundary_fn(*coords)`` gives the data on the boundary lattice points;
-    each face (axis 0 low/high, then axis 1) adds its values to the nodes next
-    to it, corner nodes taking both faces in that order, and the sum over h^2
-    is the stencil source.  Its stencil solve is exactly stencil-harmonic
-    inside with the given boundary values.
-    """
-    src = np.zeros(grid.counts, dtype=complex)
-    axes = [grid.axis_nodes(i) for i in range(grid.dim)]
-    for ax in range(grid.dim):
-        L = grid.lengths[ax]
-        for end, x in ((0, -L / 2), (-1, L / 2)):
-            src[(slice(None),) * ax + (end,)] += boundary_fn(*axes[:ax], x, *axes[ax + 1:])
-    src = src.ravel() / grid.spacing**2
-    if np.all(src.imag == 0):
-        src = src.real
-    return green_apply(grid, GridField(grid, src))
-
-
-def boundary_trace_1d(grid: Grid, u: GridField, side: str) -> tuple[complex, complex]:
-    """Second-order boundary value and outward derivative at x = +-L/2.
-
-    The value extrapolates the quadratic through the three nodes nearest the
-    endpoint; the derivative is the one-sided second-order difference oriented
+    Each value extrapolates the quadratic through the three nodes nearest its
+    endpoint; each derivative is the one-sided second-order difference oriented
     outward.  Both are exact on quadratics.
     """
     if grid.dim != 1:
         raise ValueError("boundary_trace_1d requires a 1d grid")
     if u.grid != grid:
         raise ValueError("field does not live on this grid")
-    n = grid.counts[0]
-    if n < 3:
+    if grid.counts[0] < 3:
         raise ValueError("need at least 3 interior nodes for a second-order trace")
-    h = grid.spacing
     v = u.values
-    if side == "right":
-        u1, u2, u3 = v[-1], v[-2], v[-3]
-    elif side == "left":
-        u1, u2, u3 = v[0], v[1], v[2]
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    value = 3.0 * u1 - 3.0 * u2 + u3
-    outward = (5.0 * u1 - 8.0 * u2 + 3.0 * u3) / (2.0 * h)
-    return complex(value), complex(outward)
+    u1, u2, u3 = v[[0, -1]], v[[1, -2]], v[[2, -3]]  # nearest node first, per end
+    return 3.0 * u1 - 3.0 * u2 + u3, (5.0 * u1 - 8.0 * u2 + 3.0 * u3) / (2.0 * grid.spacing)

@@ -16,14 +16,13 @@ from functools import partial
 import numpy as np
 
 from . import continuum
-from .harmonics import HarmonicFamily, boundary_values_1d, format_family
+from .harmonics import HarmonicFamily, eval_harmonic, format_family
 from .lattice import (
     Grid,
     GridField,
     _dst1,
     boundary_trace_1d,
     green_apply,
-    harmonic_extension,
     inner_product,
     make_grid,
     sample_function,
@@ -149,22 +148,28 @@ def dtn_apply_1d(grid: Grid, boundary_values) -> tuple[complex, complex]:
     return (-slope, slope)
 
 
+def _endpoint_values(op: PhiOperator) -> np.ndarray:
+    """T, the 2 x K matrix of the columns' exact values at -L/2 and +L/2."""
+    L = op.grid.lengths[0]
+    return np.array([[eval_harmonic(spec, x) for spec in op.family.specs]
+                     for x in (-L / 2, L / 2)], dtype=complex)
+
+
 def bc_r_matrix(op: PhiOperator):
     """The boundary operator r on the trace space of the span, as a 2x2 matrix.
 
     <psi, R psi> = |a|^2 for the least-norm column coordinates a of psi, and
     a = P t for psi's trace t, P the pseudo-inverse of the columns' exact
-    endpoint values T (2 x K, closed form from the specs), whenever T has the
-    columns' rank: so r = P^H P, the matrix both trace checks read.  Returns
-    None when it has not (degenerate case: the trace map is not injective on
-    the span).
+    endpoint values T (2 x K, T[e, k] = phi_k at the end e = -L/2, +L/2),
+    whenever T has the columns' rank: so r = P^H P, the matrix both trace
+    checks read.  Returns None when it has not (degenerate case: the trace
+    map is not injective on the span).
     """
     if op.grid.dim != 1:
         raise ValueError("bc_r_matrix requires a 1d grid")
     if op.basis.rank == 0:
         return None
-    T = np.array([boundary_values_1d(spec, op.grid) for spec in op.family.specs],
-                 dtype=complex).T
+    T = _endpoint_values(op)
     svals = np.linalg.svd(T, compute_uv=False)
     if np.sum(svals > 1e-10 * svals[0]) != op.basis.rank:
         return None
@@ -180,15 +185,27 @@ def _eigvec_field(op: PhiOperator, which: int) -> GridField:
     return sine_transform(op.grid, GridField(op.grid, op.unproject(unit)), "inverse")
 
 
+def _boundary_map(grid: Grid, r, t: np.ndarray) -> np.ndarray:
+    """B t = H t - r t, H the Dirichlet-to-Neumann map: the outward derivative
+    the boundary condition asks of a trace t, and the pairing <t, B t> the
+    quadratic form subtracts."""
+    return np.array(dtn_apply_1d(grid, t)) - r @ t
+
+
 def _bc_residual_once(op: PhiOperator, r, which: int) -> float:
-    u = _eigvec_field(op, which)
-    vl, dl = boundary_trace_1d(op.grid, u, "left")
-    vr, dr = boundary_trace_1d(op.grid, u, "right")
-    if r is None:  # Dirichlet limit: the trace itself must vanish
-        return max(abs(vl), abs(vr))
-    hl, hr = dtn_apply_1d(op.grid, (vl, vr))
-    rv = r @ np.array([vl, vr])
-    return max(abs(dl - (hl - rv[0])), abs(dr - (hr - rv[1])))
+    """The boundary condition on an eigenvector u with trace t, judged on
+    range(T), T = ``_endpoint_values``: t lies in range(T), and
+    T P (d_n u - B t) = 0, T P = T T^H r its projector (r = P^H P is the
+    pseudo-inverse of T T^H).  Off range(T) d_n u is free: with
+    m_e = <h_e, A u>, h_e the affine function that is 1 at the end e and 0
+    at the other, the Green part's outward derivative is -m and t = T T^H m,
+    so d_n u - B t = -(I - T P) m.  With an empty family t must vanish."""
+    t, dn = boundary_trace_1d(op.grid, _eigvec_field(op, which))
+    if r is None:
+        return float(np.max(np.abs(t)))
+    T = _endpoint_values(op)
+    proj = T @ T.conj().T @ r
+    return float(np.max(np.abs(np.r_[t - proj @ t, proj @ (dn - _boundary_map(op.grid, r, t))])))
 
 
 def _refinement_check(name: str, op: PhiOperator, levels: int, min_ratio: float,
@@ -221,10 +238,11 @@ def _refinement_check(name: str, op: PhiOperator, levels: int, min_ratio: float,
 def boundary_condition_residual(
     op: PhiOperator, which_eigenvector: int = 0, levels: int = 3
 ) -> CheckReport:
-    """Residual of the boundary condition (outward derivative equals the
-    Dirichlet-to-Neumann term minus r times the trace) on a discrete
-    eigenvector of ``op`` and of ``levels - 1`` refinements of it; the
-    ``which_eigenvector``-th smallest, in ``[0, N)`` for ``op``'s N nodes.
+    """Residual of the boundary condition (on the range of the columns'
+    traces, the outward derivative equals B t = H t - r t, and the trace t
+    lies in that range) on a discrete eigenvector of ``op`` and of
+    ``levels - 1`` refinements of it; the ``which_eigenvector``-th smallest,
+    in ``[0, N)`` for ``op``'s N nodes.
 
     The continuum statement holds exactly; the discrete residual must decay
     with ratio >= 1.5 per halving.  With an empty family the condition
@@ -276,12 +294,8 @@ def _qform_residual_once(op: PhiOperator, r, seed: int) -> float:
     h = grid.spacing
     if r is None:
         return abs(lhs - _gradient_sum(f.values, h, 0.0, 0.0)) / abs(lhs)
-    tl, _ = boundary_trace_1d(grid, f, "left")
-    tr, _ = boundary_trace_1d(grid, f, "right")
-    psi = harmonic_extension(grid, lambda x: tl if x < 0 else tr)
-    t = np.array([tl, tr])
-    form = (_gradient_sum(f.values, h, tl, tr) - _gradient_sum(psi.values, h, tl, tr)
-            + float((t.conj() @ r @ t).real))
+    t, _ = boundary_trace_1d(grid, f)
+    form = _gradient_sum(f.values, h, *t) - float((t.conj() @ _boundary_map(grid, r, t)).real)
     return abs(lhs - form) / abs(lhs)
 
 
@@ -289,12 +303,13 @@ def quadratic_form_identity(op: PhiOperator, seed: int = 0, levels: int = 2) -> 
     """Compare <f, A f> with the boundary-corrected gradient form.
 
     f = A^-1 w for seeded random w; the form is the forward-difference energy
-    of f minus that of the stencil-harmonic extension (``harmonic_extension``)
-    of f's extracted trace t, plus t^H r t with r = ``bc_r_matrix``, the
-    matrix of the boundary condition check.  Exact (to roundoff) for an empty
-    family; order >= 1 in h otherwise, a ratio >= 2 per halving on ``op`` and
-    ``levels - 1`` refinements of it.  Every d = 1 column (a constant or an
-    affine function) is stencil-harmonic as sampled.
+    of f with f's extracted trace t as its end values, minus Re <t, B t>, B t
+    = H t - r t the boundary map of the boundary condition check, with r =
+    ``bc_r_matrix``.  <t, H t> = |t_+ - t_-|^2 / L is exactly the discrete
+    energy of the sampled affine interpolant of t, the stencil-harmonic
+    extension of t in d = 1.  Exact (to roundoff) for an empty family; order
+    >= 1 in h otherwise, a ratio >= 2 per halving on ``op`` and ``levels - 1``
+    refinements of it.
     """
     if op.grid.dim != 1:
         raise ValueError("quadratic form identity requires a 1d grid")

@@ -111,3 +111,27 @@ def test_every_benchmark_command_is_accepted(workloads, tmp_path):
             path.write_text(cmd.config, encoding="utf-8")
             args = cli.build_parser().parse_args(cmd.argv(path))  # exits 2 on a deleted flag
             cli._load_config(args)  # the config parses and its kind names this command
+
+
+def test_every_traced_span_fires(tracer, workloads, tmp_path, monkeypatch, capsys):
+    """Every benchmark command, run in process with the tracer's wrappers
+    installed, reaches every span of ``TARGETS`` but ``phi_operator.eigh``,
+    which no build calls: a span that never fires reads 0 in every per-layer
+    metric it feeds, whatever its layer costs.  The wrappers are removed
+    afterwards, and the commands write only under ``tmp_path``."""
+    modules = [importlib.import_module(name) for name in ["becbox.cli", *sorted(
+        n for n in sys.modules if n == "becbox" or n.startswith("becbox."))]]
+    for mod in modules:
+        for attr, value in list(vars(mod).items()):
+            monkeypatch.setattr(mod, attr, value)  # undone at teardown, wrapped or not
+    trace = tracer.Tracer("ci")
+    assert trace.install() > 0
+    monkeypatch.chdir(tmp_path)
+    for workload in workloads.WORKLOADS:
+        for cmd in workloads.commands(workload, 1, ROOT / "tests" / "golden"):
+            path = tmp_path / f"{cmd.label}.cfg"
+            path.write_text(cmd.config, encoding="utf-8")
+            assert cli.main(cmd.argv(path)) in (0, 1), cmd.label  # 1: a check the program failed
+    capsys.readouterr()
+    fired = {span["name"] for span in trace.spans}
+    assert set(tracer.TARGETS) - fired == {"phi_operator.eigh"}

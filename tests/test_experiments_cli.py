@@ -377,6 +377,18 @@ class TestCli:
         doc = json.loads((tmp_path / "run_checks.json").read_text())
         assert doc["pass"] is True
 
+    @pytest.mark.parametrize("family", ["affine:a=2,b=0.5", "affine:a=1,b=-2j",
+                                        "affine:a=0,b=0.3"])
+    def test_verify_passes_on_rank_one_families(self, tmp_path, family):
+        """One column without reflection symmetry fixes the outward derivative
+        on the range of its traces only, and an odd column too small to lower
+        the spectrum leaves an even Dirichlet eigenvector lowest, whose trace
+        lies off that range and must vanish: the boundary condition is judged
+        on both parts, and every check passes."""
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text(f"family = {family}\n")
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
     def test_d2_verify_names_the_checks_it_skips(self, tmp_path, capsys):
         """A d=2 verify prints one [SKIP] line per d=1-only check and lists them
         under ``skipped``; the checks it ran and its pass flag are as before.

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import becbox as bb
-from becbox import harmonics as hm
 from conftest import traced_peak
 
 
@@ -86,18 +85,7 @@ class TestHarmonicityResidual:
         assert all(3.5 <= r <= 4.5 for r in ratios)
 
 
-def discrete_harmonic(grid, spec):
-    """The stencil-harmonic extension of the spec's boundary values."""
-    return bb.harmonic_extension(grid, partial(bb.eval_harmonic, spec))
-
-
 class TestSampleFamily:
-    def test_affine_columns_are_discrete_harmonic(self, grid_1d):
-        # on an interval sampling and extending the boundary values agree
-        fam = bb.parse_family("const:c=1.5;affine:a=1,b=2")
-        for spec, s in zip(fam.specs, bb.sample_family(fam, grid_1d)):
-            assert np.abs(s.values - discrete_harmonic(grid_1d, spec).values).max() <= 1e-11
-
     def test_empty_family(self, grid_1d):
         assert bb.sample_family(bb.HarmonicFamily(()), grid_1d) == []
 
@@ -109,25 +97,6 @@ class TestSampleFamily:
             want = bb.sample_function(grid_2d, partial(bb.eval_harmonic, spec))
             assert col.grid == grid_2d
             assert np.array_equal(col.values, want.values)
-
-    def test_difference_from_discrete_harmonic_is_second_order(self):
-        spec = bb.HarmonicPoly2D(degree=4, part="re")
-        fam = bb.HarmonicFamily((spec,))
-        diffs = []
-        for h in (0.25, 0.125, 0.0625):
-            g = bb.make_grid(2, [4, 4], h)
-            s = bb.sample_family(fam, g)[0]
-            diffs.append(np.abs(s.values - discrete_harmonic(g, spec).values).max())
-        ratios = [diffs[i] / diffs[i + 1] for i in range(2)]
-        assert all(3.5 <= r <= 4.5 for r in ratios)
-
-    def test_discrete_harmonic_is_stencil_harmonic(self):
-        g = bb.make_grid(2, [4, 4], 0.125)
-        for spec in (bb.ExpCos2D(k=1.0), bb.HarmonicPoly2D(degree=4, part="im")):
-            v = discrete_harmonic(g, spec)
-            res = bb.stencil_apply(g, v).reshaped()
-            core = np.abs(res[1:-1, 1:-1]).max()
-            assert core <= 1e-11 * np.abs(v.values).max()
 
     def test_dimension_mismatch(self, grid_1d, grid_2d):
         with pytest.raises(ValueError, match="is 2d but grid is 1d"):
@@ -189,8 +158,3 @@ class TestTextSyntax:
         with pytest.raises(ValueError, match="duplicate parameter"):
             bb.parse_family("const:c=1;affine:a=0,b=1,a=2")
 
-
-def test_boundary_values_1d(grid_1d):
-    lo, hi = hm.boundary_values_1d(bb.Affine1D(1.0, 0.5), grid_1d)
-    assert lo == pytest.approx(0.0)
-    assert hi == pytest.approx(2.0)

@@ -240,17 +240,18 @@ class TestBoundaryTrace:
     def test_affine_exact(self):
         g = bb.make_grid(1, [4], 0.25)
         u = bb.sample_function(g, lambda x: 2 + x)
-        val, der = bb.boundary_trace_1d(g, u, "right")
-        assert val == pytest.approx(4.0, abs=1e-13)
-        assert der == pytest.approx(1.0, abs=1e-13)
+        val, der = bb.boundary_trace_1d(g, u)
+        # values 2 -+ L/2 at the two ends; outward slopes -1 on the left, +1 on the right
+        np.testing.assert_allclose(val, [0.0, 4.0], atol=1e-13)
+        np.testing.assert_allclose(der, [-1.0, 1.0], atol=1e-13)
 
     def test_quadratic_exact_left(self):
         g = bb.make_grid(1, [4], 0.25)
         u = bb.sample_function(g, lambda x: x**2)
-        val, der = bb.boundary_trace_1d(g, u, "left")
-        assert val == pytest.approx(4.0, abs=1e-12)
-        # outward at the left boundary is -d/dx, so -(-L) = +L = 4
-        assert der == pytest.approx(4.0, abs=1e-12)
+        val, der = bb.boundary_trace_1d(g, u)
+        np.testing.assert_allclose(val, [4.0, 4.0], atol=1e-12)
+        # outward is -d/dx on the left, so -(-L) = +L = 4 at both ends
+        np.testing.assert_allclose(der, [4.0, 4.0], atol=1e-12)
 
     def test_sine_refinement_order(self):
         L = 4.0
@@ -258,15 +259,15 @@ class TestBoundaryTrace:
         for h in (0.125, 0.0625, 0.03125):
             g = bb.make_grid(1, [L], h)
             u = bb.sample_function(g, lambda x: np.sin(np.pi * (x + L / 2) / L))
-            _, der = bb.boundary_trace_1d(g, u, "right")
-            errs.append(abs(der - (-np.pi / L)))
+            _, der = bb.boundary_trace_1d(g, u)
+            errs.append(np.abs(der - (-np.pi / L)).max())
         ratios = [errs[i] / errs[i + 1] for i in range(2)]
         assert min(ratios) >= 3.5  # second order
 
     def test_requires_1d(self, grid_2d):
         u = random_field(grid_2d, 9)
         with pytest.raises(ValueError, match="1d"):
-            bb.boundary_trace_1d(grid_2d, u, "left")
+            bb.boundary_trace_1d(grid_2d, u)
 
 
 def test_quadrature_consistency_order():

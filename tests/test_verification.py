@@ -240,17 +240,19 @@ class TestQuadraticFormIdentity:
     @pytest.mark.parametrize("h", [1 / 16, 1 / 32, 1 / 64])
     def test_r_pairing_is_the_least_norm_column_coordinates(self, family, h):
         """t^H r t, r = bc_r_matrix, is |a|^2 for the least-norm coordinates a
-        of the trace's stencil-harmonic extension psi in the columns C (an SVD
-        of C, truncated at its rank).  Here psi lies in the span (rank 2) or
-        splits by parity like the one column, so the two agree to roundoff; a
-        rank-one column of no parity, such as affine:a=2,b=0.5, projects psi
-        in the weighted norm of the nodes instead of the trace's, and they
-        differ by 2e-4 at h = 1/16, 4.5e-6 at h = 1/64."""
+        of the trace's stencil-harmonic extension psi, its sampled affine
+        interpolant, in the columns C (an SVD of C, truncated at its rank).
+        Here psi lies in the span (rank 2) or splits by parity like the one
+        column, so the two agree to roundoff; a rank-one column of no parity,
+        such as affine:a=2,b=0.5, projects psi in the weighted norm of the
+        nodes instead of the trace's, and they differ by 2e-4 at h = 1/16,
+        4.5e-6 at h = 1/64."""
         g = bb.make_grid(1, [4], h)
         op = make_op(g, family)
         f = bb.apply_inverse(op, vf._seeded_source(g, 5))
-        t = np.array([bb.boundary_trace_1d(g, f, side)[0] for side in ("left", "right")])
-        psi = bb.harmonic_extension(g, lambda x: t[0] if x < 0 else t[1])
+        t, _ = bb.boundary_trace_1d(g, f)
+        L = g.lengths[0]
+        psi = bb.sample_function(g, lambda x: t[0] + (t[1] - t[0]) * (x + L / 2) / L)
         U, sv, Vh = np.linalg.svd(op.basis.col_hat, full_matrices=False)
         k = op.basis.rank
         a = Vh[:k].conj().T @ (U[:, :k].conj().T @ bb.sine_transform(g, psi).values / sv[:k])
@@ -268,9 +270,8 @@ class TestQuadraticFormIdentity:
         bump = ct.Bump(center=(0.0,), halfwidth=(1.0,))
         f = bb.sample_function(g, lambda x: ct.evaluate(bump, x))
         # trace extrapolation of an identically-zero neighborhood is exactly 0
-        tl, _ = bb.boundary_trace_1d(g, f, "left")
-        tr, _ = bb.boundary_trace_1d(g, f, "right")
-        assert tl == 0.0 and tr == 0.0
+        t, _ = bb.boundary_trace_1d(g, f)
+        assert np.array_equal(t, [0.0, 0.0])
         lf = bb.stencil_apply(g, f)
         lhs = bb.inner_product(f, bb.apply_forward(op, f)).real
         form = vf._gradient_sum(f.values, g.spacing, 0.0, 0.0)
