@@ -15,7 +15,6 @@ from .lattice import (
     green_apply,
     sample_function,
     inner_product,
-    stencil_apply,
     sine_transform,
     boundary_trace_1d,
 )
@@ -42,7 +41,6 @@ from .phi_operator import (
     build_phi_operator,
     eigendecompose_symmetric,
     apply_inverse,
-    apply_forward,
     shifted_solve,
     quadratic_form,
     two_point_lhs,

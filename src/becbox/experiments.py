@@ -21,7 +21,8 @@ from . import reports
 from .config import ConfigError, ExperimentConfig
 from .harmonics import parse_family, spec_dim
 from .lattice import Grid, GridField, make_grid, sample_function, sine_transform
-from .phi_operator import Bose, _dense_forms, build_phi_operator, shifted_solve, two_point_lhs
+from .phi_operator import (
+    Bose, PhiOperator, _dense_forms, build_phi_operator, shifted_solve, two_point_lhs)
 from .verification import (
     CheckReport,
     boundary_condition_residual,
@@ -271,6 +272,14 @@ def skipped_checks(cfg: ExperimentConfig) -> list[dict]:
                                     ("boundary_condition", "quadratic_form_identity")]
 
 
+def _refinements(op: PhiOperator, levels: int) -> list[PhiOperator]:
+    """``op`` and its family on its box at ``levels - 1`` halved spacings: the
+    ladder both trace checks read."""
+    return [op] + [build_phi_operator(make_grid(op.grid.dim, list(op.grid.lengths),
+                                                op.grid.spacing / 2**level), op.family)
+                   for level in range(1, levels)]
+
+
 def run_verify_suite(cfg: ExperimentConfig) -> list[CheckReport]:
     """The standard structural check battery on the configured grid/family."""
     cfg.validate()
@@ -303,10 +312,12 @@ def run_verify_suite(cfg: ExperimentConfig) -> list[CheckReport]:
     checks.append(split_identity_check(op, cfg.beta, f))
 
     skipped = {check["name"] for check in skipped_checks(cfg)}
-    if "boundary_condition" not in skipped:
-        checks.append(boundary_condition_residual(op, 0, levels=3))
-    if "quadratic_form_identity" not in skipped:
-        checks.append(quadratic_form_identity(op, seed=cfg.seed, levels=2))
+    if {"boundary_condition", "quadratic_form_identity"} - skipped:
+        ladder = _refinements(op, 3)
+        if "boundary_condition" not in skipped:
+            checks.append(boundary_condition_residual(ladder))
+        if "quadratic_form_identity" not in skipped:
+            checks.append(quadratic_form_identity(ladder[:2]))
 
     checks.append(wick_cross_check(4, cfg.seed))
     return checks

@@ -24,7 +24,6 @@ __all__ = [
     "green_apply",
     "sample_function",
     "inner_product",
-    "stencil_apply",
     "sine_transform",
     "boundary_trace_1d",
 ]
@@ -134,27 +133,6 @@ def inner_product(u: GridField, v: GridField) -> complex:
     """Weighted inner product h^d * sum(conj(u) * v), conjugate-linear in u."""
     _check_same_grid(u, v)
     return complex(u.grid.weight * np.vdot(u.values, v.values))
-
-
-def stencil_apply(grid: Grid, u: GridField) -> GridField:
-    """Apply the Dirichlet finite-difference Laplacian.
-
-    (L u)_x = (2d*u_x - sum of neighbors)/h^2 with neighbors outside the
-    interior read as zero.
-    """
-    if u.grid != grid:
-        raise ValueError("field does not live on this grid")
-    a = u.reshaped()
-    out = (2 * grid.dim) * a.astype(np.result_type(a.dtype, np.float64), copy=True)
-    for ax in range(grid.dim):
-        lo = [slice(None)] * grid.dim
-        hi = [slice(None)] * grid.dim
-        lo[ax] = slice(None, -1)
-        hi[ax] = slice(1, None)
-        out[tuple(lo)] -= a[tuple(hi)]
-        out[tuple(hi)] -= a[tuple(lo)]
-    out /= grid.spacing**2
-    return GridField(grid, out.ravel())
 
 
 def sine_transform(grid: Grid, u: GridField, direction: str = "forward") -> GridField:

@@ -59,7 +59,6 @@ __all__ = [
     "build_phi_operator",
     "eigendecompose_symmetric",
     "apply_inverse",
-    "apply_forward",
     "shifted_solve",
     "quadratic_form",
     "two_point_lhs",
@@ -652,25 +651,6 @@ def build_phi_operator(
 def apply_inverse(op: PhiOperator, f: GridField) -> GridField:
     """Apply A^-1 (Green operator plus rank-K update)."""
     return op._unhat(op.inverse_matvec(op._hat(f)))
-
-
-def _solve_diag_plus_lowrank(d: np.ndarray, C: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (diag(d) + C C^H) x = b by the Woodbury identity, in the dtype of
-    b and C: x = b/d - D^-1 C (I + C^H D^-1 C)^-1 C^H b/d."""
-    x = (b / d).astype(np.result_type(b, C, float), copy=False)
-    Cd = C / d[:, None]
-    S = np.eye(C.shape[1], dtype=np.result_type(C.dtype, float)) + C.conj().T @ Cd
-    x -= Cd @ np.linalg.solve(S, C.conj().T @ x)
-    return x
-
-
-def apply_forward(op: PhiOperator, f: GridField) -> GridField:
-    """Apply the modified Laplacian itself, i.e. solve A^-1 x = f: a Woodbury
-    solve, whose formula cancels by up to |C^H D^-1 C| (36 eps on one node,
-    where A^-1 has condition number 1), and one step of iterative refinement."""
-    b, d, C = op._hat(f), 1.0 / op.lam, op.basis.col_hat
-    x = _solve_diag_plus_lowrank(d, C, b)
-    return op._unhat(x + _solve_diag_plus_lowrank(d, C, b - op.inverse_matvec(x)))
 
 
 def _resolvent(op: PhiOperator, x: np.ndarray, s: float) -> np.ndarray:

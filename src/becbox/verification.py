@@ -24,7 +24,6 @@ from .lattice import (
     boundary_trace_1d,
     green_apply,
     inner_product,
-    make_grid,
     sample_function,
     sine_transform,
 )
@@ -177,14 +176,6 @@ def bc_r_matrix(op: PhiOperator):
     return P.conj().T @ P
 
 
-def _eigvec_field(op: PhiOperator, which: int) -> GridField:
-    """The eigenvector of the modified Laplacian with the ``which``-th smallest
-    eigenvalue, as a unit-weighted-norm node field."""
-    unit = np.zeros(op.grid.total)
-    unit[which] = 1.0
-    return sine_transform(op.grid, GridField(op.grid, op.unproject(unit)), "inverse")
-
-
 def _boundary_map(grid: Grid, r, t: np.ndarray) -> np.ndarray:
     """B t = H t - r t, H the Dirichlet-to-Neumann map: the outward derivative
     the boundary condition asks of a trace t, and the pairing <t, B t> the
@@ -192,15 +183,24 @@ def _boundary_map(grid: Grid, r, t: np.ndarray) -> np.ndarray:
     return np.array(dtn_apply_1d(grid, t)) - r @ t
 
 
-def _bc_residual_once(op: PhiOperator, r, which: int) -> float:
-    """The boundary condition on an eigenvector u with trace t, judged on
-    range(T), T = ``_endpoint_values``: t lies in range(T), and
+def _source(grid: Grid) -> GridField:
+    """w = sin(pi s) + sin(2 pi s), s = (x + L/2) / L: the two lowest Dirichlet
+    modes, one of each parity, so A^-1 w reaches the even and the odd columns.
+    It is the same continuum function at every refinement."""
+    L = grid.lengths[0]
+    s = (grid.axis_nodes(0) + L / 2) / L
+    return GridField(grid, np.sin(np.pi * s) + np.sin(2 * np.pi * s))
+
+
+def _bc_residual_once(op: PhiOperator, r) -> float:
+    """The boundary condition on u = A^-1 w, w = ``_source``, with trace t,
+    judged on range(T), T = ``_endpoint_values``: t lies in range(T), and
     T P (d_n u - B t) = 0, T P = T T^H r its projector (r = P^H P is the
     pseudo-inverse of T T^H).  Off range(T) d_n u is free: with
-    m_e = <h_e, A u>, h_e the affine function that is 1 at the end e and 0
+    m_e = <h_e, w>, h_e the affine function that is 1 at the end e and 0
     at the other, the Green part's outward derivative is -m and t = T T^H m,
     so d_n u - B t = -(I - T P) m.  With an empty family t must vanish."""
-    t, dn = boundary_trace_1d(op.grid, _eigvec_field(op, which))
+    t, dn = boundary_trace_1d(op.grid, apply_inverse(op, _source(op.grid)))
     if r is None:
         return float(np.max(np.abs(t)))
     T = _endpoint_values(op)
@@ -208,22 +208,20 @@ def _bc_residual_once(op: PhiOperator, r, which: int) -> float:
     return float(np.max(np.abs(np.r_[t - proj @ t, proj @ (dn - _boundary_map(op.grid, r, t))])))
 
 
-def _refinement_check(name: str, op: PhiOperator, levels: int, min_ratio: float,
+def _refinement_check(name: str, ops: list[PhiOperator], min_ratio: float,
                       residual, context: dict) -> CheckReport:
-    """residual(fine, r) on ``op`` and on its family on ``levels - 1`` 1d
-    grids of halved spacing, built one at a time, with r = ``bc_r_matrix``
-    (None for an empty family); it must fall by ``min_ratio`` or more per
-    halving.  A trace map of lower rank than the columns is inconclusive."""
+    """residual(op, r) on each operator of the ladder ``ops`` (one family on
+    one box at halved spacings), with r = ``bc_r_matrix`` (None for an empty
+    family); it must fall by ``min_ratio`` or more per halving.  A trace map
+    of lower rank than the columns is inconclusive."""
     residuals = []
-    for level in range(levels):
-        fine = op if level == 0 else build_phi_operator(
-            make_grid(1, list(op.grid.lengths), op.grid.spacing / 2**level), op.family)
-        r = bc_r_matrix(fine)
-        if fine.basis.rank and r is None:
+    for op in ops:
+        r = bc_r_matrix(op)
+        if op.basis.rank and r is None:
             return CheckReport(name=name, residuals={}, tolerances={},
                                context={**context, "reason": "degenerate trace space"},
                                inconclusive=True)
-        residuals.append(float(residual(fine, r)))
+        residuals.append(float(residual(op, r)))
     ratios = [a / b for a, b in zip(residuals, residuals[1:])]
     shortfall = max(0.0, min_ratio - min(ratios)) if ratios else 0.0
     return CheckReport(
@@ -235,29 +233,22 @@ def _refinement_check(name: str, op: PhiOperator, levels: int, min_ratio: float,
     )
 
 
-def boundary_condition_residual(
-    op: PhiOperator, which_eigenvector: int = 0, levels: int = 3
-) -> CheckReport:
+def boundary_condition_residual(ops: list[PhiOperator]) -> CheckReport:
     """Residual of the boundary condition (on the range of the columns'
     traces, the outward derivative equals B t = H t - r t, and the trace t
-    lies in that range) on a discrete eigenvector of ``op`` and of
-    ``levels - 1`` refinements of it; the ``which_eigenvector``-th smallest,
-    in ``[0, N)`` for ``op``'s N nodes.
+    lies in that range) on u = A^-1 w of the fixed source w = ``_source``, on
+    each operator of the ladder ``ops``: one family on one box at halved
+    spacings, ``ops[0]`` the coarsest.
 
     The continuum statement holds exactly; the discrete residual must decay
     with ratio >= 1.5 per halving.  With an empty family the condition
     degenerates to the Dirichlet trace and the trace magnitude itself is
     tracked.  A rank-deficient trace map is reported as inconclusive.
     """
-    if op.grid.dim != 1:
+    if ops[0].grid.dim != 1:
         raise ValueError("boundary condition check requires a 1d grid")
-    if not 0 <= which_eigenvector < op.grid.total:
-        raise ValueError(f"which_eigenvector must lie in [0, {op.grid.total}), "
-                         f"got {which_eigenvector}")
-    return _refinement_check(
-        "boundary_condition", op, levels, 1.5,
-        lambda fine, r: _bc_residual_once(fine, r, which_eigenvector),
-        {"which_eigenvector": which_eigenvector, "family": format_family(op.family)})
+    return _refinement_check("boundary_condition", ops, 1.5, _bc_residual_once,
+                             {"family": format_family(ops[0].family)})
 
 
 def _gradient_sum(values: np.ndarray, h: float, t_left: complex, t_right: complex) -> float:
@@ -269,26 +260,9 @@ def _gradient_sum(values: np.ndarray, h: float, t_left: complex, t_right: comple
     return float(np.sum(np.abs(diffs) ** 2) / h)
 
 
-def _seeded_source(grid: Grid, seed: int) -> GridField:
-    """A fixed random trigonometric profile, resolvable at every refinement.
-
-    Refinement studies need the same underlying w at each level, so w is a
-    seeded combination of the first few sine modes sampled on the grid rather
-    than per-node noise.
-    """
-    rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal(10)
-    L = grid.lengths[0]
-    x = grid.axis_nodes(0)
-    vals = np.zeros_like(x)
-    for k, c in enumerate(coeffs, start=1):
-        vals += c * np.sin(k * np.pi * (x + L / 2) / L)
-    return GridField(grid, vals)
-
-
-def _qform_residual_once(op: PhiOperator, r, seed: int) -> float:
+def _qform_residual_once(op: PhiOperator, r) -> float:
     grid = op.grid
-    w = _seeded_source(grid, seed)
+    w = _source(grid)
     f = apply_inverse(op, w)
     lhs = inner_product(f, w).real
     h = grid.spacing
@@ -299,30 +273,31 @@ def _qform_residual_once(op: PhiOperator, r, seed: int) -> float:
     return abs(lhs - form) / abs(lhs)
 
 
-def quadratic_form_identity(op: PhiOperator, seed: int = 0, levels: int = 2) -> CheckReport:
+def quadratic_form_identity(ops: list[PhiOperator]) -> CheckReport:
     """Compare <f, A f> with the boundary-corrected gradient form.
 
-    f = A^-1 w for seeded random w; the form is the forward-difference energy
-    of f with f's extracted trace t as its end values, minus Re <t, B t>, B t
-    = H t - r t the boundary map of the boundary condition check, with r =
+    f = A^-1 w for the fixed source w = ``_source``, the field the boundary
+    condition check reads; the form is the forward-difference energy of f
+    with f's extracted trace t as its end values, minus Re <t, B t>, B t =
+    H t - r t the boundary map of the boundary condition check, with r =
     ``bc_r_matrix``.  <t, H t> = |t_+ - t_-|^2 / L is exactly the discrete
     energy of the sampled affine interpolant of t, the stencil-harmonic
-    extension of t in d = 1.  Exact (to roundoff) for an empty family; order
-    >= 1 in h otherwise, a ratio >= 2 per halving on ``op`` and ``levels - 1``
-    refinements of it.
+    extension of t in d = 1.  Exact (to roundoff) for an empty family, read
+    on ``ops[0]`` alone; order >= 1 in h otherwise, a ratio >= 2 per halving
+    along the ladder ``ops`` (one family on one box at halved spacings).
     """
+    op = ops[0]
     if op.grid.dim != 1:
         raise ValueError("quadratic form identity requires a 1d grid")
-    context = {"family": format_family(op.family), "seed": seed}
+    context = {"family": format_family(op.family)}
     if op.basis.rank == 0:
         return CheckReport(
             name="quadratic_form_identity",
-            residuals={"relative": float(_qform_residual_once(op, None, seed))},
+            residuals={"relative": float(_qform_residual_once(op, None))},
             tolerances={"relative": 1e-10},
             context=context,
         )
-    return _refinement_check("quadratic_form_identity", op, levels, 2.0,
-                             lambda fine, r: _qform_residual_once(fine, r, seed), context)
+    return _refinement_check("quadratic_form_identity", ops, 2.0, _qform_residual_once, context)
 
 
 def ordering_check(op: PhiOperator) -> CheckReport:

@@ -62,6 +62,47 @@ def random_field(grid, seed, complex_values=False):
     return bb.GridField(grid, vals)
 
 
+def stencil_apply(grid, u):
+    """Apply the Dirichlet finite-difference Laplacian node by node.
+
+    (L u)_x = (2d*u_x - sum of neighbors)/h^2 with neighbors outside the
+    interior read as zero: the reference ``green_apply``, the sine transforms
+    and the operator's locality are checked against.
+    """
+    if u.grid != grid:
+        raise ValueError("field does not live on this grid")
+    a = u.reshaped()
+    out = (2 * grid.dim) * a.astype(np.result_type(a.dtype, np.float64), copy=True)
+    for ax in range(grid.dim):
+        lo = [slice(None)] * grid.dim
+        hi = [slice(None)] * grid.dim
+        lo[ax] = slice(None, -1)
+        hi[ax] = slice(1, None)
+        out[tuple(lo)] -= a[tuple(hi)]
+        out[tuple(hi)] -= a[tuple(lo)]
+    out /= grid.spacing**2
+    return bb.GridField(grid, out.ravel())
+
+
+def _solve_diag_plus_lowrank(d, C, b):
+    """Solve (diag(d) + C C^H) x = b by the Woodbury identity, in the dtype of
+    b and C: x = b/d - D^-1 C (I + C^H D^-1 C)^-1 C^H b/d."""
+    x = (b / d).astype(np.result_type(b, C, float), copy=False)
+    Cd = C / d[:, None]
+    S = np.eye(C.shape[1], dtype=np.result_type(C.dtype, float)) + C.conj().T @ Cd
+    x -= Cd @ np.linalg.solve(S, C.conj().T @ x)
+    return x
+
+
+def apply_forward(op, f):
+    """Apply the modified Laplacian itself, i.e. solve A^-1 x = f: a Woodbury
+    solve, whose formula cancels by up to |C^H D^-1 C| (36 eps on one node,
+    where A^-1 has condition number 1), and one step of iterative refinement."""
+    b, d, C = op._hat(f), 1.0 / op.lam, op.basis.col_hat
+    x = _solve_diag_plus_lowrank(d, C, b)
+    return op._unhat(x + _solve_diag_plus_lowrank(d, C, b - op.inverse_matvec(x)))
+
+
 def fourier_grid(table) -> np.ndarray:
     """A Fourier table's fhat on its full p-grid, shape (len(p),) * dim: the
     outer product of its axis factors, which is all the table holds."""

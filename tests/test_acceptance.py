@@ -174,7 +174,7 @@ def test_criterion_06_example_formula():
         worst = max(worst, abs(scalar - expected) / expected)
     op_x = bb.build_phi_operator(g, bb.parse_family("affine:a=0,b=1"),
                                  backend="dense")
-    bc = vf.boundary_condition_residual(op_x, 0, levels=3)
+    bc = vf.boundary_condition_residual(ex._refinements(op_x, 3))
     ratios = bc.context["ratios"]
     ok = worst <= 1e-12 and bc.passed and min(ratios) >= 1.5
     _report(6, ok, f"r formula deviation {worst:.3e} (tol 1e-12); boundary "

@@ -321,29 +321,36 @@ class TestVerifySuite:
 
 
     def test_default_d1_verify_builds_each_operator_once(self, monkeypatch):
-        """The boundary-condition and quadratic-form checks read the operator
-        every other check reads as their coarsest level instead of building
-        another."""
+        """Both trace checks read one ladder of refinements, built once: the
+        operator every other check reads is its coarsest level, and the
+        quadratic form reads the first two levels the boundary condition
+        reads.  The one other build is the reduction check's empty family on
+        its canonical grid."""
         builds = []
         def counted(grid, family, backend="auto"):
-            builds.append(grid.total)
+            builds.append((grid.total, len(family.specs)))
             return po.build_phi_operator(grid, family, backend)
 
         for module in (ex, vf):
             monkeypatch.setattr(module, "build_phi_operator", counted)
         checks = ex.run_verify_suite(ExperimentConfig(kind="verify"))
         assert [c.name for c in checks][-3:-1] == ["boundary_condition", "quadratic_form_identity"]
-        assert sorted(builds) == [127, 255, 255, 255, 511]
+        assert sorted(n for n, k in builds if k) == [127, 255, 511]
+        assert [n for n, k in builds if not k] == [255]
 
     def test_default_d1_verify_contexts(self):
         """The split check names the f it read, in the canonical grammar.  The
+        trace checks read u = A^-1 w of the fixed source on the ladder; their
+        contexts name the family and neither an eigenvector nor a seed.  The
         default family's affine column is stencil-harmonic as sampled, so the
         quadratic form reads the levels of stencil-harmonic columns, to
         roundoff in the columns' sine coefficients."""
         checks = {c.name: c for c in ex.run_verify_suite(ExperimentConfig(kind="verify"))}
         assert checks["split_identity"].context["f"] == "dipole:c=0.0,s=1.0,a=0.75,amp=1.0"
+        for name in ("boundary_condition", "quadratic_form_identity"):
+            assert set(checks[name].context) == {"levels", "ratios", "empirical_orders", "family"}
         assert checks["quadratic_form_identity"].context["levels"] == pytest.approx(
-            [1.0562572206108289e-04, 1.3632250482741805e-05], rel=1e-9, abs=0)
+            [7.178634388554454e-06, 8.966487365279601e-07], rel=1e-9, abs=0)
 
     def test_skipped_checks_decide_the_d1_checks(self, monkeypatch):
         """A check that ``skipped_checks`` names does not run, in d = 1 too."""
@@ -377,16 +384,22 @@ class TestCli:
         doc = json.loads((tmp_path / "run_checks.json").read_text())
         assert doc["pass"] is True
 
-    @pytest.mark.parametrize("family", ["affine:a=2,b=0.5", "affine:a=1,b=-2j",
-                                        "affine:a=0,b=0.3"])
-    def test_verify_passes_on_rank_one_families(self, tmp_path, family):
+    @pytest.mark.parametrize("text", [
+        "family = affine:a=2,b=0.5\n", "family = affine:a=1,b=-2j\n",
+        "family = affine:a=0,b=0.3\n", "family = affine:a=0,b=0.506\nL_list = 4\n",
+        "seed = 67\n", "seed = 71\n"])
+    def test_verify_passes_on_rank_one_families(self, tmp_path, text):
         """One column without reflection symmetry fixes the outward derivative
-        on the range of its traces only, and an odd column too small to lower
-        the spectrum leaves an even Dirichlet eigenvector lowest, whose trace
-        lies off that range and must vanish: the boundary condition is judged
-        on both parts, and every check passes."""
+        on the range of its traces only, and an odd column leaves the even
+        part of u = A^-1 w a Dirichlet field, whose trace lies off that range
+        and must vanish: the boundary condition is judged on both parts, and
+        every check passes.  Both trace checks read one fixed field per
+        level, so their verdict depends on the operator alone: following the
+        lowest eigenvector by index failed where two eigenvalues cross under
+        refinement (b = 0.506 on L = 4: levels 8.3e-5, 6.8e-3, 3.4e-3), and
+        a source drawn from ``seed`` failed the quadratic form at 67 and 71."""
         cfg = tmp_path / "v.cfg"
-        cfg.write_text(f"family = {family}\n")
+        cfg.write_text(text)
         assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
     def test_d2_verify_names_the_checks_it_skips(self, tmp_path, capsys):
@@ -432,6 +445,9 @@ class TestCli:
         assert "deflated" not in capsys.readouterr().err
 
     def test_log_level_debug_shows_each_dense_build(self, tmp_path, capsys, monkeypatch):
+        """One DEBUG line per dense eigensolve.  A default verify solves one:
+        the main operator's odd component (63 of its 127 rows), the one its
+        column x reaches; the trace checks' refinements read A^-1 alone."""
         builds = []
         solve = po._deflated_eigh
         monkeypatch.setattr(po, "_deflated_eigh",
@@ -439,7 +455,7 @@ class TestCli:
         cli.main(["verify", "--out", str(tmp_path), "--log-level", "DEBUG"])
         lines = [line for line in capsys.readouterr().err.splitlines()
                  if line.startswith("DEBUG becbox.phi_operator: dense build: ")]
-        assert len(builds) > 1
+        assert builds == [63]
         assert [int(line.split("N = ")[1].split(",")[0]) for line in lines] == builds
         assert all("coupled rows per stage [" in line for line in lines)
 

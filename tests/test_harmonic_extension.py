@@ -13,8 +13,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import becbox as bb  # noqa: E402
+from becbox import experiments as ex  # noqa: E402
 from becbox import verification as vf  # noqa: E402
-from conftest import random_field  # noqa: E402
+from conftest import random_field, stencil_apply  # noqa: E402
 
 SETTINGS = settings(max_examples=150)
 
@@ -36,7 +37,7 @@ def grids(draw, dim=st.sampled_from([1, 2])):
 @given(grids(), st.integers(0, 2**32 - 1), st.booleans())
 def test_green_apply_inverts_stencil(grid, seed, complex_values):
     u = random_field(grid, seed, complex_values)
-    back = bb.green_apply(grid, bb.stencil_apply(grid, u))
+    back = bb.green_apply(grid, stencil_apply(grid, u))
     assert np.abs(back.values - u.values).max() <= 1e-11 * np.abs(u.values).max()
 
 
@@ -57,11 +58,16 @@ def test_affine_interpolant_energy_is_the_dtn_pairing(grid, t_left, t_right):
 
 @settings(max_examples=25)
 @given(st.one_of(st.builds(bb.Affine1D, COMPLEX, COEFFICIENT), st.builds(bb.Constant, COEFFICIENT)),
-       st.sampled_from([4.0, 6.0]), st.sampled_from([1 / 16, 1 / 32]))
+       st.sampled_from([4.0, 6.0]), st.sampled_from([1 / 4, 1 / 8, 1 / 16, 1 / 32]))
 def test_boundary_condition_holds_on_rank_one_families(spec, L, h):
-    """One column of any parity: the condition, judged on the range of the
-    columns' traces, decays at first order over three levels."""
+    """One column of any parity, L/h from 16 to 192: both trace checks read
+    u = A^-1 w of the fixed source on one ladder, the condition (judged on
+    the range of the columns' traces) decaying at first order over three
+    levels and the quadratic form at order one over the first two."""
     op = bb.build_phi_operator(bb.make_grid(1, [L], h), bb.HarmonicFamily((spec,)), "dense")
-    rep = vf.boundary_condition_residual(op, 0, levels=3)
-    assert rep.passed
-    assert min(rep.context["ratios"]) >= 1.5
+    ladder = ex._refinements(op, 3)
+    bc = vf.boundary_condition_residual(ladder)
+    assert bc.passed
+    assert min(bc.context["ratios"]) >= 1.5
+    qf = vf.quadratic_form_identity(ladder[:2])
+    assert qf.passed, qf.context

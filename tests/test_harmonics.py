@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import becbox as bb
-from conftest import traced_peak
+from conftest import stencil_apply, traced_peak
 
 
 class TestEval:
@@ -47,7 +47,7 @@ class TestEval:
 
 def harmonicity_residual(spec, grid):
     """Max |stencil(sampled phi)| over interior nodes whose neighbors are all interior."""
-    res = bb.stencil_apply(grid, bb.sample_function(grid, partial(bb.eval_harmonic, spec)))
+    res = stencil_apply(grid, bb.sample_function(grid, partial(bb.eval_harmonic, spec)))
     core = res.reshaped()[(slice(1, -1),) * grid.dim]
     return float(np.abs(core).max()) if core.size else 0.0
 
@@ -69,7 +69,7 @@ class TestHarmonicityResidual:
         spec = bb.HarmonicPoly2D(degree=4, part="re")
         for h in (0.25, 0.125):
             g = bb.make_grid(2, [4, 4], h)
-            res = bb.stencil_apply(
+            res = stencil_apply(
                 g, bb.sample_function(g, lambda x, y: bb.eval_harmonic(spec, x, y))
             ).reshaped()
             core = np.abs(res[1:-1, 1:-1])

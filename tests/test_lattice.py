@@ -3,7 +3,7 @@ import pytest
 
 import becbox as bb
 from becbox import continuum as ct
-from conftest import random_field
+from conftest import random_field, stencil_apply
 
 
 def dense_stencil_matrix(grid):
@@ -13,7 +13,7 @@ def dense_stencil_matrix(grid):
     for j in range(N):
         e = np.zeros(N)
         e[j] = 1.0
-        A[:, j] = bb.stencil_apply(grid, bb.GridField(grid, e)).values
+        A[:, j] = stencil_apply(grid, bb.GridField(grid, e)).values
     return A
 
 
@@ -95,14 +95,14 @@ class TestInnerProduct:
 class TestStencil:
     def test_hat_function(self):
         g = bb.make_grid(1, [4], 1.0)
-        out = bb.stencil_apply(g, bb.GridField(g, np.array([0.0, 1.0, 0.0])))
+        out = stencil_apply(g, bb.GridField(g, np.array([0.0, 1.0, 0.0])))
         np.testing.assert_allclose(out.values, [-1.0, 2.0, -1.0])
 
     def test_quadratic_exactness(self):
         g = bb.make_grid(1, [4], 0.25)
         L = 4.0
         u = bb.sample_function(g, lambda x: (L / 2 - x) * (L / 2 + x) / 2)
-        out = bb.stencil_apply(g, u)
+        out = stencil_apply(g, u)
         np.testing.assert_allclose(out.values, np.ones(g.total), atol=1e-13)
 
     def test_lowest_mode_eigenvalue_vs_dense(self):
@@ -110,7 +110,7 @@ class TestStencil:
         L, h = 4.0, 0.25
         u = bb.sample_function(g, lambda x: np.sin(np.pi * (x + L / 2) / L))
         lam1 = (4 / h**2) * np.sin(np.pi * h / (2 * L)) ** 2
-        out = bb.stencil_apply(g, u)
+        out = stencil_apply(g, u)
         np.testing.assert_allclose(out.values, lam1 * u.values, rtol=1e-12)
         # brute-force dense application agrees
         A = dense_stencil_matrix(g)
@@ -119,8 +119,8 @@ class TestStencil:
     def test_self_adjoint(self, grid_2d):
         u = random_field(grid_2d, 3)
         v = random_field(grid_2d, 4)
-        lu = bb.stencil_apply(grid_2d, u)
-        lv = bb.stencil_apply(grid_2d, v)
+        lu = stencil_apply(grid_2d, u)
+        lv = stencil_apply(grid_2d, v)
         lhs = bb.inner_product(lu, v)
         rhs = bb.inner_product(u, lv)
         norm_u, norm_v = (np.sqrt(grid_2d.weight) * np.linalg.norm(w.values) for w in (u, v))
@@ -187,7 +187,7 @@ class TestSineTransform:
         lam = bb.dirichlet_eigenvalues(grid_2d)
         c = bb.sine_transform(grid_2d, u, "forward")
         via = bb.sine_transform(grid_2d, bb.GridField(grid_2d, lam * c.values), "inverse")
-        direct = bb.stencil_apply(grid_2d, u)
+        direct = stencil_apply(grid_2d, u)
         scale = np.abs(direct.values).max()
         assert np.abs(via.values - direct.values).max() <= 1e-11 * scale
 
@@ -226,7 +226,7 @@ class TestDirichletSpectrum:
         lam = bb.dirichlet_eigenvalues(g)
         for k in (1, 5, 17):
             u = bb.sample_function(g, lambda x: np.sin(k * np.pi * (x + L / 2) / L))
-            out = bb.stencil_apply(g, u)
+            out = stencil_apply(g, u)
             np.testing.assert_allclose(out.values, lam[k - 1] * u.values, rtol=1e-12)
 
     def test_sorted_and_positive(self):

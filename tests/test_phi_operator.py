@@ -8,7 +8,7 @@ import becbox as bb
 from becbox import continuum as ct
 from becbox import experiments
 from becbox import phi_operator as po
-from conftest import random_field, traced_peak
+from conftest import apply_forward, random_field, stencil_apply, traced_peak
 
 BOSE_N1 = 1.055148339809722  # 1/(e^(2/3) - 1), scalar oracle for the N=1 box
 
@@ -135,7 +135,7 @@ class TestGreenApply:
 
     def test_inverse_pair(self, grid_2d):
         u = random_field(grid_2d, 11)
-        back = bb.green_apply(grid_2d, bb.stencil_apply(grid_2d, u))
+        back = bb.green_apply(grid_2d, stencil_apply(grid_2d, u))
         assert np.abs(back.values - u.values).max() <= 1e-11 * np.abs(u.values).max()
 
     def test_single_mode_vs_dense_solve(self):
@@ -235,7 +235,7 @@ class TestBuildOperator:
         fam = bb.parse_family("affine:a=0,b=1;const:c=1")
         op = bb.build_phi_operator(grid_1d, fam, backend="dense")
         u = random_field(grid_1d, 13)
-        round1 = bb.apply_forward(op, bb.apply_inverse(op, u))
+        round1 = apply_forward(op, bb.apply_inverse(op, u))
         assert np.abs(round1.values - u.values).max() <= 1e-10 * np.abs(u.values).max()
 
     def test_eigenpair_invariants(self, grid_1d):
@@ -458,7 +458,7 @@ class TestWoodbury:
         eye = np.eye(grid.total)
         cases = [(bb.shifted_solve(op, f, shift),  # (s + A)^-1 = A^-1 (I + s A^-1)^-1
                   field(inverse @ np.linalg.solve(eye + shift * inverse, chat))),
-                 (bb.apply_forward(op, f), field(np.linalg.solve(inverse, chat)))]
+                 (apply_forward(op, f), field(np.linalg.solve(inverse, chat)))]
         for got, want in cases:
             assert got.values.dtype == want.dtype
             assert np.abs(got.values - want).max() <= 1e-12 * np.abs(want).max()
@@ -475,13 +475,13 @@ class TestLocality:
     @staticmethod
     def _forward_residual(op, f):
         """|A f - stencil f| / |stencil f|: away from the boundary A acts as the stencil."""
-        lf = bb.stencil_apply(op.grid, f).values
-        return np.linalg.norm(bb.apply_forward(op, f).values - lf) / np.linalg.norm(lf)
+        lf = stencil_apply(op.grid, f).values
+        return np.linalg.norm(apply_forward(op, f).values - lf) / np.linalg.norm(lf)
 
     @staticmethod
     def _inverse_residual(op, f):
         """|A^-1 (stencil f) - f| / |f|, the same statement through the inverse."""
-        back = bb.apply_inverse(op, bb.stencil_apply(op.grid, f)).values
+        back = bb.apply_inverse(op, stencil_apply(op.grid, f)).values
         return np.linalg.norm(back - f.values) / np.linalg.norm(f.values)
 
     def test_discrete_harmonic_exact(self):

@@ -31,7 +31,7 @@ from becbox.verification import (  # noqa: E402
     krein_identity_residual,
     ordering_check,
 )
-from conftest import random_field  # noqa: E402
+from conftest import apply_forward, random_field  # noqa: E402
 
 EPS = np.finfo(float).eps
 COEFFICIENT = st.one_of(st.floats(-2, 2), st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)))
@@ -152,7 +152,7 @@ def test_woodbury_round_trips(case, s):
     grid, family, seed, _ = case
     op = bb.build_phi_operator(grid, family, "dense")
     u = random_field(grid, seed, True)
-    back = bb.apply_forward(op, bb.apply_inverse(op, u)).values
+    back = apply_forward(op, bb.apply_inverse(op, u)).values
     kappa = op.eigenvalues[-1] / op.eigenvalues[0]
     assert np.linalg.norm(back - u.values) <= 16 * EPS * kappa * np.linalg.norm(u.values)
     want = op.unproject(op.project(op._hat(u)) / (s + op.eigenvalues))

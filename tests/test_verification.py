@@ -7,7 +7,9 @@ import pytest
 import becbox as bb
 from becbox import verification as vf
 from becbox import continuum as ct
-from conftest import random_field, traced_peak
+from becbox import experiments as ex
+from becbox.config import parse_config_text
+from conftest import apply_forward, random_field, stencil_apply, traced_peak
 
 
 def make_op(grid, family_text):
@@ -178,33 +180,35 @@ class TestBoundaryCondition:
         t = np.array([-2.0, 2.0])
         assert (t @ r @ t).real / (t @ t) == pytest.approx(1 / 8, rel=1e-12)
 
-    def test_lowest_eigenvector_residual_decays(self):
+    def test_source_field_residual_decays(self):
         g = bb.make_grid(1, [4], 1 / 16)
-        op = make_op(g, "affine:a=0,b=1")
-        rep = vf.boundary_condition_residual(op, 0, levels=3)
+        rep = vf.boundary_condition_residual(ex._refinements(make_op(g, "affine:a=0,b=1"), 3))
         assert rep.passed
         assert min(rep.context["ratios"]) >= 1.5
 
-    @pytest.mark.parametrize("which", [-1, 127])
-    def test_rejects_an_eigenvector_index_outside_the_grid(self, which, monkeypatch):
-        """``which_eigenvector`` must name one of the N = 127 eigenvectors of
-        ``op``; it is refused before any refinement is built."""
-        op = make_op(bb.make_grid(1, [8], 1 / 16), "affine:a=0,b=1")
-
-        def no_build(*args, **kwargs):
-            raise AssertionError("a refinement was built")
-
-        monkeypatch.setattr(vf, "build_phi_operator", no_build)
-        with pytest.raises(ValueError, match=r"which_eigenvector must lie in \[0, 127\)"):
-            vf.boundary_condition_residual(op, which)
-
     def test_empty_family_dirichlet_trace_decays(self):
         g = bb.make_grid(1, [4], 1 / 16)
-        op = make_op(g, "")
-        rep = vf.boundary_condition_residual(op, 0, levels=3)
+        rep = vf.boundary_condition_residual(ex._refinements(make_op(g, ""), 3))
         assert rep.passed
         levels = rep.context["levels"]
         assert all(b < a for a, b in zip(levels, levels[1:]))
+
+
+class TestTraceChecksKeepTheirTeeth:
+    """A boundary operator 1% off, 1.01 r, leaves an O(1) residual at every
+    level: both trace checks stop converging and fail."""
+
+    @pytest.mark.parametrize("family", ["affine:a=0,b=1", "const:c=1", "affine:a=2,b=0.5",
+                                        "affine:a=0,b=1;const:c=1"])
+    def test_a_perturbed_r_fails_both(self, family, monkeypatch):
+        cfg = parse_config_text(f"kind = verify\nfamily = {family}\n")
+        assert all(c.passed for c in ex.run_verify_suite(cfg))
+        r_matrix = vf.bc_r_matrix
+        monkeypatch.setattr(vf, "bc_r_matrix", lambda op: 1.01 * r_matrix(op))
+        checks = {c.name: c for c in ex.run_verify_suite(cfg)}
+        for name in ("boundary_condition", "quadratic_form_identity"):
+            assert not checks[name].passed
+            assert max(checks[name].context["ratios"]) < 1.1
 
 
 class TestQuadraticFormIdentity:
@@ -223,13 +227,12 @@ class TestQuadraticFormIdentity:
 
     def test_empty_family_exact(self, grid_1d):
         op = make_op(grid_1d, "")
-        rep = vf.quadratic_form_identity(op, seed=5)
+        rep = vf.quadratic_form_identity([op])
         assert rep.residuals["relative"] <= 1e-10
 
     def test_affine_family_order_one(self):
         g = bb.make_grid(1, [4], 1 / 16)
-        op = make_op(g, "affine:a=0,b=1")
-        rep = vf.quadratic_form_identity(op, seed=5, levels=2)
+        rep = vf.quadratic_form_identity(ex._refinements(make_op(g, "affine:a=0,b=1"), 2))
         assert rep.passed
         assert min(rep.context["empirical_orders"]) >= 1.0
 
@@ -249,7 +252,7 @@ class TestQuadraticFormIdentity:
         4.5e-6 at h = 1/64."""
         g = bb.make_grid(1, [4], h)
         op = make_op(g, family)
-        f = bb.apply_inverse(op, vf._seeded_source(g, 5))
+        f = bb.apply_inverse(op, vf._source(g))
         t, _ = bb.boundary_trace_1d(g, f)
         L = g.lengths[0]
         psi = bb.sample_function(g, lambda x: t[0] + (t[1] - t[0]) * (x + L / 2) / L)
@@ -262,7 +265,7 @@ class TestQuadraticFormIdentity:
 
     def test_requires_1d(self, grid_2d):
         with pytest.raises(ValueError, match="1d"):
-            vf.quadratic_form_identity(make_op(grid_2d, "hpoly2:n=1,part=re"))
+            vf.quadratic_form_identity([make_op(grid_2d, "hpoly2:n=1,part=re")])
 
     def test_field_vanishing_near_boundary(self):
         g = bb.make_grid(1, [4], 1 / 32)
@@ -272,8 +275,8 @@ class TestQuadraticFormIdentity:
         # trace extrapolation of an identically-zero neighborhood is exactly 0
         t, _ = bb.boundary_trace_1d(g, f)
         assert np.array_equal(t, [0.0, 0.0])
-        lf = bb.stencil_apply(g, f)
-        lhs = bb.inner_product(f, bb.apply_forward(op, f)).real
+        lf = stencil_apply(g, f)
+        lhs = bb.inner_product(f, apply_forward(op, f)).real
         form = vf._gradient_sum(f.values, g.spacing, 0.0, 0.0)
         assert lhs == pytest.approx(bb.inner_product(f, lf).real, rel=1e-10)
         assert form == pytest.approx(lhs, rel=1e-10)
@@ -361,7 +364,5 @@ class TestEigenpairsOnEveryBackend:
     def test_checks_report_the_same(self, pair):
         dense, lanczos = pair
         checks = [lambda op: vf.krein_identity_residual(op, -1.0, 4, seed=5), vf.ordering_check]
-        if dense.grid.dim == 1:
-            checks.append(lambda op: vf.boundary_condition_residual(op, 0, levels=2))
         for check in checks:
             assert check(dense).to_dict() == check(lanczos).to_dict()
