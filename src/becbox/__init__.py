@@ -12,7 +12,6 @@ from .lattice import (
     GridField,
     make_grid,
     dirichlet_eigenvalues,
-    green_apply,
     sample_function,
     inner_product,
     sine_transform,

@@ -21,7 +21,6 @@ __all__ = [
     "GridField",
     "make_grid",
     "dirichlet_eigenvalues",
-    "green_apply",
     "sample_function",
     "inner_product",
     "sine_transform",
@@ -184,14 +183,6 @@ def dirichlet_eigenvalues(grid: Grid) -> np.ndarray:
         a = (4.0 / h**2) * np.sin(k * np.pi * h / (2.0 * grid.lengths[axis])) ** 2
         lam = a if lam is None else lam[:, None] + a[None, :]
     return lam.ravel()
-
-
-def green_apply(grid: Grid, u: GridField) -> GridField:
-    """Inverse Dirichlet Laplacian: sine transform, divide by the eigenvalues,
-    transform back."""
-    chat = sine_transform(grid, u, "forward")
-    return sine_transform(grid, GridField(grid, chat.values / dirichlet_eigenvalues(grid)),
-                          "inverse")
 
 
 def boundary_trace_1d(grid: Grid, u: GridField) -> tuple[np.ndarray, np.ndarray]:

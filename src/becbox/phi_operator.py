@@ -130,13 +130,14 @@ class BoseRegular:
 
 @dataclass(frozen=True)
 class ShiftedInverse:
-    """x -> 1/(x - z) for a spectral parameter z < 0."""
+    """x -> 1/(x - z) for a spectral parameter z <= 0 (at z = 0, 1/x on the
+    positive spectrum)."""
 
     z: float
 
     def __post_init__(self):
-        if not self.z < 0:
-            raise ValueError("shift z must be negative")
+        if not self.z <= 0:
+            raise ValueError("shift z must be negative or zero")
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         return 1.0 / (np.asarray(x, dtype=float) - self.z)

@@ -66,8 +66,9 @@ def stencil_apply(grid, u):
     """Apply the Dirichlet finite-difference Laplacian node by node.
 
     (L u)_x = (2d*u_x - sum of neighbors)/h^2 with neighbors outside the
-    interior read as zero: the reference ``green_apply``, the sine transforms
-    and the operator's locality are checked against.
+    interior read as zero: the reference that the Dirichlet solve (the inverse
+    of the empty-family operator), the sine transforms and the operator's
+    locality are checked against.
     """
     if u.grid != grid:
         raise ValueError("field does not live on this grid")

@@ -37,7 +37,8 @@ def grids(draw, dim=st.sampled_from([1, 2])):
 @given(grids(), st.integers(0, 2**32 - 1), st.booleans())
 def test_green_apply_inverts_stencil(grid, seed, complex_values):
     u = random_field(grid, seed, complex_values)
-    back = bb.green_apply(grid, stencil_apply(grid, u))
+    G = bb.build_phi_operator(grid, bb.HarmonicFamily(()))  # empty family: A^-1 = G
+    back = bb.apply_inverse(G, stencil_apply(grid, u))
     assert np.abs(back.values - u.values).max() <= 1e-11 * np.abs(u.values).max()
 
 

@@ -2,10 +2,12 @@
 
 The Krein check takes its right side from ``phi_operator``'s resolvent, the
 one ``shifted_solve`` applies, so ``verification`` solves no linear system of
-its own; and the boundary-condition and quadratic-form checks share one
-refinement routine, the only function that builds a ``ratio_shortfall``
-(or a shortfall of any other name, such as an ``order_shortfall``).
-The sources are read with ``ast``; nothing is imported.
+its own; one function reads that resolvent, and both the Krein check and the
+domain decomposition (the Krein formula at z = 0) call it.  The
+boundary-condition and quadratic-form checks share one refinement routine,
+the only function that builds a ``ratio_shortfall`` (or a shortfall of any
+other name, such as an ``order_shortfall``).  The sources are read with
+``ast``; nothing is imported.
 """
 
 import ast
@@ -27,22 +29,33 @@ def linalg_solves(source: str) -> int:
         or isinstance(node.func, ast.Name) and node.func.id in names))
 
 
-def shortfall_builders(source: str) -> set:
-    """The innermost functions whose own code holds a string ending in
-    "_shortfall" ("<module>" for code outside every function)."""
+def owners(source: str, match) -> set:
+    """The innermost functions whose own code holds a node for which
+    ``match`` is true ("<module>" for code outside every function)."""
     found = set()
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
-            elif isinstance(child, ast.Constant) and str(child.value).endswith("_shortfall"):
-                found.add(owner)
             else:
+                if match(child):
+                    found.add(owner)
                 visit(child, owner)
 
     visit(ast.parse(source), "<module>")
     return found
+
+
+def shortfall_builders(source: str) -> set:
+    """The functions that hold a string ending in "_shortfall"."""
+    return owners(source, lambda node: isinstance(node, ast.Constant)
+                  and str(node.value).endswith("_shortfall"))
+
+
+def readers(source: str, name: str) -> set:
+    """The functions that read (or call) ``name``."""
+    return owners(source, lambda node: isinstance(node, ast.Name) and node.id == name)
 
 
 def test_verification_solves_no_system_of_its_own():
@@ -53,6 +66,27 @@ def test_one_function_builds_a_shortfall():
     builders = {(path.stem, name) for path in sorted(SRC.glob("*.py"))
                 for name in shortfall_builders(path.read_text(encoding="utf-8"))}
     assert len(builders) == 1, builders
+
+
+def test_one_function_reads_the_resolvent_for_both_exact_checks():
+    source = (SRC / "verification.py").read_text(encoding="utf-8")
+    (identity,) = readers(source, "_resolvent")
+    assert {"krein_identity_residual", "domain_decomposition_check"} <= readers(source, identity)
+
+
+def test_the_audit_sees_every_reader_of_a_name():
+    source = (
+        "from .phi_operator import _resolvent\n"
+        "def krein(op, x):\n"
+        "    return _resolvent(op, x, 1.0)\n"
+        "def decomposition(op, x):\n"
+        "    def inner():\n"
+        "        return solve(_resolvent)\n"
+        "    return inner() + krein(op, x)\n"
+        "RESOLVENT = _resolvent\n"
+    )
+    assert readers(source, "_resolvent") == {"krein", "inner", "<module>"}
+    assert readers(source, "krein") == {"decomposition"}
 
 
 def test_the_audit_sees_solves_and_a_second_refinement_rule():

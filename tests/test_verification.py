@@ -9,11 +9,17 @@ from becbox import verification as vf
 from becbox import continuum as ct
 from becbox import experiments as ex
 from becbox.config import parse_config_text
-from conftest import apply_forward, random_field, stencil_apply, traced_peak
+from conftest import apply_forward, stencil_apply, traced_peak
 
 
 def make_op(grid, family_text):
     return bb.build_phi_operator(grid, bb.parse_family(family_text), "dense")
+
+
+def default_verify_op():
+    """The operator a default d = 1 ``verify`` run checks (N = 127)."""
+    cfg = parse_config_text("kind = verify\n")
+    return make_op(bb.make_grid(1, [cfg.lengths()[0]], cfg.h), cfg.family)
 
 
 class TestCheckReport:
@@ -86,52 +92,65 @@ class TestKrein:
 
 class TestDomainDecomposition:
     def test_empty_family_psi_zero(self, grid_1d):
+        """The eigen side reads 1/(1/(1/lam)) where the right side reads 1/lam."""
         op = make_op(grid_1d, "")
-        rep = vf.domain_decomposition_check(op, [random_field(grid_1d, 30)])
-        assert rep.residuals["relative"] == 0.0
+        rep = vf.domain_decomposition_check(op, 1, 30)
+        assert rep.residuals["relative"] <= np.finfo(float).eps
         assert rep.passed
 
     def test_random_w_exact_algebra(self, grid_1d):
         op = make_op(grid_1d, "affine:a=0,b=1")
         for seed in range(5):
-            rep = vf.domain_decomposition_check(op, [random_field(grid_1d, 100 + seed)])
+            rep = vf.domain_decomposition_check(op, 1, 100 + seed)
             assert rep.residuals["relative"] <= 1e-10
 
-    def test_reports_worst_field(self, grid_1d):
+    def test_reports_worst_field(self, grid_1d, monkeypatch):
+        """A right side off on the middle one of three fields fails the check
+        read on all three, and not the check read on the first alone."""
         op = make_op(grid_1d, "affine:a=0,b=1;const:c=1")
-        ws = [random_field(grid_1d, 200 + seed) for seed in range(3)]
-        single = [vf.domain_decomposition_check(op, [w]).residuals["relative"] for w in ws]
-        rep = vf.domain_decomposition_check(op, ws)
-        assert rep.residuals == {"relative": max(single)}
-        assert rep.context["n_fields"] == 3
+        resolvent = vf._resolvent
 
-    def test_w_orthogonal_to_span(self, grid_1d):
-        """psi = C C^H w is then roundoff."""
-        op = make_op(grid_1d, "affine:a=0,b=1")
-        w = random_field(grid_1d, 31)
-        col = bb.sample_family(op.family, grid_1d)[0]
-        coeff = bb.inner_product(col, w) / bb.inner_product(col, col)
-        w_perp = bb.GridField(grid_1d, w.values - coeff * col.values)
-        rep = vf.domain_decomposition_check(op, [w_perp])
-        assert rep.residuals["relative"] <= 1e-14
-        assert rep.passed
+        def off_on_field_1(op, x, s):
+            out = resolvent(op, x, s)
+            if out.shape[1] > 1:
+                out[:, 1] *= 1.001
+            return out
+
+        monkeypatch.setattr(vf, "_resolvent", off_on_field_1)
+        assert vf.domain_decomposition_check(op, 1, 200).passed
+        rep = vf.domain_decomposition_check(op, 3, 200)
+        assert not rep.passed
+        assert rep.context["n_fields"] == 3
 
     @pytest.mark.parametrize("c", [1e-3, 1e-6])
     def test_small_columns_pass(self, c):
-        """psi is a difference whose rounding is eps |G w|: relative to |psi|
-        alone, c = 1e-3 read 3e-9 and c = 1e-6 read 3e-3 on this grid."""
+        """Neither side is a difference, so the residual stays at roundoff
+        however small the columns' part of A^-1 w."""
         g = bb.make_grid(1, [72.125], 0.125)  # N = 576
         op = bb.build_phi_operator(g, bb.HarmonicFamily((bb.Constant(c),)), "dense")
-        rep = vf.domain_decomposition_check(op, [random_field(g, 1, True), random_field(g, 2)])
+        rep = vf.domain_decomposition_check(op, 2, 1)
         assert rep.residuals["relative"] <= 1e-14
 
-    def test_wrong_inverse_fails(self, grid_1d, monkeypatch):
-        op = make_op(grid_1d, "affine:a=0,b=1")
-        inverse = vf.apply_inverse
-        monkeypatch.setattr(vf, "apply_inverse", lambda op, w: bb.GridField(
-            op.grid, 1.001 * inverse(op, w).values))
-        rep = vf.domain_decomposition_check(op, [random_field(grid_1d, 32)])
-        assert not rep.passed
+    def test_context_names_z_and_seed(self, grid_1d):
+        rep = vf.domain_decomposition_check(make_op(grid_1d, "affine:a=0,b=1"), 5, 3)
+        assert rep.context["z"] == 0.0
+        assert (rep.context["n_fields"], rep.context["seed"]) == (5, 3)
+
+    def test_perturbed_eigenvalues_fail(self):
+        """Every eigenvalue 1e-6 too large after the solve: the left side is
+        read off the eigenpairs, the right side is not."""
+        op = default_verify_op()
+        nu, order = op._assembly
+        op.__dict__["_assembly"] = (nu * (1 + 1e-6), order)
+        assert not vf.domain_decomposition_check(op).passed
+
+    def test_corrupted_columns_fail(self):
+        """The eigenpairs are solved from the true columns; the right side then
+        reads columns 0.1% too long."""
+        op = default_verify_op()
+        op.eigenvalues  # every component solved here
+        op.basis = dataclasses.replace(op.basis, col_hat=op.basis.col_hat * 1.001)
+        assert not vf.domain_decomposition_check(op).passed
 
 
 class TestDtn:
