@@ -22,7 +22,7 @@ from .config import ConfigError, ExperimentConfig
 from .harmonics import parse_family, spec_dim
 from .lattice import Grid, make_grid, sample_function, sine_transform
 from .phi_operator import (
-    Bose, PhiOperator, _dense_forms, build_phi_operator, shifted_solve, two_point_lhs)
+    Bose, PhiOperator, _contour_forms, build_phi_operator, shifted_solve, two_point_lhs)
 from .verification import (
     CheckReport,
     boundary_condition_residual,
@@ -292,7 +292,7 @@ def run_verify_suite(cfg: ExperimentConfig) -> list[CheckReport]:
         raise ConfigError(f"verify in d = 1 needs L/h >= 4, got L = {L}, h = {cfg.h}")
     _check_support_inside(f, L, name="f")
     grid = make_grid(cfg.dim, [L] * cfg.dim, cfg.h)
-    op = build_phi_operator(grid, family, backend="dense")  # the split check reads eigenpairs
+    op = build_phi_operator(grid, family, backend="dense")  # the exact checks read eigenpairs
 
     # reduction check on the canonical unit-spacing grid, where the operator
     # eigenvalues are O(1) and the 1e-13 absolute tolerance is meaningful
@@ -338,9 +338,9 @@ def run_wick_demo(cfg: ExperimentConfig) -> dict:
         sample_function(grid, partial(ct.evaluate, ct.Bump(center=(c,), halfwidth=(width,))))
         for c in centers
     ]
-    # every pair from one block readout, the dense two-point rule per component
+    # every pair from one block readout: the contour rule of the dense backend
     X = np.stack([sine_transform(grid, f, "forward").values for f in fields], axis=1)
-    T = _dense_forms(op, (Bose(cfg.beta),), X, X)[0]
+    T = _contour_forms(op, (Bose(cfg.beta),), X, X)[0]
     value = ct.permanent_ryser(T)
     payload = {
         "n": n,

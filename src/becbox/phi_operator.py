@@ -18,12 +18,14 @@ first time something needs it, as chained rank-one modifications: each stage
 adds one column, deflation by the same rule leaves every mode its column does
 not reach as an eigenpair of its own, and the block the column couples is
 solved through its secular equation (the operator's eigenvalues, ascending,
-are 1/mu: ``PhiOperator.eigenvalues``).  The backend is the rule a two-point
-readout is read with, and nothing else: one quadrature rule per start vector,
-the eigenpairs of the components it reaches (dense) or a Lanczos Gauss rule
-(lanczos), and every spectral function of the readout is read off that rule.
-A Lanczos recursion runs only on the sine coefficients its start vector
-reaches, read off the same partition (see ``lanczos_quadratic_form``).  All
+are 1/mu: ``PhiOperator.eigenvalues``); the exact checks of ``verification``
+read those eigenpairs.  The backend is the rule a two-point readout is read
+with, and nothing else: the trapezoid rule of Cauchy's integral of the
+Woodbury resolvent on a contour around the spectrum (dense, see
+``_contour_forms``), or a Lanczos Gauss rule per start vector (lanczos); every
+spectral function of the readout is read off that rule, and neither forms an
+eigenpair.  Both run only on the sine coefficients their vectors reach, read
+off the same partition (see ``_reached``).  All
 inner products, normalizations and orthogonalizations use the h^d-weighted
 inner product, which in sine coefficients is the plain dot product.
 """
@@ -68,6 +70,7 @@ __all__ = [
 DENSE_LIMIT = 4096
 RANK_RTOL = 1e-10
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny  # below it a float keeps no relative precision
 
 logger = logging.getLogger(__name__)
 
@@ -86,6 +89,8 @@ class Bose:
             raise ValueError("beta must be positive")
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
+        if np.iscomplexobj(x):  # a contour node, Re x > 0
+            return _bose(self.beta * x)
         t = self.beta * np.asarray(x, dtype=float)
         out = np.zeros_like(t)
         mod = t < 700.0
@@ -108,24 +113,40 @@ class BoseRegular:
             raise ValueError("beta must be positive")
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
+        if np.iscomplexobj(x):  # a contour node, Re x > 0
+            t = self.beta * x
+            small = np.abs(t) < 0.5
+            out = np.empty_like(t)
+            out[~small] = _bose(t[~small]) - 1.0 / t[~small]
+            out[small] = _bernoulli_series(t[small])
+            return out
         t = self.beta * np.asarray(x, dtype=float)
         # expm1 overflows to inf and 1/inf is 0; t = 0 gives inf - inf, overwritten below
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             out = 1.0 / np.expm1(t) - 1.0 / t
         small = t < 0.5
         if small.any():
-            ts = t[small]
-            out[small] = (
-                -0.5
-                + ts / 12.0
-                - ts**3 / 720.0
-                + ts**5 / 30240.0
-                - ts**7 / 1209600.0
-                + ts**9 / 47900160.0
-                - ts**11 * 5.284190138687493e-10
-                + ts**13 * 1.3382536530684679e-11
-            )
+            out[small] = _bernoulli_series(t[small])
         return out
+
+
+def _bose(t: np.ndarray) -> np.ndarray:
+    """1/(e^t - 1) at complex t with Re t > 0, as e^-t / (1 - e^-t): nothing overflows."""
+    return np.exp(-t) / -np.expm1(-t)
+
+
+def _bernoulli_series(t: np.ndarray) -> np.ndarray:
+    """1/(e^t - 1) - 1/t for |t| < 0.5, by its Bernoulli series (radius 2 pi)."""
+    return (
+        -0.5
+        + t / 12.0
+        - t**3 / 720.0
+        + t**5 / 30240.0
+        - t**7 / 1209600.0
+        + t**9 / 47900160.0
+        - t**11 * 5.284190138687493e-10
+        + t**13 * 1.3382536530684679e-11
+    )
 
 
 @dataclass(frozen=True)
@@ -140,7 +161,7 @@ class ShiftedInverse:
             raise ValueError("shift z must be negative or zero")
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return 1.0 / (np.asarray(x, dtype=float) - self.z)
+        return 1.0 / (np.asarray(x) - self.z)
 
 
 # --- assembly -------------------------------------------------------------------
@@ -223,7 +244,7 @@ class _Stage:
         zhat, norm = self.vectors[3:]
         x = zhat[:, None] * y[self.active]
         for k, R in self._cauchy_blocks():
-            y[self.active[k]] = (R @ x) / norm[k, None]
+            y[self.active[k]] = _matmul(R, x) / norm[k, None]
         return y[self.order].reshape(shape)
 
     def unproject(self, a: np.ndarray) -> np.ndarray:
@@ -234,7 +255,7 @@ class _Stage:
         x = y[self.active] / norm[:, None]
         out = np.zeros_like(x)
         for k, R in self._cauchy_blocks():
-            out += R.T @ x[k]
+            out += _matmul(R.T, x[k])
         y[self.active] = zhat[:, None] * out
         for rows, Q in self.rotations:
             y[rows] = np.einsum("cij,cj...->ci...", Q, y[rows])
@@ -307,7 +328,7 @@ def _reached(v: np.ndarray, components: np.ndarray) -> np.ndarray:
     """The sine coefficients that A^-1 can carry v to: v's entries above the
     roundoff of its norm (``_negligible``) and every row of each column
     component that one of them lies in."""
-    reached = ~_negligible(v, 0.0)
+    reached = (~_negligible(v, 0.0)).reshape(len(v), -1).any(axis=1)
     for k in _touched(components, reached):
         reached |= components == k
     return reached
@@ -321,8 +342,8 @@ class PhiOperator:
     ``components`` labels each sine coefficient with its column component,
     -1 for a free row (``column_components`` labels the columns; see
     ``_components``).  A component is solved the first time something needs
-    it (``_chain``) and kept: a dense readout solves only the components its
-    vectors reach.  ``eigenvalues`` (of -Delta_Phi, ascending), ``project``
+    it (``_chain``) and kept; no two-point readout needs one.  ``eigenvalues``
+    (of -Delta_Phi, ascending), ``project``
     and ``unproject`` (aligned with them) and ``eigenbasis`` (every
     component's chain, then the free rows') assemble all of them, whatever
     the backend: ``backend`` only picks the rule of a two-point readout
@@ -404,7 +425,24 @@ class PhiOperator:
 
 def _inverse_matvec(lam: np.ndarray, C: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A^-1 x = x / lam + C C^H x on sine coefficients."""
-    return x / lam + C @ (C.T @ x.conj()).conj()  # C^H x as conj(C^T conj(x)): no copy of C
+    return x / lam + _matmul(C, _adjoint(C, x))
+
+
+def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B, where a real A meets a complex B as one real product with B's
+    real and imaginary parts interleaved: numpy's own product would cast A
+    to complex."""
+    if A.dtype.kind == "c" or B.dtype.kind != "c" or not B.size:
+        return A @ B
+    pairs = np.ascontiguousarray(B).reshape(len(B), -1).view(B.real.dtype)  # re, im, re, ...
+    return (A @ pairs).view(B.dtype).reshape(A.shape[:-1] + B.shape[1:])
+
+
+def _adjoint(C: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """C^H x with no copy of C: C^T x for a real C, conj(C^T conj(x)) otherwise."""
+    if C.dtype.kind != "c":
+        return _matmul(C.T, x)
+    return (C.T @ x.conj()).conj()
 
 
 def eigendecompose_symmetric(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -666,7 +704,7 @@ def _resolvent(op: PhiOperator, x: np.ndarray, s: float) -> np.ndarray:
     SC = (op.lam / (op.lam + s))[:, None] * op.basis.col_hat
     K = np.eye(SC.shape[1]) + s * (op.basis.col_hat.conj().T @ SC)
     # S is real: (SC)^H x = C^H S x
-    return x / (lam + s) + SC @ np.linalg.solve(K, SC.conj().T @ x)
+    return x / (lam + s) + _matmul(SC, np.linalg.solve(K, _adjoint(SC, x)))
 
 
 def shifted_solve(op: PhiOperator, f: GridField, shift: float = 1.0) -> GridField:
@@ -686,7 +724,7 @@ def _gauss_sum(Fs, nodes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarra
     """sum_i conj(a_i) F(nodes_i) b_i for every F in Fs: a quadrature rule read
     off, for vectors a and b or, column by column, for blocks (a^H F b)."""
     aH = a.conj().T  # no copy of a real a
-    return np.array([aH @ (F.evaluate(nodes) * b.T).T for F in Fs])
+    return np.array([_matmul(aH, (F.evaluate(nodes) * b.T).T) for F in Fs])
 
 
 @dataclass(frozen=True)
@@ -795,23 +833,129 @@ def lanczos_quadratic_form(
                          repeats=repeats, size=v.size)
 
 
-def _dense_forms(op: PhiOperator, Fs, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+_CONTOUR_NODES = (50.0, 40.0)  # nodes on the whole ellipse, per unit of its half-length and added
+_NODE_BLOCK = 1 << 14  # nodes x rows per block of the contour rule: 128 kB per real array
+_CONTOUR_ROUNDOFF = 64  # how many of its roundoff bounds two node counts may differ by
+_CONTOUR_ROUNDS = 6  # times the node count may grow by half before the rule gives up
+
+
+def _contour_forms(op: PhiOperator, Fs, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """X^H F(-Delta_Phi) Y, shape (len(Fs), X columns, Y columns), for blocks
     X and Y of sine coefficients (a field per column; Y is X for quadratic
-    forms), summed over the free rows and the column components that an entry
-    of a column above its roundoff lies in: every other component adds
-    roundoff at most, and is not solved."""
-    values = 0.0
-    reach = ~(_negligible(X, 0.0) & _negligible(Y, 0.0)).all(axis=1)
-    for k in [*_touched(op.components, reach), -1]:
-        chain = op._chain(k)
-        if Y is X:
-            a = b = chain.project(X[chain.rows])
-        else:  # one pass over the stages for both
-            a, b = np.split(chain.project(np.hstack([X[chain.rows], Y[chain.rows]])),
-                            [X.shape[1]], axis=1)
-        values = values + _gauss_sum(Fs, 1.0 / chain.mu, a, b)
+    forms), by Cauchy's integral of the resolvent of A^-1 = diag(d) + C C^H.
+
+    Only the rows that both X and Y reach (``_reached``) take part: F(A) maps
+    the rows a vector reaches into themselves, as in a Lanczos readout.
+    There C C^H = U Sigma^2 U^H (the thin SVD, with the directions of
+    Sigma^2 below the smallest normal float dropped), and with E = w - d
+
+        (w - A^-1)^-1 = E^-1 + E^-1 U M(w)^-1 U^H E^-1,  M(w) = Sigma^-2 - U^H E^-1 U,
+
+    where g(w) = F(1/w) is analytic for Re w > 0.  M is I - C^H E^-1 C
+    scaled by Sigma on both sides: unlike it, M keeps its identity part
+    when columns are huge or repeat.  The diagonal part gives sum_i
+    conj(x_i) F(lam_i) y_i exactly; only the rank-K part goes through the
+    quadrature (``_rank_k_rule``).  Its node count starts at 50 per unit of
+    the ellipse's half-length, plus 40, and grows by half until no value
+    moves by more than ``_CONTOUR_ROUNDOFF`` times the roundoff bound of its
+    terms; a value still moving after ``_CONTOUR_ROUNDS`` steps raises
+    RuntimeError.  The count grows where F decays fast across the spectrum
+    (Bose at beta lam >> 1), whose terms on the contour are tiny beside its
+    size between the contour and the line Re w = 0.  No eigenpair is formed."""
+    rows = _reached(X, op.components) & _reached(Y, op.components)
+    x, y, lam = X[rows], Y[rows], op.lam[rows]
+    values = _gauss_sum(Fs, lam, x, y)
+    U, sigma, _ = np.linalg.svd(op.basis.col_hat[rows], full_matrices=False)
+    kept = sigma**2 >= _TINY
+    if not kept.any():
+        return values
+    # LAPACK's U is column-major; the rule's products want rows contiguous
+    U, inv2, d = np.ascontiguousarray(U[:, kept]), sigma[kept] ** -2.0, 1.0 / lam
+    lo, hi = np.log(d.min()), np.log(d.max() + sigma[0] ** 2)
+    # at least a unit half-length: a narrow spectrum keeps the ellipse clear of its poles
+    centre, half = (lo + hi) / 2, max((hi - lo) / 2, 1.0)
+    count = int(np.ceil((_CONTOUR_NODES[0] * half + _CONTOUR_NODES[1]) / 2))
+    real = all(a.dtype.kind != "c" for a in (x, y, U))
+    fine, _ = _rank_k_rule(Fs, d, U, inv2, x, y, centre, half, count, real)
+    for _ in range(_CONTOUR_ROUNDS):
+        count, coarse = max(count * 3 // 2, count + 1), fine
+        fine, bound = _rank_k_rule(Fs, d, U, inv2, x, y, centre, half, count, real)
+        moved = np.abs(fine - coarse)
+        if np.all(moved <= _CONTOUR_ROUNDOFF * _EPS * bound + _TINY):
+            break
+    else:
+        raise RuntimeError(f"contour rule of {2 * count} nodes still moved a value by "
+                           f"{np.max(moved / (_EPS * bound + _TINY)):.1e} times its roundoff "
+                           "bound")
+    values = values + fine
+    if Y is X:  # Hermitian by construction, where the quadrature's roundoff is not
+        values = (values + values.conj().swapaxes(1, 2)) / 2
     return values
+
+
+def _rank_k_rule(Fs, d, U, inv2, x, y, centre, half, count, real):
+    """The rank-K part of ``_contour_forms``, (1 / 2 pi i) oint g(w) x^H E^-1 U
+    M(w)^-1 U^H E^-1 y dw with M = diag(inv2) - U^H E^-1 U, by the trapezoid
+    rule on an ellipse in s = ln w around [ln min d, ln max spectrum] =
+    centre -+ half, and its roundoff bound over eps.
+
+    The nodes are s = centre + half cosh(eta + i theta) at theta = pi (j +
+    1/2) / count, with weights w half sinh(eta + i theta) / (2 count), and
+    their conjugates; eta = arcsinh(pi / (2 half)) / 2 keeps the ellipse in
+    |Im s| < pi / 2, where g is analytic, halfway between the spectrum and
+    that line.  For real data the conjugate nodes give conjugate terms: the
+    rule takes twice the real part of the upper half.  Each block of nodes
+    reads every sum over the rows, u = U^T E^-1 conj(x), v = U^H E^-1 y and
+    U^H E^-1 U, from one real product of Re E^-1 and Im E^-1 with their
+    entrywise factors (``_matmul``), and the same sums over moduli from
+    |E^-1|: a node's term u^T M^-1 v then has the first-order roundoff bound
+    eps (|u|^T |M^-1 v| + |M^-T u|^T |v| + |M^-T u|^T |M| |M^-1 v|), each
+    |.| a sum over moduli."""
+    K, p, q = U.shape[1], x.shape[1], y.shape[1]
+    eta = np.arcsinh(np.pi / (2 * half)) / 2
+    zeta = eta + 1j * np.pi * (np.arange(count) + 0.5) / count
+    w = np.exp(centre + half * np.cosh(zeta))
+    weight = w * half * np.sinh(zeta) / (2 * count)
+    if not real:
+        w, weight = np.r_[w, w.conj()], np.r_[weight, weight.conj()]
+    B = np.concatenate([(U.conj()[:, :, None] * U[:, None, :]).reshape(len(d), K * K),
+                        (U[:, :, None] * x.conj()[:, None, :]).reshape(len(d), K * p),
+                        (U.conj()[:, :, None] * y[:, None, :]).reshape(len(d), K * q)], axis=1)
+    absB = np.abs(B)
+    cuts = [K * K, K * (K + p)]  # the columns of U^H E^-1 U, u and v
+    values = np.zeros((len(Fs), p, q), dtype=complex)
+    bound = np.zeros((len(Fs), p, q))
+    block = max(1, _NODE_BLOCK // len(d))
+    work = np.empty(3 * block * len(d))
+    for start in range(0, len(w), block):
+        wk = w[start : start + block]
+        m = len(wk)
+        # Re, Im and modulus of 1 / (w - d) = (conj(w) - d) / |w - d|^2, in one reused buffer
+        R = work[: 3 * m * len(d)].reshape(3, m, len(d))
+        np.subtract(wk.real[:, None], d, out=R[0])
+        np.multiply(R[0], R[0], out=R[2])
+        R[2] += (wk.imag**2)[:, None]
+        np.reciprocal(R[2], out=R[2])
+        R[0] *= R[2]
+        np.multiply(-wk.imag[:, None], R[2], out=R[1])
+        np.sqrt(R[2], out=R[2])
+        P = _matmul(R[:2].reshape(2 * m, len(d)), B)
+        H, u, v = np.split(P[:m] + 1j * P[m:], cuts, axis=1)
+        Habs, uabs, vabs = np.split(R[2] @ absB, cuts, axis=1)
+        Minv = np.linalg.inv(np.diag(inv2) - H.reshape(m, K, K))
+        u, uabs = u.reshape(m, K, p), uabs.reshape(m, K, p)
+        v, vabs = v.reshape(m, K, q), vabs.reshape(m, K, q)
+        Mv, Mu = Minv @ v, np.swapaxes(Minv, 1, 2) @ u
+        terms = np.einsum("mka,mkb->mab", u, Mv)
+        z, t = np.abs(Mv), np.abs(Mu)
+        first = (np.einsum("mka,mkb->mab", uabs, z) + np.einsum("mka,mkb->mab", t, vabs)
+                 + np.einsum("mka,mkl,mlb->mab", t, np.diag(inv2) + Habs.reshape(m, K, K), z))
+        g = np.array([F.evaluate(1.0 / wk) for F in Fs]) * weight[start : start + block]
+        values += np.einsum("fm,mab->fab", g, terms)
+        bound += np.einsum("fm,mab->fab", np.abs(g), first)
+    if real:
+        return 2 * values.real, 2 * bound
+    return values, bound
 
 
 def _bilinear_forms(op: PhiOperator, Fs, f: GridField, g: GridField | None):
@@ -821,9 +965,9 @@ def _bilinear_forms(op: PhiOperator, Fs, f: GridField, g: GridField | None):
     same = g is None or g is f or np.array_equal(f.values, g.values)
     fhat = op._hat(f)
     ghat = fhat if same else op._hat(g)
-    if op.backend == "dense":  # the block readout of one column each
+    if op.backend == "dense":  # the contour readout of one column each
         X = fhat[:, None]
-        return _dense_forms(op, Fs, X, X if same else ghat[:, None])[:, 0, 0], fhat, ghat
+        return _contour_forms(op, Fs, X, X if same else ghat[:, None])[:, 0, 0], fhat, ghat
     if same:
         terms = [(1.0, fhat)]
     elif np.result_type(fhat, ghat, op.basis.col_hat).kind == "c":  # complex pair or operator
@@ -844,12 +988,13 @@ def _bilinear_forms(op: PhiOperator, Fs, f: GridField, g: GridField | None):
 def quadratic_form(op: PhiOperator, F, f: GridField, g: GridField | None = None) -> complex:
     """<f, F(-Delta_Phi) g> in the weighted inner product.
 
-    Every function of one readout comes from one quadrature rule per start
-    vector: with backend dense the eigenpairs with the projections of f and
-    g; with backend lanczos the Gauss rule of one recursion per term of the
-    polarization of the bilinear form into quadratic ones, raising
-    RuntimeError rather than returning an unconverged value.  Conjugate
-    symmetry result(f, g) = conj(result(g, f)) holds by construction.
+    Every function of one readout comes from one quadrature rule: with
+    backend dense the contour rule of ``_contour_forms`` with f and g as its
+    two sides; with backend lanczos the Gauss rule of one recursion per term
+    of the polarization of the bilinear form into quadratic ones.  Each
+    raises RuntimeError rather than return an unconverged value.  Conjugate
+    symmetry result(f, g) = conj(result(g, f)) holds by construction for
+    Lanczos and up to the contour rule's roundoff for dense.
     """
     return complex(_bilinear_forms(op, (F,), f, g)[0][0])
 
@@ -887,6 +1032,6 @@ def two_point_lhs(op: PhiOperator, beta: float, f: GridField, g: GridField | Non
     (direct, regular), fhat, ghat = _bilinear_forms(op, (Bose(beta), BoseRegular(beta)), f, g)
     green = complex(np.vdot(fhat, ghat / op.lam)) / beta
     C = op.basis.col_hat  # an empty family gives an empty pairing, 0
-    cond = complex(np.vdot(C.conj().T @ fhat, C.conj().T @ ghat)) / beta
+    cond = complex(np.vdot(_adjoint(C, fhat), _adjoint(C, ghat))) / beta
     return TwoPointLhs(direct=complex(direct), regular_term=complex(regular),
                        green_term=green, condensate_term=cond)

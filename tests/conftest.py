@@ -118,3 +118,8 @@ def traced_peak(fn, *args) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def barred(*args):
+    """Stands in for a solver that the path under test must never call."""
+    raise AssertionError("a barred solver was called")

@@ -20,7 +20,7 @@ from becbox import phi_operator as po
 from becbox import verification as vf
 from becbox.config import ConfigError, ExperimentConfig, parse_config_text
 from becbox.continuum import HypothesisError
-from conftest import traced_peak
+from conftest import barred, traced_peak
 
 MINI_CONVERGE = """
 kind = converge
@@ -278,13 +278,14 @@ class TestWickDemo:
         # the benchmark's wick command: twelve bumps, N = 1023
         ("kind = wick\nL_list = 32\nh = 0.03125\nwick_n = 12\n", False),
         # one centred even bump and a family of one even and one odd column:
-        # the odd column's component is not reached, and not solved
+        # the odd column's component is not reached, and not read
         ("kind = wick\nfamily = const:c=1;affine:a=0,b=1\nL_list = 8\nh = 0.0625\n"
          "wick_n = 1\n", True),
     ], ids=["n5", "cli-session", "centred"])
     def test_matrix_equals_the_pairwise_two_point_values(self, monkeypatch, text, unreached):
         """T is the block readout of every pair at once: each entry equals
-        quadratic_form(op, Bose(beta), f_i, f_j), and T is Hermitian."""
+        quadratic_form(op, Bose(beta), f_i, f_j), and T is Hermitian.  The
+        contour rule reads the rows the bumps reach and solves no component."""
         ops = []
         monkeypatch.setattr(ex, "build_phi_operator",
                             lambda *args: ops.append(po.build_phi_operator(*args)) or ops[-1])
@@ -300,10 +301,23 @@ class TestWickDemo:
         scale = np.abs(pairs).max()
         assert np.abs(T - pairs).max() <= 1e-13 * scale
         assert np.abs(T - T.conj().T).max() <= 1e-15 * scale
-        solved = set(op._chains) - {-1}
+        assert not op._chains
+        X = np.stack([op._hat(f) for f in fields], axis=1)
+        read = set(op.components[po._reached(X, op.components)].tolist()) - {-1}
         labels = set(op.column_components.tolist()) - {-1}
         assert len(labels) == (2 if unreached else 1)
-        assert solved == ({int(op.column_components[0])} if unreached else labels)
+        assert read == ({int(op.column_components[0])} if unreached else labels)
+
+    def test_reads_no_eigenpair(self, monkeypatch):
+        """The benchmark's wick matrix, twelve bumps at N = 1023, comes from
+        the contour rule alone: with the eigensolve and its secular stages
+        barred, the run returns a finite, exactly Hermitian T."""
+        monkeypatch.setattr(po, "_deflated_eigh", barred)
+        monkeypatch.setattr(po, "_secular_eigh", barred)
+        payload = ex.run_wick_demo(parse_config_text(
+            "kind = wick\nL_list = 32\nh = 0.03125\nwick_n = 12\n"))
+        T = np.array(payload["two_point_matrix_re"]) + 1j * np.array(payload["two_point_matrix_im"])
+        assert np.array_equal(T, T.conj().T) and np.isfinite(payload["npoint_value_re"])
 
     def test_n_limit(self):
         with pytest.raises(ConfigError, match="wick_n"):
@@ -645,6 +659,36 @@ class TestCli:
         rc = cli.main(["fourier-dump", "--config", str(cfg), "--out", str(blocker / "sub")])
         assert rc == 4
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_contour_rule_that_moves_exits_4(self, tmp_path, capsys, monkeypatch):
+        """Too few contour nodes for the L = 8 value: the readout raises, and
+        the command reports it and exits 4 instead of writing a wrong row."""
+        monkeypatch.setattr(po, "_CONTOUR_NODES", (0.0, 4.0))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(MINI_CONVERGE)
+        assert cli.main(["converge", "--config", str(cfg), "--out", str(tmp_path)]) == 4
+        assert "contour rule of" in capsys.readouterr().err
+        assert not (tmp_path / "run.csv").exists()
+
+    def test_golden_d2_converge_is_the_same_on_one_blas_thread(self, tmp_path):
+        """The golden d = 2 converge run at OPENBLAS_NUM_THREADS=1 and at the
+        default thread count: every numeric CSV field agrees to 1e-13
+        relative (README, "Threads")."""
+        golden = json.loads((Path(__file__).parent / "golden" / "converge_d2.json").read_text())
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(golden["config"])
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        tables = []
+        for label, threads in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):
+            argv = [sys.executable, "-m", "becbox.cli", "converge", "--config", str(cfg),
+                    "--out", str(tmp_path), "--label", label]
+            assert subprocess.run(argv, env={**env, **threads}, capture_output=True).returncode == 0
+            rows = (tmp_path / f"{label}.csv").read_text().splitlines()[1:]
+            tables.append(np.array([[float(v) for v in row.split(",")] for row in rows]))
+        one, default = tables
+        assert one.shape == default.shape == (3, 13)
+        assert np.all(np.abs(one - default) <= 1e-13 * np.abs(default))
 
     def test_converge_cli_end_to_end(self, tmp_path):
         cfg = tmp_path / "c.cfg"

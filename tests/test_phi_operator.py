@@ -8,7 +8,7 @@ import becbox as bb
 from becbox import continuum as ct
 from becbox import experiments
 from becbox import phi_operator as po
-from conftest import apply_forward, random_field, stencil_apply, traced_peak
+from conftest import apply_forward, barred, random_field, stencil_apply, traced_peak
 
 BOSE_N1 = 1.055148339809722  # 1/(e^(2/3) - 1), scalar oracle for the N=1 box
 
@@ -328,10 +328,10 @@ class TestQuadraticForm:
             bb.quadratic_form(op, bb.ShiftedInverse(-1.0), random_field(grid_1d_small, 1))
 
     @pytest.mark.parametrize("complex_g", [False, True])
-    def test_dense_pair_projects_once(self, grid_2d, monkeypatch, complex_g):
-        """f != g takes one pass over each chain's stages, projecting both at
-        once, and agrees with projecting each on its own.  Random fields reach
-        every component, so the chains cover every row."""
+    def test_dense_pair_reads_one_contour(self, grid_2d, monkeypatch, complex_g):
+        """f != g reads one contour rule, at its two node counts, with f and g
+        as the two sides of each term, over the rows both reach (random
+        fields reach every row), and agrees with the eigenpair readout."""
         fam = bb.parse_family("hpoly2:n=1,part=re;hpoly2:n=2,part=re;expcos:k=1,phase=0.3")
         op = bb.build_phi_operator(grid_2d, fam, backend="dense")
         f, g = random_field(grid_2d, 32), random_field(grid_2d, 33, complex_values=complex_g)
@@ -339,17 +339,17 @@ class TestQuadraticForm:
         a, b = op.project(fhat), op.project(ghat)
         Fs = (bb.Bose(0.7), bb.ShiftedInverse(-1.0))
         separate = po._gauss_sum(Fs, op.eigenvalues, a, b)
-        shapes = []
-        project = po._Chain.project
+        sides = []
+        rule = po._rank_k_rule
 
-        def counted(self, chat):
-            shapes.append(chat.shape)
-            return project(self, chat)
+        def counted(Fs, d, U, inv2, x, y, *rest):
+            sides.append((len(d), x.tolist(), y.tolist()))
+            return rule(Fs, d, U, inv2, x, y, *rest)
 
-        monkeypatch.setattr(po._Chain, "project", counted)
+        monkeypatch.setattr(po, "_rank_k_rule", counted)
         values = po._bilinear_forms(op, Fs, f, g)[0]
-        assert len(shapes) == len(op.eigenbasis)
-        assert all(m == 2 for _, m in shapes) and sum(n for n, _ in shapes) == grid_2d.total
+        assert [side == (grid_2d.total, fhat[:, None].tolist(), ghat[:, None].tolist())
+                for side in sides] == [True, True]
         assert np.all(np.abs(values - separate) <= 1e-14 * np.abs(separate))
 
 
@@ -769,26 +769,28 @@ class TestLanczos:
 
 
 class TestComponents:
-    """A dense readout solves only the column components its vectors reach."""
+    """A dense readout reads only the rows its vectors reach and solves no
+    column component."""
 
-    def test_golden_d2_converge_solves_the_components_f_reaches(self, golden_d2_config,
-                                                                monkeypatch):
+    def test_golden_d2_converge_reads_the_rows_f_reaches(self, golden_d2_config,
+                                                          monkeypatch):
         """The golden f is odd in x and even in y, and it and each column lie in
-        parity sectors: x and x^2 - y^2 are two components, and only x's is
-        solved (240, 552 and 992 rows at N = 961, 2209 and 3969; the stages of
-        x^2 - y^2 are not).  At N = 2209 (n + 1 = 48) the transforms leave
-        about 1e-17 on the other sectors, below each vector's roundoff, so
-        the sectors split there too; on exact zeros alone they merged and
-        both stages were solved (552 and 265 rows).  Solving every stage made
-        6 secular solves."""
+        parity sectors: x and x^2 - y^2 are two components, and the contour
+        rule reads only the rows of x's, which are f's own sector (240, 552
+        and 992 rows at N = 961, 2209 and 3969, each at two node counts).  At
+        N = 2209 (n + 1 = 48) the transforms leave about 1e-17 on the other
+        sectors, below each vector's roundoff, so the sectors split there
+        too.  No component is eigendecomposed: the secular solver raises if
+        called."""
         cfg = golden_d2_config
-        solves = []
-        secular = po._secular_eigh
-        monkeypatch.setattr(po, "_secular_eigh",
-                            lambda d, z: solves.append(len(d)) or secular(d, z))
+        rows = []
+        rule = po._rank_k_rule
+        monkeypatch.setattr(po, "_rank_k_rule",
+                            lambda Fs, d, *rest: rows.append(len(d)) or rule(Fs, d, *rest))
+        monkeypatch.setattr(po, "_secular_eigh", barred)
         experiments._sweep_rows(cfg, bb.parse_family(cfg.family),
                                 ct.parse_test_function(cfg.f), None, 0.0, cfg.h)
-        assert [n for n in solves if n] == [240, 552, 992]
+        assert rows == [240, 240, 552, 552, 992, 992]
 
     def test_inexact_parity_zeros_split_the_sectors(self):
         """On a 23 x 23 grid (n + 1 = 24) the transforms leave about 3e-17 on
@@ -807,7 +809,9 @@ class TestComponents:
         f = bb.sample_function(grid, lambda *x: ct.evaluate(spec, *x))
         assert np.count_nonzero(op._hat(f)[op.components == 1]) > 0
         tp = bb.two_point_lhs(op, 1.0, f)
-        assert sorted(op._chains) == [-1, 0]
+        reached = po._reached(op._hat(f), op.components)
+        assert reached[op.components == 0].all() and not reached[op.components == 1].any()
+        assert not op._chains  # nothing eigendecomposed
         w, V = np.linalg.eigh(np.diag(1.0 / op.lam) + C @ C.T)
         fa = V.T @ op._hat(f)
         for F, value in ((bb.Bose(1.0), tp.direct), (bb.BoseRegular(1.0), tp.regular_term)):
@@ -833,10 +837,14 @@ class TestReadoutMemory:
         assert stored <= 1e6  # 0.2 MB; the two 992- and 481-row W would be 9.7 MB
         assert traced_peak(lambda: bb.build_phi_operator(grid, family, "dense")
                            .eigenbasis) <= 4e6
-        # a readout holds one 64 x 992 block (0.5 MB) at a time, plus O(N) vectors
+        # a readout holds one block of 1/(w - d) at a time, 3 x 16384 numbers
+        # (0.4 MB), the rule's entrywise factors and O(N) vectors; f^2 lies in
+        # no sector of f and pairs with it through no quadrature, f^3 in f's
         spec = ct.parse_test_function(cfg.f)
         f = bb.sample_function(grid, lambda *x: ct.evaluate(spec, *x))
         g = bb.sample_function(grid, lambda *x: ct.evaluate(spec, *x) ** 2)
+        assert traced_peak(bb.two_point_lhs, op, cfg.beta, f, g) <= 1.2e6
+        g = bb.sample_function(grid, lambda *x: ct.evaluate(spec, *x) ** 3)
         assert traced_peak(bb.two_point_lhs, op, cfg.beta, f, g) <= 1.2e6
 
 
@@ -863,3 +871,124 @@ class TestLanczosMemory:
         op, _, f = golden_d2_readout(golden_d2_config, 32)
         assert op.grid.total == 65025
         assert traced_peak(bb.shifted_solve, op, f, 1.0) <= 8 * (8 * op.grid.total)
+
+
+class TestRealColumnsStayReal:
+    """A real family meets a complex vector through one real product with the
+    vector's real and imaginary parts interleaved: no real matrix is cast to
+    complex.  Each cast would add a complex copy of the matrix to the peak."""
+
+    def test_inverse_matvec(self, golden_d2_config):
+        """Two complex fields of N = 65025 (the result and x / lam); the cast
+        of the N x 2 columns made it 4.16 MB."""
+        op, _, _ = golden_d2_readout(golden_d2_config, 32)
+        N = op.grid.total
+        x = random_field(op.grid, 1, complex_values=True).values
+        assert traced_peak(op.inverse_matvec, x) <= 2 * 16 * N + 1e4
+
+    def test_shifted_solve_resolvent(self, golden_d2_config):
+        """Three complex fields of N = 65025 (x / (lam + s), the rank-K term
+        and their sum); the casts of the scaled columns made it 5.20 MB."""
+        op, _, _ = golden_d2_readout(golden_d2_config, 32)
+        x = random_field(op.grid, 8, complex_values=True).values
+        assert traced_peak(po._resolvent, op, x, 1.0) <= 3 * 16 * op.grid.total + 1e5
+
+    def test_condensate_pairing(self, golden_d2_config):
+        """two_point_lhs's C^H f allocates only its K numbers; the cast took
+        2.08 MB at N = 65025."""
+        op, _, _ = golden_d2_readout(golden_d2_config, 32)
+        x = random_field(op.grid, 2, complex_values=True).values
+        C = op.basis.col_hat
+        assert traced_peak(po._adjoint, C, x) <= 1e3
+        assert np.all(np.abs(po._adjoint(C, x) - C.T @ x) <= 1e-14 * (np.abs(C).T @ np.abs(x)))
+
+    @pytest.mark.parametrize("read", ["project", "unproject"])
+    def test_stage_products(self, golden_d2_config, read):
+        """The 64 x 992 Cauchy blocks of the golden operator at N = 3969 meet a
+        complex vector as reals: 0.69 and 0.81 MB, against 1.57 and 1.65 MB
+        with the cast."""
+        cfg = golden_d2_config
+        grid = bb.make_grid(2, [8, 8], cfg.h)
+        op = bb.build_phi_operator(grid, bb.parse_family(cfg.family), backend="dense")
+        op.eigenbasis
+        x = random_field(grid, 3, complex_values=True).values
+        assert traced_peak(getattr(op, read), x) <= 1e6
+
+    def test_contour_products(self, golden_d2_config):
+        """A complex g doubles the contour's nodes, not its block of 1/(w - d):
+        1.47 MB at N = 3969 with every row reached, against 1.91 MB when the
+        real block was cast to meet the complex factors."""
+        cfg = golden_d2_config
+        grid = bb.make_grid(2, [8, 8], cfg.h)
+        op = bb.build_phi_operator(grid, bb.parse_family(cfg.family), backend="dense")
+        x = random_field(grid, 4).values[:, None]
+        y = random_field(grid, 5, complex_values=True).values[:, None]
+        assert traced_peak(po._contour_forms, op, (bb.Bose(cfg.beta),), x, y) <= 1.6e6
+
+
+class TestContourReadout:
+    """The dense two-point readout: Cauchy's integral of the Woodbury
+    resolvent on an ellipse in ln w, and no eigenpair."""
+
+    @pytest.mark.parametrize("F", [bb.Bose(0.7), bb.BoseRegular(0.7), bb.ShiftedInverse(-0.5)])
+    def test_spectral_functions_at_complex_arguments(self, F):
+        """On the right half plane each function agrees with its formula taken
+        in complex arithmetic (the Bernoulli series of BoseRegular below |t| =
+        0.5 included), and on the real axis its complex branch agrees with the
+        real one."""
+        nu = np.geomspace(1e-6, 1e3, 40) * np.exp(1j * np.linspace(-1.4, 1.4, 40))
+        if isinstance(F, bb.ShiftedInverse):
+            want = 1.0 / (nu - F.z)
+        else:
+            t = F.beta * nu
+            want = 1.0 / np.expm1(t) - (1.0 / t if isinstance(F, bb.BoseRegular) else 0.0)
+        got = F.evaluate(nu)
+        scale = np.abs(want) + (1.0 / np.abs(F.beta * nu) if isinstance(F, bb.BoseRegular) else 0)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        x = np.geomspace(1e-6, 600.0, 50)
+        assert np.all(np.abs(F.evaluate(x + 0j) - F.evaluate(x)) <= 1e-14 * np.abs(F.evaluate(x)))
+
+    def test_too_few_nodes_raise(self, monkeypatch, golden_d2_config):
+        """Two nodes per half ellipse, grown by half three times, leave the
+        golden L = 4 value moving between counts: RuntimeError, not a value."""
+        cfg = golden_d2_config
+        grid = bb.make_grid(2, [4, 4], cfg.h)
+        op = bb.build_phi_operator(grid, bb.parse_family(cfg.family), backend="dense")
+        spec = ct.parse_test_function(cfg.f)
+        f = bb.sample_function(grid, lambda *x: ct.evaluate(spec, *x))
+        monkeypatch.setattr(po, "_CONTOUR_NODES", (0.0, 4.0))
+        with pytest.raises(RuntimeError, match="contour rule of .* still moved"):
+            bb.two_point_lhs(op, cfg.beta, f)
+
+    def test_one_node(self):
+        """N = 1: A^-1 = d + |c|^2, and the value is conj(x) F(1 / (d + |c|^2)) y;
+        the spectrum is one point, and the ellipse keeps a unit half-length."""
+        grid, op = n1_operator()
+        f = bb.GridField(grid, np.array([0.8]))
+        g = bb.GridField(grid, np.array([0.3 - 0.4j]))
+        x, y = op._hat(f)[0], op._hat(g)[0]
+        nu = 1.0 / (1.0 / op.lam[0] + abs(op.basis.col_hat[0, 0]) ** 2)
+        for F in (bb.Bose(1.0), bb.BoseRegular(1.0), bb.ShiftedInverse(-1.0)):
+            want = np.conj(x) * F.evaluate(np.array([nu]))[0] * y
+            assert abs(bb.quadratic_form(op, F, f, g) - want) <= 1e-14 * abs(want)
+        assert bb.quadratic_form(op, bb.Bose(1.0), f) == pytest.approx(0.64 * BOSE_N1, rel=1e-14)
+
+    def test_empty_family_reads_no_quadrature(self, grid_2d, monkeypatch):
+        """With no column the readout is the exact sum over the Dirichlet modes."""
+        op = bb.build_phi_operator(grid_2d, bb.HarmonicFamily(()), backend="dense")
+        monkeypatch.setattr(po, "_rank_k_rule", barred)
+        f = random_field(grid_2d, 6)
+        fhat = op._hat(f)
+        tp = bb.two_point_lhs(op, 1.0, f)
+        assert tp.direct == pytest.approx(np.sum(fhat**2 * bb.Bose(1.0).evaluate(op.lam)),
+                                          rel=1e-14)
+        assert tp.split_agreement <= 1e-14
+
+    def test_zero_field_reads_zero(self, grid_2d, monkeypatch):
+        """f = 0 reaches no row, and the rule reads only the rows both vectors
+        reach: every value is exactly 0, with no quadrature."""
+        op = bb.build_phi_operator(grid_2d, bb.parse_family("hpoly2:n=1,part=re"), backend="dense")
+        monkeypatch.setattr(po, "_rank_k_rule", barred)
+        zero = bb.GridField(grid_2d, np.zeros(grid_2d.total))
+        tp = bb.two_point_lhs(op, 1.0, zero, random_field(grid_2d, 7))
+        assert (tp.direct, tp.regular_term, tp.split) == (0, 0, 0)

@@ -13,6 +13,7 @@ at column norms up to ||C||_2^2 = 3.3e19 the readout is checked against
 mpmath at 50 digits, and the exact identities hold there too.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 from unittest import mock
@@ -101,6 +102,43 @@ def test_structured_eigensolve_matches_dense_eigh(case):
     tp = bb.two_point_lhs(op, beta, f, g)
     fa = V.conj().T @ bb.sine_transform(grid, f, "forward").values
     ga = V.conj().T @ bb.sine_transform(grid, g, "forward").values
+    s = size(tp)
+    for F, value in ((bb.Bose(beta), tp.direct), (bb.BoseRegular(beta), tp.regular_term)):
+        assert abs(value - np.sum(fa.conj() * F.evaluate(1.0 / w) * ga)) <= 1e-12 * s
+
+
+SCALED = {bb.Constant: ("c",), bb.Affine1D: ("a", "b"), bb.HarmonicPoly2D: ("coefficient",)}
+
+
+def scaled(family, scale):
+    """The family with every coefficient times scale (ExpCos2D has none)."""
+    return bb.HarmonicFamily(tuple(
+        dataclasses.replace(spec, **{k: getattr(spec, k) * scale for k in SCALED[type(spec)]})
+        if type(spec) in SCALED else spec for spec in family.specs))
+
+
+@settings(max_examples=80)
+@example(case=SECTORS[0], exponent=10.0)
+@given(cases(), st.floats(0.0, 10.0))
+def test_contour_readout_matches_dense_eigh_at_every_column_norm(case, exponent):
+    """The contour readout of every family of ``cases()``, its coefficients
+    scaled by up to 1e10 (||C||_2^2 up to about 1e20), against the readout
+    through np.linalg.eigh of the assembled matrix, at the bound of
+    ``test_structured_eigensolve_matches_dense_eigh``; no component is
+    eigendecomposed.  eigh's backward error, eps ||C||_2^2, can take bulk
+    eigenvalues below min d, the least of the spectrum (Weyl), or below 0,
+    where BoseRegular's series is no bound; they are clamped there."""
+    grid, family, seed, beta = case
+    with mock.patch.object(po, "_secular_eigh", side_effect=AssertionError):
+        op = bb.build_phi_operator(grid, scaled(family, 10.0**exponent), "dense")
+        f = random_field(grid, seed, True)
+        g = random_field(grid, seed + 1)
+        tp = bb.two_point_lhs(op, beta, f, g)
+    C = op.basis.col_hat
+    w, V = np.linalg.eigh(np.diag(1.0 / op.lam) + C @ C.conj().T)
+    w = np.maximum(w, (1.0 / op.lam).min())
+    fa = V.conj().T @ op._hat(f)
+    ga = V.conj().T @ op._hat(g)
     s = size(tp)
     for F, value in ((bb.Bose(beta), tp.direct), (bb.BoseRegular(beta), tp.regular_term)):
         assert abs(value - np.sum(fa.conj() * F.evaluate(1.0 / w) * ga)) <= 1e-12 * s
