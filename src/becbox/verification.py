@@ -10,6 +10,7 @@ asymptotically and are checked by mesh-refinement ratios.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -76,10 +77,18 @@ class CheckReport:
         }
 
 
+def _uniform(rng: random.Random, n: int) -> np.ndarray:
+    """n values uniform on [-1, 1), the top 53 bits of each 8 bytes of ``rng``'s
+    stream: n1 values then n2 are the n1 + n2 of one draw.  ``random`` is loaded
+    in every process; numpy.random would add 6 MB of RSS and OpenSSL."""
+    bits = np.frombuffer(rng.randbytes(8 * n), dtype="<u8") >> np.uint64(11)
+    return bits * 2.0**-52 - 1.0
+
+
 def _resolvent_identity(name: str, op: PhiOperator, z: float, n_fields: int,
                         seed: int) -> CheckReport:
     """Relative residual of the Krein resolvent formula at z <= 0 on
-    ``n_fields`` random sine-coefficient vectors drawn from ``seed``.
+    ``n_fields`` random sine-coefficient vectors (``_uniform`` of ``seed``).
 
     The left side is ``ShiftedInverse(z)`` read off the eigenpairs of the
     modified operator, the right side the Dirichlet resolvent plus the
@@ -88,7 +97,8 @@ def _resolvent_identity(name: str, op: PhiOperator, z: float, n_fields: int,
     roundoff indicates an assembly bug.
     """
     # one draw of every field (column-wise), the same stream as one draw per field
-    x = np.random.default_rng(seed).standard_normal((n_fields, op.grid.total)).T
+    N = op.grid.total
+    x = _uniform(random.Random(seed), n_fields * N).reshape(n_fields, N).T
     lhs = op.unproject(ShiftedInverse(z).evaluate(op.eigenvalues)[:, None] * op.project(x))
     rhs = _resolvent(op, x, -z)
     nx = np.linalg.norm(x, axis=0)
@@ -98,8 +108,7 @@ def _resolvent_identity(name: str, op: PhiOperator, z: float, n_fields: int,
         name=name,
         residuals={"relative": num / den if den > 0 else 0.0},
         tolerances={"relative": 1e-10},
-        context={"z": z, "rank": op.basis.rank, "N": op.grid.total,
-                 "n_fields": n_fields, "seed": seed},
+        context={"z": z, "rank": op.basis.rank, "N": N, "n_fields": n_fields, "seed": seed},
     )
 
 
@@ -308,19 +317,20 @@ def dirichlet_reduction_check(grid: Grid) -> CheckReport:
     equal the sampled normalized sine modes (up to sign).
 
     The eigenvectors stream through in blocks of ``_REDUCTION_BLOCK``, each
-    unprojected from unit coefficients and compared at the nodes, so no N x N
-    array is ever formed."""
+    unprojected from unit coefficients and taken to the nodes by one product
+    per axis with that axis's n x n DST-I matrix, ``_dst1`` read on row blocks
+    of the identity, so no N x N array is ever formed."""
     op = build_phi_operator(grid, HarmonicFamily(()))
     nu, lam = op.eigenvalues, op.lam
     dev_vals = float(np.max(np.abs(nu - np.sort(lam))))
-    # analytic sampled sine modes, one per axis
-    axis_modes = []
-    for ax in range(grid.dim):
-        n = grid.counts[ax]
-        L = grid.lengths[ax]
-        j = np.arange(1, n + 1)
-        k = np.arange(1, n + 1)
-        axis_modes.append(np.sqrt(2.0 / L) * np.sin(np.outer(j, k) * np.pi / (n + 1)))
+    # per axis, the DST-I matrix (row j transforms the j-th unit vector), filled
+    # in place: concatenating the blocks would hold it twice
+    axis_dst = []
+    for n in grid.counts:
+        dst = np.empty((n, n))
+        for s in range(0, n, _REDUCTION_BLOCK):
+            dst[s:s + _REDUCTION_BLOCK] = _dst1(np.eye(min(_REDUCTION_BLOCK, n - s), n, s), 1)
+        axis_dst.append(dst)
     N = grid.total
     dev_vecs = 0.0
     for start in range(0, N, _REDUCTION_BLOCK):
@@ -332,14 +342,17 @@ def dirichlet_reduction_check(grid: Grid) -> CheckReport:
         modes = op.unproject(unit).T
         j = np.argmax(np.abs(modes), axis=1)
         nodes = modes.reshape(b, *grid.counts)
-        for ax in range(grid.dim):
-            nodes = _dst1(nodes, ax + 1)
+        for ax, dst in enumerate(axis_dst):
+            nodes = np.moveaxis(np.moveaxis(nodes, ax + 1, -1) @ dst, -1, ax + 1)
         nodes = nodes.reshape(b, N) / grid.spacing ** (grid.dim / 2)
+        # the analytic sampled sine mode of each row's peak, one factor per axis
         expected = np.ones((b,) + (1,) * grid.dim)
         for ax, k in enumerate(np.unravel_index(j, grid.counts)):
+            n, L = grid.counts[ax], grid.lengths[ax]
             shape = [b] + [1] * grid.dim
             shape[ax + 1] = -1
-            expected = expected * axis_modes[ax][:, k].T.reshape(shape)
+            phase = np.outer(k + 1, np.arange(1, n + 1)) * np.pi / (n + 1)
+            expected = expected * (np.sqrt(2.0 / L) * np.sin(phase)).reshape(shape)
         expected = expected.reshape(b, N)
         sgn = np.where(np.sum(expected * nodes.real, axis=1) >= 0, 1.0, -1.0)
         dev_vecs = max(dev_vecs, float(np.max(np.abs(sgn[:, None] * nodes - expected))))
@@ -370,8 +383,7 @@ def split_identity_check(op: PhiOperator, beta: float,
 
 def wick_cross_check(n: int = 4, seed: int = 0) -> CheckReport:
     """Ryser permanent against brute pairing enumeration on a random matrix."""
-    rng = np.random.default_rng(seed)
-    T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    T = _uniform(random.Random(seed), 2 * n * n).view(complex).reshape(n, n)
     ryser = continuum.permanent_ryser(T)
     brute = continuum.permanent_enumerate(T)
     dev = abs(ryser - brute) / max(abs(brute), 1e-300)

@@ -775,29 +775,32 @@ class TestCli:
         code = "import sys, becbox.cli; sys.exit('_hashlib' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
-    def test_converge_hashes_its_output_without_openssl(self, tmp_path):
-        """A converge run writes its outputs, input_hash included, and leaves
-        _hashlib unloaded: the hash is CPython's builtin SHA-1."""
+    @pytest.mark.parametrize("command, config, summary", [
+        ("converge", TINY["converge"], "run.json"),
+        ("srs", TINY["srs"], "run_srs.json"),
+        ("verify", TINY["verify"], "run_checks.json"),
+        ("verify", "kind = verify\ndim = 2\nfamily = hpoly2:n=1,part=re\nL_list = 4\nh = 0.5\n",
+         "run_checks.json"),
+        ("wick", TINY["wick"], "run_wick.json"),
+        ("fourier-dump", TINY["fourier-dump"], "run_fourier.json"),
+    ], ids=["converge", "srs", "verify-d1", "verify-d2", "wick", "fourier-dump"])
+    def test_command_loads_only_what_it_needs(self, tmp_path, command, config, summary):
+        """A run writes its outputs, input_hash included, and leaves unloaded:
+        numpy.random (6 MB of RSS: verify draws from the stdlib generator),
+        OpenSSL's _hashlib (3-4 MB: the hash is CPython's builtin SHA-1),
+        numpy.ma (about 13 ms and 1 MB) and scipy (numpy is the only
+        runtime dependency)."""
         cfg = tmp_path / "c.cfg"
-        cfg.write_text(MINI_CONVERGE)
+        cfg.write_text(config)
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         code = ("import sys, becbox.cli as cli; "
-                f"rc = cli.main(['converge', '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]); "
-                "sys.exit(3 if '_hashlib' in sys.modules else rc)")
-        assert subprocess.run([sys.executable, "-c", code], env=env,
-                              stdout=subprocess.DEVNULL).returncode == 0
-        assert len(json.loads((tmp_path / "run.json").read_text())["input_hash"]) == 40
-
-    def test_dense_converge_loads_no_numpy_ma(self, tmp_path):
-        """A dense build leaves numpy.ma unloaded (about 13 ms and 1 MB a process)."""
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text(MINI_CONVERGE)
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        code = ("import sys, becbox.cli as cli; "
-                f"rc = cli.main(['converge', '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]); "
-                "sys.exit(3 if 'numpy.ma' in sys.modules else rc)")
-        assert subprocess.run([sys.executable, "-c", code], env=env,
-                              stdout=subprocess.DEVNULL).returncode == 0
+                f"rc = cli.main([{command!r}, '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]); "
+                "print(*sorted({'numpy.random', '_hashlib', 'numpy.ma', 'scipy'} & set(sys.modules))); "
+                "sys.exit(rc)")
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == ""
+        assert len(json.loads((tmp_path / summary).read_text())["input_hash"]) == 40
 
     def test_kind_of_another_command_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "k.cfg"

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 
 import numpy as np
 import pytest
@@ -71,9 +72,10 @@ class TestKrein:
         project = bb.PhiOperator.project
         monkeypatch.setattr(bb.PhiOperator, "project", lambda self, x: drawn.append(x) or project(self, x))
         vf.krein_identity_residual(make_op(grid_1d, "affine:a=0,b=1"), -1.0, n_fields=5, seed=3)
-        rng = np.random.default_rng(3)
-        one_by_one = np.stack([rng.standard_normal(grid_1d.total) for _ in range(5)], axis=1)
+        rng = random.Random(3)
+        one_by_one = np.stack([vf._uniform(rng, grid_1d.total) for _ in range(5)], axis=1)
         np.testing.assert_array_equal(drawn[0], one_by_one)
+        assert -1.0 <= drawn[0].min() and drawn[0].max() < 1.0
 
     def test_rejects_nonnegative_z(self, grid_1d):
         op = make_op(grid_1d, "affine:a=0,b=1")
@@ -341,6 +343,41 @@ class TestDirichletReduction:
         grid = bb.make_grid(2, [32, 32], 1.0)
         assert vf.dirichlet_reduction_check(grid).passed
         assert traced_peak(vf.dirichlet_reduction_check, grid) <= 8e6
+
+    def test_d1_holds_one_transform_matrix(self):
+        """At N = 255 the 255 x 255 DST-I matrix (0.52 MB) is the only n x n
+        array: the traced peak reads 1.46 MB, as it did when every block ran
+        through the FFT."""
+        grid = bb.make_grid(1, [256.0], 1.0)
+        assert traced_peak(vf.dirichlet_reduction_check, grid) <= 1.9e6
+
+    @pytest.fixture(params=[(1, [256.0]), (2, [32.0, 32.0])], ids=["d1", "d2"])
+    def canonical(self, request):
+        """The grids ``run_verify_suite`` checks (N = 255 and 961)."""
+        dim, lengths = request.param
+        return bb.make_grid(dim, lengths, 1.0)
+
+    def test_mixed_coefficient_rows_fail(self, canonical, monkeypatch):
+        """Eigenvectors whose first two sine coefficients mix by 1e-9."""
+        unproject = bb.PhiOperator.unproject
+
+        def mixed(self, a):
+            out = unproject(self, a)
+            out[[0, 1]] += 1e-9 * out[[1, 0]]
+            return out
+
+        monkeypatch.setattr(bb.PhiOperator, "unproject", mixed)
+        rep = vf.dirichlet_reduction_check(canonical)
+        assert rep.residuals["eigenvector_dev"] > rep.tolerances["eigenvector_dev"]
+        assert not rep.passed
+
+    def test_scaled_transform_fails(self, canonical, monkeypatch):
+        """The library's DST-I 1 + 1e-10 too large."""
+        dst1 = vf._dst1
+        monkeypatch.setattr(vf, "_dst1", lambda a, axis: dst1(a, axis) * (1 + 1e-10))
+        rep = vf.dirichlet_reduction_check(canonical)
+        assert rep.residuals["eigenvector_dev"] > rep.tolerances["eigenvector_dev"]
+        assert not rep.passed
 
 
 class TestSplitIdentity:
