@@ -5,7 +5,8 @@ success, 1 check failure (the output JSON says "pass": false), 2 config
 error, 3 hypothesis violation (e.g. a nonzero-mean test function in d <= 2,
 a support reaching the smallest box, or a family whose Gram entries overflow
 on a box), 4 runtime error (an unconverged or non-positive Lanczos
-recursion, or an output that cannot be written).
+recursion, a dense contour rule whose values still move after its last
+node refinement, or an output that cannot be written).
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ def _common(parser: argparse.ArgumentParser) -> None:
 
 def _converge(cfg: ExperimentConfig, out: str, label: str) -> tuple[list[str], bool]:
     report = experiments.run_converge_sweep(cfg)
-    ok = report.strictly_decreasing()
-    return experiments.emit_converge(report, out, label) + [
-        f"final rel_err = {report.final_rows()[-1].rel_err:.6e}  strictly_decreasing = {ok}"], ok
+    judged = report.judgement()
+    final = f"final rel_err = {report.final_rows()[-1].rel_err:.6e}  verdict = {judged.verdict}"
+    return experiments.emit_converge(report, out, label) + [final], judged.passed
 
 
 def _srs(cfg: ExperimentConfig, out: str, label: str) -> tuple[list[str], bool]:

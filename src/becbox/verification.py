@@ -5,7 +5,7 @@ Identities that follow algebraically from the inverse-plus-rank-K definition
 reduction to the Dirichlet case) are checked at near machine precision;
 statements about boundary traces and derivatives (the boundary condition with
 the Dirichlet-to-Neumann map, the quadratic-form identity) are discrete only
-asymptotically and are checked by mesh-refinement ratios.
+asymptotically and are judged on a ladder of refinements by ``judge_ladder``.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +38,8 @@ from .phi_operator import (
 
 __all__ = [
     "CheckReport",
+    "Judgement",
+    "judge_ladder",
     "krein_identity_residual",
     "domain_decomposition_check",
     "dtn_apply_1d",
@@ -63,9 +66,8 @@ class CheckReport:
     @property
     def passed(self) -> bool:
         """False when the check could not decide: undecided is not a pass."""
-        return not self.inconclusive and all(
-            self.residuals[k] <= self.tolerances[k] for k in self.tolerances
-        )
+        return not self.inconclusive and all(self.residuals[k] <= tol
+                                                 for k, tol in self.tolerances.items())
 
     def to_dict(self) -> dict:
         return {
@@ -75,6 +77,42 @@ class CheckReport:
             "pass": self.passed,
             "context": dict(self.context, inconclusive=self.inconclusive),
         }
+
+
+class Judgement(NamedTuple):
+    """``judge_ladder``'s verdict, each step's observed order, the limit, the floor."""
+
+    verdict: str
+    orders: list
+    limit: float | None
+    floor: float
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict in ("converging", "settled")
+
+
+def judge_ladder(steps, levels, min_order: float, floor: float,
+                 limit: float | None = 0.0) -> Judgement:
+    """Richardson's observed orders ln(e_i / e_i+1) / ln(s_i+1 / s_i) of
+    ``levels`` at increasing ``steps`` (L, or 1/h), e their distances to a
+    known ``limit`` (0: residuals, errors) or, if None, successive differences
+    at the finer step.  The finest three levels (or two) decide: ``settled`` if
+    the finest distance is at most ``floor``, ``converging`` if the levels fall
+    and the finest order, where there is one, is at least ``min_order``,
+    ``inconclusive`` on one level, else ``failing``.  An unknown limit comes
+    back as Aitken's v3 - d2^2 / (d2 - d1) of the finest differences, if any."""
+    v, s = np.asarray(levels, dtype=float), np.asarray(steps, dtype=float)
+    e, s = (np.abs(np.diff(v)), s[1:]) if limit is None else (np.abs(v - limit), s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        orders = np.log(e[:-1] / e[1:]) / np.log(s[1:] / s[:-1])
+    d = np.diff(v[-3:])
+    falls = all(d < 0) and (len(orders) == 0 or orders[-1] >= min_order)
+    verdict = ("inconclusive" if len(v) < 2 else "settled" if e[-1] <= floor
+               else "converging" if falls else "failing")
+    if limit is None and len(d) == 2 and d[1] != d[0]:
+        limit = float(v[-1] - d[1] ** 2 / (d[1] - d[0]))
+    return Judgement(verdict, orders.tolist(), limit, floor)
 
 
 def _uniform(rng: random.Random, n: int) -> np.ndarray:
@@ -138,8 +176,7 @@ def dtn_apply_1d(grid: Grid, boundary_values) -> tuple[complex, complex]:
     the harmonic (affine) extension of the two endpoint values."""
     if grid.dim != 1:
         raise ValueError("dtn_apply_1d requires a 1d grid")
-    u_left, u_right = boundary_values
-    slope = (u_right - u_left) / grid.lengths[0]
+    slope = (boundary_values[1] - boundary_values[0]) / grid.lengths[0]
     return (-slope, slope)
 
 
@@ -204,12 +241,17 @@ def _bc_residual_once(op: PhiOperator, r) -> float:
     return float(np.max(np.abs(np.r_[t - proj @ t, proj @ (dn - _boundary_map(op.grid, r, t))])))
 
 
-def _refinement_check(name: str, ops: list[PhiOperator], min_ratio: float,
-                      residual, context: dict) -> CheckReport:
-    """residual(op, r) on each operator of the ladder ``ops`` (one family on
-    one box at halved spacings), with r = ``bc_r_matrix`` (None for an empty
-    family); it must fall by ``min_ratio`` or more per halving.  A trace map
-    of lower rank than the columns is inconclusive."""
+def _refinement_check(name: str, ops: list[PhiOperator], min_order: float,
+                      residual) -> CheckReport:
+    """residual(op, r), r = ``bc_r_matrix``, on the d = 1 ladder ``ops`` (one
+    family, one box, halved spacings), judged in 1/h by ``judge_ladder`` at
+    ``min_order`` to the floor N eps, the roundoff of a sum over the finest
+    level's N nodes.  ``order_shortfall`` is 0 if it converges or settles, else
+    how far its finest two orders fall short.  A trace map of lower rank than
+    the columns, or one level, is inconclusive."""
+    if ops[0].grid.dim != 1:
+        raise ValueError(f"{name} requires a 1d grid")
+    context = {"family": format_family(ops[0].family)}
     residuals = []
     for op in ops:
         r = bc_r_matrix(op)
@@ -218,33 +260,25 @@ def _refinement_check(name: str, ops: list[PhiOperator], min_ratio: float,
                                context={**context, "reason": "degenerate trace space"},
                                inconclusive=True)
         residuals.append(float(residual(op, r)))
-    ratios = [a / b for a, b in zip(residuals, residuals[1:])]
-    shortfall = max(0.0, min_ratio - min(ratios)) if ratios else 0.0
+    judged = judge_ladder([1 / op.grid.spacing for op in ops], residuals, min_order,
+                          np.finfo(float).eps * ops[-1].grid.total)
+    shortfall = 0.0 if judged.passed else min_order - min(judged.orders[-2:], default=0.0)
     return CheckReport(
         name=name,
-        residuals={"ratio_shortfall": shortfall},
-        tolerances={"ratio_shortfall": 0.0},
-        context={"levels": residuals, "ratios": ratios,
-                 "empirical_orders": [float(np.log2(q)) for q in ratios], **context},
+        residuals={"order_shortfall": shortfall},
+        tolerances={"order_shortfall": 0.0},
+        context={"levels": residuals, "ratios": np.exp2(judged.orders).tolist(),
+                 "empirical_orders": judged.orders, "verdict": judged.verdict, **context},
+        inconclusive=judged.verdict == "inconclusive",
     )
 
 
 def boundary_condition_residual(ops: list[PhiOperator]) -> CheckReport:
-    """Residual of the boundary condition (on the range of the columns'
-    traces, the outward derivative equals B t = H t - r t, and the trace t
-    lies in that range) on u = A^-1 w of the fixed source w = ``_source``, on
-    each operator of the ladder ``ops``: one family on one box at halved
-    spacings, ``ops[0]`` the coarsest.
-
-    The continuum statement holds exactly; the discrete residual must decay
-    with ratio >= 1.5 per halving.  With an empty family the condition
-    degenerates to the Dirichlet trace and the trace magnitude itself is
-    tracked.  A rank-deficient trace map is reported as inconclusive.
-    """
-    if ops[0].grid.dim != 1:
-        raise ValueError("boundary condition check requires a 1d grid")
-    return _refinement_check("boundary_condition", ops, 1.5, _bc_residual_once,
-                             {"family": format_family(ops[0].family)})
+    """The boundary condition (on the range of the columns' traces, the outward
+    derivative equals B t = H t - r t, and t lies in that range) on u = A^-1 w,
+    w = ``_source``, on the ladder ``ops``: its residual converges at order >=
+    log2 1.5 in 1/h (``_refinement_check``); for an empty family, |t|."""
+    return _refinement_check("boundary_condition", ops, np.log2(1.5), _bc_residual_once)
 
 
 def _gradient_sum(values: np.ndarray, h: float, t_left: complex, t_right: complex) -> float:
@@ -257,43 +291,22 @@ def _gradient_sum(values: np.ndarray, h: float, t_left: complex, t_right: comple
 
 
 def _qform_residual_once(op: PhiOperator, r) -> float:
-    grid = op.grid
-    w = _source(grid)
+    w = _source(op.grid)
     f = apply_inverse(op, w)
     lhs = inner_product(f, w).real
-    h = grid.spacing
-    if r is None:
-        return abs(lhs - _gradient_sum(f.values, h, 0.0, 0.0)) / abs(lhs)
-    t, _ = boundary_trace_1d(grid, f)
-    form = _gradient_sum(f.values, h, *t) - float((t.conj() @ _boundary_map(grid, r, t)).real)
-    return abs(lhs - form) / abs(lhs)
+    t = np.zeros(2) if r is None else boundary_trace_1d(op.grid, f)[0]
+    pairing = 0.0 if r is None else float((t.conj() @ _boundary_map(op.grid, r, t)).real)
+    return abs(lhs - (_gradient_sum(f.values, op.grid.spacing, *t) - pairing)) / abs(lhs)
 
 
 def quadratic_form_identity(ops: list[PhiOperator]) -> CheckReport:
-    """Compare <f, A f> with the boundary-corrected gradient form.
-
-    f = A^-1 w for the fixed source w = ``_source``, the field the boundary
-    condition check reads; the form is the forward-difference energy of f
-    with f's extracted trace t as its end values, minus Re <t, B t>, B t =
-    H t - r t the boundary map of the boundary condition check, with r =
-    ``bc_r_matrix``.  <t, H t> = |t_+ - t_-|^2 / L is exactly the discrete
-    energy of the sampled affine interpolant of t, the stencil-harmonic
-    extension of t in d = 1.  Exact (to roundoff) for an empty family, read
-    on ``ops[0]`` alone; order >= 1 in h otherwise, a ratio >= 2 per halving
-    along the ladder ``ops`` (one family on one box at halved spacings).
-    """
-    op = ops[0]
-    if op.grid.dim != 1:
-        raise ValueError("quadratic form identity requires a 1d grid")
-    context = {"family": format_family(op.family)}
-    if op.basis.rank == 0:
-        return CheckReport(
-            name="quadratic_form_identity",
-            residuals={"relative": float(_qform_residual_once(op, None))},
-            tolerances={"relative": 1e-10},
-            context=context,
-        )
-    return _refinement_check("quadratic_form_identity", ops, 2.0, _qform_residual_once, context)
+    """<f, A f> against the forward-difference energy of f = A^-1 w, w =
+    ``_source``, with its extracted trace t as end values, minus Re <t, B t>
+    (``_boundary_map``): <t, H t> = |t_+ - t_-|^2 / L is exactly the energy of
+    the sampled affine interpolant of t, its stencil-harmonic extension.  The
+    relative residual converges at order >= 1 in 1/h on the ladder ``ops``
+    (``_refinement_check``); for an empty family, with t = 0, it is exact."""
+    return _refinement_check("quadratic_form_identity", ops, 1.0, _qform_residual_once)
 
 
 def ordering_check(op: PhiOperator) -> CheckReport:

@@ -108,7 +108,6 @@ def srs_golden(config_text, threshold_final):
         "observed_err": [r.err for r in report.rows],
         "observed_final_err": report.rows[-1].err,
         "all_decreasing": report.all_decreasing(),
-        "decreasing_slack": ex.DECREASING_SLACK,
         "threshold_final_err": threshold_final,
     }
 

@@ -158,7 +158,8 @@ class TestEmission:
         ex.emit_converge(mini_report, str(tmp_path), "s")
         doc = json.loads((tmp_path / "s.json").read_text())
         assert doc["rows"] == 2
-        assert doc["strictly_decreasing"] is True
+        assert doc["verdict"] == "converging" and doc["pass"] is True
+        assert "strictly_decreasing" not in doc
         assert len(doc["input_hash"]) == 40
         assert doc["config"]["family"] == "affine:a=0,b=1"
 
@@ -335,11 +336,10 @@ class TestVerifySuite:
 
 
     def test_default_d1_verify_builds_each_operator_once(self, monkeypatch):
-        """Both trace checks read one ladder of refinements, built once: the
-        operator every other check reads is its coarsest level, and the
-        quadratic form reads the first two levels the boundary condition
-        reads.  The one other build is the reduction check's empty family on
-        its canonical grid."""
+        """Both trace checks read one ladder of four refinements, built once:
+        the operator every other check reads is its coarsest level, and both
+        read every level.  The one other build is the reduction check's empty
+        family on its canonical grid."""
         builds = []
         def counted(grid, family, backend="auto"):
             builds.append((grid.total, len(family.specs)))
@@ -349,22 +349,26 @@ class TestVerifySuite:
             monkeypatch.setattr(module, "build_phi_operator", counted)
         checks = ex.run_verify_suite(ExperimentConfig(kind="verify"))
         assert [c.name for c in checks][-3:-1] == ["boundary_condition", "quadratic_form_identity"]
-        assert sorted(n for n, k in builds if k) == [127, 255, 511]
+        assert sorted(n for n, k in builds if k) == [127, 255, 511, 1023]
         assert [n for n, k in builds if not k] == [255]
 
     def test_default_d1_verify_contexts(self):
         """The split check names the f it read, in the canonical grammar.  The
         trace checks read u = A^-1 w of the fixed source on the ladder; their
-        contexts name the family and neither an eigenvector nor a seed.  The
-        default family's affine column is stencil-harmonic as sampled, so the
-        quadratic form reads the levels of stencil-harmonic columns, to
-        roundoff in the columns' sine coefficients."""
+        contexts name the family and the verdict, and neither an eigenvector
+        nor a seed.  The default family's affine column is stencil-harmonic as
+        sampled, so the quadratic form reads the levels of stencil-harmonic
+        columns, to roundoff in the columns' sine coefficients: they fall at
+        order 3."""
         checks = {c.name: c for c in ex.run_verify_suite(ExperimentConfig(kind="verify"))}
         assert checks["split_identity"].context["f"] == "dipole:c=0.0,s=1.0,a=0.75,amp=1.0"
         for name in ("boundary_condition", "quadratic_form_identity"):
-            assert set(checks[name].context) == {"levels", "ratios", "empirical_orders", "family"}
+            assert set(checks[name].context) == {
+                "levels", "ratios", "empirical_orders", "verdict", "family"}
+            assert checks[name].context["verdict"] == "converging"
         assert checks["quadratic_form_identity"].context["levels"] == pytest.approx(
-            [7.178634388554454e-06, 8.966487365279601e-07], rel=1e-9, abs=0)
+            [7.178634388554454e-06, 8.966487365279601e-07, 1.1205949025235847e-07,
+             1.4006759228967293e-08], rel=1e-9, abs=0)
 
     def test_skipped_checks_decide_the_d1_checks(self, monkeypatch):
         """A check that ``skipped_checks`` names does not run, in d = 1 too."""
@@ -624,7 +628,8 @@ class TestCli:
     def test_converge_not_decreasing_exit_1(self, tmp_path, monkeypatch):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(MINI_CONVERGE)
-        monkeypatch.setattr(ex.ConvergenceReport, "strictly_decreasing", lambda self: False)
+        failing = vf.Judgement("failing", [-1.0], 0.0, 0.0)
+        monkeypatch.setattr(ex.ConvergenceReport, "judgement", lambda self: failing)
         assert cli.main(["converge", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert json.loads((tmp_path / "run.json").read_text())["pass"] is False
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,6 +233,123 @@ class TestTraceChecksKeepTheirTeeth:
             assert max(checks[name].context["ratios"]) < 1.1
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _golden(name):
+    with open(GOLDEN / f"{name}.json", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+LOG2_15 = float(np.log2(1.5))
+HALVINGS = [1.0, 2.0, 4.0, 8.0]  # 1/h of a four-level ladder, in units of the coarsest
+
+
+class TestJudgeLadder:
+    """``judge_ladder`` on the ladders this repository has measured: the
+    trace checks' pre-asymptotic draws and teeth, the golden converge and srs
+    sweeps, and the benchmark's Lanczos d = 2 sweep, whose error rises."""
+
+    @pytest.mark.parametrize("steps,levels,min_order,floor,limit,verdict", [
+        # boundary condition, Affine1D(1+1j, e^i), L = 4, h = 1/2
+        (HALVINGS, [1.55e-1, 1.09e-1, 3.34e-2, 8.85e-3], LOG2_15, 0.0, 0.0, "converging"),
+        # quadratic form, Affine1D(-0.68-0.96j, 0.73+0.80j), L = 4, h = 1/8:
+        # converging on four levels, failing on the first three
+        (HALVINGS, [3.18e-7, 7.80e-7, 1.25e-7, 1.64e-8], 1.0, 0.0, 0.0, "converging"),
+        (HALVINGS[:3], [3.18e-7, 7.80e-7, 1.25e-7], 1.0, 0.0, 0.0, "failing"),
+        # quadratic form, Affine1D(2.99+1.18j, -1.17+0.18j), L = 4, h = 1/8
+        (HALVINGS, [2.77e-7, 1.89e-7, 2.89e-8, 3.78e-9], 1.0, 0.0, 0.0, "converging"),
+        # a 1% error in r: flat to three digits
+        (HALVINGS, [4.071e-1, 4.069e-1, 4.068e-1, 4.068e-1], LOG2_15, 0.0, 0.0, "failing"),
+        # converge_d1's Richardson rows and converge_d2, in L
+        ([8.0, 16.0, 32.0, 64.0], _golden("converge_d1")["observed_rel_err_final_rows"],
+         0.0, 0.0, 0.0, "converging"),
+        ([4.0, 6.0, 8.0], _golden("converge_d2")["observed_rel_err_final_rows"],
+         0.0, 0.0, 0.0, "converging"),
+        # krylov-d2 at L = 16, 32: the error rises
+        ([16.0, 32.0], [8.007e-4, 2.347e-3], 0.0, 0.0, 0.0, "failing"),
+        # srs: the window error falls to its fixed-h floor, an unknown limit
+        ([8.0, 16.0, 32.0, 64.0], _golden("srs_d1")["observed_err"], 0.0, 1e-15, None,
+         "converging"),
+        ([8.0, 16.0, 32.0], [2.5593e-4, 8.15083e-5, 8.14974e-5], 0.0, 1e-15, None, "converging"),
+        # a zero srs input: every error is 0
+        ([8.0, 16.0, 32.0], [0.0, 0.0, 0.0], 0.0, 0.0, None, "settled"),
+        ([8.0], [1e-3], 0.0, 0.0, 0.0, "inconclusive"),
+        ([8.0], [1e-3], 0.0, 0.0, None, "inconclusive"),
+    ])
+    def test_verdicts(self, steps, levels, min_order, floor, limit, verdict, recwarn):
+        judged = vf.judge_ladder(steps, levels, min_order, floor, limit)
+        assert judged.verdict == verdict
+        assert judged.passed == (verdict in ("converging", "settled"))
+        assert judged.floor == floor
+        assert len(judged.orders) == max(len(levels) - (2 if limit is None else 1), 0)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_orders_are_richardsons(self):
+        """A ladder e = C s^-p reads order p at every step, whatever the steps."""
+        steps = np.array([4.0, 6.0, 8.0, 12.0])
+        judged = vf.judge_ladder(steps, 3.0 * steps ** -2.5, 2.5, 0.0)
+        assert judged.orders == pytest.approx([2.5] * 3, rel=1e-12)
+        assert judged.verdict == "converging" and judged.limit == 0.0
+        assert vf.judge_ladder(steps, 3.0 * steps ** -2.5, 2.6, 0.0).verdict == "failing"
+
+    def test_unknown_limit_is_extrapolated(self):
+        """Levels x + C 2^-k: the differences fall at order 1 and Aitken's
+        extrapolation of the finest triple recovers x."""
+        levels = [0.25 + 0.5 * 2.0 ** -k for k in range(4)]
+        judged = vf.judge_ladder([1, 2, 4, 8], levels, 1.0, 0.0, None)
+        assert judged.verdict == "converging"
+        assert judged.orders == pytest.approx([1.0, 1.0], rel=1e-12)
+        assert judged.limit == pytest.approx(0.25, rel=1e-12)
+
+    def test_floor_settles_a_known_and_an_unknown_limit(self):
+        # a residual at roundoff that rises settles at its floor; above it, it fails
+        assert vf.judge_ladder([1, 2, 4], [1e-3, 1e-15, 2e-15], 1.0, 1e-14).verdict == "settled"
+        assert vf.judge_ladder([1, 2, 4], [1e-3, 1e-15, 2e-15], 1.0, 1e-16).verdict == "failing"
+        # an error on its plateau that rises by roundoff settles on its step
+        plateau = [1e-3, 5.44e-5, 5.44e-5 + 3e-16]
+        assert vf.judge_ladder([8, 16, 32], plateau, 0.0, 1e-15, None).verdict == "settled"
+        assert vf.judge_ladder([8, 16, 32], plateau, 0.0, 1e-16, None).verdict == "failing"
+
+
+class TestTraceCheckPassFlags:
+    """A trace check's ``pass`` is ``all(residual <= tolerance)``, the rule a
+    reader of the JSON (the benchmark's verify check among them) recomputes,
+    on passing, teeth and non-monotone ladders alike."""
+
+    def _checks(self, ladder):
+        return [vf.boundary_condition_residual(ladder), vf.quadratic_form_identity(ladder)]
+
+    @staticmethod
+    def _agree(check):
+        doc = check.to_dict()
+        derived = all(doc["residuals"][k] <= tol for k, tol in doc["tolerances"].items())
+        return doc["pass"] == derived == (check.context["verdict"] in ("converging", "settled"))
+
+    def test_passing_ladder(self):
+        checks = self._checks(ex._refinements(default_verify_op(), 4))
+        assert all(c.passed and self._agree(c) for c in checks)
+
+    def test_teeth_ladder(self, monkeypatch):
+        ladder = ex._refinements(default_verify_op(), 4)
+        r_matrix = vf.bc_r_matrix
+        monkeypatch.setattr(vf, "bc_r_matrix", lambda op: 1.01 * r_matrix(op))
+        checks = self._checks(ladder)
+        assert all(not c.passed and self._agree(c) for c in checks)
+        assert all(c.residuals["order_shortfall"] > 0 for c in checks)
+
+    @pytest.mark.parametrize("levels,passed", [(4, True), (3, False)])
+    def test_non_monotone_ladder(self, levels, passed):
+        """The quadratic form of Affine1D(-0.68-0.96j, 0.73+0.80j) at L = 4,
+        h = 1/8 rises on its first step."""
+        spec = bb.Affine1D(-0.68 - 0.96j, 0.73 + 0.80j)
+        op = bb.build_phi_operator(bb.make_grid(1, [4.0], 1 / 8), bb.HarmonicFamily((spec,)),
+                                   "dense")
+        qf = vf.quadratic_form_identity(ex._refinements(op, levels))
+        assert qf.context["levels"][1] > qf.context["levels"][0]
+        assert qf.passed == passed and self._agree(qf)
+
+
 class TestQuadraticFormIdentity:
     def test_dirichlet_eigenvector_energy_exact(self):
         # summation by parts: the zero-padded forward-difference energy of a
@@ -247,9 +365,11 @@ class TestQuadraticFormIdentity:
         assert energy == pytest.approx(lam, rel=1e-11)
 
     def test_empty_family_exact(self, grid_1d):
-        op = make_op(grid_1d, "")
-        rep = vf.quadratic_form_identity([op])
-        assert rep.residuals["relative"] <= 1e-10
+        """With zero end values the form is exact, so the ladder settles at
+        roundoff instead of converging."""
+        rep = vf.quadratic_form_identity(ex._refinements(make_op(grid_1d, ""), 3))
+        assert rep.passed and rep.context["verdict"] == "settled"
+        assert max(rep.context["levels"]) <= 1e-13
 
     def test_affine_family_order_one(self):
         g = bb.make_grid(1, [4], 1 / 16)
